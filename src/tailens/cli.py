@@ -1,6 +1,8 @@
 """Command-line surface for the long-tailed ensemble pipeline.
 
-One INI config drives every subcommand; artifacts live under the config's
+Training and strategy dispatch live in :mod:`tailens.pipeline`; this module
+parses arguments, maps artifacts to paths and errors to exit codes. One INI
+config drives every subcommand; artifacts live under the config's
 ``paths.out_dir``. Outputs are written atomically (temp name, then rename)
 and are byte-identical across reruns with the same config and inputs.
 Exit codes: 0 success, 2 config error, 3 data error, 4 numeric divergence.
@@ -9,15 +11,14 @@ Exit codes: 0 success, 2 config error, 3 data error, 4 numeric divergence.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from ._io import atomic_write_text
+from ._io import atomic_write_json, atomic_write_text
 from .config import ConfigError, FUSION_STRATEGIES, RunConfig, load_config
-from .dataset import EmptyFoldError, assign_folds, partition_subsets, save_bundle
+from .dataset import EmptyFoldError, partition_subsets, save_bundle
 from .evaluation import (
     expert_confusion_matrix,
     fourfold_accuracy,
@@ -27,40 +28,27 @@ from .evaluation import (
 )
 from .experts import (
     expert_partial_posterior,
-    finetune_uniform_classifier,
     load_baseline_checkpoint,
     load_expert_checkpoint,
     save_baseline_checkpoint,
     save_expert_checkpoint,
-    select_expert_hyperparams,
-    train_baseline,
 )
 from .fusion import (
-    CalibrationParams,
-    SelectorModel,
-    StackerModel,
-    fuse_by_selection,
-    fuse_by_stacking,
-    fuse_calibrated,
-    fuse_kl_min,
-    fuse_soft_vote,
     ingest_external_posteriors,
-    train_expert_selector,
-    train_joint_calibration,
-    train_stacker,
     write_partial_posterior_csv,
     write_posterior_csv,
 )
-from .network import DivergenceError, load_checkpoint, save_checkpoint
+from .network import DivergenceError
 from .pipeline import (
-    SEED_BASELINE,
-    SEED_SELECTOR,
-    SEED_STACKER,
-    SEED_UNIFORM,
+    FUSIONS,
+    ExpertEnsemble,
+    FittedFusion,
+    frequency_folds,
     full_posterior_table,
+    fused_posteriors,
     prepare_bundle,
-    seed_for_expert,
-    train_config_from,
+    select_experts,
+    train_baselines,
 )
 
 EXPERT_NAMES = ("manyshot", "mediumshot", "fewshot")
@@ -90,16 +78,18 @@ def _require_file(path: Path, hint: str) -> Path:
 
 
 def _load_experts(cfg: RunConfig):
-    return [
+    return tuple(
         load_expert_checkpoint(
             _require_file(_ckpt_path(cfg, f"expert_{name}"), "tailens train-experts")
         )
         for name in EXPERT_NAMES
-    ]
+    )
 
 
-def _write_json(path: Path, payload) -> None:
-    atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+def _load_ensemble(cfg: RunConfig) -> ExpertEnsemble:
+    bundle = prepare_bundle(cfg)
+    experts = _load_experts(cfg)
+    return ExpertEnsemble(bundle, frequency_folds(bundle, cfg), experts)
 
 
 def cmd_gen_data(cfg: RunConfig, args) -> None:
@@ -109,19 +99,10 @@ def cmd_gen_data(cfg: RunConfig, args) -> None:
 
 
 def cmd_train_baseline(cfg: RunConfig, args) -> None:
-    bundle = prepare_bundle(cfg)
-    root = cfg.training.seed
-    baseline, trace = train_baseline(
-        bundle, train_config_from(cfg.training, seed=root + SEED_BASELINE)
-    )
-    uniform, uniform_trace = finetune_uniform_classifier(
-        baseline,
-        bundle,
-        train_config_from(cfg.training, seed=root + SEED_UNIFORM, stage="uniform"),
-    )
+    (baseline, trace), (uniform, uniform_trace) = train_baselines(prepare_bundle(cfg), cfg)
     save_baseline_checkpoint(_ckpt_path(cfg, "baseline"), baseline)
     save_baseline_checkpoint(_ckpt_path(cfg, "uniform"), uniform)
-    _write_json(
+    atomic_write_json(
         _out_dir(cfg) / "checkpoints" / "train_traces.json",
         {"baseline": list(trace), "uniform": list(uniform_trace)},
     )
@@ -133,29 +114,10 @@ def cmd_train_experts(cfg: RunConfig, args) -> None:
     baseline = load_baseline_checkpoint(
         _require_file(_ckpt_path(cfg, "baseline"), "tailens train-baseline")
     )
-    folds = assign_folds(bundle.train, (cfg.dataset.many_min, cfg.dataset.few_max))
-    subsets = partition_subsets(folds, bundle.train)
-    root = cfg.training.seed
-
-    def run_selection(subset):
-        tc = train_config_from(
-            cfg.training, seed=seed_for_expert(root, subset.expert_id), stage="expert"
-        )
-        return select_expert_hyperparams(
-            baseline, subset, bundle, cfg.expert.rho_grid, cfg.expert.frozen_grid, tc
-        )
-
-    if args.threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            selections = list(pool.map(run_selection, subsets))
-    else:
-        selections = [run_selection(s) for s in subsets]
-
+    subsets = partition_subsets(frequency_folds(bundle, cfg), bundle.train)
     tables = []
-    for subset, sel in zip(subsets, selections):
-        name = subset.expert_id.label
+    for sel in select_experts(baseline, subsets, bundle, cfg, args.threads):
+        name = sel.expert.subset.expert_id.label
         save_expert_checkpoint(_ckpt_path(cfg, f"expert_{name}"), sel.expert)
         tables.append(
             {
@@ -172,7 +134,7 @@ def cmd_train_experts(cfg: RunConfig, args) -> None:
                 ],
             }
         )
-    _write_json(_out_dir(cfg) / "checkpoints" / "selection_tables.json", tables)
+    atomic_write_json(_out_dir(cfg) / "checkpoints" / "selection_tables.json", tables)
     chosen = ", ".join(f"{t['expert']}: rho={t['rho']}" for t in tables)
     print(f"experts trained ({chosen})")
 
@@ -195,8 +157,8 @@ def cmd_dump_posteriors(cfg: RunConfig, args) -> None:
     elif args.model == "experts":
         experts = _load_experts(cfg)
         partials = [expert_partial_posterior(e, split.features) for e in experts]
-        fused = fuse_soft_vote(
-            partials, [e.subset for e in experts], bundle.class_count
+        fused = FUSIONS["softvote"].apply(
+            partials, [e.subset for e in experts], bundle.class_count, None, cfg
         )
         write_posterior_csv(out, ids, fused)
     else:
@@ -209,138 +171,43 @@ def cmd_dump_posteriors(cfg: RunConfig, args) -> None:
 
 
 def cmd_train_fusion(cfg: RunConfig, args) -> None:
-    strategy = args.strategy
-    path = _fusion_path(cfg, strategy)
-    if strategy in ("softvote", "kl"):
-        _write_json(path, {"strategy": strategy, "parameters": None})
-        print(f"{strategy} needs no learned parameters; wrote marker {path}")
+    strategy = FUSIONS[args.strategy]
+    path = _fusion_path(cfg, args.strategy)
+    if strategy.fit is None:
+        atomic_write_json(path, {"strategy": args.strategy, "parameters": None})
+        print(f"{args.strategy} needs no learned parameters; wrote marker {path}")
         return
-
-    bundle = prepare_bundle(cfg)
-    experts = _load_experts(cfg)
-    folds = assign_folds(bundle.train, (cfg.dataset.many_min, cfg.dataset.few_max))
-    val_partials = [expert_partial_posterior(e, bundle.val.features) for e in experts]
-    subsets = [e.subset for e in experts]
-    fs = cfg.fusion
-    root = cfg.training.seed
-
-    if strategy == "select":
-        selector = train_expert_selector(
-            val_partials,
-            folds.fold_of_samples(bundle.val.labels),
-            seed=root + SEED_SELECTOR,
-            epochs=fs.meta_epochs,
-            lr0=fs.meta_lr0,
-            batch_size=fs.meta_batch_size,
-        )
-        save_checkpoint(path, selector.params, {"kind": "selector"})
-    elif strategy == "stack":
-        stacker = train_stacker(
-            val_partials,
-            bundle.val.labels,
-            bundle.class_count,
-            seed=root + SEED_STACKER,
-            epochs=fs.meta_epochs,
-            lr0=fs.meta_lr0,
-            batch_size=fs.meta_batch_size,
-        )
-        save_checkpoint(path, stacker.params, {"kind": "stacker"})
-    else:  # calibrate
-        calib, trace = train_joint_calibration(
-            [p.logits for p in val_partials],
-            subsets,
-            bundle.val.labels,
-            bundle.class_count,
-            steps=fs.calibration_steps,
-            lr=fs.calibration_lr,
-        )
-        _write_json(
-            path,
-            {
-                "strategy": "calibrate",
-                "scales": [w.tolist() for w in calib.scales],
-                "shifts": [b.tolist() for b in calib.shifts],
-                "objective_initial": trace[0],
-                "objective_final": min(trace),
-            },
-        )
+    strategy.save(path, strategy.fit(_load_ensemble(cfg), cfg))
     print(f"wrote {path}")
 
 
-def _load_fusion_artifacts(cfg: RunConfig, strategy: str):
-    if strategy in ("softvote", "kl"):
-        return None
-    path = _require_file(
-        _fusion_path(cfg, strategy), f"tailens train-fusion --strategy {strategy}"
-    )
-    if strategy == "calibrate":
-        payload = json.loads(path.read_text(encoding="utf-8"))
-        return CalibrationParams(
-            scales=tuple(np.asarray(w, dtype=np.float64) for w in payload["scales"]),
-            shifts=tuple(np.asarray(b, dtype=np.float64) for b in payload["shifts"]),
-        )
-    params, meta = load_checkpoint(path)
-    if strategy == "select":
-        if meta.get("kind") != "selector":
-            raise ValueError(f"{path} is not a selector parameter file")
-        return SelectorModel(params)
-    if meta.get("kind") != "stacker":
-        raise ValueError(f"{path} is not a stacker parameter file")
-    return StackerModel(params)
-
-
-def _fused_test_posteriors(cfg: RunConfig, strategy: str, bundle, experts):
-    partials = [expert_partial_posterior(e, bundle.test.features) for e in experts]
-    subsets = [e.subset for e in experts]
-    class_count = bundle.class_count
-    fs = cfg.fusion
-    if strategy == "softvote":
-        return fuse_soft_vote(partials, subsets, class_count)
-    if strategy == "kl":
-        return fuse_kl_min(
-            partials,
-            subsets,
-            class_count,
-            steps=fs.kl_steps,
-            step_size=fs.kl_step_size,
-            tol=fs.kl_tol,
-        ).probabilities
-    artifacts = _load_fusion_artifacts(cfg, strategy)
-    if strategy == "select":
-        return fuse_by_selection(partials, artifacts, subsets, class_count)
-    if strategy == "stack":
-        return fuse_by_stacking(partials, artifacts)
-    return fuse_calibrated(
-        [p.logits for p in partials], artifacts, subsets, class_count
-    )
-
-
 def cmd_evaluate(cfg: RunConfig, args) -> None:
-    bundle = prepare_bundle(cfg)
-    experts = _load_experts(cfg)
-    folds = assign_folds(bundle.train, (cfg.dataset.many_min, cfg.dataset.few_max))
-    fused = _fused_test_posteriors(cfg, args.strategy, bundle, experts)
-    report = fourfold_accuracy(np.argmax(fused, axis=1), bundle.test.labels, folds)
+    ensemble = _load_ensemble(cfg)
+    load = FUSIONS[args.strategy].load
+    hint = f"tailens train-fusion --strategy {args.strategy}"
+    params = load(_require_file(_fusion_path(cfg, args.strategy), hint)) if load else None
+    fused = fused_posteriors(ensemble, FittedFusion(args.strategy, params), cfg)
+    report = fourfold_accuracy(
+        np.argmax(fused, axis=1), ensemble.bundle.test.labels, ensemble.folds
+    )
     base = _reports_dir(cfg) / f"eval_{args.strategy}"
-    _write_json(base.with_suffix(".json"), report.to_json_dict())
+    atomic_write_json(base.with_suffix(".json"), report.to_json_dict())
     atomic_write_text(base.with_suffix(".txt"), report.to_text())
     print(report.to_text(), end="")
 
 
 def cmd_oracle(cfg: RunConfig, args) -> None:
-    bundle = prepare_bundle(cfg)
-    experts = _load_experts(cfg)
-    folds = assign_folds(bundle.train, (cfg.dataset.many_min, cfg.dataset.few_max))
-    report = oracle_evaluate(experts, bundle.test, folds)
+    ensemble = _load_ensemble(cfg)
+    report = oracle_evaluate(ensemble.experts, ensemble.bundle.test, ensemble.folds)
     base = _reports_dir(cfg) / "oracle"
-    _write_json(base.with_suffix(".json"), report.to_json_dict())
+    atomic_write_json(base.with_suffix(".json"), report.to_json_dict())
     atomic_write_text(base.with_suffix(".txt"), report.to_text())
     print(report.to_text(), end="")
 
 
 def cmd_ablate(cfg: RunConfig, args) -> None:
     bundle = prepare_bundle(cfg)
-    folds = assign_folds(bundle.train, (cfg.dataset.many_min, cfg.dataset.few_max))
+    folds = frequency_folds(bundle, cfg)
     n = bundle.test.n
     tables = {}
     for path in args.models:
@@ -351,7 +218,7 @@ def cmd_ablate(cfg: RunConfig, args) -> None:
     reports = take_one_out_ablation(tables, bundle.test.labels, folds)
     payload = {name: rep.to_json_dict() for name, rep in reports.items()}
     out = _reports_dir(cfg) / "ablation.json"
-    _write_json(out, payload)
+    atomic_write_json(out, payload)
     for name, rep in reports.items():
         line = ", ".join(
             f"{k}={'n/a' if v is None else f'{100 * v:.1f}'}"
@@ -366,27 +233,26 @@ def cmd_ablate(cfg: RunConfig, args) -> None:
 
 
 def cmd_report(cfg: RunConfig, args) -> None:
-    bundle = prepare_bundle(cfg)
-    experts = _load_experts(cfg)
-    folds = assign_folds(bundle.train, (cfg.dataset.many_min, cfg.dataset.few_max))
-    partials = [expert_partial_posterior(e, bundle.test.features) for e in experts]
-    subsets = [e.subset for e in experts]
+    ensemble = _load_ensemble(cfg)
+    bundle, folds = ensemble.bundle, ensemble.folds
+    partials = ensemble.partials("test")
+    subsets = ensemble.subset_list()
     reports = _reports_dir(cfg)
 
     confusion = expert_confusion_matrix(partials, subsets, bundle.test.labels, folds)
     atomic_write_text(reports / "confusion_softvote.csv", confusion.to_csv())
     calib_path = _fusion_path(cfg, "calibrate")
     if calib_path.is_file():
-        calib = _load_fusion_artifacts(cfg, "calibrate")
-        fused = fuse_calibrated(
-            [p.logits for p in partials], calib, subsets, bundle.class_count
+        calibrate = FUSIONS["calibrate"]
+        fused = calibrate.apply(
+            partials, subsets, bundle.class_count, calibrate.load(calib_path), cfg
         )
         calibrated = expert_confusion_matrix(
             partials, subsets, bundle.test.labels, folds, fused_probabilities=fused
         )
         atomic_write_text(reports / "confusion_calibrate.csv", calibrated.to_csv())
 
-    for expert in experts:
+    for expert in ensemble.experts:
         hist = msp_histogram(
             expert,
             bundle.test.features,

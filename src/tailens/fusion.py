@@ -29,13 +29,14 @@ from pathlib import Path
 
 import numpy as np
 
-from ._io import atomic_write_text, format_float
+from ._io import atomic_write_json, atomic_write_text, format_float
 from .dataset import EmbeddingDataset, SamplerMode, SubsetSpec
 from .experts import PartialPosterior
 from .network import (
     DivergenceError,
     NetworkParams,
     TrainConfig,
+    _central_difference_error,
     forward_logits,
     init_network,
     softmax,
@@ -388,23 +389,25 @@ def fuse_calibrated(
     """Soft-vote of the expansions of softmax(w * z + b) per expert."""
     if len(partial_logits) != len(calib.scales):
         raise ValueError("calibration parameters do not match the expert count")
-    scaled = []
+    if len(subsets) != len(partial_logits):
+        raise ValueError("need one subset (or None) per partial posterior")
+    logit_rows = []
     single = True
-    for logits, w, b in zip(partial_logits, calib.scales, calib.shifts):
-        z = _as_logits(logits)
-        rows, was_1d = _rows(z)
+    for logits, w in zip(partial_logits, calib.scales):
+        rows, was_1d = _rows(_as_logits(logits))
         single = single and was_1d
         if rows.shape[1] != len(w):
             raise ValueError(
                 f"logit width {rows.shape[1]} does not match calibration width {len(w)}"
             )
-        scaled.append(softmax(rows * w + b))
-    expanded, _ = _expanded_rows(scaled, subsets, class_count)
-    q = _combine_expansions(expanded)
+        logit_rows.append(rows)
+    _, q = _calibration_forward(logit_rows, subsets, class_count, calib.scales, calib.shifts)
+    q = q / q.sum(axis=1, keepdims=True)
     return q[0] if single else q
 
 
 def _calibration_forward(logit_rows, subsets, class_count, scales, shifts):
+    """Per-expert softmax(w * z + b) and the mean of their expansions."""
     probs = [softmax(z * w + b) for z, w, b in zip(logit_rows, scales, shifts)]
     expanded = [expand_partial(p, s, class_count) for p, s in zip(probs, subsets)]
     q = np.stack(expanded).mean(axis=0)
@@ -518,8 +521,6 @@ def calibration_finite_diff_check(
     Same error metric as the network check: |a - n| / max(1, |a|, |n|),
     maximized over every scale and shift coordinate.
     """
-    if not eps > 0:
-        raise ValueError("eps must be positive")
     logit_rows = [_rows(_as_logits(z))[0] for z in val_logits]
     labels = np.asarray(val_class_labels, dtype=np.int64)
     if params is None:
@@ -529,25 +530,14 @@ def calibration_finite_diff_check(
     _, gw, gb = _calibration_grad(
         logit_rows, subsets, class_count, labels, scales, shifts
     )
-
-    worst = 0.0
-    for vecs, grads in ((scales, gw), (shifts, gb)):
-        for vec, grad in zip(vecs, grads):
-            for i in range(len(vec)):
-                orig = vec[i]
-                vec[i] = orig + eps
-                up = _calibration_objective(
-                    logit_rows, subsets, class_count, labels, scales, shifts
-                )
-                vec[i] = orig - eps
-                down = _calibration_objective(
-                    logit_rows, subsets, class_count, labels, scales, shifts
-                )
-                vec[i] = orig
-                numeric = (up - down) / (2.0 * eps)
-                err = abs(grad[i] - numeric) / max(1.0, abs(grad[i]), abs(numeric))
-                worst = max(worst, err)
-    return worst
+    return _central_difference_error(
+        lambda: _calibration_objective(
+            logit_rows, subsets, class_count, labels, scales, shifts
+        ),
+        scales + shifts,
+        gw + gb,
+        eps,
+    )
 
 
 @dataclass(frozen=True)
@@ -664,9 +654,7 @@ def write_partial_posterior_csv(
         "classes": [int(c) for c in subset.classes],
         "rho": rho,
     }
-    atomic_write_text(
-        path.with_suffix(".json"), json.dumps(sidecar, indent=2, sort_keys=True) + "\n"
-    )
+    atomic_write_json(path.with_suffix(".json"), sidecar)
 
 
 def read_partial_posterior_csv(path) -> tuple[np.ndarray, np.ndarray, dict]:

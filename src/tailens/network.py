@@ -41,7 +41,6 @@ class NetworkParams:
     def __post_init__(self):
         if not self.layers:
             raise ValueError("network needs at least one layer")
-        dims = self.dims
         for i, (w, b) in enumerate(self.layers):
             if w.ndim != 2 or b.ndim != 1 or w.shape[1] != b.shape[0]:
                 raise ValueError(f"layer {i} has inconsistent shapes")
@@ -50,7 +49,6 @@ class NetworkParams:
         for i in range(len(self.layers) - 1):
             if self.layers[i][0].shape[1] != self.layers[i + 1][0].shape[0]:
                 raise ValueError(f"layer {i} output does not match layer {i + 1} input")
-        del dims
 
     @property
     def dims(self) -> list[int]:
@@ -254,6 +252,33 @@ def train_network(
     return params, trace
 
 
+def _central_difference_error(loss, arrays, grads, eps: float) -> float:
+    """Worst deviation of analytic gradients from central finite differences.
+
+    Each coordinate of ``arrays`` is nudged by +-eps in place (and restored)
+    and ``loss()`` is re-evaluated. The error metric is
+    |analytic - numeric| / max(1, |analytic|, |numeric|), so it reads as
+    relative error for large gradients and absolute error for small ones.
+    """
+    if not eps > 0:
+        raise ValueError("eps must be positive")
+    worst = 0.0
+    for arr, grad in zip(arrays, grads):
+        flat = arr.reshape(-1)
+        gflat = grad.reshape(-1)
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + eps
+            up = loss()
+            flat[i] = orig - eps
+            down = loss()
+            flat[i] = orig
+            numeric = (up - down) / (2.0 * eps)
+            err = abs(gflat[i] - numeric) / max(1.0, abs(gflat[i]), abs(numeric))
+            worst = max(worst, err)
+    return worst
+
+
 def finite_diff_check(
     params: NetworkParams,
     features,
@@ -263,37 +288,17 @@ def finite_diff_check(
     frozen_layers: int = 0,
 ) -> float:
     """Worst-coordinate deviation of analytic gradients from central
-    finite differences of the batch loss.
-
-    The error metric is |analytic - numeric| / max(1, |analytic|, |numeric|),
-    so it reads as relative error for large gradients and absolute error for
-    small ones. Returns the maximum over all unfrozen coordinates.
-    """
-    if not eps > 0:
-        raise ValueError("eps must be positive")
+    finite differences of the batch loss, over all unfrozen coordinates
+    (error metric as in :func:`_central_difference_error`)."""
     features = np.atleast_2d(np.asarray(features, dtype=np.float64))
     labels = np.atleast_1d(np.asarray(labels, dtype=np.int64))
     analytic = backward_gradients(params, features, labels, frozen_layers)
-
-    worst = 0.0
     work = params.copy()
-    for offset, (gw, gb) in enumerate(analytic):
-        layer = frozen_layers + offset
-        for grad, arr_index in ((gw, 0), (gb, 1)):
-            arr = work.layers[layer][arr_index]
-            flat = arr.reshape(-1)
-            gflat = grad.reshape(-1)
-            for i in range(flat.size):
-                orig = flat[i]
-                flat[i] = orig + eps
-                up = batch_loss(work, features, labels)
-                flat[i] = orig - eps
-                down = batch_loss(work, features, labels)
-                flat[i] = orig
-                numeric = (up - down) / (2.0 * eps)
-                err = abs(gflat[i] - numeric) / max(1.0, abs(gflat[i]), abs(numeric))
-                worst = max(worst, err)
-    return worst
+    arrays = [a for w, b in work.layers[frozen_layers:] for a in (w, b)]
+    grads = [g for gw, gb in analytic for g in (gw, gb)]
+    return _central_difference_error(
+        lambda: batch_loss(work, features, labels), arrays, grads, eps
+    )
 
 
 def predict_labels(params: NetworkParams, features) -> np.ndarray:

@@ -2,18 +2,24 @@
 
 Seeds for every training task are derived from one root seed with fixed
 offsets, so results are reproducible and independent of any thread-level
-parallelism (each task owns its generator). The ``synth60`` preset is the
-default desk-scale benchmark used by the test suite and the walkthrough
-scripts.
+parallelism (each task owns its generator). Training (baseline, uniform
+finetune, per-subset grid search) and the fusion-strategy table are defined
+here once; ``train_all`` and the CLI subcommands are both built on them. The
+``synth60`` preset is the default desk-scale benchmark used by the test
+suite and the walkthrough scripts.
 """
 
 from __future__ import annotations
 
+import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
+from ._io import atomic_write_json
 from .config import (
     DatasetSection,
     ExpertSection,
@@ -56,7 +62,7 @@ from .fusion import (
     train_joint_calibration,
     train_stacker,
 )
-from .network import TrainConfig, forward_logits, softmax
+from .network import TrainConfig, forward_logits, load_checkpoint, save_checkpoint, softmax
 
 # Fixed seed offsets for the pipeline's training tasks.
 SEED_BASELINE = 1
@@ -106,45 +112,41 @@ def prepare_bundle(cfg: RunConfig) -> DatasetBundle:
     return generate_longtailed(synth, cfg.training.seed, (d.many_min, d.few_max))
 
 
-@dataclass(frozen=True)
-class TrainedEnsemble:
-    """Everything the fusion and evaluation stages consume."""
-
-    bundle: DatasetBundle
-    folds: FoldAssignment
-    subsets: tuple[SubsetSpec, SubsetSpec, SubsetSpec]
-    baseline: BaselineModel
-    baseline_trace: tuple[float, ...]
-    uniform: BaselineModel
-    experts: tuple[ExpertModel, ExpertModel, ExpertModel]
-    selections: tuple[HyperparamSelection, HyperparamSelection, HyperparamSelection]
-
-    def partials(self, split: str) -> list[PartialPosterior]:
-        features = getattr(self.bundle, split).features
-        return [expert_partial_posterior(e, features) for e in self.experts]
-
-    def subset_list(self) -> list[SubsetSpec]:
-        return list(self.subsets)
+def frequency_folds(bundle: DatasetBundle, cfg: RunConfig) -> FoldAssignment:
+    """Manyshot / Mediumshot / Fewshot folds of the train split."""
+    return assign_folds(bundle.train, (cfg.dataset.many_min, cfg.dataset.few_max))
 
 
-def train_all(bundle: DatasetBundle, cfg: RunConfig, threads: int = 1) -> TrainedEnsemble:
-    """Train baseline, uniform finetune, and the three experts (with grids).
-
-    Thread count only affects wall-clock time: every task derives its own
-    seed, so the results are identical for any ``threads`` value.
-    """
-    folds = assign_folds(bundle.train, (cfg.dataset.many_min, cfg.dataset.few_max))
-    subsets = partition_subsets(folds, bundle.train)
+def train_baselines(
+    bundle: DatasetBundle, cfg: RunConfig
+) -> tuple[tuple[BaselineModel, list[float]], tuple[BaselineModel, list[float]]]:
+    """The baseline on the long-tailed train split, then its head refit with
+    uniform class sampling; ``(model, loss trace)`` for each."""
     root = cfg.training.seed
-
     baseline, trace = train_baseline(
         bundle, train_config_from(cfg.training, seed=root + SEED_BASELINE)
     )
-    uniform, _ = finetune_uniform_classifier(
+    uniform, uniform_trace = finetune_uniform_classifier(
         baseline,
         bundle,
         train_config_from(cfg.training, seed=root + SEED_UNIFORM, stage="uniform"),
     )
+    return (baseline, trace), (uniform, uniform_trace)
+
+
+def select_experts(
+    baseline: BaselineModel,
+    subsets,
+    bundle: DatasetBundle,
+    cfg: RunConfig,
+    threads: int = 1,
+) -> tuple[HyperparamSelection, ...]:
+    """Grid-search (rho, frozen_layers) and train one expert per subset.
+
+    Selections come back in subset order. Each subset's search derives its
+    own seed, so ``threads`` (the worker pool size) only changes wall time.
+    """
+    root = cfg.training.seed
 
     def run_selection(subset: SubsetSpec) -> HyperparamSelection:
         tc = train_config_from(
@@ -156,18 +158,56 @@ def train_all(bundle: DatasetBundle, cfg: RunConfig, threads: int = 1) -> Traine
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            selections = tuple(pool.map(run_selection, subsets))
-    else:
-        selections = tuple(run_selection(s) for s in subsets)
+            return tuple(pool.map(run_selection, subsets))
+    return tuple(run_selection(s) for s in subsets)
 
+
+@dataclass(frozen=True)
+class ExpertEnsemble:
+    """The three experts with the bundle and folds they belong to: all that
+    fusion consumes, whether the experts were just trained or loaded."""
+
+    bundle: DatasetBundle
+    folds: FoldAssignment
+    experts: tuple[ExpertModel, ExpertModel, ExpertModel]
+
+    def partials(self, split: str) -> list[PartialPosterior]:
+        features = getattr(self.bundle, split).features
+        return [expert_partial_posterior(e, features) for e in self.experts]
+
+    def subset_list(self) -> list[SubsetSpec]:
+        return [e.subset for e in self.experts]
+
+
+@dataclass(frozen=True)
+class TrainedEnsemble(ExpertEnsemble):
+    """An expert ensemble plus the models and grid tables behind it."""
+
+    subsets: tuple[SubsetSpec, SubsetSpec, SubsetSpec]
+    baseline: BaselineModel
+    baseline_trace: tuple[float, ...]
+    uniform: BaselineModel
+    selections: tuple[HyperparamSelection, HyperparamSelection, HyperparamSelection]
+
+
+def train_all(bundle: DatasetBundle, cfg: RunConfig, threads: int = 1) -> TrainedEnsemble:
+    """Train baseline, uniform finetune, and the three experts (with grids).
+
+    Thread count only affects wall-clock time: every task derives its own
+    seed, so the results are identical for any ``threads`` value.
+    """
+    folds = frequency_folds(bundle, cfg)
+    subsets = partition_subsets(folds, bundle.train)
+    (baseline, trace), (uniform, _) = train_baselines(bundle, cfg)
+    selections = select_experts(baseline, subsets, bundle, cfg, threads)
     return TrainedEnsemble(
         bundle=bundle,
         folds=folds,
+        experts=tuple(sel.expert for sel in selections),
         subsets=subsets,
         baseline=baseline,
         baseline_trace=tuple(trace),
         uniform=uniform,
-        experts=tuple(sel.expert for sel in selections),
         selections=selections,
     )
 
@@ -191,92 +231,170 @@ def model_posterior_tables(ensemble: TrainedEnsemble, split: str) -> dict[str, n
 
 
 @dataclass(frozen=True)
-class FusionArtifacts:
+class FusionStrategy:
+    """One fusion strategy. ``fit(ensemble, cfg)`` learns parameters from the
+    validation partials (None, like ``save``/``load``, when there is nothing
+    to learn); ``apply(partials, subsets, class_count, params, cfg)`` returns
+    full posteriors. The callables look fusion functions up in this module's
+    globals at call time, so rebinding a module attribute reaches them."""
+
+    apply: Callable[..., np.ndarray]
+    fit: Callable[..., object] | None = None
+    save: Callable[[Path, object], None] | None = None
+    load: Callable[[Path], object] | None = None
+
+
+@dataclass(frozen=True)
+class FittedFusion:
+    """A strategy name with the parameters its ``fit`` returned, if any."""
+
     strategy: str
-    selector: SelectorModel | None = None
-    stacker: StackerModel | None = None
-    calibration: CalibrationParams | None = None
+    params: object = None
 
 
-def train_fusion(ensemble: TrainedEnsemble, cfg: RunConfig, strategy: str) -> FusionArtifacts:
-    """Fit whatever the strategy needs on the validation split."""
+def _fit_select(ensemble: ExpertEnsemble, cfg: RunConfig) -> SelectorModel:
     fs = cfg.fusion
-    root = cfg.training.seed
-    class_count = ensemble.bundle.class_count
-    if strategy in ("softvote", "kl"):
-        return FusionArtifacts(strategy=strategy)
-    val_partials = ensemble.partials("val")
-    if strategy == "select":
-        fold_labels = ensemble.folds.fold_of_samples(ensemble.bundle.val.labels)
-        selector = train_expert_selector(
-            val_partials,
-            fold_labels,
-            seed=root + SEED_SELECTOR,
-            epochs=fs.meta_epochs,
-            lr0=fs.meta_lr0,
-            batch_size=fs.meta_batch_size,
-        )
-        return FusionArtifacts(strategy=strategy, selector=selector)
-    if strategy == "stack":
-        stacker = train_stacker(
-            val_partials,
-            ensemble.bundle.val.labels,
-            class_count,
-            seed=root + SEED_STACKER,
-            epochs=fs.meta_epochs,
-            lr0=fs.meta_lr0,
-            batch_size=fs.meta_batch_size,
-        )
-        return FusionArtifacts(strategy=strategy, stacker=stacker)
-    if strategy == "calibrate":
-        calib, _ = train_joint_calibration(
-            [p.logits for p in val_partials],
-            ensemble.subset_list(),
-            ensemble.bundle.val.labels,
-            class_count,
-            steps=fs.calibration_steps,
-            lr=fs.calibration_lr,
-        )
-        return FusionArtifacts(strategy=strategy, calibration=calib)
-    raise ValueError(f"unknown fusion strategy {strategy!r}")
+    return train_expert_selector(
+        ensemble.partials("val"),
+        ensemble.folds.fold_of_samples(ensemble.bundle.val.labels),
+        seed=cfg.training.seed + SEED_SELECTOR,
+        epochs=fs.meta_epochs,
+        lr0=fs.meta_lr0,
+        batch_size=fs.meta_batch_size,
+    )
+
+
+def _fit_stack(ensemble: ExpertEnsemble, cfg: RunConfig) -> StackerModel:
+    fs = cfg.fusion
+    return train_stacker(
+        ensemble.partials("val"),
+        ensemble.bundle.val.labels,
+        ensemble.bundle.class_count,
+        seed=cfg.training.seed + SEED_STACKER,
+        epochs=fs.meta_epochs,
+        lr0=fs.meta_lr0,
+        batch_size=fs.meta_batch_size,
+    )
+
+
+def _fit_calibrate(
+    ensemble: ExpertEnsemble, cfg: RunConfig
+) -> tuple[CalibrationParams, list[float]]:
+    """The calibration parameters and their objective trace."""
+    return train_joint_calibration(
+        [p.logits for p in ensemble.partials("val")],
+        ensemble.subset_list(),
+        ensemble.bundle.val.labels,
+        ensemble.bundle.class_count,
+        steps=cfg.fusion.calibration_steps,
+        lr=cfg.fusion.calibration_lr,
+    )
+
+
+def _apply_kl(partials, subsets, class_count, params, cfg):
+    fs = cfg.fusion
+    return fuse_kl_min(
+        partials,
+        subsets,
+        class_count,
+        steps=fs.kl_steps,
+        step_size=fs.kl_step_size,
+        tol=fs.kl_tol,
+    ).probabilities
+
+
+def _meta_model_io(kind: str, model_type):
+    """Save and load for a linear meta-model stored as a tagged checkpoint."""
+
+    def save(path, model) -> None:
+        save_checkpoint(path, model.params, {"kind": kind})
+
+    def load(path):
+        params, meta = load_checkpoint(path)
+        if meta.get("kind") != kind:
+            raise ValueError(f"{path} is not a {kind} parameter file")
+        return model_type(params)
+
+    return save, load
+
+
+def _save_calibration(path, fitted: tuple[CalibrationParams, list[float]]) -> None:
+    calib, trace = fitted
+    atomic_write_json(
+        path,
+        {
+            "strategy": "calibrate",
+            "scales": [w.tolist() for w in calib.scales],
+            "shifts": [b.tolist() for b in calib.shifts],
+            "objective_initial": trace[0],
+            "objective_final": min(trace),
+        },
+    )
+
+
+def _load_calibration(path) -> tuple[CalibrationParams, list[float]]:
+    payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    calib = CalibrationParams(
+        scales=tuple(np.asarray(w, dtype=np.float64) for w in payload["scales"]),
+        shifts=tuple(np.asarray(b, dtype=np.float64) for b in payload["shifts"]),
+    )
+    return calib, [payload["objective_initial"], payload["objective_final"]]
+
+
+_select_save, _select_load = _meta_model_io("selector", SelectorModel)
+_stack_save, _stack_load = _meta_model_io("stacker", StackerModel)
+
+# One record per name in config.FUSION_STRATEGIES.
+FUSIONS: dict[str, FusionStrategy] = {
+    "softvote": FusionStrategy(
+        apply=lambda partials, subsets, c, params, cfg: fuse_soft_vote(partials, subsets, c)
+    ),
+    "kl": FusionStrategy(apply=_apply_kl),
+    "select": FusionStrategy(
+        apply=lambda partials, subsets, c, params, cfg: fuse_by_selection(
+            partials, params, subsets, c
+        ),
+        fit=_fit_select,
+        save=_select_save,
+        load=_select_load,
+    ),
+    "stack": FusionStrategy(
+        apply=lambda partials, subsets, c, params, cfg: fuse_by_stacking(partials, params),
+        fit=_fit_stack,
+        save=_stack_save,
+        load=_stack_load,
+    ),
+    "calibrate": FusionStrategy(
+        apply=lambda partials, subsets, c, params, cfg: fuse_calibrated(
+            [p.logits for p in partials], params[0], subsets, c
+        ),
+        fit=_fit_calibrate,
+        save=_save_calibration,
+        load=_load_calibration,
+    ),
+}
+
+
+def train_fusion(ensemble: ExpertEnsemble, cfg: RunConfig, strategy: str) -> FittedFusion:
+    """Fit whatever the strategy needs on the validation split."""
+    fit = FUSIONS[strategy].fit
+    return FittedFusion(strategy, None if fit is None else fit(ensemble, cfg))
 
 
 def fused_posteriors(
-    ensemble: TrainedEnsemble,
-    artifacts: FusionArtifacts,
+    ensemble: ExpertEnsemble,
+    artifacts: FittedFusion,
     cfg: RunConfig,
     split: str = "test",
 ) -> np.ndarray:
     """Apply a trained fusion strategy to one split."""
-    partials = ensemble.partials(split)
-    subsets = ensemble.subset_list()
-    class_count = ensemble.bundle.class_count
-    strategy = artifacts.strategy
-    if strategy == "softvote":
-        return fuse_soft_vote(partials, subsets, class_count)
-    if strategy == "kl":
-        fs = cfg.fusion
-        result = fuse_kl_min(
-            partials,
-            subsets,
-            class_count,
-            steps=fs.kl_steps,
-            step_size=fs.kl_step_size,
-            tol=fs.kl_tol,
-        )
-        return result.probabilities
-    if strategy == "select":
-        assert artifacts.selector is not None
-        return fuse_by_selection(partials, artifacts.selector, subsets, class_count)
-    if strategy == "stack":
-        assert artifacts.stacker is not None
-        return fuse_by_stacking(partials, artifacts.stacker)
-    if strategy == "calibrate":
-        assert artifacts.calibration is not None
-        return fuse_calibrated(
-            [p.logits for p in partials], artifacts.calibration, subsets, class_count
-        )
-    raise ValueError(f"unknown fusion strategy {strategy!r}")
+    return FUSIONS[artifacts.strategy].apply(
+        ensemble.partials(split),
+        ensemble.subset_list(),
+        ensemble.bundle.class_count,
+        artifacts.params,
+        cfg,
+    )
 
 
 def synth60_config(seed: int = 0, out_dir: str = "runs/synth60") -> RunConfig:

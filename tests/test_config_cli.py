@@ -1,15 +1,19 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from tailens.cli import main
 from tailens.config import (
+    FUSION_STRATEGIES,
     ConfigError,
     load_config,
     parse_config,
     serialize_config,
 )
+from tailens.evaluation import fourfold_accuracy
+from tailens.pipeline import fused_posteriors, prepare_bundle, train_all, train_fusion
 
 from conftest import (
     run_cli_pipeline,
@@ -141,6 +145,35 @@ class TestCliPipeline:
         a = (out_a / "data" / "train.csv").read_bytes()
         b = (out_b / "data" / "train.csv").read_bytes()
         assert a != b
+
+
+@pytest.fixture(scope="module")
+def cli_and_library_runs(tmp_path_factory):
+    """The same tiny config through every CLI subcommand and through
+    ``train_all``."""
+    tmp = tmp_path_factory.mktemp("equivalence")
+    cfg = tiny_run_config(str(tmp / "out"))
+    run_pipeline(write_config_file(tmp, cfg))
+    return cfg, tmp / "out", train_all(prepare_bundle(cfg), cfg)
+
+
+class TestCliMatchesPipeline:
+    @pytest.mark.parametrize("strategy", FUSION_STRATEGIES)
+    def test_evaluate_report_matches_library_fusion(self, cli_and_library_runs, strategy):
+        cfg, out, ens = cli_and_library_runs
+        fused = fused_posteriors(ens, train_fusion(ens, cfg, strategy), cfg)
+        expected = fourfold_accuracy(
+            np.argmax(fused, axis=1), ens.bundle.test.labels, ens.folds
+        ).to_json_dict()
+        written = json.loads((out / "reports" / f"eval_{strategy}.json").read_text())
+        assert written == expected
+
+    def test_selection_tables_match_library_selections(self, cli_and_library_runs):
+        _, out, ens = cli_and_library_runs
+        tables = json.loads((out / "checkpoints" / "selection_tables.json").read_text())
+        assert [(t["rho"], t["frozen_layers"]) for t in tables] == [
+            (sel.rho, sel.frozen_layers) for sel in ens.selections
+        ]
 
 
 class TestCliErrors:
