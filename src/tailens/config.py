@@ -62,7 +62,6 @@ class ExpertSection:
 class FusionSection:
     strategy: str = "calibrate"
     kl_steps: int = 2000
-    kl_step_size: float = 0.5
     kl_tol: float = 1e-12
     calibration_steps: int = 200
     calibration_lr: float = 2.0

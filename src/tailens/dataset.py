@@ -505,6 +505,7 @@ def read_embeddings_csv(path, *, class_count: int | None = None):
 
         features = []
         labels = []
+        line_nos = []
         for line_no, line in enumerate(fh, start=2):
             line = line.strip()
             if not line:
@@ -529,11 +530,18 @@ def read_embeddings_csv(path, *, class_count: int | None = None):
                     f"[0, {class_count})"
                 )
             labels.append(label)
+            line_nos.append(line_no)
             features.append([float(v) for v in parts[1:]])
 
     if not labels:
         raise ValueError(f"{path.name}: no samples")
-    return np.asarray(features, dtype=np.float64), np.asarray(labels, dtype=np.int64)
+    features = np.asarray(features, dtype=np.float64)
+    bad = ~np.isfinite(features).all(axis=1)
+    if bad.any():
+        raise ValueError(
+            f"{path.name} line {line_nos[int(np.argmax(bad))]}: non-finite feature"
+        )
+    return features, np.asarray(labels, dtype=np.int64)
 
 
 def load_embeddings(

@@ -5,8 +5,10 @@ classes outside its subset, turning a (k+1)-vector into a distribution over
 all C classes. Five fusion strategies are built on top of it:
 
 * soft-voting: average the expanded posteriors;
-* KL minimization: fit one distribution that all partial posteriors agree
-  with, by gradient descent on its logits;
+* KL minimization: the one distribution that all partial posteriors agree
+  with best, solved exactly: classes that every expert treats alike are
+  pooled into atoms, and each row's few atom masses are found by damped
+  Newton with a Frank-Wolfe optimality certificate;
 * expert selection: a 3-way linear classifier picks the expert whose
   expansion becomes the answer;
 * stacking: a linear softmax layer maps concatenated partial posteriors
@@ -142,26 +144,51 @@ class KLFusionResult:
     steps_taken: int
 
 
-def _kl_terms(q, p_rows, subset, class_count):
-    """Per-sample KL(p || align(q)) and the aligned gradient pieces."""
-    if subset is None:
-        aligned = np.maximum(q, 1e-300)
-        obj = np.where(p_rows > 0, p_rows * (np.log(p_rows, where=p_rows > 0) - np.log(aligned)), 0.0).sum(axis=1)
-        dq = -p_rows / aligned
-        return obj, dq
-    k = subset.size
-    out_classes = subset.out_classes(class_count)
-    p_in = p_rows[:, :k]
-    p_rej = p_rows[:, k]
-    a_in = np.maximum(q[:, subset.classes], 1e-300)
-    obj = np.where(p_in > 0, p_in * (np.log(p_in, where=p_in > 0) - np.log(a_in)), 0.0).sum(axis=1)
-    dq = np.zeros_like(q)
-    dq[:, subset.classes] = -p_in / a_in
-    if len(out_classes):
-        a_rej = np.maximum(q[:, out_classes].sum(axis=1), 1e-300)
-        obj += np.where(p_rej > 0, p_rej * (np.log(p_rej, where=p_rej > 0) - np.log(a_rej)), 0.0)
-        dq[:, out_classes] += (-p_rej / a_rej)[:, None]
-    return obj, dq
+def _class_atoms(subsets, class_count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Group the classes by their in/out pattern across the experts.
+
+    Returns the atom index of every class, shape (C,), and the boolean
+    out-of-subset membership of every atom per expert, shape (E, m). A
+    full-width (``None``) member and a full-coverage subset count every
+    class as in, so they have no out-of-subset atoms.
+    """
+    inside = np.ones((len(subsets), class_count), dtype=bool)
+    for e, subset in enumerate(subsets):
+        if subset is not None:
+            inside[e] = False
+            inside[e, subset.classes] = True
+    patterns, atom_of = np.unique(inside.T, axis=0, return_inverse=True)
+    return atom_of.reshape(-1), ~patterns.T
+
+
+def _atom_sums(values: np.ndarray, atom_of: np.ndarray, atom_count: int) -> np.ndarray:
+    return np.stack(
+        [values[:, atom_of == a].sum(axis=1) for a in range(atom_count)], axis=1
+    )
+
+
+def _kl_objective(q, prob_rows, subsets) -> np.ndarray:
+    """Per-row sum over experts of KL(p_e || A_e q), with 0 log 0 = 0."""
+
+    def plogp_over(p, a):
+        out = np.zeros_like(p)
+        pos = p > 0
+        out[pos] = p[pos] * np.log(p[pos] / a[pos])
+        return out.sum(axis=-1)
+
+    total = np.zeros(q.shape[0])
+    for p_rows, subset in zip(prob_rows, subsets):
+        if subset is None:
+            total += plogp_over(p_rows, q)
+            continue
+        k = subset.size
+        total += plogp_over(p_rows[:, :k], q[:, subset.classes])
+        out_classes = subset.out_classes(q.shape[1])
+        if len(out_classes):
+            total += plogp_over(
+                p_rows[:, k:], q[:, out_classes].sum(axis=1, keepdims=True)
+            )
+    return total
 
 
 def fuse_kl_min(
@@ -170,18 +197,32 @@ def fuse_kl_min(
     class_count: int,
     *,
     steps: int = 2000,
-    step_size: float = 0.5,
     tol: float = 1e-12,
 ) -> KLFusionResult:
     """Full posterior minimizing the summed KL divergence from every
     partial posterior.
 
-    The candidate q is parameterized through logits and optimized by plain
-    gradient descent, starting from the soft-vote combination. Out-of-subset
-    probability in q is pooled into one reject score when compared against a
-    subset expert, which aligns the two distributions. The best iterate per
-    sample is kept, so the returned objective never exceeds the soft-vote
-    value. The reported objective is the sum over experts.
+    A subset expert is compared with q through its aligned view: q on the
+    expert's classes plus one reject entry holding q's out-of-subset mass.
+    The objective F(q) = sum_e KL(p_e || A_e q) is convex, and it is solved
+    exactly rather than by descent with a step size:
+
+    * Classes with the same in/out pattern across the experts form an atom.
+      Inside an atom the objective sees q only through sum_c w_c log q_c,
+      where w_c is the in-subset mass the experts put on class c, so the
+      optimum has q_c = Q_A w_c / W_A (uniform over the atom when W_A = 0).
+      Each row becomes a problem in the m <= min(C, 2^E) atom masses Q.
+    * Each row is solved by damped Newton on Q under sum(Q) = 1, starting
+      from the soft-vote atom masses: one batched KKT solve per iteration,
+      the step kept inside Q >= 0, and Armijo backtracking on an exactly
+      evaluated decrease, so a row's objective never rises.
+    * A row stops when its Frank-Wolfe gap max_A(-dF/dQ_A) - sum_A Q_A
+      (-dF/dQ_A), which bounds F(q) - F(q*), is at most ``tol``, or when
+      backtracking finds no decrease that float64 can represent.
+
+    ``steps`` caps the Newton iterations; ``steps=0`` returns the soft-vote
+    combination unchanged. ``steps_taken`` is the iteration count of the
+    slowest row, and the reported objective is the per-row sum over experts.
     """
     prob_rows = []
     single = True
@@ -192,52 +233,182 @@ def fuse_kl_min(
     if len(prob_rows) != len(subsets) or not prob_rows:
         raise ValueError("need one subset (or None) per partial posterior")
 
-    n_experts = len(prob_rows)
-    q0 = fuse_soft_vote(prob_rows, subsets, class_count)
-    q0 = np.atleast_2d(q0)
-    z = np.log(q0 + 1e-12)
-
-    def objective_and_grad(z_now):
-        q = softmax(z_now)
-        total = np.zeros(q.shape[0])
-        dq = np.zeros_like(q)
-        for p_rows, subset in zip(prob_rows, subsets):
-            obj_e, dq_e = _kl_terms(q, p_rows, subset, class_count)
-            total += obj_e
-            dq += dq_e
-        total /= n_experts
-        dq /= n_experts
-        inner = (q * dq).sum(axis=1, keepdims=True)
-        grad_z = q * (dq - inner)
-        return total, grad_z
-
-    obj, grad = objective_and_grad(z)
-    if not np.all(np.isfinite(obj)):
+    q_soft = np.atleast_2d(fuse_soft_vote(prob_rows, subsets, class_count))
+    start_objective = _kl_objective(q_soft, prob_rows, subsets)
+    if not np.all(np.isfinite(start_objective)):
         raise DivergenceError("KL fusion objective is non-finite at initialization")
-    best_obj = obj.copy()
-    best_z = z.copy()
-    steps_taken = 0
-    for step in range(steps):
-        z = z - step_size * grad
-        obj_new, grad = objective_and_grad(z)
-        if not np.all(np.isfinite(obj_new)):
-            raise DivergenceError(f"KL fusion objective became non-finite at step {step}")
-        improved = obj_new < best_obj
-        if np.any(improved):
-            best_obj = np.where(improved, obj_new, best_obj)
-            best_z[improved] = z[improved]
-        steps_taken = step + 1
-        if np.max(obj - obj_new) < tol:
-            obj = obj_new
-            break
-        obj = obj_new
-
-    q = softmax(best_z)
-    q /= q.sum(axis=1, keepdims=True)
-    objective = best_obj * n_experts
+    if steps <= 0:
+        q, objective, steps_taken = q_soft, start_objective, 0
+    else:
+        q, steps_taken = _solve_kl_atoms(q_soft, prob_rows, subsets, steps, tol)
+        objective = _kl_objective(q, prob_rows, subsets)
     if single:
         return KLFusionResult(q[0], float(objective[0]), steps_taken)
     return KLFusionResult(q, objective, steps_taken)
+
+
+def _pinned_newton_step(hess, pull, pinned_step, free, pinned):
+    """Newton step on the atom masses under a zero-sum constraint.
+
+    Solves [[H, a], [a^T, 0]] [d; nu] = [pull; 0] over the free atoms that
+    are not pinned; a pinned atom takes its fixed ``pinned_step`` and an
+    atom that is not free keeps d_A = 0. Returns d and the multiplier nu.
+    """
+    n, m = pull.shape
+    var = free & ~pinned
+    fixed = np.where(pinned, pinned_step, 0.0)
+    kkt = np.zeros((n, m + 1, m + 1))
+    kkt[:, :m, :m] = hess * (var[:, :, None] & free[:, None, :])
+    kkt[:, np.arange(m), np.arange(m)] += ~var
+    kkt[:, :m, m] = var
+    kkt[:, m, :m] = free
+    rhs = np.zeros((n, m + 1, 1))
+    rhs[:, :m, 0] = np.where(var, pull, fixed)
+    sol = np.linalg.solve(kkt, rhs)[:, :, 0]
+    return np.where(var, sol[:, :m], fixed), sol[:, m : m + 1]
+
+
+def _solve_kl_atoms(q_soft, prob_rows, subsets, steps: int, tol: float):
+    """Damped Newton on the atom masses; see ``fuse_kl_min``.
+
+    In atom space the objective is, up to a constant,
+    F(Q) = -sum_A W_A log Q_A - sum_e r_e log R_e(Q), where r_e is expert
+    e's reject mass and R_e the mass of its out-of-subset atoms.
+
+    Each Newton step keeps every atom above a floor, as an active set: an
+    atom the step would push below its floor is pinned to a target and the
+    rest of the row is solved again, and a pinned atom whose multiplier
+    turns negative is released.
+
+    * An atom with W_A = 0 has floor and target zero, since its optimum can
+      lie on the boundary; it rejoins the step from zero while its pull
+      -dF/dQ_A exceeds the row's mean pull.
+    * An atom with W_A > 0 has a log barrier. Its floor is 1% of its mass,
+      and its target the optimum of its own one-dimensional problem,
+      W_A / (mean pull - reject pull on A), clipped to [floor, Q_A]. A tiny
+      atom whose optimum sits far below its start then gets there in about
+      one step, instead of holding back the whole row's step by a
+      hundredfold per iteration.
+    """
+    n, class_count = q_soft.shape
+    atom_of, out = _class_atoms(subsets, class_count)
+    m = out.shape[1]
+    out_f = out.astype(np.float64)
+    diag = (slice(None), np.arange(m), np.arange(m))
+
+    # in-subset mass per class, and the reject mass of experts that have an
+    # out-of-subset region (the others' reject entries carry no term)
+    w = np.zeros((n, class_count))
+    rej = np.zeros((n, len(subsets)))
+    for e, (p_rows, subset) in enumerate(zip(prob_rows, subsets)):
+        if subset is None:
+            w += p_rows
+        else:
+            w[:, subset.classes] += p_rows[:, : subset.size]
+            if out[e].any():
+                rej[:, e] = p_rows[:, subset.size]
+    W = _atom_sums(w, atom_of, m)
+    Q = _atom_sums(q_soft, atom_of, m)
+    barrier = W > 0
+    mass = W.sum(axis=1) + rej.sum(axis=1)
+    tiny = 8 * np.finfo(np.float64).eps
+
+    def reject_mass(Q_now, r):
+        return np.where(r > 0, np.einsum("na,ea->ne", Q_now, out_f), 1.0)
+
+    active = np.ones(n, dtype=bool)
+    steps_taken = 0
+    for it in range(steps):
+        coef = rej / reject_mass(Q, rej)
+        own = np.divide(W, Q, out=np.zeros_like(W), where=barrier)
+        h = own + np.einsum("ne,ea->na", coef, out_f)  # the pull -dF/dQ
+        # centred pull: the zero-sum constraint makes the shift free, and
+        # the step, of the size of the gap, is then not lost to rounding
+        # against the mean pull of about the expert count
+        h -= (Q * h).sum(axis=1, keepdims=True)
+        active &= h.max(axis=1) > tol  # the Frank-Wolfe gap
+        rows = np.nonzero(active)[0]
+        if len(rows) == 0:
+            break
+        steps_taken = it + 1
+        Qr, hr, Wr, rr, br = Q[rows], h[rows], W[rows], rej[rows], barrier[rows]
+        R = reject_mass(Qr, rr)
+
+        hess = np.einsum("ne,ea,eb->nab", coef[rows] / R, out_f, out_f)
+        hess[diag] += np.divide(Wr, Qr**2, out=np.zeros_like(Wr), where=br)
+        # a relative ridge keeps flat directions (atoms the objective cannot
+        # tell apart) from making the system singular
+        hess[diag] *= 1.0 + 1e-14
+        # own[rows] - hr is the mean pull minus the reject pull on each atom
+        solo = np.divide(
+            Wr, own[rows] - hr, out=np.zeros_like(Wr), where=br & (hr < 0)
+        )
+        floor = np.where(br, 0.01 * Qr, 0.0)
+        target = np.where(br, np.clip(solo, floor, Qr), 0.0)
+        free = (Qr > 0) | (hr > 0)
+        pinned = np.zeros_like(free)
+        # each pass pins or releases at least one atom; 2m + 1 passes are
+        # plenty, and an unsettled remainder is left to the line search
+        for _ in range(2 * m + 1):
+            d, nu = _pinned_newton_step(hess, hr, target - Qr, free, pinned)
+            below = free & ~pinned & (Qr + d < floor)
+            if below.any():
+                pinned |= below
+                continue
+            multiplier = np.einsum("nab,nb->na", hess, d) + nu - hr
+            release = pinned & (multiplier < 0)
+            if not release.any():
+                break
+            pinned &= ~release
+
+        # cap the step so that barrier atoms and every rejecting expert's
+        # out-of-subset region keep 1% of their mass (a no-op once the
+        # active set has settled), then Armijo backtracking. The decrease is
+        # evaluated exactly for the step as float64 stores it, renormalized
+        # to unit mass (F(cQ) = F(Q) - mass * log c), through log1p, so that
+        # decreases far below F's own rounding still resolve. Moves of a few
+        # ulps are dropped: they are rounding noise of the centred pull, and
+        # would otherwise drown the steps of atoms of tiny mass.
+        d_rej = np.einsum("na,ea->ne", d, out_f)
+        limit = np.minimum(
+            np.divide(-Qr, d, out=np.full_like(d, np.inf), where=br & (d < 0)).min(axis=1),
+            np.divide(
+                -R, d_rej, out=np.full_like(R, np.inf), where=(rr > 0) & (d_rej < 0)
+            ).min(axis=1),
+        )
+        alpha = np.minimum(1.0, 0.99 * limit)
+        accepted = np.zeros(len(rows), dtype=bool)
+        for _ in range(60):
+            pend = np.nonzero(~accepted)[0]
+            if len(pend) == 0:
+                break
+            cand = np.maximum(Qr[pend] + alpha[pend, None] * d[pend], 0.0)
+            move = cand - Qr[pend]
+            move[np.abs(move) <= tiny * Qr[pend]] = 0.0
+            grow = move.sum(axis=1)
+            rel = np.divide(move, Qr[pend], out=np.zeros_like(move), where=br[pend])
+            rel_rej = np.einsum("na,ea->ne", move, out_f) / R[pend]
+            dF = (
+                mass[rows[pend]] * np.log1p(grow)
+                - (Wr[pend] * np.log1p(rel)).sum(axis=1)
+                - (
+                    rr[pend]
+                    * np.log1p(rel_rej, out=np.zeros_like(rel_rej), where=rr[pend] > 0)
+                ).sum(axis=1)
+            )
+            ok = (dF < 0) & (dF <= -1e-4 * (hr[pend] * move).sum(axis=1))
+            Q[rows[pend[ok]]] = (Qr[pend[ok]] + move[ok]) / (1.0 + grow[ok, None])
+            accepted[pend[ok]] = True
+            alpha[pend] *= 0.5
+        # no representable decrease: the row is as good as float64 allows
+        active[rows[~accepted]] = False
+
+    spread = W[:, atom_of]
+    share = np.divide(w, spread, out=np.zeros_like(w), where=spread > 0)
+    sizes = np.bincount(atom_of, minlength=m)
+    share = np.where(spread > 0, share, 1.0 / sizes[atom_of])
+    q = Q[:, atom_of] * share
+    return q / q.sum(axis=1, keepdims=True), steps_taken
 
 
 def concat_partials(partials) -> np.ndarray:
@@ -586,7 +757,8 @@ def ingest_external_posteriors(
     """Read a full-width posterior CSV produced here or by an outside model.
 
     Rows whose mass differs from 1 by more than 1e-6 are renormalized with a
-    warning; negative entries are rejected.
+    warning; negative or non-finite entries and rows of zero mass are
+    rejected with a ``ValueError`` naming the file and line.
     """
     path = Path(path)
     with open(path, "r", encoding="utf-8") as fh:
@@ -598,6 +770,7 @@ def ingest_external_posteriors(
             )
         ids = []
         rows = []
+        line_nos = []
         for line_no, line in enumerate(fh, start=2):
             line = line.strip()
             if not line:
@@ -609,10 +782,16 @@ def ingest_external_posteriors(
                 )
             ids.append(int(parts[0]))
             rows.append([float(v) for v in parts[1:]])
-    probs = np.asarray(rows, dtype=np.float64)
-    if np.any(probs < 0):
-        raise ValueError(f"{path.name}: negative probabilities")
+            line_nos.append(line_no)
+    probs = np.asarray(rows, dtype=np.float64).reshape(-1, class_count)
     sums = probs.sum(axis=1)
+    for bad, problem in (
+        (~np.isfinite(probs).all(axis=1), "non-finite probability"),
+        ((probs < 0).any(axis=1), "negative probability"),
+        (sums <= 0, "probabilities sum to zero"),
+    ):
+        if bad.any():
+            raise ValueError(f"{path.name} line {line_nos[int(np.argmax(bad))]}: {problem}")
     off = np.abs(sums - 1.0) > 1e-6
     if np.any(off):
         warnings.warn(

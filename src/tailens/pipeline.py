@@ -298,7 +298,6 @@ def _apply_kl(partials, subsets, class_count, params, cfg):
         subsets,
         class_count,
         steps=fs.kl_steps,
-        step_size=fs.kl_step_size,
         tol=fs.kl_tol,
     ).probabilities
 

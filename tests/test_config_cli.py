@@ -203,6 +203,41 @@ class TestCliErrors:
         path.write_text(serialize_config(cfg))
         assert run_cli("train-baseline", path) == 4
 
+    def test_ablate_with_non_finite_model_is_data_error(self, tmp_path, capsys):
+        from tailens.fusion import write_posterior_csv
+
+        out = tmp_path / "out"
+        config = write_config(tmp_path, str(out))
+        assert run_cli("gen-data", config) == 0
+        bundle = prepare_bundle(load_config(config))
+        probs = np.full((bundle.test.n, bundle.class_count), 1.0 / bundle.class_count)
+        probs[3, 1] = np.nan
+        bad = tmp_path / "nan_model.csv"
+        write_posterior_csv(bad, np.arange(bundle.test.n), probs)
+        capsys.readouterr()
+        assert run_cli("ablate", config, "--models", bad, bad) == 3
+        assert "nan_model.csv line 5" in capsys.readouterr().err
+
+    def test_loaded_bundle_with_nan_feature_is_data_error(self, tmp_path, capsys):
+        from dataclasses import replace
+
+        out = tmp_path / "out"
+        cfg = tiny_run_config(str(out))
+        assert run_cli("gen-data", write_config_file(tmp_path, cfg)) == 0
+        train = out / "data" / "train.csv"
+        lines = train.read_text().splitlines()
+        lines[2] = ",".join(lines[2].split(",")[:-1] + ["nan"])
+        train.write_text("\n".join(lines) + "\n")
+        cfg = replace(
+            cfg,
+            dataset=replace(
+                cfg.dataset, source="load", manifest=str(out / "data" / "manifest.json")
+            ),
+        )
+        capsys.readouterr()
+        assert run_cli("train-baseline", write_config_file(tmp_path / "load", cfg)) == 3
+        assert "train.csv line 3: non-finite feature" in capsys.readouterr().err
+
     def test_ablate_with_wrong_ids_is_data_error(self, tmp_path):
         out = tmp_path / "out"
         config = write_config(tmp_path, str(out))

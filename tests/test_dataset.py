@@ -267,6 +267,13 @@ class TestCsvRoundTrip:
         with pytest.raises(ValueError, match="line 3"):
             read_embeddings_csv(path)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_feature_names_the_line(self, tmp_path, value):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"label,f0,f1\n0,0.5,1.5\n1,1.0,{value}\n")
+        with pytest.raises(ValueError, match="bad.csv line 3: non-finite"):
+            read_embeddings_csv(path)
+
     def test_label_out_of_declared_range(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("label,f0\n0,0.5\n7,1.0\n")

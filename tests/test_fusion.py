@@ -86,6 +86,64 @@ class TestSoftVote:
         assert np.max(np.abs(q.sum(axis=1) - 1.0)) < 1e-9
 
 
+def _kl_reference_objective(q, partials, subsets):
+    """sum_e KL(p_e || A_e q) per row, evaluated directly in class space."""
+    total = np.zeros(len(q))
+    for p, s in zip(partials, subsets):
+        if s is None:
+            aligned = q
+        else:
+            out = np.setdiff1d(np.arange(q.shape[1]), s.classes)
+            aligned = np.column_stack([q[:, s.classes], q[:, out].sum(axis=1)])
+        pos = p > 0
+        ratio = np.where(pos, p, 1.0) / np.where(pos, aligned, 1.0)
+        total += np.where(pos, p * np.log(ratio), 0.0).sum(axis=1)
+    return total
+
+
+def _kl_pull(q, partials, subsets):
+    """-dF/dq of the summed KL objective, per class."""
+    pull = np.zeros_like(q)
+    for p, s in zip(partials, subsets):
+        if s is None:
+            pull += np.divide(p, q, out=np.zeros_like(q), where=p > 0)
+            continue
+        k = s.size
+        pull[:, s.classes] += np.divide(
+            p[:, :k], q[:, s.classes], out=np.zeros_like(p[:, :k]), where=p[:, :k] > 0
+        )
+        out = np.setdiff1d(np.arange(q.shape[1]), s.classes)
+        rest = q[:, out].sum(axis=1)
+        pull[:, out] += np.divide(p[:, k], rest, out=np.zeros_like(rest), where=p[:, k] > 0)[
+            :, None
+        ]
+    return pull
+
+
+def _em_reference(partials, subsets, class_count, iterations):
+    """Full-space EM for coarsened observations: in-subset mass maps to its
+    class, reject mass spreads over the out-of-subset classes in proportion
+    to the current q, and the update averages over experts."""
+    q = fuse_soft_vote(partials, subsets, class_count)
+    fixed = np.zeros_like(q)
+    spread = []
+    for p, s in zip(partials, subsets):
+        if s is None:
+            fixed += p
+        else:
+            fixed[:, s.classes] += p[:, : s.size]
+            spread.append((np.setdiff1d(np.arange(class_count), s.classes), p[:, s.size :]))
+    for _ in range(iterations):
+        new = fixed.copy()
+        for out, reject in spread:
+            rest = q[:, out].sum(axis=1, keepdims=True)
+            new[:, out] += reject * np.divide(
+                q[:, out], rest, out=np.zeros_like(q[:, out]), where=rest > 0
+            )
+        q = new / new.sum(axis=1, keepdims=True)
+    return q
+
+
 class TestKLFusion:
     def test_full_coverage_expert_recovers_its_posterior(self):
         subset = SubsetSpec(Fold.MANYSHOT, np.array([0, 1, 2]))
@@ -108,6 +166,82 @@ class TestKLFusion:
             result = fuse_kl_min([pa, pb], [S01, S23], 4)
             start = fuse_kl_min([pa, pb], [S01, S23], 4, steps=0)
             assert result.objective <= start.objective + 1e-12
+
+    def test_zero_steps_is_soft_vote(self):
+        rng = np.random.default_rng(4)
+        pa = rng.dirichlet(np.ones(3), size=20)
+        pb = rng.dirichlet(np.ones(3), size=20)
+        start = fuse_kl_min([pa, pb], [S01, S23], 4, steps=0)
+        assert start.steps_taken == 0
+        assert np.array_equal(start.probabilities, fuse_soft_vote([pa, pb], [S01, S23], 4))
+
+    def test_overlapping_subsets_with_full_width_member_match_long_em(self):
+        # class 8 is in no subset; the None member still covers it
+        rng = np.random.default_rng(6)
+        subsets = [
+            SubsetSpec(Fold.MANYSHOT, np.array([0, 1, 2, 3])),
+            SubsetSpec(Fold.MEDIUMSHOT, np.array([2, 3, 4, 5])),
+            SubsetSpec(Fold.FEWSHOT, np.array([5, 6, 7])),
+            None,
+        ]
+        partials = [rng.dirichlet(np.ones(s.size + 1), size=30) for s in subsets[:3]]
+        partials.append(rng.dirichlet(np.ones(9), size=30))
+        result = fuse_kl_min(partials, subsets, 9)
+        reference = _em_reference(partials, subsets, 9, 20_000)
+        objective = _kl_reference_objective(result.probabilities, partials, subsets)
+        assert np.max(np.abs(objective - result.objective)) < 1e-12
+        assert np.all(
+            objective <= _kl_reference_objective(reference, partials, subsets) + 1e-12
+        )
+        assert np.max(np.abs(result.probabilities.sum(axis=1) - 1.0)) < 1e-12
+
+    def test_exact_zeros_and_uncovered_classes_match_long_em(self):
+        # zero entries leave atoms with no in-subset mass, whose optimum can
+        # sit on the boundary q = 0; classes 2 and 7 are in no subset
+        rng = np.random.default_rng(8)
+        subsets = [
+            SubsetSpec(Fold.MANYSHOT, np.array([0, 1, 3, 5, 8])),
+            SubsetSpec(Fold.MEDIUMSHOT, np.array([0, 3, 5, 6])),
+            SubsetSpec(Fold.FEWSHOT, np.array([0, 3, 4])),
+        ]
+        partials = []
+        for s in subsets:
+            p = rng.dirichlet(np.full(s.size + 1, 0.5), size=40)
+            p[rng.random(p.shape) < 0.3] = 0.0
+            p[p.sum(axis=1) == 0, -1] = 1.0
+            partials.append(p / p.sum(axis=1, keepdims=True))
+        result = fuse_kl_min(partials, subsets, 9)
+        reference = _em_reference(partials, subsets, 9, 20_000)
+        objective = _kl_reference_objective(result.probabilities, partials, subsets)
+        assert np.all(
+            objective <= _kl_reference_objective(reference, partials, subsets) + 1e-12
+        )
+        q = result.probabilities
+        pull = _kl_pull(q, partials, subsets)
+        assert np.max(pull.max(axis=1) - (q * pull).sum(axis=1)) <= 1e-9
+
+    def test_optimality_certificate_on_sixty_classes(self):
+        rng = np.random.default_rng(11)
+        classes = rng.permutation(60)
+        subsets = [
+            SubsetSpec(Fold.MANYSHOT, np.sort(classes[:12])),
+            SubsetSpec(Fold.MEDIUMSHOT, np.sort(classes[12:32])),
+            SubsetSpec(Fold.FEWSHOT, np.sort(classes[32:])),
+        ]
+        partials = []
+        for s in subsets:
+            logits = rng.normal(0.0, 2.0, size=(1200, s.size + 1))
+            # every expert rejects the first 200 rows
+            logits[:200, -1] = logits[:200, :-1].max(axis=1) + rng.uniform(6.0, 12.0, 200)
+            partials.append(softmax(logits))
+        assert all(np.all(p[:200, -1] > 0.9) for p in partials)
+        result = fuse_kl_min(partials, subsets, 60)
+        assert result.steps_taken <= 50
+        q = result.probabilities
+        pull = _kl_pull(q, partials, subsets)
+        # F(q) - F(q*) <= max_c pull_c - sum_c q_c pull_c, by convexity
+        gap = pull.max(axis=1) - (q * pull).sum(axis=1)
+        assert np.max(gap) <= 1e-9
 
     def test_matches_grid_search_on_disjoint_experts(self):
         # brute-force oracle: evaluate the objective on a fine simplex grid
@@ -319,6 +453,20 @@ class TestExternalPosteriors:
         with pytest.warns(UserWarning, match="renormalized"):
             table = ingest_external_posteriors(path, 2)
         assert np.allclose(table.probabilities.sum(axis=1), 1.0)
+
+    @pytest.mark.parametrize(
+        "row, problem",
+        [
+            ("0.5,nan", "non-finite"),
+            ("inf,0.5", "non-finite"),
+            ("0.0,0.0", "sum to zero"),
+        ],
+    )
+    def test_bad_rows_rejected_with_file_and_line(self, tmp_path, row, problem):
+        path = tmp_path / "broken.csv"
+        path.write_text(f"sample_id,p0,p1\n0,0.5,0.5\n1,{row}\n")
+        with pytest.raises(ValueError, match=f"broken.csv line 3: .*{problem}"):
+            ingest_external_posteriors(path, 2)
 
     def test_key_mismatch_rejected(self):
         a = ExternalPosteriorTable("a", np.array([0, 1]), np.full((2, 2), 0.5))
