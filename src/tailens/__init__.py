@@ -38,6 +38,7 @@ from .network import (
     cosine_lr,
     cross_entropy_loss,
     finite_diff_check,
+    fit_network,
     forward_logits,
     init_network,
     load_checkpoint,

@@ -13,6 +13,7 @@ so reproducibility is always in the caller's hands.
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from dataclasses import dataclass, field
 from enum import IntEnum
@@ -80,6 +81,9 @@ class EmbeddingDataset:
             raise ValueError(
                 f"features/labels length mismatch: {len(features)} vs {len(labels)}"
             )
+        bad = ~np.isfinite(features).all(axis=1)
+        if bad.any():
+            raise ValueError(f"feature row {int(np.argmax(bad))} is not finite")
         if self.class_count < 1:
             raise ValueError("class_count must be positive")
         if len(labels) and (labels.min() < 0 or labels.max() >= self.class_count):
@@ -96,6 +100,7 @@ class EmbeddingDataset:
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "class_frequency", _frozen_array(frequency, np.int64))
         object.__setattr__(self, "_by_class", None)
+        object.__setattr__(self, "_reject_pools", None)
 
     @property
     def n(self) -> int:
@@ -115,6 +120,16 @@ class EmbeddingDataset:
                 order[bounds[c] : bounds[c + 1]] for c in range(self.class_count)
             ]
             object.__setattr__(self, "_by_class", cached)
+        return cached
+
+    def reject_pools(self) -> tuple[np.ndarray, np.ndarray]:
+        """Indices of the rows outside and inside the last class (the
+        reject class of :func:`relabel_for_expert`), in file order."""
+        cached = getattr(self, "_reject_pools")
+        if cached is None:
+            reject = self.labels == self.class_count - 1
+            cached = (np.flatnonzero(~reject), np.flatnonzero(reject))
+            object.__setattr__(self, "_reject_pools", cached)
         return cached
 
 
@@ -323,8 +338,10 @@ class SamplerMode:
 
     * ``instance_balanced`` draws uniformly over samples.
     * ``uniform_class`` draws a class uniformly, then a sample within it.
-    * ``reject_undersampled`` draws uniformly over samples but keeps a
-      reject-labeled draw only with probability 1/rho, resampling otherwise.
+    * ``reject_undersampled`` draws each sample with weight 1, or 1/rho
+      when it carries the reject label: the distribution of drawing
+      uniformly and keeping a reject draw with probability 1/rho, taken in
+      one weighted draw per row.
     """
 
     kind: str
@@ -333,8 +350,10 @@ class SamplerMode:
     def __post_init__(self):
         if self.kind not in _SAMPLER_KINDS:
             raise ValueError(f"unknown sampler kind {self.kind!r}")
-        if self.kind == "reject_undersampled" and not self.rho >= 1.0:
-            raise ValueError(f"undersampling ratio must be >= 1, got {self.rho}")
+        if self.kind == "reject_undersampled" and not 1.0 <= self.rho < math.inf:
+            raise ValueError(
+                f"undersampling ratio must be finite and >= 1, got {self.rho}"
+            )
 
     @classmethod
     def instance_balanced(cls) -> "SamplerMode":
@@ -359,7 +378,9 @@ def draw_batch(
 
     Deterministic given the generator state. For ``reject_undersampled`` the
     reject class is the dataset's last label (the convention produced by
-    :func:`relabel_for_expert`).
+    :func:`relabel_for_expert`); each row is one uniform draw over the
+    summed weights, 1 per non-reject sample and 1/rho per reject sample, so
+    every sample is drawn with probability proportional to its weight.
     """
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
@@ -383,21 +404,15 @@ def draw_batch(
         within = (rng.random(batch_size) * freq[cls]).astype(np.int64)
         idx = order[bounds[cls] + within]
     else:  # reject_undersampled
-        reject_label = dataset.class_count - 1
-        accept_p = 1.0 / mode.rho
+        # one uniform per row over the total weight: [0, n_kept) holds the
+        # kept rows at width 1, the rest the reject rows at width 1/rho
+        kept, rejected = dataset.reject_pools()
+        u = rng.random(batch_size) * (len(kept) + len(rejected) / mode.rho)
+        from_kept = u < len(kept)
         idx = np.empty(batch_size, dtype=np.int64)
-        filled = 0
-        while filled < batch_size:
-            need = batch_size - filled
-            cand = rng.integers(0, dataset.n, size=need)
-            keep = dataset.labels[cand] != reject_label
-            if accept_p < 1.0:
-                keep |= rng.random(need) < accept_p
-            else:
-                keep[:] = True
-            kept = cand[keep]
-            idx[filled : filled + len(kept)] = kept
-            filled += len(kept)
+        idx[from_kept] = kept[u[from_kept].astype(np.int64)]
+        within = ((u[~from_kept] - len(kept)) * mode.rho).astype(np.int64)
+        idx[~from_kept] = rejected[np.minimum(within, len(rejected) - 1)]
 
     return dataset.features[idx], dataset.labels[idx]
 

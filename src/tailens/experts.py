@@ -27,6 +27,7 @@ from .dataset import (
 from .network import (
     NetworkParams,
     TrainConfig,
+    fit_network,
     forward_logits,
     init_network,
     load_checkpoint,
@@ -121,7 +122,9 @@ def train_expert(
 
     Backbone weights start as copies of the baseline's; the (k+1)-way head is
     re-initialized. The first ``frozen_layers`` layers never change, so they
-    remain bit-identical to the baseline.
+    remain bit-identical to the baseline. Training runs :func:`fit_network`,
+    so the returned trace is the mean mini-batch loss of each epoch
+    (``epochs`` entries), not a full-dataset loss.
     """
     if not rho >= 1.0:
         raise ValueError("rho must be >= 1")
@@ -137,7 +140,7 @@ def train_expert(
         sampler=SamplerMode.reject_undersampled(rho),
         frozen_layers=frozen_layers,
     )
-    trained, trace = train_network(fresh, relabeled, cfg)
+    trained, trace = fit_network(fresh, relabeled, cfg)
     expert = ExpertModel(
         params=trained, subset=subset, rho=float(rho), frozen_layers=frozen_layers
     )

@@ -39,10 +39,10 @@ from .network import (
     NetworkParams,
     TrainConfig,
     _central_difference_error,
+    fit_network,
     forward_logits,
     init_network,
     softmax,
-    train_network,
 )
 
 REJECT_DROP_WARNING = (
@@ -475,7 +475,7 @@ def train_expert_selector(
             raise ValueError(f"fold {e} is absent from the validation labels")
     ds = EmbeddingDataset(features, labels, class_count=expert_count)
     params = init_network([features.shape[1], expert_count], seed=seed)
-    trained, _ = train_network(
+    trained, _ = fit_network(
         params, ds, _meta_train_config(seed, epochs, lr0, batch_size, weight_decay)
     )
     return SelectorModel(trained)
@@ -513,7 +513,7 @@ def train_stacker(
     labels = np.asarray(val_class_labels, dtype=np.int64)
     ds = EmbeddingDataset(features, labels, class_count=class_count)
     params = init_network([features.shape[1], class_count], seed=seed)
-    trained, _ = train_network(
+    trained, _ = fit_network(
         params, ds, _meta_train_config(seed, epochs, lr0, batch_size, weight_decay)
     )
     return StackerModel(trained)
@@ -751,6 +751,42 @@ def write_posterior_csv(path, sample_ids, probabilities) -> None:
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
+def _read_posterior_rows(path: Path, fh, *, leading: int, width: int):
+    """Parse the rows after a posterior dump's header into (ids, probabilities).
+
+    Each row holds ``leading`` id columns (the sample id first) and ``width``
+    probabilities. A row with another column count, a negative or non-finite
+    probability, or zero mass raises a ``ValueError`` naming the file and
+    line.
+    """
+    ids = []
+    rows = []
+    line_nos = []
+    for line_no, line in enumerate(fh, start=2):
+        line = line.strip()
+        if not line:
+            continue
+        parts = line.split(",")
+        if len(parts) != leading + width:
+            raise ValueError(
+                f"{path.name} line {line_no}: expected {width} probabilities"
+            )
+        ids.append(int(parts[0]))
+        rows.append([float(v) for v in parts[leading:]])
+        line_nos.append(line_no)
+    probs = np.asarray(rows, dtype=np.float64).reshape(-1, width)
+    finite = np.isfinite(probs)
+    for bad, problem in (
+        (~finite.all(axis=1), "non-finite probability"),
+        ((probs < 0).any(axis=1), "negative probability"),
+        # non-finite entries are left out, so that inf - inf cannot warn
+        (np.where(finite, probs, 0.0).sum(axis=1) <= 0, "probabilities sum to zero"),
+    ):
+        if bad.any():
+            raise ValueError(f"{path.name} line {line_nos[int(np.argmax(bad))]}: {problem}")
+    return np.asarray(ids, dtype=np.int64), probs
+
+
 def ingest_external_posteriors(
     path, class_count: int, name: str | None = None
 ) -> ExternalPosteriorTable:
@@ -768,30 +804,8 @@ def ingest_external_posteriors(
             raise ValueError(
                 f"{path.name}: header does not match a {class_count}-class posterior dump"
             )
-        ids = []
-        rows = []
-        line_nos = []
-        for line_no, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != class_count + 1:
-                raise ValueError(
-                    f"{path.name} line {line_no}: expected {class_count} probabilities"
-                )
-            ids.append(int(parts[0]))
-            rows.append([float(v) for v in parts[1:]])
-            line_nos.append(line_no)
-    probs = np.asarray(rows, dtype=np.float64).reshape(-1, class_count)
+        ids, probs = _read_posterior_rows(path, fh, leading=1, width=class_count)
     sums = probs.sum(axis=1)
-    for bad, problem in (
-        (~np.isfinite(probs).all(axis=1), "non-finite probability"),
-        ((probs < 0).any(axis=1), "negative probability"),
-        (sums <= 0, "probabilities sum to zero"),
-    ):
-        if bad.any():
-            raise ValueError(f"{path.name} line {line_nos[int(np.argmax(bad))]}: {problem}")
     off = np.abs(sums - 1.0) > 1e-6
     if np.any(off):
         warnings.warn(
@@ -802,7 +816,7 @@ def ingest_external_posteriors(
         probs = probs / sums[:, None]
     return ExternalPosteriorTable(
         name=name or path.stem,
-        sample_ids=np.asarray(ids, dtype=np.int64),
+        sample_ids=ids,
         probabilities=probs,
     )
 
@@ -837,7 +851,11 @@ def write_partial_posterior_csv(
 
 
 def read_partial_posterior_csv(path) -> tuple[np.ndarray, np.ndarray, dict]:
-    """Round-trip reader for partial dumps; returns (ids, probabilities, sidecar)."""
+    """Round-trip reader for partial dumps; returns (ids, probabilities, sidecar).
+
+    A row with the wrong column count, a negative or non-finite entry, or
+    zero mass raises a ``ValueError`` naming the file and line.
+    """
     path = Path(path)
     with open(path.with_suffix(".json"), "r", encoding="utf-8") as fh:
         sidecar = json.load(fh)
@@ -849,20 +867,8 @@ def read_partial_posterior_csv(path) -> tuple[np.ndarray, np.ndarray, dict]:
         )
         if header != expected:
             raise ValueError(f"{path.name}: header does not match its sidecar")
-        ids = []
-        rows = []
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            ids.append(int(parts[0]))
-            rows.append([float(v) for v in parts[2:]])
-    return (
-        np.asarray(ids, dtype=np.int64),
-        np.asarray(rows, dtype=np.float64),
-        sidecar,
-    )
+        ids, probs = _read_posterior_rows(path, fh, leading=2, width=k + 1)
+    return ids, probs, sidecar
 
 
 def fuse_models(

@@ -135,12 +135,19 @@ def batch_loss(params: NetworkParams, features, labels) -> float:
 
 
 def backward_gradients(
-    params: NetworkParams, features, labels, frozen_layers: int = 0
-) -> list[tuple[np.ndarray, np.ndarray]]:
+    params: NetworkParams,
+    features,
+    labels,
+    frozen_layers: int = 0,
+    *,
+    return_loss: bool = False,
+):
     """Mean-over-batch cross-entropy gradients for the unfrozen layers.
 
     Returns one (dW, db) pair per layer starting at ``frozen_layers``; an
-    empty list when every layer is frozen.
+    empty list when every layer is frozen. With ``return_loss`` the result
+    is ``(loss, grads)``, where ``loss`` is the batch's mean cross-entropy
+    (log-sum-exp minus the label logit) from the same forward pass.
     """
     features = np.atleast_2d(np.asarray(features, dtype=np.float64))
     labels = np.atleast_1d(np.asarray(labels, dtype=np.int64))
@@ -149,13 +156,15 @@ def backward_gradients(
     n_layers = params.layer_count
     if not 0 <= frozen_layers <= n_layers:
         raise ValueError(f"frozen_layers must lie in [0, {n_layers}]")
-    if frozen_layers == n_layers:
-        return []
 
     inputs, logits = _forward_cached(params, features)
     n = len(features)
-    delta = softmax(logits)
-    delta[np.arange(n), labels] -= 1.0
+    rows = np.arange(n)
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    total = e.sum(axis=1, keepdims=True)
+    delta = e / total
+    delta[rows, labels] -= 1.0
     delta /= n
 
     grads: list[tuple[np.ndarray, np.ndarray]] = []
@@ -166,6 +175,9 @@ def backward_gradients(
             delta = delta @ w.T
             delta *= inputs[i] > 0.0
     grads.reverse()
+    if return_loss:
+        loss = float(np.mean(np.log(total[:, 0]) - shifted[rows, labels]))
+        return loss, grads
     return grads
 
 
@@ -207,15 +219,20 @@ def dataset_loss(params: NetworkParams, dataset: EmbeddingDataset) -> float:
     return batch_loss(params, dataset.features, dataset.labels)
 
 
-def train_network(
-    params: NetworkParams, dataset: EmbeddingDataset, config: TrainConfig
+def _sgd(
+    params: NetworkParams,
+    dataset: EmbeddingDataset,
+    config: TrainConfig,
+    full_trace: bool,
 ) -> tuple[NetworkParams, list[float]]:
-    """SGD with a per-epoch cosine schedule and weight decay on weights.
+    """The SGD loop behind :func:`train_network` and :func:`fit_network`.
 
-    Returns new parameters (the input set is untouched) and the loss trace:
-    full-dataset mean cross-entropy before training and after each epoch,
-    ``epochs + 1`` entries. Aborts with :class:`DivergenceError` when the
-    loss stops being finite, reporting the epoch.
+    With ``full_trace`` each epoch's loss is the full-dataset loss after the
+    epoch (plus one before training); without it, the mean of the epoch's
+    batch losses, each taken before its update, and the updated weights must
+    also be finite. Either loss going non-finite raises
+    :class:`DivergenceError` with the epoch. The updates do not depend on
+    ``full_trace``.
     """
     if dataset.class_count != params.dims[-1]:
         raise ValueError(
@@ -228,28 +245,68 @@ def train_network(
     params = params.copy()
     rng = np.random.default_rng(config.seed)
     steps_per_epoch = max(1, dataset.n // config.batch_size)
-    trace = [dataset_loss(params, dataset)]
-    if not math.isfinite(trace[0]):
-        raise DivergenceError("initial loss is non-finite", epoch=0)
+    trace = []
+    if full_trace:
+        trace.append(dataset_loss(params, dataset))
+        if not math.isfinite(trace[0]):
+            raise DivergenceError("initial loss is non-finite", epoch=0)
 
+    trained = params.layers[config.frozen_layers :]
     for epoch in range(config.epochs):
         lr = cosine_lr(config.lr0, epoch, config.epochs)
+        batch_losses = 0.0
         for _ in range(steps_per_epoch):
             x, y = draw_batch(dataset, config.sampler, config.batch_size, rng)
-            grads = backward_gradients(params, x, y, config.frozen_layers)
-            for offset, (gw, gb) in enumerate(grads):
-                w, b = params.layers[config.frozen_layers + offset]
+            loss, grads = backward_gradients(
+                params, x, y, config.frozen_layers, return_loss=True
+            )
+            batch_losses += loss
+            for (w, b), (gw, gb) in zip(trained, grads):
                 if config.weight_decay:
                     gw = gw + config.weight_decay * w
                 w -= lr * gw
                 b -= lr * gb
-        loss = dataset_loss(params, dataset)
+        if full_trace:
+            loss = dataset_loss(params, dataset)
+        elif all(np.isfinite(w).all() and np.isfinite(b).all() for w, b in trained):
+            loss = batch_losses / steps_per_epoch
+        else:
+            loss = math.nan
         if not math.isfinite(loss):
             raise DivergenceError(
                 f"loss became non-finite at epoch {epoch}", epoch=epoch
             )
         trace.append(loss)
     return params, trace
+
+
+def train_network(
+    params: NetworkParams, dataset: EmbeddingDataset, config: TrainConfig
+) -> tuple[NetworkParams, list[float]]:
+    """SGD with a per-epoch cosine schedule and weight decay on weights.
+
+    Returns new parameters (the input set is untouched) and the loss trace:
+    full-dataset mean cross-entropy before training and after each epoch,
+    ``epochs + 1`` entries. Aborts with :class:`DivergenceError` when the
+    loss stops being finite, reporting the epoch. Use :func:`fit_network`
+    when the trace is not needed: it trains bit-identical parameters
+    without the full-dataset passes.
+    """
+    return _sgd(params, dataset, config, full_trace=True)
+
+
+def fit_network(
+    params: NetworkParams, dataset: EmbeddingDataset, config: TrainConfig
+) -> tuple[NetworkParams, list[float]]:
+    """:func:`train_network` without the per-epoch full-dataset loss.
+
+    The parameters are bit-identical to :func:`train_network`'s. The trace
+    has ``epochs`` entries: the mean mini-batch loss of each epoch, each
+    batch scored before its own update. Divergence is detected from those
+    batch losses and from non-finite weights at the end of an epoch, and
+    raises :class:`DivergenceError` with the epoch.
+    """
+    return _sgd(params, dataset, config, full_trace=False)
 
 
 def _central_difference_error(loss, arrays, grads, eps: float) -> float:

@@ -135,6 +135,32 @@ def _dataset_from_frequencies(freq, dim=2, seed=0):
     )
 
 
+class _CountingGenerator:
+    """Generator proxy counting the values ``random`` and ``integers`` return."""
+
+    def __init__(self, rng):
+        self._rng = rng
+        self.values = 0
+
+    def random(self, *args, **kwargs):
+        out = self._rng.random(*args, **kwargs)
+        self.values += np.size(out)
+        return out
+
+    def integers(self, *args, **kwargs):
+        out = self._rng.integers(*args, **kwargs)
+        self.values += np.size(out)
+        return out
+
+
+class TestEmbeddingDataset:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_features_rejected(self, bad):
+        features = np.array([[0.0, 1.0], [2.0, bad], [3.0, 4.0]])
+        with pytest.raises(ValueError, match="feature row 1 is not finite"):
+            EmbeddingDataset(features, np.array([0, 1, 1]), class_count=2)
+
+
 class TestPartitionSubsets:
     def test_six_class_example(self):
         train = _dataset_from_frequencies([150, 100, 60, 20, 19, 5])
@@ -233,6 +259,32 @@ class TestDrawBatch:
         _, labels = draw_batch(ds, SamplerMode.reject_undersampled(10.0), 10_000, rng)
         share = np.mean(labels == 1)
         assert abs(share - 0.09 / 0.19) < 0.03
+
+    @pytest.mark.parametrize(
+        "freq", [(4, 6), (7, 0), (0, 5)], ids=["mixed", "no-reject", "only-reject"]
+    )
+    def test_reject_undersampled_row_probability_is_exact(self, freq):
+        # every row is drawn with probability proportional to 1, or to 1/rho
+        # when it carries the reject label (the last class), with one
+        # generator value per drawn row whatever rho is
+        rho, draws = 3.5, 400_000
+        labels = np.repeat([0, 1], freq)
+        n = len(labels)
+        ds = EmbeddingDataset(np.arange(n, dtype=np.float64)[:, None], labels, 2)
+        rng = _CountingGenerator(np.random.default_rng(11))
+        x, y = draw_batch(ds, SamplerMode.reject_undersampled(rho), draws, rng)
+        assert rng.values == draws
+        rows = x[:, 0].astype(np.int64)
+        assert np.array_equal(y, labels[rows])
+        weight = np.where(labels == 1, 1.0 / rho, 1.0)
+        expected = weight / weight.sum()
+        observed = np.bincount(rows, minlength=n) / draws
+        sigma = np.sqrt(expected * (1.0 - expected) / draws)
+        assert np.all(np.abs(observed - expected) <= 5.0 * sigma + 1e-12)
+
+    def test_infinite_rho_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            SamplerMode.reject_undersampled(float("inf"))
 
     def test_deterministic_given_generator_state(self):
         ds = _dataset_from_frequencies([50, 30, 20])

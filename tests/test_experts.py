@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -78,6 +80,30 @@ class TestUniformFinetune:
 
 
 class TestTrainExpert:
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_divergence_reports_epoch_without_full_dataset_loss(
+        self, tiny_world, monkeypatch
+    ):
+        def no_full_pass(*args):
+            raise AssertionError("expert training evaluated the full dataset")
+
+        monkeypatch.setattr("tailens.network.dataset_loss", no_full_pass)
+        bundle, _, subsets, baseline, config = tiny_world
+        config = replace(config, lr0=1e12, weight_decay=0.0)
+        with pytest.raises(t.DivergenceError) as err:
+            train_expert(baseline, subsets[2], bundle, 2.0, 0, config)
+        assert err.value.epoch is not None
+
+    def test_trace_is_one_mean_batch_loss_per_epoch(self, tiny_world, monkeypatch):
+        def no_full_pass(*args):
+            raise AssertionError("expert training evaluated the full dataset")
+
+        monkeypatch.setattr("tailens.network.dataset_loss", no_full_pass)
+        bundle, _, subsets, baseline, config = tiny_world
+        _, trace = train_expert(baseline, subsets[1], bundle, 2.0, 1, config)
+        assert len(trace) == config.epochs
+        assert trace[-1] < trace[0]
+
     def test_frozen_prefix_matches_baseline(self, tiny_world):
         bundle, _, subsets, baseline, config = tiny_world
         expert, _ = train_expert(baseline, subsets[1], bundle, 2.0, 1, config)

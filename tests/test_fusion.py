@@ -364,6 +364,15 @@ class TestStacker:
         assert q.shape == (40, 4)
         assert np.max(np.abs(q.sum(axis=1) - 1.0)) < 1e-9
 
+    def test_meta_models_skip_the_full_dataset_loss(self, monkeypatch):
+        def no_full_pass(*args):
+            raise AssertionError("meta-model training evaluated the full dataset")
+
+        monkeypatch.setattr("tailens.network.dataset_loss", no_full_pass)
+        partials, fold_labels = _selector_training_data()
+        train_expert_selector(partials, fold_labels, seed=0, epochs=3)
+        train_stacker(partials, fold_labels, 3, seed=0, epochs=3)
+
     def test_untrained_stacker_still_normalizes(self):
         stacker_params = init_network([6, 4], seed=3)
         from tailens.fusion import StackerModel
@@ -508,3 +517,23 @@ class TestExternalPosteriors:
         assert np.array_equal(loaded, probs)
         assert sidecar["classes"] == [0, 1]
         assert sidecar["rho"] == 2.0
+
+    @pytest.mark.parametrize(
+        "row, problem",
+        [
+            ("1,1,0.5,nan,0.5", "non-finite probability"),
+            ("1,1,inf,-inf,0.5", "non-finite probability"),
+            ("1,1,0.5,-0.25,0.75", "negative probability"),
+            ("1,1,0.0,0.0,0.0", "probabilities sum to zero"),
+            ("1,1,0.5,0.5", "expected 3 probabilities"),
+        ],
+        ids=["nan", "inf", "negative", "all-zero", "short-row"],
+    )
+    def test_partial_dump_bad_rows_name_file_and_line(self, tmp_path, row, problem):
+        probs = np.array([[0.25, 0.25, 0.5]])
+        partial = PartialPosterior(Fold.MEDIUMSHOT, np.log(probs), probs)
+        path = tmp_path / "expert_dump.csv"
+        write_partial_posterior_csv(path, [0], partial, S01)
+        path.write_text(path.read_text() + row + "\n")
+        with pytest.raises(ValueError, match=f"expert_dump.csv line 3: {problem}"):
+            read_partial_posterior_csv(path)

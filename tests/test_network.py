@@ -13,6 +13,7 @@ from tailens.network import (
     cosine_lr,
     cross_entropy_loss,
     finite_diff_check,
+    fit_network,
     forward_logits,
     init_network,
     load_checkpoint,
@@ -190,6 +191,54 @@ class TestTraining:
         with pytest.raises(DivergenceError) as err:
             train_network(params, ds, config)
         assert err.value.epoch is not None
+
+    @pytest.mark.parametrize(
+        "sampler, frozen",
+        [
+            (SamplerMode.instance_balanced(), 0),
+            (SamplerMode.uniform_class(), 1),
+            (SamplerMode.reject_undersampled(3.5), 0),
+            (SamplerMode.reject_undersampled(2.0), 1),
+        ],
+    )
+    def test_fit_network_trains_the_same_bits(self, sampler, frozen):
+        ds = two_blob_dataset()
+        params = init_network([2, 8, 2], seed=3)
+        config = TrainConfig(
+            lr0=0.3, epochs=6, batch_size=16, seed=4, sampler=sampler,
+            frozen_layers=frozen,
+        )
+        traced, full = train_network(params, ds, config)
+        fitted, batch = fit_network(params, ds, config)
+        for (wa, ba), (wb, bb) in zip(traced.layers, fitted.layers):
+            assert np.array_equal(wa, wb) and np.array_equal(ba, bb)
+        assert len(full) == config.epochs + 1
+        assert len(batch) == config.epochs
+        assert all(math.isfinite(v) for v in batch)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_fit_network_divergence_reports_epoch(self, monkeypatch):
+        def no_full_pass(*args):
+            raise AssertionError("fit_network evaluated the full dataset")
+
+        monkeypatch.setattr("tailens.network.dataset_loss", no_full_pass)
+        ds = two_blob_dataset()
+        params = init_network([2, 4, 2], seed=5)
+        config = TrainConfig(lr0=1e12, epochs=5, batch_size=8, seed=0, weight_decay=0.0)
+        with pytest.raises(DivergenceError) as err:
+            fit_network(params, ds, config)
+        assert err.value.epoch is not None
+
+    def test_backward_loss_is_batch_loss(self):
+        ds = two_blob_dataset()
+        params = init_network([2, 8, 2], seed=1)
+        loss, grads = backward_gradients(
+            params, ds.features, ds.labels, 1, return_loss=True
+        )
+        assert abs(loss - batch_loss(params, ds.features, ds.labels)) < 1e-12
+        plain = backward_gradients(params, ds.features, ds.labels, 1)
+        for (ga, gb), (pa, pb) in zip(grads, plain):
+            assert np.array_equal(ga, pa) and np.array_equal(gb, pb)
 
     def test_head_width_must_match_classes(self):
         ds = two_blob_dataset()
