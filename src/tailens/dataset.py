@@ -12,6 +12,7 @@ so reproducibility is always in the caller's hands.
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 import warnings
@@ -109,6 +110,19 @@ class EmbeddingDataset:
     @property
     def feature_dim(self) -> int:
         return self.features.shape[1]
+
+    def with_features(self, features) -> "EmbeddingDataset":
+        """The same samples over another feature table, one row per sample
+        (a frozen network prefix's activations, say), sharing the labels and
+        the sampler caches. The table is taken as it is, not checked for
+        finite values, so training on it fails where training through the
+        prefix would."""
+        features = _frozen_array(features, np.float64)
+        if features.ndim != 2 or len(features) != self.n:
+            raise ValueError(f"feature table must have {self.n} rows")
+        view = copy.copy(self)
+        object.__setattr__(view, "features", features)
+        return view
 
     def indices_by_class(self) -> list[np.ndarray]:
         """Sample indices grouped by class, in stable (file) order."""
@@ -355,6 +369,14 @@ class SamplerMode:
                 f"undersampling ratio must be finite and >= 1, got {self.rho}"
             )
 
+    @property
+    def draws_concatenate(self) -> bool:
+        """Whether one draw of k * b rows gives the rows of k draws of b rows
+        in order, leaving the generator in the same state: true for the
+        modes that take one generator call per batch, false for
+        ``uniform_class``, which interleaves two."""
+        return self.kind != "uniform_class"
+
     @classmethod
     def instance_balanced(cls) -> "SamplerMode":
         return cls(kind="instance_balanced")
@@ -405,16 +427,19 @@ def draw_batch(
         idx = order[bounds[cls] + within]
     else:  # reject_undersampled
         # one uniform per row over the total weight: [0, n_kept) holds the
-        # kept rows at width 1, the rest the reject rows at width 1/rho
+        # kept rows at width 1, the rest the reject rows at width 1/rho;
+        # every row gets both positions in the concatenated pools, and the
+        # side its uniform falls on picks one
         kept, rejected = dataset.reject_pools()
-        u = rng.random(batch_size) * (len(kept) + len(rejected) / mode.rho)
-        from_kept = u < len(kept)
-        idx = np.empty(batch_size, dtype=np.int64)
-        idx[from_kept] = kept[u[from_kept].astype(np.int64)]
-        within = ((u[~from_kept] - len(kept)) * mode.rho).astype(np.int64)
-        idx[~from_kept] = rejected[np.minimum(within, len(rejected) - 1)]
+        n_kept = len(kept)
+        u = rng.random(batch_size) * (n_kept + len(rejected) / mode.rho)
+        within = (np.maximum(u - n_kept, 0.0) * mode.rho).astype(np.int64)
+        at = np.where(
+            u < n_kept, u.astype(np.int64), n_kept + np.minimum(within, len(rejected) - 1)
+        )
+        idx = np.concatenate((kept, rejected))[at]
 
-    return dataset.features[idx], dataset.labels[idx]
+    return np.take(dataset.features, idx, axis=0), np.take(dataset.labels, idx)
 
 
 def powerlaw_frequencies(class_count: int, n_max: int, alpha: float) -> np.ndarray:

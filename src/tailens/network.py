@@ -5,6 +5,19 @@ trained by plain SGD under a cosine learning-rate schedule. Layer freezing
 excludes a leading prefix of layers from updates, which is how experts reuse
 a shared backbone. Forward evaluation, losses, and gradients are pure
 functions; training copies its input parameters and returns a new set.
+
+Training runs one kernel, ``_sgd``, for both :func:`train_network` and
+:func:`fit_network`. It draws an epoch's rows in one sampler call where that
+leaves the generator's stream unchanged (``instance_balanced`` and
+``reject_undersampled``; ``uniform_class`` still draws per step), computes
+a frozen prefix's activations over the whole dataset once and gathers
+batches from that table, and runs each step through ``_Step``, whose
+buffers are allocated once per call. ``_Step`` is also what
+:func:`backward_gradients` runs, so the gradient checks cover the training
+arithmetic. The weights, the traces and the epoch a :class:`DivergenceError`
+reports are bitwise those of a plain loop that draws a batch, calls
+:func:`backward_gradients` and updates, once per step; the tests keep that
+loop as the reference.
 """
 
 from __future__ import annotations
@@ -115,23 +128,99 @@ def cross_entropy_loss(probabilities, label: int) -> float:
     return float(-np.log(max(p[label], LOSS_PROBABILITY_FLOOR)))
 
 
-def _forward_cached(params: NetworkParams, x: np.ndarray):
-    """Activations entering each layer plus final logits."""
-    inputs = [x]
-    a = x
-    for w, b in params.layers[:-1]:
-        a = np.maximum(a @ w + b, 0.0)
-        inputs.append(a)
-    w, b = params.layers[-1]
-    return inputs, inputs[-1] @ w + b
-
-
 def batch_loss(params: NetworkParams, features, labels) -> float:
     """Mean cross-entropy of the batch, via log-softmax (smooth, unclamped)."""
     features = np.atleast_2d(np.asarray(features, dtype=np.float64))
     labels = np.atleast_1d(np.asarray(labels, dtype=np.int64))
     logp = log_softmax(forward_logits(params, features))
     return float(-logp[np.arange(len(labels)), labels].mean())
+
+
+class _Step:
+    """One forward and backward pass over a batch, into buffers made once.
+
+    Built for ``rows``-row batches that enter ``layers`` at layer ``start``
+    (the layers before it are a frozen prefix whose activations the caller
+    supplies), with gradients for ``layers[frozen:]``, ``frozen >= start``.
+    The layer arrays are read at every call, so in-place updates are seen.
+
+    Every value is bitwise the one the plain expressions give, because each
+    is computed by the same operation in the same order, only with ``out=``:
+    ``z = a @ W + b`` per layer with ``relu`` between, ``e = exp(z - max z)``
+    and its row sum ``s``, ``delta = (e / s - onehot) / rows``, then per
+    trained layer ``dW = a.T @ delta``, ``db = delta.sum(0)`` and
+    ``delta = (delta @ W.T) * (a > 0)``. The one exception is the row max,
+    taken down the columns of a transposed copy of ``z``; a maximum does
+    not depend on the order it is taken in, and a row-wise reduction over
+    a few dozen classes is the slowest operation of the step.
+    """
+
+    def __init__(self, layers, rows: int, start: int, frozen: int):
+        self.layers = layers
+        self.start = start
+        self.frozen = frozen
+        widths = [w.shape[1] for w, _ in layers]
+        last = len(layers) - 1
+        # acts[i] is the activation entering layer i; deltas[i] and masks[i]
+        # carry the gradient back through it
+        self.acts = {i: np.empty((rows, widths[i - 1])) for i in range(start + 1, last + 1)}
+        self.deltas = {i: np.empty((rows, widths[i - 1])) for i in range(frozen + 1, last + 1)}
+        self.masks = {
+            i: np.empty((rows, widths[i - 1]), dtype=bool) for i in range(frozen + 1, last + 1)
+        }
+        classes = widths[-1]
+        self.logits = np.empty((rows, classes))
+        self.logits_t = np.empty((classes, rows))
+        self.row_max = np.empty((rows, 1))
+        self.shifted = np.empty((rows, classes))
+        self.delta = np.empty((rows, classes))
+        self.row_start = np.arange(rows) * classes  # flat index of each row
+        self.at_label = np.empty(rows, dtype=np.int64)
+        self.grads = [(np.empty_like(w), np.empty_like(b)) for w, b in layers[frozen:]]
+
+    def __call__(self, x, y, row_sum: np.ndarray, label_logit: np.ndarray):
+        """The (dW, db) pairs of the trained layers for the batch ``(x, y)``,
+        in buffers the next call overwrites. Also writes each row's
+        ``sum(exp(z - max z))`` into ``row_sum`` and its label's
+        ``z - max z`` into ``label_logit``; the row's cross-entropy is
+        ``log(row_sum) - label_logit``."""
+        layers, last, rows = self.layers, len(self.layers) - 1, len(y)
+        a = x
+        for i in range(self.start, last):
+            w, b = layers[i]
+            h = self.acts[i + 1]
+            np.matmul(a, w, out=h)
+            np.add(h, b, out=h)
+            np.maximum(h, 0.0, out=h)
+            a = h
+        w, b = layers[last]
+        z, shifted, delta = self.logits, self.shifted, self.delta
+        np.matmul(a, w, out=z)
+        np.add(z, b, out=z)
+
+        np.copyto(self.logits_t, z.T)
+        np.maximum.reduce(self.logits_t, axis=0, out=self.row_max[:, 0])
+        np.subtract(z, self.row_max, out=shifted)
+        np.exp(shifted, out=delta)
+        np.add.reduce(delta, axis=1, out=row_sum)
+        at = np.add(self.row_start, y, out=self.at_label)
+        shifted.reshape(-1).take(at, out=label_logit, mode="clip")  # clip: unbuffered
+        np.divide(delta, row_sum[:, None], out=delta)
+        delta.reshape(-1)[at] -= 1.0
+        np.divide(delta, rows, out=delta)
+
+        for i in range(last, self.frozen - 1, -1):
+            a = x if i == self.start else self.acts[i]
+            gw, gb = self.grads[i - self.frozen]
+            np.matmul(a.T, delta, out=gw)
+            np.add.reduce(delta, axis=0, out=gb)
+            if i > self.frozen:
+                back, mask = self.deltas[i], self.masks[i]
+                np.matmul(delta, layers[i][0].T, out=back)
+                np.greater(a, 0.0, out=mask)
+                np.multiply(back, mask, out=back)
+                delta = back
+        return self.grads
 
 
 def backward_gradients(
@@ -147,7 +236,8 @@ def backward_gradients(
     Returns one (dW, db) pair per layer starting at ``frozen_layers``; an
     empty list when every layer is frozen. With ``return_loss`` the result
     is ``(loss, grads)``, where ``loss`` is the batch's mean cross-entropy
-    (log-sum-exp minus the label logit) from the same forward pass.
+    (log-sum-exp minus the label logit) from the same forward pass. This is
+    the arithmetic of every SGD step in :func:`train_network`.
     """
     features = np.atleast_2d(np.asarray(features, dtype=np.float64))
     labels = np.atleast_1d(np.asarray(labels, dtype=np.int64))
@@ -156,28 +246,20 @@ def backward_gradients(
     n_layers = params.layer_count
     if not 0 <= frozen_layers <= n_layers:
         raise ValueError(f"frozen_layers must lie in [0, {n_layers}]")
+    if features.shape[1] != params.dims[0]:
+        raise ValueError(
+            f"input has dimension {features.shape[1]}, network expects {params.dims[0]}"
+        )
+    if labels.shape != (len(features),):
+        raise ValueError("need one label per feature row")
+    if labels.min() < 0 or labels.max() >= params.dims[-1]:
+        raise ValueError(f"labels must lie in [0, {params.dims[-1]})")
 
-    inputs, logits = _forward_cached(params, features)
-    n = len(features)
-    rows = np.arange(n)
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    total = e.sum(axis=1, keepdims=True)
-    delta = e / total
-    delta[rows, labels] -= 1.0
-    delta /= n
-
-    grads: list[tuple[np.ndarray, np.ndarray]] = []
-    for i in range(n_layers - 1, frozen_layers - 1, -1):
-        w, _ = params.layers[i]
-        grads.append((inputs[i].T @ delta, delta.sum(axis=0)))
-        if i > frozen_layers:
-            delta = delta @ w.T
-            delta *= inputs[i] > 0.0
-    grads.reverse()
+    step = _Step(params.layers, len(features), 0, frozen_layers)
+    row_sum, label_logit = np.empty(len(features)), np.empty(len(features))
+    grads = step(features, labels, row_sum, label_logit)
     if return_loss:
-        loss = float(np.mean(np.log(total[:, 0]) - shifted[rows, labels]))
-        return loss, grads
+        return float(np.mean(np.log(row_sum) - label_logit)), grads
     return grads
 
 
@@ -244,32 +326,62 @@ def _sgd(
 
     params = params.copy()
     rng = np.random.default_rng(config.seed)
-    steps_per_epoch = max(1, dataset.n // config.batch_size)
+    rows = config.batch_size
+    steps_per_epoch = max(1, dataset.n // rows)
     trace = []
     if full_trace:
         trace.append(dataset_loss(params, dataset))
         if not math.isfinite(trace[0]):
             raise DivergenceError("initial loss is non-finite", epoch=0)
 
+    # The frozen prefix never changes, so batches gather its activations
+    # from one table over the dataset. A row of the table is bitwise the
+    # batch's own activation because BLAS gemm rounds each output row alike
+    # whatever the row count; a single row goes through gemv instead, which
+    # rounds differently, so one-row batches and datasets keep the prefix.
+    start = min(config.frozen_layers, n_layers - 1) if min(rows, dataset.n) > 1 else 0
+    source = dataset
+    if start:
+        table = dataset.features
+        for w, b in params.layers[:start]:
+            table = np.maximum(table @ w + b, 0.0)
+        source = dataset.with_features(table)
+
+    step = _Step(params.layers, rows, start, config.frozen_layers)
     trained = params.layers[config.frozen_layers :]
+    scratch = [(np.empty_like(w), np.empty_like(b)) for w, b in trained]
+    # per step and row: sum_c exp(z - max z) and the label's z - max z
+    row_sums = np.empty((steps_per_epoch, rows))
+    label_logits = np.empty((steps_per_epoch, rows))
+    per_epoch = config.sampler.draws_concatenate
     for epoch in range(config.epochs):
         lr = cosine_lr(config.lr0, epoch, config.epochs)
-        batch_losses = 0.0
-        for _ in range(steps_per_epoch):
-            x, y = draw_batch(dataset, config.sampler, config.batch_size, rng)
-            loss, grads = backward_gradients(
-                params, x, y, config.frozen_layers, return_loss=True
-            )
-            batch_losses += loss
-            for (w, b), (gw, gb) in zip(trained, grads):
+        if per_epoch:
+            xs, ys = draw_batch(source, config.sampler, steps_per_epoch * rows, rng)
+        for s in range(steps_per_epoch):
+            if per_epoch:
+                x, y = xs[s * rows : (s + 1) * rows], ys[s * rows : (s + 1) * rows]
+            else:
+                x, y = draw_batch(source, config.sampler, rows, rng)
+            grads = step(x, y, row_sums[s], label_logits[s])
+            for (w, b), (gw, gb), (tw, tb) in zip(trained, grads, scratch):
                 if config.weight_decay:
-                    gw = gw + config.weight_decay * w
-                w -= lr * gw
-                b -= lr * gb
+                    np.multiply(w, config.weight_decay, out=tw)
+                    np.add(gw, tw, out=gw)
+                np.multiply(gw, lr, out=tw)
+                np.subtract(w, tw, out=w)
+                np.multiply(gb, lr, out=tb)
+                np.subtract(b, tb, out=b)
         if full_trace:
             loss = dataset_loss(params, dataset)
         elif all(np.isfinite(w).all() and np.isfinite(b).all() for w, b in trained):
-            loss = batch_losses / steps_per_epoch
+            # each batch's mean cross-entropy, summed in step order: the
+            # float a running sum of per-batch np.mean would give
+            batch_losses = np.log(row_sums) - label_logits
+            loss = 0.0
+            for mean in (np.add.reduce(batch_losses, axis=1) / rows).tolist():
+                loss += mean
+            loss /= steps_per_epoch
         else:
             loss = math.nan
         if not math.isfinite(loss):

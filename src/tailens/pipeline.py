@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
 
@@ -170,10 +170,20 @@ class ExpertEnsemble:
     bundle: DatasetBundle
     folds: FoldAssignment
     experts: tuple[ExpertModel, ExpertModel, ExpertModel]
+    _partials: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def partials(self, split: str) -> list[PartialPosterior]:
-        features = getattr(self.bundle, split).features
-        return [expert_partial_posterior(e, features) for e in self.experts]
+        """The experts' partial posteriors on ``split``, computed once per
+        split; the arrays are read-only because every caller shares them."""
+        memo = self._partials.get(split)
+        if memo is None:
+            features = getattr(self.bundle, split).features
+            memo = tuple(expert_partial_posterior(e, features) for e in self.experts)
+            for p in memo:
+                p.logits.setflags(write=False)
+                p.probabilities.setflags(write=False)
+            self._partials[split] = memo
+        return list(memo)
 
     def subset_list(self) -> list[SubsetSpec]:
         return [e.subset for e in self.experts]

@@ -188,16 +188,15 @@ def test_criterion_2_fusion_identities():
 def test_criterion_3_kl_matches_grid_search():
     start = time.perf_counter()
     resolution = 1000
+    # the whole 3-class simplex at the given resolution, built once
+    pairs = [(i, j) for i in range(resolution + 1) for j in range(resolution + 1 - i)]
+    grid = np.array(
+        [(i / resolution, j / resolution, (resolution - i - j) / resolution) for i, j in pairs]
+    )
 
     def grid_search(partials, subsets):
-        """Independent oracle: evaluate the KL objective on the whole
-        3-class simplex at the given resolution and take the argmin."""
-        pairs = [
-            (i, j) for i in range(resolution + 1) for j in range(resolution + 1 - i)
-        ]
-        grid = np.array(
-            [(i / resolution, j / resolution, (resolution - i - j) / resolution) for i, j in pairs]
-        )
+        """Independent oracle: evaluate the KL objective on every point of
+        the simplex grid and take the argmin."""
         total = np.zeros(len(grid))
         for p, s in zip(partials, subsets):
             k = len(s.classes)

@@ -13,7 +13,16 @@ from tailens.config import (
     serialize_config,
 )
 from tailens.evaluation import fourfold_accuracy
-from tailens.pipeline import fused_posteriors, prepare_bundle, train_all, train_fusion
+from tailens import pipeline
+from tailens.experts import expert_partial_posterior
+from tailens.pipeline import (
+    FUSIONS,
+    ExpertEnsemble,
+    fused_posteriors,
+    prepare_bundle,
+    train_all,
+    train_fusion,
+)
 
 from conftest import (
     run_cli_pipeline,
@@ -174,6 +183,52 @@ class TestCliMatchesPipeline:
         assert [(t["rho"], t["frozen_layers"]) for t in tables] == [
             (sel.rho, sel.frozen_layers) for sel in ens.selections
         ]
+
+
+class TestEnsemblePartials:
+    def test_each_split_is_computed_once_and_fusion_is_unchanged(
+        self, cli_and_library_runs, monkeypatch
+    ):
+        cfg, _, trained = cli_and_library_runs
+        ens = ExpertEnsemble(trained.bundle, trained.folds, trained.experts)
+        calls = []
+
+        def counting(expert, features):
+            calls.append(expert.subset.expert_id)
+            return expert_partial_posterior(expert, features)
+
+        monkeypatch.setattr(pipeline, "expert_partial_posterior", counting)
+        fused = {
+            s: fused_posteriors(ens, train_fusion(ens, cfg, s), cfg)
+            for s in FUSION_STRATEGIES
+        }
+        assert len(calls) == 2 * len(ens.experts)  # val and test, once each
+
+        def fresh(split):
+            features = getattr(ens.bundle, split).features
+            return [expert_partial_posterior(e, features) for e in ens.experts]
+
+        for s, probs in fused.items():
+            record = FUSIONS[s]
+            params = None if record.fit is None else train_fusion(ens, cfg, s).params
+            expected = record.apply(
+                fresh("test"), ens.subset_list(), ens.bundle.class_count, params, cfg
+            )
+            assert probs.tobytes() == expected.tobytes(), s
+        assert len(calls) == 2 * len(ens.experts)
+
+    def test_shared_partials_are_read_only(self, cli_and_library_runs):
+        _, _, trained = cli_and_library_runs
+        ens = ExpertEnsemble(trained.bundle, trained.folds, trained.experts)
+        first = ens.partials("val")
+        first.clear()
+        again = ens.partials("val")
+        assert len(again) == len(ens.experts)
+        for p in again:
+            with pytest.raises(ValueError):
+                p.probabilities[0, 0] = 0.0
+            with pytest.raises(ValueError):
+                p.logits += 1.0
 
 
 class TestCliErrors:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from tailens.dataset import EmbeddingDataset, SamplerMode
+from tailens.dataset import EmbeddingDataset, SamplerMode, draw_batch
 from tailens.network import (
     DivergenceError,
     NetworkParams,
@@ -12,6 +12,7 @@ from tailens.network import (
     batch_loss,
     cosine_lr,
     cross_entropy_loss,
+    dataset_loss,
     finite_diff_check,
     fit_network,
     forward_logits,
@@ -254,6 +255,173 @@ class TestTraining:
         )
         trained, _ = train_network(init_network([2, 8, 2], seed=0), ds, config)
         assert np.mean(predict_labels(trained, ds.features) == ds.labels) > 0.9
+
+
+def reference_backward(params, x, y, frozen):
+    """The textbook backward pass: fresh arrays at every operation."""
+    inputs = [x]
+    for w, b in params.layers[:-1]:
+        inputs.append(np.maximum(inputs[-1] @ w + b, 0.0))
+    w, b = params.layers[-1]
+    logits = inputs[-1] @ w + b
+    rows = np.arange(len(y))
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    total = e.sum(axis=1, keepdims=True)
+    delta = e / total
+    delta[rows, y] -= 1.0
+    delta /= len(y)
+    grads = []
+    for i in range(params.layer_count - 1, frozen - 1, -1):
+        grads.append((inputs[i].T @ delta, delta.sum(axis=0)))
+        if i > frozen:
+            delta = delta @ params.layers[i][0].T
+            delta *= inputs[i] > 0.0
+    grads.reverse()
+    return float(np.mean(np.log(total[:, 0]) - shifted[rows, y])), grads
+
+
+def reference_sgd(params, dataset, config):
+    """The SGD loop written out plainly: one draw_batch per step over the raw
+    features, backward_gradients through every layer, then the update.
+    Returns the weights, the full-dataset trace, the batch-mean trace and
+    whether the trained weights were finite after each epoch; it runs on
+    through non-finite values."""
+    params = params.copy()
+    rng = np.random.default_rng(config.seed)
+    steps = max(1, dataset.n // config.batch_size)
+    trained = params.layers[config.frozen_layers :]
+    full, batch, finite = [dataset_loss(params, dataset)], [], []
+    for epoch in range(config.epochs):
+        lr = cosine_lr(config.lr0, epoch, config.epochs)
+        total = 0.0
+        for _ in range(steps):
+            x, y = draw_batch(dataset, config.sampler, config.batch_size, rng)
+            loss, grads = backward_gradients(
+                params, x, y, config.frozen_layers, return_loss=True
+            )
+            total += loss
+            for (w, b), (gw, gb) in zip(trained, grads):
+                if config.weight_decay:
+                    gw = gw + config.weight_decay * w
+                w -= lr * gw
+                b -= lr * gb
+        full.append(dataset_loss(params, dataset))
+        batch.append(total / steps)
+        finite.append(all(np.isfinite(w).all() and np.isfinite(b).all() for w, b in trained))
+    return params, full, batch, finite
+
+
+def three_class_dataset(seed=0):
+    """90 rows, imbalanced 50/28/12, class 2 playing the reject class."""
+    rng = np.random.default_rng(seed)
+    labels = np.repeat([0, 1, 2], [50, 28, 12])
+    centers = rng.normal(0.0, 2.0, size=(3, 5))
+    features = centers[labels] + rng.normal(0.0, 1.0, size=(90, 5))
+    return EmbeddingDataset(features=features, labels=labels, class_count=3)
+
+
+def assert_same_bits(a, b):
+    for (wa, ba), (wb, bb) in zip(a.layers, b.layers):
+        assert wa.tobytes() == wb.tobytes() and ba.tobytes() == bb.tobytes()
+
+
+class TestKernelMatchesReference:
+    """The training kernel draws each epoch's rows at once where the sampler
+    allows it, gathers a frozen prefix's activations from a table and
+    writes into preallocated buffers; none of that may change a bit."""
+
+    @pytest.mark.parametrize("frozen", [0, 1, 2, 3])
+    @pytest.mark.parametrize(
+        "sampler",
+        [
+            SamplerMode.instance_balanced(),
+            SamplerMode.uniform_class(),
+            SamplerMode.reject_undersampled(1.0),
+            SamplerMode.reject_undersampled(3.5),
+        ],
+        ids=["instance", "uniform", "reject-rho1", "reject-rho3.5"],
+    )
+    def test_weights_and_traces_are_bitwise_the_reference(self, sampler, frozen):
+        ds = three_class_dataset()
+        # two hidden layers: frozen=1 leaves two trained layers behind the
+        # cached prefix, frozen=2 is all but the head, 3 freezes everything
+        params = init_network([5, 12, 9, 3], seed=7)
+        config = TrainConfig(
+            lr0=0.4, epochs=5, batch_size=16, seed=11, sampler=sampler,
+            frozen_layers=frozen, weight_decay=1e-3,
+        )
+        assert ds.n % config.batch_size != 0
+        ref, ref_full, ref_batch, _ = reference_sgd(params, ds, config)
+        traced, full = train_network(params, ds, config)
+        fitted, batch = fit_network(params, ds, config)
+        assert_same_bits(traced, ref)
+        assert_same_bits(fitted, ref)
+        assert full == ref_full
+        assert batch == ref_batch
+
+    @pytest.mark.parametrize("batch_size", [1, 90, 200])
+    def test_one_row_and_whole_dataset_batches(self, batch_size):
+        ds = three_class_dataset(seed=1)
+        params = init_network([5, 12, 9, 3], seed=2)
+        config = TrainConfig(
+            lr0=0.2, epochs=2, batch_size=batch_size, seed=5, frozen_layers=1,
+            sampler=SamplerMode.reject_undersampled(2.0),
+        )
+        ref, _, ref_batch, _ = reference_sgd(params, ds, config)
+        fitted, batch = fit_network(params, ds, config)
+        assert_same_bits(fitted, ref)
+        assert batch == ref_batch
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("frozen", [0, 1, 2])
+    @pytest.mark.parametrize(
+        "sampler",
+        [
+            SamplerMode.instance_balanced(),
+            SamplerMode.uniform_class(),
+            SamplerMode.reject_undersampled(3.5),
+        ],
+        ids=["instance", "uniform", "reject"],
+    )
+    def test_divergence_epoch_is_the_reference(self, sampler, frozen):
+        ds = three_class_dataset()
+        params = init_network([5, 12, 9, 3], seed=7)
+        config = TrainConfig(
+            lr0=1e12, epochs=4, batch_size=16, seed=11, sampler=sampler,
+            frozen_layers=frozen, weight_decay=0.0,
+        )
+        ref, full, batch, finite = reference_sgd(params, ds, config)
+        # train_network checks the full-dataset loss before training and
+        # after each epoch; fit_network the batch losses and the weights
+        bad_full = [e for e, v in enumerate(full) if not math.isfinite(v)]
+        expected = {
+            train_network: max(bad_full[0] - 1, 0) if bad_full else None,
+            fit_network: next(
+                (e for e, ok in enumerate(finite) if not (ok and math.isfinite(batch[e]))),
+                None,
+            ),
+        }
+        for train, epoch in expected.items():
+            if epoch is None:
+                assert_same_bits(train(params, ds, config)[0], ref)
+            else:
+                with pytest.raises(DivergenceError) as err:
+                    train(params, ds, config)
+                assert err.value.epoch == epoch
+
+    @pytest.mark.parametrize("frozen", [0, 1, 2, 3])
+    def test_backward_gradients_is_the_textbook_arithmetic(self, frozen):
+        rng = np.random.default_rng(frozen)
+        params = init_network([5, 12, 9, 3], seed=4)
+        x = rng.normal(size=(17, 5))
+        y = rng.integers(0, 3, size=17)
+        ref_loss, ref_grads = reference_backward(params, x, y, frozen)
+        loss, grads = backward_gradients(params, x, y, frozen, return_loss=True)
+        assert loss == ref_loss
+        assert len(grads) == len(ref_grads) == 3 - frozen
+        for (gw, gb), (rw, rb) in zip(grads, ref_grads):
+            assert gw.tobytes() == rw.tobytes() and gb.tobytes() == rb.tobytes()
 
 
 class TestCheckpoint:
