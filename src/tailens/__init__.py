@@ -9,6 +9,7 @@ expert-collision matrices, and confidence histograms quantify what the
 ensemble does and where fusion loses accuracy.
 """
 
+from ._io import DataError
 from .dataset import (
     DEFAULT_FEW_MAX,
     DEFAULT_MANY_MIN,

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._io import atomic_write_json, atomic_write_text
+from ._io import DataError, atomic_write_json, atomic_write_text
 from .config import ConfigError, FUSION_STRATEGIES, RunConfig, load_config
 from .dataset import EmptyFoldError, partition_subsets, save_bundle
 from .evaluation import (
@@ -213,7 +213,7 @@ def cmd_ablate(cfg: RunConfig, args) -> None:
     for path in args.models:
         table = ingest_external_posteriors(path, bundle.class_count).sorted_by_id()
         if not np.array_equal(table.sample_ids, np.arange(n)):
-            raise ValueError(f"{path}: sample ids do not cover the test split")
+            raise DataError(f"{path}: sample ids do not cover the test split")
         tables[table.name] = table.probabilities
     reports = take_one_out_ablation(tables, bundle.test.labels, folds)
     payload = {name: rep.to_json_dict() for name, rep in reports.items()}
@@ -313,7 +313,7 @@ def main(argv=None) -> int:
     except DivergenceError as exc:
         print(f"error: divergence: {exc}", file=sys.stderr)
         return 4
-    except (EmptyFoldError, ValueError, OSError, KeyError) as exc:
+    except (DataError, EmptyFoldError, OSError) as exc:
         print(f"error: data: {exc}", file=sys.stderr)
         return 3
     return 0

@@ -13,6 +13,8 @@ so reproducibility is always in the caller's hands.
 from __future__ import annotations
 
 import copy
+import hashlib
+import io
 import json
 import math
 import warnings
@@ -22,12 +24,13 @@ from pathlib import Path
 
 import numpy as np
 
-from ._io import atomic_write_text, format_float
+from ._io import DataError, atomic_write_bytes, atomic_write_text, format_float
 
 DEFAULT_MANY_MIN = 100
 DEFAULT_FEW_MAX = 20
 
 MANIFEST_FORMAT = "tailens-bundle-v1"
+_HASH_CHUNK = 1 << 20  # bytes per read while hashing an input file
 
 
 class Fold(IntEnum):
@@ -100,7 +103,7 @@ class EmbeddingDataset:
         object.__setattr__(self, "features", features)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "class_frequency", _frozen_array(frequency, np.int64))
-        object.__setattr__(self, "_by_class", None)
+        object.__setattr__(self, "_class_order", None)
         object.__setattr__(self, "_reject_pools", None)
 
     @property
@@ -124,16 +127,18 @@ class EmbeddingDataset:
         object.__setattr__(view, "features", features)
         return view
 
-    def indices_by_class(self) -> list[np.ndarray]:
-        """Sample indices grouped by class, in stable (file) order."""
-        cached = getattr(self, "_by_class")
+    def class_order(self) -> tuple[np.ndarray, np.ndarray]:
+        """Sample indices sorted by class, in stable (file) order within a
+        class, and the class bounds into them: class ``c`` holds
+        ``order[bounds[c]:bounds[c + 1]]``. Both arrays are read-only."""
+        cached = getattr(self, "_class_order")
         if cached is None:
             order = np.argsort(self.labels, kind="stable")
             bounds = np.concatenate(([0], np.cumsum(self.class_frequency)))
-            cached = [
-                order[bounds[c] : bounds[c + 1]] for c in range(self.class_count)
-            ]
-            object.__setattr__(self, "_by_class", cached)
+            order.setflags(write=False)
+            bounds.setflags(write=False)
+            cached = (order, bounds)
+            object.__setattr__(self, "_class_order", cached)
         return cached
 
     def reject_pools(self) -> tuple[np.ndarray, np.ndarray]:
@@ -419,9 +424,7 @@ def draw_batch(
                 f"uniform class sampling requires every class to be nonempty; "
                 f"class {int(empty[0])} has no samples"
             )
-        by_class = dataset.indices_by_class()
-        bounds = np.concatenate(([0], np.cumsum(freq)))
-        order = np.concatenate(by_class)
+        order, bounds = dataset.class_order()
         cls = rng.integers(0, dataset.class_count, size=batch_size)
         within = (rng.random(batch_size) * freq[cls]).astype(np.int64)
         idx = order[bounds[cls] + within]
@@ -531,57 +534,146 @@ def write_embeddings_csv(path, dataset: EmbeddingDataset) -> None:
 
 
 def read_embeddings_csv(path, *, class_count: int | None = None):
-    """Parse one embedding CSV into (features, labels) arrays."""
-    path = Path(path)
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n")
-        fields = header.split(",")
-        if len(fields) < 2 or fields[0] != "label":
-            raise ValueError(f"{path.name}: malformed header {header!r}")
-        expected = ["label"] + [f"f{j}" for j in range(len(fields) - 1)]
-        if fields != expected:
-            raise ValueError(f"{path.name}: malformed header {header!r}")
-        dim = len(fields) - 1
+    """Parse one embedding CSV into (features, labels) arrays. A malformed
+    file raises :class:`DataError` naming the file and line."""
+    features, labels, _ = _parse_embeddings(Path(path), class_count)
+    return features, labels
 
-        features = []
-        labels = []
-        line_nos = []
-        for line_no, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) - 1 != dim:
-                raise ValueError(
-                    f"{path.name} line {line_no}: expected {dim} features, "
-                    f"got {len(parts) - 1}"
-                )
-            try:
-                label = int(parts[0])
-            except ValueError:
-                raise ValueError(
-                    f"{path.name} line {line_no}: label {parts[0]!r} is not an integer"
-                ) from None
-            if label < 0:
-                raise ValueError(f"{path.name} line {line_no}: negative label {label}")
-            if class_count is not None and label >= class_count:
-                raise ValueError(
-                    f"{path.name} line {line_no}: label {label} out of range "
-                    f"[0, {class_count})"
-                )
-            labels.append(label)
-            line_nos.append(line_no)
+
+class _HashingReader(io.RawIOBase):
+    """A raw binary reader that feeds every byte it reads to ``digest``."""
+
+    def __init__(self, raw, digest):
+        self._raw = raw
+        self._digest = digest
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        n = self._raw.readinto(buffer)
+        self._digest.update(memoryview(buffer)[:n])
+        return n
+
+
+def _parse_embeddings(path: Path, class_count: int | None):
+    """(features, labels, SHA-256 hex digest of the bytes parsed)."""
+    digest = hashlib.sha256()
+    try:
+        with open(path, "rb", buffering=0) as raw, io.TextIOWrapper(
+            io.BufferedReader(_HashingReader(raw, digest), _HASH_CHUNK), encoding="utf-8"
+        ) as fh:
+            features, labels = _parse_embedding_rows(path, fh, class_count)
+    except UnicodeDecodeError:
+        raise DataError(f"{path.name}: not UTF-8 text") from None
+    return features, labels, digest.hexdigest()
+
+
+def _parse_embedding_rows(path: Path, fh, class_count: int | None):
+    header = fh.readline().rstrip("\n")
+    fields = header.split(",")
+    expected = ["label"] + [f"f{j}" for j in range(len(fields) - 1)]
+    if len(fields) < 2 or fields != expected:
+        raise DataError(f"{path.name}: malformed header {header!r}")
+    dim = len(fields) - 1
+
+    features = []
+    labels = []
+    line_nos = []
+    for line_no, line in enumerate(fh, start=2):
+        line = line.strip()
+        if not line:
+            continue
+        parts = line.split(",")
+        if len(parts) - 1 != dim:
+            raise DataError(
+                f"{path.name} line {line_no}: expected {dim} features, "
+                f"got {len(parts) - 1}"
+            )
+        try:
+            label = int(parts[0])
+        except ValueError:
+            raise DataError(
+                f"{path.name} line {line_no}: label {parts[0]!r} is not an integer"
+            ) from None
+        if label < 0:
+            raise DataError(f"{path.name} line {line_no}: negative label {label}")
+        if class_count is not None and label >= class_count:
+            raise DataError(
+                f"{path.name} line {line_no}: label {label} out of range "
+                f"[0, {class_count})"
+            )
+        try:
             features.append([float(v) for v in parts[1:]])
+        except ValueError:
+            raise DataError(f"{path.name} line {line_no}: feature is not a number") from None
+        labels.append(label)
+        line_nos.append(line_no)
 
     if not labels:
-        raise ValueError(f"{path.name}: no samples")
+        raise DataError(f"{path.name}: no samples")
     features = np.asarray(features, dtype=np.float64)
     bad = ~np.isfinite(features).all(axis=1)
     if bad.any():
-        raise ValueError(
+        raise DataError(
             f"{path.name} line {line_nos[int(np.argmax(bad))]}: non-finite feature"
         )
     return features, np.asarray(labels, dtype=np.int64)
+
+
+def _sha256_file(path: Path) -> str:
+    digest = hashlib.sha256()
+    with open(path, "rb", buffering=0) as fh:
+        for chunk in iter(lambda: fh.read(_HASH_CHUNK), b""):
+            digest.update(chunk)
+    return digest.hexdigest()
+
+
+def _load_cache_entry(entry: Path, class_count: int):
+    """(features, labels) from a cache entry, or None when the entry is
+    missing, cannot be read, or fails a check the CSV parser makes."""
+    try:
+        with open(entry, "rb") as fh:
+            table = np.load(fh, allow_pickle=False)
+    except Exception:  # a cache entry that cannot be read for any reason is a miss
+        return None
+    if not (
+        isinstance(table, np.ndarray)
+        and table.dtype == np.float64
+        and table.ndim == 2
+        and table.shape[0] >= 1
+        and table.shape[1] >= 2
+    ):
+        return None
+    labels, features = table[:, 0], table[:, 1:]
+    if not (
+        np.all((labels >= 0) & (labels < class_count) & (labels == np.floor(labels)))
+        and np.isfinite(features).all()
+    ):
+        return None
+    return np.ascontiguousarray(features), labels.astype(np.int64)
+
+
+def _read_embeddings_cached(path, class_count: int, cache_dir: Path):
+    """:func:`read_embeddings_csv` through a content-addressed cache.
+
+    An entry is ``<sha256 of the CSV bytes>.npy`` in ``cache_dir``: one
+    float64 table with the labels in column 0 and the features after them.
+    A hit is checked again as the parser checks a file; an entry that fails
+    or cannot be read is a miss, so the CSV is parsed (raising its usual
+    error) and the entry is rewritten.
+    """
+    path = Path(path)
+    hit = _load_cache_entry(cache_dir / f"{_sha256_file(path)}.npy", class_count)
+    if hit is not None:
+        return hit
+    # keyed by the bytes the parser read, which differ from the probed ones
+    # only if the file changed in between
+    features, labels, digest = _parse_embeddings(path, class_count)
+    table = io.BytesIO()  # np.save is deterministic; savez would stamp times
+    np.save(table, np.column_stack((labels.astype(np.float64), features)))
+    atomic_write_bytes(cache_dir / f"{digest}.npy", table.getvalue())
+    return features, labels
 
 
 def load_embeddings(
@@ -590,16 +682,33 @@ def load_embeddings(
     test_path,
     *,
     class_count: int | None = None,
+    cache_dir=None,
 ) -> DatasetBundle:
     """Load a bundle from three embedding CSVs.
 
     When ``class_count`` is omitted it is inferred as one past the largest
     label seen across the three files. Train frequencies are recomputed from
-    the train rows. Unbalanced val/test splits warn rather than fail.
+    the train rows. Unbalanced val/test splits warn rather than fail. With
+    ``cache_dir`` (which needs ``class_count``) each CSV is parsed once and
+    its arrays are read back from the cache while its bytes are unchanged.
     """
-    train_f, train_l = read_embeddings_csv(train_path, class_count=class_count)
-    val_f, val_l = read_embeddings_csv(val_path, class_count=class_count)
-    test_f, test_l = read_embeddings_csv(test_path, class_count=class_count)
+    if cache_dir is not None and class_count is None:
+        raise ValueError("a bundle cache needs class_count")
+
+    def read(path):
+        if cache_dir is None:
+            return read_embeddings_csv(path, class_count=class_count)
+        return _read_embeddings_cached(path, class_count, Path(cache_dir))
+
+    (train_f, train_l), (val_f, val_l), (test_f, test_l) = (
+        read(p) for p in (train_path, val_path, test_path)
+    )
+    for path, feats in ((val_path, val_f), (test_path, test_f)):
+        if feats.shape[1] != train_f.shape[1]:
+            raise DataError(
+                f"{Path(path).name}: {feats.shape[1]} features, "
+                f"{Path(train_path).name} has {train_f.shape[1]}"
+            )
     if class_count is None:
         class_count = int(max(train_l.max(), val_l.max(), test_l.max())) + 1
     return DatasetBundle(
@@ -629,17 +738,27 @@ def save_bundle(bundle: DatasetBundle, directory) -> Path:
     return manifest_path
 
 
-def load_bundle(manifest_path) -> DatasetBundle:
-    """Load a bundle via its manifest (paths resolved relative to it)."""
+def load_bundle(manifest_path, *, cache_dir=None) -> DatasetBundle:
+    """Load a bundle via its manifest (paths resolved relative to it).
+
+    With ``cache_dir``, each split is read through the array cache of
+    :func:`load_embeddings`. A manifest that is not JSON, has another
+    format or lacks a key raises :class:`DataError`.
+    """
     manifest_path = Path(manifest_path)
     with open(manifest_path, "r", encoding="utf-8") as fh:
-        manifest = json.load(fh)
-    if manifest.get("format") != MANIFEST_FORMAT:
-        raise ValueError(f"unsupported manifest format {manifest.get('format')!r}")
-    base = manifest_path.parent
-    return load_embeddings(
-        base / manifest["train"],
-        base / manifest["val"],
-        base / manifest["test"],
-        class_count=int(manifest["class_count"]),
-    )
+        try:
+            manifest = json.load(fh)
+        except ValueError as exc:  # JSON or UTF-8 decoding
+            raise DataError(f"{manifest_path.name}: not a JSON manifest ({exc})") from None
+    found = manifest.get("format") if isinstance(manifest, dict) else None
+    if found != MANIFEST_FORMAT:
+        raise DataError(f"{manifest_path.name}: unsupported manifest format {found!r}")
+    try:
+        splits = [manifest_path.parent / manifest[s] for s in ("train", "val", "test")]
+        class_count = int(manifest["class_count"])
+    except KeyError as exc:
+        raise DataError(f"{manifest_path.name}: missing key {exc.args[0]!r}") from None
+    except (TypeError, ValueError):
+        raise DataError(f"{manifest_path.name}: malformed split or class_count entry") from None
+    return load_embeddings(*splits, class_count=class_count, cache_dir=cache_dir)

@@ -16,6 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from ._io import DataError
 from .dataset import (
     DatasetBundle,
     EmbeddingDataset,
@@ -262,7 +263,7 @@ def save_expert_checkpoint(path, expert: ExpertModel) -> None:
 def load_expert_checkpoint(path) -> ExpertModel:
     params, meta = load_checkpoint(path)
     if meta.get("kind") != "expert":
-        raise ValueError(f"{path}: not an expert checkpoint")
+        raise DataError(f"{path}: not an expert checkpoint")
     subset = SubsetSpec(
         expert_id=Fold(meta["expert_id"]),
         classes=np.asarray(meta["subset_classes"], dtype=np.int64),
@@ -283,5 +284,5 @@ def save_baseline_checkpoint(path, model: BaselineModel) -> None:
 def load_baseline_checkpoint(path) -> BaselineModel:
     params, meta = load_checkpoint(path)
     if meta.get("kind") != "baseline":
-        raise ValueError(f"{path}: not a baseline checkpoint")
+        raise DataError(f"{path}: not a baseline checkpoint")
     return BaselineModel(params)

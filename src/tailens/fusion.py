@@ -31,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._io import atomic_write_json, atomic_write_text, format_float
+from ._io import DataError, atomic_write_json, atomic_write_text, format_float
 from .dataset import EmbeddingDataset, SamplerMode, SubsetSpec
 from .experts import PartialPosterior
 from .network import (
@@ -751,40 +751,57 @@ def write_posterior_csv(path, sample_ids, probabilities) -> None:
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
-def _read_posterior_rows(path: Path, fh, *, leading: int, width: int):
-    """Parse the rows after a posterior dump's header into (ids, probabilities).
+def _read_posterior_dump(path: Path, header: list[str], leading: int, what: str):
+    """Read a posterior dump into (ids, probabilities).
 
-    Each row holds ``leading`` id columns (the sample id first) and ``width``
-    probabilities. A row with another column count, a negative or non-finite
-    probability, or zero mass raises a ``ValueError`` naming the file and
-    line.
+    The first line must equal ``header`` (else it does not match ``what``).
+    Each row holds ``leading`` id columns (the sample id first) and then one
+    probability per remaining header column. A row with another column
+    count, a sample id that is not an integer or repeats an earlier one, a
+    negative or non-finite probability, or zero mass raises a
+    :class:`DataError` naming the file and line.
     """
+    width = len(header) - leading
     ids = []
     rows = []
     line_nos = []
-    for line_no, line in enumerate(fh, start=2):
-        line = line.strip()
-        if not line:
-            continue
-        parts = line.split(",")
-        if len(parts) != leading + width:
-            raise ValueError(
-                f"{path.name} line {line_no}: expected {width} probabilities"
-            )
-        ids.append(int(parts[0]))
-        rows.append([float(v) for v in parts[leading:]])
-        line_nos.append(line_no)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            if fh.readline().rstrip("\n").split(",") != header:
+                raise DataError(f"{path.name}: header does not match {what}")
+            for line_no, line in enumerate(fh, start=2):
+                line = line.strip()
+                if not line:
+                    continue
+                parts = line.split(",")
+                if len(parts) != len(header):
+                    raise DataError(
+                        f"{path.name} line {line_no}: expected {width} probabilities"
+                    )
+                try:
+                    ids.append(int(parts[0]))
+                    rows.append([float(v) for v in parts[leading:]])
+                except ValueError:
+                    raise DataError(f"{path.name} line {line_no}: not a number") from None
+                line_nos.append(line_no)
+    except UnicodeDecodeError:
+        raise DataError(f"{path.name}: not UTF-8 text") from None
+    ids = np.asarray(ids, dtype=np.int64)
     probs = np.asarray(rows, dtype=np.float64).reshape(-1, width)
+    order = np.argsort(ids, kind="stable")
+    repeat = np.zeros(len(ids), dtype=bool)
+    repeat[order[1:]] = ids[order[1:]] == ids[order[:-1]]
     finite = np.isfinite(probs)
     for bad, problem in (
+        (repeat, "repeated sample id"),
         (~finite.all(axis=1), "non-finite probability"),
         ((probs < 0).any(axis=1), "negative probability"),
         # non-finite entries are left out, so that inf - inf cannot warn
         (np.where(finite, probs, 0.0).sum(axis=1) <= 0, "probabilities sum to zero"),
     ):
         if bad.any():
-            raise ValueError(f"{path.name} line {line_nos[int(np.argmax(bad))]}: {problem}")
-    return np.asarray(ids, dtype=np.int64), probs
+            raise DataError(f"{path.name} line {line_nos[int(np.argmax(bad))]}: {problem}")
+    return ids, probs
 
 
 def ingest_external_posteriors(
@@ -794,17 +811,13 @@ def ingest_external_posteriors(
 
     Rows whose mass differs from 1 by more than 1e-6 are renormalized with a
     warning; negative or non-finite entries and rows of zero mass are
-    rejected with a ``ValueError`` naming the file and line.
+    rejected with a :class:`DataError` naming the file and line.
     """
     path = Path(path)
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n").split(",")
-        expected = ["sample_id"] + [f"p{j}" for j in range(class_count)]
-        if header != expected:
-            raise ValueError(
-                f"{path.name}: header does not match a {class_count}-class posterior dump"
-            )
-        ids, probs = _read_posterior_rows(path, fh, leading=1, width=class_count)
+    header = ["sample_id"] + [f"p{j}" for j in range(class_count)]
+    ids, probs = _read_posterior_dump(
+        path, header, 1, f"a {class_count}-class posterior dump"
+    )
     sums = probs.sum(axis=1)
     off = np.abs(sums - 1.0) > 1e-6
     if np.any(off):
@@ -854,20 +867,19 @@ def read_partial_posterior_csv(path) -> tuple[np.ndarray, np.ndarray, dict]:
     """Round-trip reader for partial dumps; returns (ids, probabilities, sidecar).
 
     A row with the wrong column count, a negative or non-finite entry, or
-    zero mass raises a ``ValueError`` naming the file and line.
+    zero mass raises a :class:`DataError` naming the file and line, as does
+    a sidecar that is not JSON or has no class list.
     """
     path = Path(path)
-    with open(path.with_suffix(".json"), "r", encoding="utf-8") as fh:
-        sidecar = json.load(fh)
-    k = len(sidecar["classes"])
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n").split(",")
-        expected = (
-            ["sample_id", "expert_id"] + [f"p{j}" for j in range(k)] + ["preject"]
-        )
-        if header != expected:
-            raise ValueError(f"{path.name}: header does not match its sidecar")
-        ids, probs = _read_posterior_rows(path, fh, leading=2, width=k + 1)
+    sidecar_path = path.with_suffix(".json")
+    with open(sidecar_path, "r", encoding="utf-8") as fh:
+        try:
+            sidecar = json.load(fh)
+            k = len(sidecar["classes"])
+        except (ValueError, TypeError, KeyError) as exc:
+            raise DataError(f"{sidecar_path.name}: not a dump sidecar ({exc!r})") from None
+    header = ["sample_id", "expert_id"] + [f"p{j}" for j in range(k)] + ["preject"]
+    ids, probs = _read_posterior_dump(path, header, 2, "its sidecar")
     return ids, probs, sidecar
 
 

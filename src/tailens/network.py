@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._io import atomic_write_bytes
+from ._io import DataError, atomic_write_bytes
 from .dataset import EmbeddingDataset, SamplerMode, draw_batch
 
 CHECKPOINT_MAGIC = b"tailens-ckpt-v1\n"
@@ -502,16 +502,20 @@ def load_checkpoint(path) -> tuple[NetworkParams, dict]:
     with open(path, "rb") as fh:
         magic = fh.read(len(CHECKPOINT_MAGIC))
         if magic != CHECKPOINT_MAGIC:
-            raise ValueError(f"{path.name}: not a checkpoint file")
-        header = json.loads(fh.readline().decode("utf-8"))
+            raise DataError(f"{path.name}: not a checkpoint file")
+        try:
+            header = json.loads(fh.readline().decode("utf-8"))
+            entries, dims = header["arrays"], header["dims"]
+        except (ValueError, KeyError, TypeError):
+            raise DataError(f"{path.name}: malformed checkpoint header") from None
         arrays = {}
-        for name, shape in header["arrays"]:
+        for name, shape in entries:
             count = int(np.prod(shape)) if shape else 1
             buf = fh.read(count * 8)
             if len(buf) != count * 8:
-                raise ValueError(f"{path.name}: truncated array {name}")
+                raise DataError(f"{path.name}: truncated array {name}")
             arrays[name] = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
-    layer_count = len(header["dims"]) - 1
+    layer_count = len(dims) - 1
     layers = [
         (arrays[f"layers.{i}.weight"], arrays[f"layers.{i}.bias"])
         for i in range(layer_count)

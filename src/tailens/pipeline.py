@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._io import atomic_write_json
+from ._io import DataError, atomic_write_json
 from .config import (
     DatasetSection,
     ExpertSection,
@@ -99,7 +99,8 @@ def train_config_from(
 def prepare_bundle(cfg: RunConfig) -> DatasetBundle:
     d = cfg.dataset
     if d.source == "load":
-        return load_bundle(d.manifest)
+        # each split CSV is parsed once per out_dir; see dataset.load_embeddings
+        return load_bundle(d.manifest, cache_dir=Path(cfg.paths.out_dir) / "cache")
     synth = SyntheticConfig(
         class_count=d.class_count,
         feature_dim=d.feature_dim,
@@ -321,7 +322,7 @@ def _meta_model_io(kind: str, model_type):
     def load(path):
         params, meta = load_checkpoint(path)
         if meta.get("kind") != kind:
-            raise ValueError(f"{path} is not a {kind} parameter file")
+            raise DataError(f"{path} is not a {kind} parameter file")
         return model_type(params)
 
     return save, load
@@ -342,12 +343,17 @@ def _save_calibration(path, fitted: tuple[CalibrationParams, list[float]]) -> No
 
 
 def _load_calibration(path) -> tuple[CalibrationParams, list[float]]:
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    try:
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+        scales, shifts = payload["scales"], payload["shifts"]
+        objectives = [payload["objective_initial"], payload["objective_final"]]
+    except (ValueError, KeyError, TypeError):
+        raise DataError(f"{path} is not a calibrate parameter file") from None
     calib = CalibrationParams(
-        scales=tuple(np.asarray(w, dtype=np.float64) for w in payload["scales"]),
-        shifts=tuple(np.asarray(b, dtype=np.float64) for b in payload["shifts"]),
+        scales=tuple(np.asarray(w, dtype=np.float64) for w in scales),
+        shifts=tuple(np.asarray(b, dtype=np.float64) for b in shifts),
     )
-    return calib, [payload["objective_initial"], payload["objective_final"]]
+    return calib, objectives
 
 
 _select_save, _select_load = _meta_model_io("selector", SelectorModel)

@@ -300,3 +300,49 @@ class TestCliErrors:
         bad = tmp_path / "bad_model.csv"
         bad.write_text("sample_id,p0,p1,p2,p3,p4,p5\n0,1.0,0,0,0,0,0\n")
         assert run_cli("ablate", config, "--models", bad, bad) == 3
+
+    def test_manifest_without_a_split_is_data_error(self, tmp_path, capsys):
+        from dataclasses import replace
+
+        out = tmp_path / "out"
+        cfg = tiny_run_config(str(out))
+        assert run_cli("gen-data", write_config_file(tmp_path, cfg)) == 0
+        manifest = out / "data" / "manifest.json"
+        payload = json.loads(manifest.read_text())
+        del payload["test"]
+        manifest.write_text(json.dumps(payload))
+        cfg = replace(cfg, dataset=replace(cfg.dataset, source="load", manifest=str(manifest)))
+        capsys.readouterr()
+        assert run_cli("train-baseline", write_config_file(tmp_path / "load", cfg)) == 3
+        assert "manifest.json: missing key 'test'" in capsys.readouterr().err
+
+    def test_non_numeric_posterior_entry_is_data_error(self, tmp_path, capsys):
+        config = write_config(tmp_path, str(tmp_path / "out"))
+        bad = tmp_path / "text_model.csv"
+        bad.write_text("sample_id,p0,p1,p2,p3,p4,p5\n0,1.0,0,0,0,0,0\n1,one,0,0,0,0,0\n")
+        capsys.readouterr()
+        assert run_cli("ablate", config, "--models", bad, bad) == 3
+        assert "text_model.csv line 3: not a number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bug", [ValueError, KeyError])
+    def test_internal_error_is_not_reported_as_data_error(self, tmp_path, monkeypatch, bug):
+        from tailens import cli
+
+        def broken(cfg, args):
+            raise bug("internal")
+
+        monkeypatch.setattr(cli, "cmd_oracle", broken)
+        with pytest.raises(bug):
+            run_cli("oracle", write_config(tmp_path, str(tmp_path / "out")))
+
+    def test_corrupt_calibration_file_is_data_error(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        config = write_config(tmp_path, str(out))
+        for step in (("gen-data",), ("train-baseline",), ("train-experts",)):
+            assert run_cli(step[0], config, *step[1:]) == 0
+        params = out / "fusion" / "calibrate.params"
+        params.parent.mkdir(parents=True)
+        params.write_text('{"strategy": "calibrate", "scales": [')
+        capsys.readouterr()
+        assert run_cli("evaluate", config, "--strategy", "calibrate") == 3
+        assert "calibrate.params is not a calibrate parameter file" in capsys.readouterr().err

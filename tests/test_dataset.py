@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from tailens import DataError
 from tailens.dataset import (
     EmbeddingDataset,
     EmptyFoldError,
@@ -296,6 +297,36 @@ class TestDrawBatch:
         with pytest.raises(ValueError):
             SamplerMode.reject_undersampled(0.5)
 
+    def test_uniform_class_draw_matches_the_inline_formula(self):
+        # the class order and bounds are cached on the dataset; the draw is
+        # the one that rebuilt them on every call
+        ds = _dataset_from_frequencies([50, 3, 20, 1])
+        shuffled = np.random.default_rng(2).permutation(ds.n)
+        ds = EmbeddingDataset(ds.features[shuffled], ds.labels[shuffled], ds.class_count)
+        rng = np.random.default_rng(42)
+        freq = ds.class_frequency
+        order = np.argsort(ds.labels, kind="stable")
+        bounds = np.concatenate(([0], np.cumsum(freq)))
+        expected = []
+        for _ in range(3):
+            cls = rng.integers(0, ds.class_count, size=64)
+            within = (rng.random(64) * freq[cls]).astype(np.int64)
+            expected.append(order[bounds[cls] + within])
+        rng = np.random.default_rng(42)
+        for idx in expected:
+            x, y = draw_batch(ds, SamplerMode.uniform_class(), 64, rng)
+            assert np.array_equal(x, ds.features[idx])
+            assert np.array_equal(y, ds.labels[idx])
+
+    def test_class_order_is_cached_and_read_only(self):
+        ds = _dataset_from_frequencies([5, 2, 3])
+        order, bounds = ds.class_order()
+        assert ds.class_order()[0] is order
+        assert bounds.tolist() == [0, 5, 7, 10]
+        for arr in (order, bounds):
+            with pytest.raises(ValueError):
+                arr[0] = 1
+
 
 class TestCsvRoundTrip:
     def test_bundle_round_trip_is_exact(self, tmp_path):
@@ -324,6 +355,18 @@ class TestCsvRoundTrip:
         path = tmp_path / "bad.csv"
         path.write_text(f"label,f0,f1\n0,0.5,1.5\n1,1.0,{value}\n")
         with pytest.raises(ValueError, match="bad.csv line 3: non-finite"):
+            read_embeddings_csv(path)
+
+    @pytest.mark.parametrize(
+        "body, problem",
+        [(b"0,0.5,1.5\n1,1.0,x\n", "bad.csv line 3: feature is not a number"),
+         (b"0,0.5,1.5\n1,1.0,\xff\n", "bad.csv: not UTF-8 text")],
+        ids=["text", "not-utf8"],
+    )
+    def test_unreadable_value_is_data_error(self, tmp_path, body, problem):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"label,f0,f1\n" + body)
+        with pytest.raises(DataError, match=problem):
             read_embeddings_csv(path)
 
     def test_label_out_of_declared_range(self, tmp_path):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from tailens import DataError
 from tailens.dataset import Fold, SubsetSpec
 from tailens.fusion import (
     CalibrationParams,
@@ -526,8 +527,10 @@ class TestExternalPosteriors:
             ("1,1,0.5,-0.25,0.75", "negative probability"),
             ("1,1,0.0,0.0,0.0", "probabilities sum to zero"),
             ("1,1,0.5,0.5", "expected 3 probabilities"),
+            ("0,1,0.5,0.25,0.25", "repeated sample id"),
+            ("1,1,half,0.25,0.25", "not a number"),
         ],
-        ids=["nan", "inf", "negative", "all-zero", "short-row"],
+        ids=["nan", "inf", "negative", "all-zero", "short-row", "repeated-id", "text-entry"],
     )
     def test_partial_dump_bad_rows_name_file_and_line(self, tmp_path, row, problem):
         probs = np.array([[0.25, 0.25, 0.5]])
@@ -535,5 +538,14 @@ class TestExternalPosteriors:
         path = tmp_path / "expert_dump.csv"
         write_partial_posterior_csv(path, [0], partial, S01)
         path.write_text(path.read_text() + row + "\n")
-        with pytest.raises(ValueError, match=f"expert_dump.csv line 3: {problem}"):
+        with pytest.raises(DataError, match=f"expert_dump.csv line 3: {problem}"):
+            read_partial_posterior_csv(path)
+
+    def test_sidecar_without_classes_is_data_error(self, tmp_path):
+        probs = np.array([[0.25, 0.25, 0.5]])
+        partial = PartialPosterior(Fold.MEDIUMSHOT, np.log(probs), probs)
+        path = tmp_path / "expert_dump.csv"
+        write_partial_posterior_csv(path, [0], partial, S01)
+        path.with_suffix(".json").write_text('{"expert_id": 1}\n')
+        with pytest.raises(DataError, match="expert_dump.json: not a dump sidecar"):
             read_partial_posterior_csv(path)

@@ -76,3 +76,53 @@ def test_mode_matches_a_plain_open(tmp_path, umask):
         os.umask(previous)
     mode = lambda name: stat.S_IMODE(os.stat(tmp_path / name).st_mode)  # noqa: E731
     assert mode("atomic.bin") == mode("plain.bin") == 0o666 & ~umask
+
+
+@pytest.mark.skipif(os.name != "posix", reason="directories are fsynced on POSIX only")
+def test_directory_is_fsynced_after_the_rename(tmp_path, monkeypatch):
+    events = []
+    fsync, replace = os.fsync, os.replace
+
+    def record_fsync(fd):
+        st = os.fstat(fd)
+        events.append(("fsync", stat.S_ISDIR(st.st_mode), st.st_ino))
+        fsync(fd)
+
+    def record_replace(src, dst):
+        events.append(("replace",))
+        replace(src, dst)
+
+    monkeypatch.setattr(_io.os, "fsync", record_fsync)
+    monkeypatch.setattr(_io.os, "replace", record_replace)
+    target = tmp_path / "sub" / "file.bin"
+    atomic_write_bytes(target, b"data")
+    assert [e[0] for e in events] == ["fsync", "replace", "fsync"]
+    assert events[0][1] is False
+    assert events[2][1:] == (True, os.stat(target.parent).st_ino)
+
+
+@pytest.mark.skipif(os.name != "posix", reason="directories are fsynced on POSIX only")
+@pytest.mark.parametrize("failure", ["open", "fsync"])
+def test_directory_fsync_is_skipped_where_unsupported(tmp_path, monkeypatch, failure):
+    import errno
+
+    real_open, real_fsync = os.open, os.fsync
+
+    def open_no_dirs(path, flags, *args):
+        if flags & os.O_DIRECTORY:
+            raise PermissionError(errno.EACCES, "directory cannot be opened")
+        return real_open(path, flags, *args)
+
+    def fsync_no_dirs(fd):
+        if stat.S_ISDIR(os.fstat(fd).st_mode):
+            raise OSError(errno.EINVAL, "directory fsync not supported")
+        real_fsync(fd)
+
+    if failure == "open":
+        monkeypatch.setattr(_io.os, "open", open_no_dirs)
+    else:
+        monkeypatch.setattr(_io.os, "fsync", fsync_no_dirs)
+    target = tmp_path / "file.bin"
+    atomic_write_bytes(target, b"data")
+    assert target.read_bytes() == b"data"
+    assert os.listdir(tmp_path) == ["file.bin"]

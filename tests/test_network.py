@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from tailens import DataError
 from tailens.dataset import EmbeddingDataset, SamplerMode, draw_batch
 from tailens.network import (
+    CHECKPOINT_MAGIC,
     DivergenceError,
     NetworkParams,
     TrainConfig,
@@ -444,8 +446,18 @@ class TestCheckpoint:
         save_checkpoint(b, params, {"kind": "baseline"})
         assert a.read_bytes() == b.read_bytes()
 
-    def test_rejects_non_checkpoint(self, tmp_path):
+    @pytest.mark.parametrize(
+        "content, problem",
+        [
+            (b"not a checkpoint", "not a checkpoint file"),
+            (CHECKPOINT_MAGIC + b'{"dims": [4, 4\n', "malformed checkpoint header"),
+            (CHECKPOINT_MAGIC + b'{"dims": [4, 4]}\n', "malformed checkpoint header"),
+            (CHECKPOINT_MAGIC + b'{"arrays": [["w", [4]]], "dims": [4]}\n\0', "truncated array w"),
+        ],
+        ids=["no-magic", "broken-json", "no-arrays", "truncated"],
+    )
+    def test_rejects_non_checkpoint(self, tmp_path, content, problem):
         path = tmp_path / "junk.ckpt"
-        path.write_bytes(b"not a checkpoint")
-        with pytest.raises(ValueError):
+        path.write_bytes(content)
+        with pytest.raises(DataError, match=f"junk.ckpt: {problem}"):
             load_checkpoint(path)
