@@ -18,7 +18,7 @@ import numpy as np
 
 from ._io import DataError, atomic_write_json, atomic_write_text
 from .config import ConfigError, FUSION_STRATEGIES, RunConfig, load_config
-from .dataset import EmptyFoldError, partition_subsets, save_bundle
+from .dataset import EmptyFoldError, copy_bundle, partition_subsets, save_bundle
 from .evaluation import (
     expert_confusion_matrix,
     fourfold_accuracy,
@@ -94,7 +94,12 @@ def _load_ensemble(cfg: RunConfig) -> ExpertEnsemble:
 
 def cmd_gen_data(cfg: RunConfig, args) -> None:
     bundle = prepare_bundle(cfg)
-    manifest = save_bundle(bundle, _out_dir(cfg) / "data")
+    data = _out_dir(cfg) / "data"
+    if cfg.dataset.source == "load":
+        # the input files were checked by loading them; copy their bytes
+        manifest = copy_bundle(cfg.dataset.manifest, bundle, data)
+    else:
+        manifest = save_bundle(bundle, data)
     print(f"wrote bundle to {manifest.parent}")
 
 

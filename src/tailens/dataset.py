@@ -718,13 +718,8 @@ def load_embeddings(
     )
 
 
-def save_bundle(bundle: DatasetBundle, directory) -> Path:
-    """Write train/val/test CSVs plus a manifest; returns the manifest path."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    names = {"train": bundle.train, "val": bundle.val, "test": bundle.test}
-    for name, ds in names.items():
-        write_embeddings_csv(directory / f"{name}.csv", ds)
+def _write_manifest(directory: Path, bundle: DatasetBundle) -> Path:
+    """The manifest naming ``{train,val,test}.csv`` in ``directory``."""
     manifest = {
         "format": MANIFEST_FORMAT,
         "class_count": bundle.class_count,
@@ -738,14 +733,20 @@ def save_bundle(bundle: DatasetBundle, directory) -> Path:
     return manifest_path
 
 
-def load_bundle(manifest_path, *, cache_dir=None) -> DatasetBundle:
-    """Load a bundle via its manifest (paths resolved relative to it).
+def save_bundle(bundle: DatasetBundle, directory) -> Path:
+    """Write train/val/test CSVs plus a manifest; returns the manifest path."""
+    directory = Path(directory)
+    directory.mkdir(parents=True, exist_ok=True)
+    names = {"train": bundle.train, "val": bundle.val, "test": bundle.test}
+    for name, ds in names.items():
+        write_embeddings_csv(directory / f"{name}.csv", ds)
+    return _write_manifest(directory, bundle)
 
-    With ``cache_dir``, each split is read through the array cache of
-    :func:`load_embeddings`. A manifest that is not JSON, has another
-    format or lacks a key raises :class:`DataError`.
-    """
-    manifest_path = Path(manifest_path)
+
+def _read_manifest(manifest_path: Path) -> tuple[list[Path], int]:
+    """The train, val and test paths a manifest names (relative to it) and
+    its class count; a manifest that is not JSON, has another format or
+    lacks a key raises :class:`DataError`."""
     with open(manifest_path, "r", encoding="utf-8") as fh:
         try:
             manifest = json.load(fh)
@@ -761,4 +762,27 @@ def load_bundle(manifest_path, *, cache_dir=None) -> DatasetBundle:
         raise DataError(f"{manifest_path.name}: missing key {exc.args[0]!r}") from None
     except (TypeError, ValueError):
         raise DataError(f"{manifest_path.name}: malformed split or class_count entry") from None
+    return splits, class_count
+
+
+def load_bundle(manifest_path, *, cache_dir=None) -> DatasetBundle:
+    """Load a bundle via its manifest (paths resolved relative to it).
+
+    With ``cache_dir``, each split is read through the array cache of
+    :func:`load_embeddings`. A manifest that is not JSON, has another
+    format or lacks a key raises :class:`DataError`.
+    """
+    splits, class_count = _read_manifest(Path(manifest_path))
     return load_embeddings(*splits, class_count=class_count, cache_dir=cache_dir)
+
+
+def copy_bundle(manifest_path, bundle: DatasetBundle, directory) -> Path:
+    """Copy the split CSVs a manifest names into ``directory`` byte for
+    byte, as ``{train,val,test}.csv`` under a new manifest; returns its
+    path. ``bundle`` is the one :func:`load_bundle` read from the manifest,
+    so the files were checked on the way in and are not parsed again."""
+    directory = Path(directory)
+    splits, _ = _read_manifest(Path(manifest_path))
+    for name, path in zip(("train", "val", "test"), splits):
+        atomic_write_bytes(directory / f"{name}.csv", path.read_bytes())
+    return _write_manifest(directory, bundle)

@@ -26,9 +26,11 @@ from .dataset import (
     relabel_for_expert,
 )
 from .network import (
+    DivergenceError,
     NetworkParams,
     TrainConfig,
     fit_network,
+    fit_networks,
     forward_logits,
     init_network,
     load_checkpoint,
@@ -94,12 +96,18 @@ def train_baseline(
 
 
 def finetune_uniform_classifier(
-    baseline: BaselineModel, bundle: DatasetBundle, config: TrainConfig
+    baseline: BaselineModel,
+    bundle: DatasetBundle,
+    config: TrainConfig,
+    *,
+    full_trace: bool = True,
 ) -> tuple[BaselineModel, list[float]]:
     """Refit only the classifier head with uniform class sampling.
 
     The whole backbone is frozen, so feature extraction stays bit-identical
-    to the baseline while the decision boundary is rebalanced.
+    to the baseline while the decision boundary is rebalanced. The trace is
+    :func:`train_network`'s, or with ``full_trace=False`` the cheaper one of
+    :func:`fit_network`; the weights are the same bits either way.
     """
     backbone_layers = baseline.params.layer_count - 1
     cfg = replace(
@@ -107,8 +115,32 @@ def finetune_uniform_classifier(
         sampler=SamplerMode.uniform_class(),
         frozen_layers=backbone_layers,
     )
-    trained, trace = train_network(baseline.params, bundle.train, cfg)
+    train = train_network if full_trace else fit_network
+    trained, trace = train(baseline.params, bundle.train, cfg)
     return BaselineModel(trained), trace
+
+
+def _expert_start(
+    baseline: BaselineModel, subset: SubsetSpec, bundle: DatasetBundle, config: TrainConfig
+) -> tuple[NetworkParams, EmbeddingDataset]:
+    """An expert's initial parameters (the baseline's backbone under a fresh
+    (k+1)-way head) and its relabeled training set."""
+    dims = baseline.params.dims[:-1] + [subset.size + 1]
+    fresh = init_network(dims, seed=config.seed)
+    for i in range(baseline.params.layer_count - 1):
+        w, b = baseline.params.layers[i]
+        fresh.layers[i] = (w.copy(), b.copy())
+    return fresh, relabel_for_expert(bundle.train, subset)
+
+
+def _expert_config(config: TrainConfig, rho: float, frozen_layers: int) -> TrainConfig:
+    if not rho >= 1.0:
+        raise ValueError("rho must be >= 1")
+    return replace(
+        config,
+        sampler=SamplerMode.reject_undersampled(rho),
+        frozen_layers=frozen_layers,
+    )
 
 
 def train_expert(
@@ -127,20 +159,8 @@ def train_expert(
     so the returned trace is the mean mini-batch loss of each epoch
     (``epochs`` entries), not a full-dataset loss.
     """
-    if not rho >= 1.0:
-        raise ValueError("rho must be >= 1")
-    dims = baseline.params.dims[:-1] + [subset.size + 1]
-    fresh = init_network(dims, seed=config.seed)
-    for i in range(baseline.params.layer_count - 1):
-        w, b = baseline.params.layers[i]
-        fresh.layers[i] = (w.copy(), b.copy())
-
-    relabeled = relabel_for_expert(bundle.train, subset)
-    cfg = replace(
-        config,
-        sampler=SamplerMode.reject_undersampled(rho),
-        frozen_layers=frozen_layers,
-    )
+    cfg = _expert_config(config, rho, frozen_layers)
+    fresh, relabeled = _expert_start(baseline, subset, bundle, config)
     trained, trace = fit_network(fresh, relabeled, cfg)
     expert = ExpertModel(
         params=trained, subset=subset, rho=float(rho), frozen_layers=frozen_layers
@@ -208,27 +228,48 @@ def select_expert_hyperparams(
 ) -> HyperparamSelection:
     """Grid-search (rho, frozen_layers) by validation accuracy on the subset.
 
-    One expert is trained per grid point. Ties go to the larger rho, then to
-    the larger frozen-layer count (the cheaper model). The winning expert is
-    returned alongside the full score table.
+    One expert is trained per grid point, each exactly as :func:`train_expert`
+    trains it: the points of one frozen value differ only in rho, so they
+    train in lockstep in one :func:`fit_networks` call. Ties go to the
+    larger rho, then to the larger frozen-layer count (the cheaper model).
+    The winning expert is returned alongside the full score table, whose
+    order is rho outer, frozen inner. If any point diverges, the
+    :class:`DivergenceError` of the first such point in table order is
+    raised; points after it in table order are not trained.
     """
     rho_grid = [float(r) for r in rho_grid]
     frozen_grid = [int(f) for f in frozen_grid]
     if not rho_grid or not frozen_grid:
         raise ValueError("hyperparameter grids must be nonempty")
 
+    fresh, relabeled = _expert_start(baseline, subset, bundle, config)
+    points = [(rho, frozen) for rho in rho_grid for frozen in frozen_grid]
+    configs = [_expert_config(config, rho, frozen) for rho, frozen in points]
+    outcomes: list = [None] * len(points)
+    first_bad = len(points)  # table index of the first diverged point
+    for column in range(len(frozen_grid)):
+        group = list(range(column, first_bad, len(frozen_grid)))
+        if not group:
+            continue
+        results = fit_networks(fresh, relabeled, [configs[i] for i in group])
+        for i, outcome in zip(group, results):
+            outcomes[i] = outcome
+            if isinstance(outcome, DivergenceError):
+                first_bad = min(first_bad, i)
+    if first_bad < len(points):
+        raise outcomes[first_bad]
+
     table: list[GridPoint] = []
     best: tuple[float, float, int] | None = None
     best_expert: ExpertModel | None = None
-    for rho in rho_grid:
-        for frozen in frozen_grid:
-            expert, _ = train_expert(baseline, subset, bundle, rho, frozen, config)
-            score = expert_subset_accuracy(expert, bundle.val)
-            table.append(GridPoint(rho=rho, frozen_layers=frozen, val_accuracy=score))
-            key = (score, rho, frozen)
-            if best is None or key > best:
-                best = key
-                best_expert = expert
+    for (rho, frozen), (trained, _) in zip(points, outcomes):
+        expert = ExpertModel(params=trained, subset=subset, rho=rho, frozen_layers=frozen)
+        score = expert_subset_accuracy(expert, bundle.val)
+        table.append(GridPoint(rho=rho, frozen_layers=frozen, val_accuracy=score))
+        key = (score, rho, frozen)
+        if best is None or key > best:
+            best = key
+            best_expert = expert
     assert best is not None and best_expert is not None
     return HyperparamSelection(
         rho=best[1],

@@ -590,41 +590,59 @@ def _calibration_objective(logit_rows, subsets, class_count, labels, scales, shi
     return float(-np.log(q[np.arange(len(labels)), labels]).mean())
 
 
-def _calibration_grad(logit_rows, subsets, class_count, labels, scales, shifts):
+def _label_columns(logit_rows, subsets, class_count: int, labels):
+    """Per expert, where each row's label sits in its calibrated softmax:
+    the column, and the divisor the expansion applies to it (1 for a subset
+    class or a full-width member, out_count for the reject output). The
+    calibration loss and gradient read no other entry."""
+    columns = []
+    for z, subset in zip(logit_rows, subsets):
+        width = class_count if subset is None else subset.size + 1
+        if z.shape[1] != width:
+            raise ValueError(f"logit width {z.shape[1]} does not match expected width {width}")
+        if subset is None:
+            columns.append((labels, np.ones(len(labels))))
+            continue
+        out_count = class_count - subset.size
+        if out_count == 0:
+            raise ValueError(
+                "calibration cannot handle a full-coverage subset expert; "
+                "pass subset=None for full-width members"
+            )
+        local = subset.local_map(class_count)[labels]
+        inside = local >= 0
+        columns.append((np.where(inside, local, subset.size), np.where(inside, 1.0, out_count)))
+    return columns
+
+
+def _calibration_grad(logit_rows, columns, scales, shifts):
     """Analytic gradient of the validation cross-entropy in (scales, shifts).
 
     Chains through the expansion map, the per-expert softmax, and the mean
     combination whose normalizer is the expert count (each expansion row has
-    unit mass, so the normalizer is constant).
+    unit mass, so the normalizer is constant). ``columns`` comes from
+    :func:`_label_columns`: each expert's expansion is read at the label
+    only, so the loss and the gradient are bitwise those of the full
+    expansion, whose label entry is that column over its divisor.
     """
-    n = len(labels)
-    n_experts = len(logit_rows)
-    probs, q = _calibration_forward(logit_rows, subsets, class_count, scales, shifts)
-    loss = float(-np.log(q[np.arange(n), labels]).mean())
+    n, n_experts = len(logit_rows[0]), len(logit_rows)
+    rows = np.arange(n)
+    probs = [softmax(z * w + b) for z, w, b in zip(logit_rows, scales, shifts)]
+    picked = [p[rows, col] for p, (col, _) in zip(probs, columns)]
+    # each expert's expansion at the labels, averaged as the expansions are
+    q = np.stack([pc / div for pc, (_, div) in zip(picked, columns)]).mean(axis=0)
+    loss = float(-np.log(q).mean())
 
-    coef = -1.0 / (n * n_experts * q[np.arange(n), labels])
+    coef = -1.0 / (n * n_experts * q)
     grads_w = []
     grads_b = []
-    for z, p, subset in zip(logit_rows, probs, subsets):
-        dp = np.zeros_like(p)
-        if subset is None:
-            dp[np.arange(n), labels] = coef
-        else:
-            local = subset.local_map(class_count)[labels]
-            out_count = class_count - subset.size
-            if out_count == 0 and np.any(local < 0):
-                raise ValueError(
-                    "calibration cannot handle a full-coverage subset expert; "
-                    "pass subset=None for full-width members"
-                )
-            inside = local >= 0
-            rows_in = np.nonzero(inside)[0]
-            dp[rows_in, local[rows_in]] = coef[rows_in]
-            if out_count:
-                rows_out = np.nonzero(~inside)[0]
-                dp[rows_out, subset.size] = coef[rows_out] / out_count
-        inner = (p * dp).sum(axis=1, keepdims=True)
-        du = p * (dp - inner)
+    for z, p, pc, (col, div) in zip(logit_rows, probs, picked, columns):
+        # d loss / d p has one nonzero per row, v at the label's column, so
+        # sum(p * dp) is p[col] * v and p * (dp - inner) is p * -inner off it
+        v = coef / div
+        inner = pc * v
+        du = p * (0.0 - inner)[:, None]
+        du[rows, col] = pc * (v - inner)
         grads_w.append((du * z).sum(axis=0))
         grads_b.append(du.sum(axis=0))
     return loss, grads_w, grads_b
@@ -653,9 +671,8 @@ def train_joint_calibration(
     scales = [np.ones(z.shape[1]) for z in logit_rows]
     shifts = [np.zeros(z.shape[1]) for z in logit_rows]
 
-    loss, gw, gb = _calibration_grad(
-        logit_rows, subsets, class_count, labels, scales, shifts
-    )
+    columns = _label_columns(logit_rows, subsets, class_count, labels)
+    loss, gw, gb = _calibration_grad(logit_rows, columns, scales, shifts)
     if not math.isfinite(loss):
         raise DivergenceError("calibration objective is non-finite at initialization")
     trace = [loss]
@@ -664,9 +681,7 @@ def train_joint_calibration(
         for w, b, dw, db in zip(scales, shifts, gw, gb):
             w -= lr * dw
             b -= lr * db
-        loss, gw, gb = _calibration_grad(
-            logit_rows, subsets, class_count, labels, scales, shifts
-        )
+        loss, gw, gb = _calibration_grad(logit_rows, columns, scales, shifts)
         if not math.isfinite(loss):
             raise DivergenceError(f"calibration objective became non-finite at step {step}")
         trace.append(loss)
@@ -698,9 +713,8 @@ def calibration_finite_diff_check(
         params = CalibrationParams.identity([z.shape[1] for z in logit_rows])
     scales = [w.copy() for w in params.scales]
     shifts = [b.copy() for b in params.shifts]
-    _, gw, gb = _calibration_grad(
-        logit_rows, subsets, class_count, labels, scales, shifts
-    )
+    columns = _label_columns(logit_rows, subsets, class_count, labels)
+    _, gw, gb = _calibration_grad(logit_rows, columns, scales, shifts)
     return _central_difference_error(
         lambda: _calibration_objective(
             logit_rows, subsets, class_count, labels, scales, shifts

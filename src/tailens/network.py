@@ -6,17 +6,23 @@ excludes a leading prefix of layers from updates, which is how experts reuse
 a shared backbone. Forward evaluation, losses, and gradients are pure
 functions; training copies its input parameters and returns a new set.
 
-Training runs one kernel, ``_sgd``, for both :func:`train_network` and
-:func:`fit_network`. It draws an epoch's rows in one sampler call where that
-leaves the generator's stream unchanged (``instance_balanced`` and
-``reject_undersampled``; ``uniform_class`` still draws per step), computes
-a frozen prefix's activations over the whole dataset once and gathers
-batches from that table, and runs each step through ``_Step``, whose
-buffers are allocated once per call. ``_Step`` is also what
+Training runs one kernel, ``_sgd``, for :func:`train_network`,
+:func:`fit_network` and :func:`fit_networks`. It trains a stack of G
+members that share the start, the dataset and every setting but the sampler
+and the seed (G = 1 for the first two): the trained weights are
+``(G, fan_in, fan_out)`` arrays, each member has its own generator, and
+every step runs through ``_Step`` over the whole stack, whose buffers are
+allocated once per stack. It draws an epoch's rows in one sampler call per
+member where that leaves the generator's stream unchanged
+(``instance_balanced`` and ``reject_undersampled``; ``uniform_class`` still
+draws per step), and computes a frozen prefix's activations over the whole
+dataset once and gathers batches from that table. A member whose loss or
+weights go non-finite at the end of an epoch leaves the stack and gets a
+:class:`DivergenceError`; the others go on. ``_Step`` is also what
 :func:`backward_gradients` runs, so the gradient checks cover the training
-arithmetic. The weights, the traces and the epoch a :class:`DivergenceError`
-reports are bitwise those of a plain loop that draws a batch, calls
-:func:`backward_gradients` and updates, once per step; the tests keep that
+arithmetic. Each member's weights, trace and divergence epoch are bitwise
+those of a plain loop that trains it alone, drawing a batch, calling
+:func:`backward_gradients` and updating once per step; the tests keep that
 loop as the reference.
 """
 
@@ -24,7 +30,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -137,18 +143,23 @@ def batch_loss(params: NetworkParams, features, labels) -> float:
 
 
 class _Step:
-    """One forward and backward pass over a batch, into buffers made once.
+    """One forward and backward pass over a stack of batches, into buffers
+    made once.
 
-    Built for ``rows``-row batches that enter ``layers`` at layer ``start``
-    (the layers before it are a frozen prefix whose activations the caller
-    supplies), with gradients for ``layers[frozen:]``, ``frozen >= start``.
-    The layer arrays are read at every call, so in-place updates are seen.
+    ``layers[i]`` for ``i >= start`` is a stacked pair of shapes
+    ``(G, fan_in, fan_out)`` and ``(G, 1, fan_out)``, one slice per member;
+    the layers before ``start`` are a frozen prefix whose activations the
+    caller supplies. Built for ``(G, rows, ...)`` batches, with gradients for
+    ``layers[frozen:]``, ``frozen >= start``. The layer arrays are read at
+    every call, so in-place updates are seen.
 
-    Every value is bitwise the one the plain expressions give, because each
-    is computed by the same operation in the same order, only with ``out=``:
-    ``z = a @ W + b`` per layer with ``relu`` between, ``e = exp(z - max z)``
-    and its row sum ``s``, ``delta = (e / s - onehot) / rows``, then per
-    trained layer ``dW = a.T @ delta``, ``db = delta.sum(0)`` and
+    Every value of a member is bitwise the one the plain expressions give
+    for its slice alone, because each is computed by the same operation in
+    the same order, only with ``out=`` and over the stack (``np.matmul``
+    runs the same gemm per slice): ``z = a @ W + b`` per layer with ``relu``
+    between, ``e = exp(z - max z)`` and its row sum ``s``,
+    ``delta = (e / s - onehot) / rows``, then per trained layer
+    ``dW = a.T @ delta``, ``db = delta.sum(0)`` and
     ``delta = (delta @ W.T) * (a > 0)``. The one exception is the row max,
     taken down the columns of a transposed copy of ``z``; a maximum does
     not depend on the order it is taken in, and a row-wise reduction over
@@ -159,32 +170,37 @@ class _Step:
         self.layers = layers
         self.start = start
         self.frozen = frozen
-        widths = [w.shape[1] for w, _ in layers]
+        members = layers[-1][0].shape[0]
+        widths = [w.shape[-1] for w, _ in layers]
         last = len(layers) - 1
+
+        def buffer(width, dtype=np.float64):
+            return np.empty((members, rows, width), dtype=dtype)
+
         # acts[i] is the activation entering layer i; deltas[i] and masks[i]
         # carry the gradient back through it
-        self.acts = {i: np.empty((rows, widths[i - 1])) for i in range(start + 1, last + 1)}
-        self.deltas = {i: np.empty((rows, widths[i - 1])) for i in range(frozen + 1, last + 1)}
-        self.masks = {
-            i: np.empty((rows, widths[i - 1]), dtype=bool) for i in range(frozen + 1, last + 1)
-        }
+        self.acts = {i: buffer(widths[i - 1]) for i in range(start + 1, last + 1)}
+        self.deltas = {i: buffer(widths[i - 1]) for i in range(frozen + 1, last + 1)}
+        self.masks = {i: buffer(widths[i - 1], bool) for i in range(frozen + 1, last + 1)}
         classes = widths[-1]
-        self.logits = np.empty((rows, classes))
-        self.logits_t = np.empty((classes, rows))
-        self.row_max = np.empty((rows, 1))
-        self.shifted = np.empty((rows, classes))
-        self.delta = np.empty((rows, classes))
-        self.row_start = np.arange(rows) * classes  # flat index of each row
-        self.at_label = np.empty(rows, dtype=np.int64)
+        self.logits = buffer(classes)
+        self.logits_t = np.empty((members, classes, rows))
+        self.row_max = buffer(1)
+        self.shifted = buffer(classes)
+        self.delta = buffer(classes)
+        # flat index of each row
+        self.row_start = np.arange(members * rows).reshape(members, rows) * classes
+        self.at_label = np.empty((members, rows), dtype=np.int64)
         self.grads = [(np.empty_like(w), np.empty_like(b)) for w, b in layers[frozen:]]
 
     def __call__(self, x, y, row_sum: np.ndarray, label_logit: np.ndarray):
-        """The (dW, db) pairs of the trained layers for the batch ``(x, y)``,
-        in buffers the next call overwrites. Also writes each row's
+        """The stacked (dW, db) pairs of the trained layers for the batches
+        ``x`` of shape ``(G, rows, width)`` and labels ``y`` of shape
+        ``(G, rows)``, in buffers the next call overwrites. Also writes each row's
         ``sum(exp(z - max z))`` into ``row_sum`` and its label's
-        ``z - max z`` into ``label_logit``; the row's cross-entropy is
-        ``log(row_sum) - label_logit``."""
-        layers, last, rows = self.layers, len(self.layers) - 1, len(y)
+        ``z - max z`` into ``label_logit``, both ``(G, rows)``; the row's
+        cross-entropy is ``log(row_sum) - label_logit``."""
+        layers, last, rows = self.layers, len(self.layers) - 1, y.shape[1]
         a = x
         for i in range(self.start, last):
             w, b = layers[i]
@@ -198,25 +214,25 @@ class _Step:
         np.matmul(a, w, out=z)
         np.add(z, b, out=z)
 
-        np.copyto(self.logits_t, z.T)
-        np.maximum.reduce(self.logits_t, axis=0, out=self.row_max[:, 0])
+        np.copyto(self.logits_t, z.transpose(0, 2, 1))
+        np.maximum.reduce(self.logits_t, axis=1, out=self.row_max[..., 0])
         np.subtract(z, self.row_max, out=shifted)
         np.exp(shifted, out=delta)
-        np.add.reduce(delta, axis=1, out=row_sum)
+        np.add.reduce(delta, axis=2, out=row_sum)
         at = np.add(self.row_start, y, out=self.at_label)
         shifted.reshape(-1).take(at, out=label_logit, mode="clip")  # clip: unbuffered
-        np.divide(delta, row_sum[:, None], out=delta)
+        np.divide(delta, row_sum[..., None], out=delta)
         delta.reshape(-1)[at] -= 1.0
         np.divide(delta, rows, out=delta)
 
         for i in range(last, self.frozen - 1, -1):
             a = x if i == self.start else self.acts[i]
             gw, gb = self.grads[i - self.frozen]
-            np.matmul(a.T, delta, out=gw)
-            np.add.reduce(delta, axis=0, out=gb)
+            np.matmul(a.transpose(0, 2, 1), delta, out=gw)
+            np.add.reduce(delta, axis=1, keepdims=True, out=gb)
             if i > self.frozen:
                 back, mask = self.deltas[i], self.masks[i]
-                np.matmul(delta, layers[i][0].T, out=back)
+                np.matmul(delta, layers[i][0].transpose(0, 2, 1), out=back)
                 np.greater(a, 0.0, out=mask)
                 np.multiply(back, mask, out=back)
                 delta = back
@@ -255,11 +271,13 @@ def backward_gradients(
     if labels.min() < 0 or labels.max() >= params.dims[-1]:
         raise ValueError(f"labels must lie in [0, {params.dims[-1]})")
 
-    step = _Step(params.layers, len(features), 0, frozen_layers)
-    row_sum, label_logit = np.empty(len(features)), np.empty(len(features))
-    grads = step(features, labels, row_sum, label_logit)
+    one = [(w[None], b[None, None]) for w, b in params.layers]  # a stack of one member
+    step = _Step(one, len(labels), 0, frozen_layers)
+    row_sum, label_logit = np.empty((1, len(labels))), np.empty((1, len(labels)))
+    stacked = step(features[None], labels[None], row_sum, label_logit)
+    grads = [(gw[0], gb[0, 0]) for gw, gb in stacked]
     if return_loss:
-        return float(np.mean(np.log(row_sum) - label_logit)), grads
+        return float(np.mean(np.log(row_sum[0]) - label_logit[0])), grads
     return grads
 
 
@@ -304,42 +322,52 @@ def dataset_loss(params: NetworkParams, dataset: EmbeddingDataset) -> float:
 def _sgd(
     params: NetworkParams,
     dataset: EmbeddingDataset,
-    config: TrainConfig,
+    configs: list[TrainConfig],
     full_trace: bool,
-) -> tuple[NetworkParams, list[float]]:
-    """The SGD loop behind :func:`train_network` and :func:`fit_network`.
+) -> list:
+    """The SGD loop behind :func:`train_network`, :func:`fit_network` and
+    :func:`fit_networks`: one member per config, trained in lockstep.
 
-    With ``full_trace`` each epoch's loss is the full-dataset loss after the
+    The configs may differ only in their sampler and seed; each member has
+    its own generator and trains bitwise as it would alone. With
+    ``full_trace`` each epoch's loss is the full-dataset loss after the
     epoch (plus one before training); without it, the mean of the epoch's
     batch losses, each taken before its update, and the updated weights must
-    also be finite. Either loss going non-finite raises
-    :class:`DivergenceError` with the epoch. The updates do not depend on
-    ``full_trace``.
+    also be finite. A member whose loss goes non-finite leaves the stack at
+    the end of that epoch. Returns one outcome per config, in order: the
+    trained parameters and the trace, or the :class:`DivergenceError` that
+    reports the epoch. The updates do not depend on ``full_trace``.
     """
+    config = configs[0]
+    for other in configs[1:]:
+        if replace(other, sampler=config.sampler, seed=config.seed) != config:
+            raise ValueError("stacked configs may differ only in sampler and seed")
     if dataset.class_count != params.dims[-1]:
         raise ValueError(
             f"dataset has {dataset.class_count} classes, head width is {params.dims[-1]}"
         )
     n_layers = params.layer_count
-    if config.frozen_layers > n_layers:
-        raise ValueError(f"frozen_layers {config.frozen_layers} exceeds {n_layers} layers")
+    frozen = config.frozen_layers
+    if frozen > n_layers:
+        raise ValueError(f"frozen_layers {frozen} exceeds {n_layers} layers")
 
-    params = params.copy()
-    rng = np.random.default_rng(config.seed)
     rows = config.batch_size
     steps_per_epoch = max(1, dataset.n // rows)
-    trace = []
+    outcomes: list = [None] * len(configs)
+    traces = [[] for _ in configs]
     if full_trace:
-        trace.append(dataset_loss(params, dataset))
-        if not math.isfinite(trace[0]):
-            raise DivergenceError("initial loss is non-finite", epoch=0)
+        loss = dataset_loss(params, dataset)
+        if not math.isfinite(loss):
+            return [DivergenceError("initial loss is non-finite", epoch=0) for _ in configs]
+        for trace in traces:
+            trace.append(loss)
 
     # The frozen prefix never changes, so batches gather its activations
     # from one table over the dataset. A row of the table is bitwise the
     # batch's own activation because BLAS gemm rounds each output row alike
     # whatever the row count; a single row goes through gemv instead, which
     # rounds differently, so one-row batches and datasets keep the prefix.
-    start = min(config.frozen_layers, n_layers - 1) if min(rows, dataset.n) > 1 else 0
+    start = min(frozen, n_layers - 1) if min(rows, dataset.n) > 1 else 0
     source = dataset
     if start:
         table = dataset.features
@@ -347,23 +375,51 @@ def _sgd(
             table = np.maximum(table @ w + b, 0.0)
         source = dataset.with_features(table)
 
-    step = _Step(params.layers, rows, start, config.frozen_layers)
-    trained = params.layers[config.frozen_layers :]
-    scratch = [(np.empty_like(w), np.empty_like(b)) for w, b in trained]
-    # per step and row: sum_c exp(z - max z) and the label's z - max z
-    row_sums = np.empty((steps_per_epoch, rows))
-    label_logits = np.empty((steps_per_epoch, rows))
-    per_epoch = config.sampler.draws_concatenate
+    rngs = [np.random.default_rng(c.seed) for c in configs]
+    per_epoch = all(c.sampler.draws_concatenate for c in configs)
+    alive = list(range(len(configs)))  # the members still in the stack, by slot
+    trained = [  # stacked copies of the trained layers
+        (np.repeat(w[None], len(alive), axis=0), np.repeat(b[None, None], len(alive), axis=0))
+        for w, b in params.layers[frozen:]
+    ]
+    views = [NetworkParams(list(params.layers)) for _ in configs]  # each member's own
+
+    def restack():
+        """Point the views at the stack and size the buffers to it."""
+        count = len(alive)
+        for slot, m in enumerate(alive):
+            views[m].layers[frozen:] = [(w[slot], b[slot, 0]) for w, b in trained]
+        fixed = [
+            (np.broadcast_to(w, (count, *w.shape)), np.broadcast_to(b, (count, 1, len(b))))
+            for w, b in params.layers[start:frozen]
+        ]
+        step = _Step(params.layers[:start] + fixed + trained, rows, start, frozen)
+        scratch = [(np.empty_like(w), np.empty_like(b)) for w, b in trained]
+        # per step, member and row: sum_c exp(z - max z) and the label's z - max z
+        sums = np.empty((steps_per_epoch, count, rows))
+        label_logits = np.empty((steps_per_epoch, count, rows))
+        # one epoch's batches, or one step's when the sampler draws per step
+        draws = steps_per_epoch if per_epoch else 1
+        xs = np.empty((draws, count, rows, source.feature_dim))
+        ys = np.empty((draws, count, rows), dtype=np.int64)
+        return step, scratch, sums, label_logits, xs, ys
+
+    step, scratch, row_sums, label_logits, xs, ys = restack()
     for epoch in range(config.epochs):
         lr = cosine_lr(config.lr0, epoch, config.epochs)
         if per_epoch:
-            xs, ys = draw_batch(source, config.sampler, steps_per_epoch * rows, rng)
+            for slot, m in enumerate(alive):
+                x, y = draw_batch(source, configs[m].sampler, steps_per_epoch * rows, rngs[m])
+                xs[:, slot] = x.reshape(steps_per_epoch, rows, -1)
+                ys[:, slot] = y.reshape(steps_per_epoch, rows)
         for s in range(steps_per_epoch):
-            if per_epoch:
-                x, y = xs[s * rows : (s + 1) * rows], ys[s * rows : (s + 1) * rows]
-            else:
-                x, y = draw_batch(source, config.sampler, rows, rng)
-            grads = step(x, y, row_sums[s], label_logits[s])
+            if not per_epoch:
+                for slot, m in enumerate(alive):
+                    xs[0, slot], ys[0, slot] = draw_batch(
+                        source, configs[m].sampler, rows, rngs[m]
+                    )
+            d = s if per_epoch else 0
+            grads = step(xs[d], ys[d], row_sums[s], label_logits[s])
             for (w, b), (gw, gb), (tw, tb) in zip(trained, grads, scratch):
                 if config.weight_decay:
                     np.multiply(w, config.weight_decay, out=tw)
@@ -372,24 +428,47 @@ def _sgd(
                 np.subtract(w, tw, out=w)
                 np.multiply(gb, lr, out=tb)
                 np.subtract(b, tb, out=b)
-        if full_trace:
-            loss = dataset_loss(params, dataset)
-        elif all(np.isfinite(w).all() and np.isfinite(b).all() for w, b in trained):
-            # each batch's mean cross-entropy, summed in step order: the
-            # float a running sum of per-batch np.mean would give
-            batch_losses = np.log(row_sums) - label_logits
-            loss = 0.0
-            for mean in (np.add.reduce(batch_losses, axis=1) / rows).tolist():
-                loss += mean
-            loss /= steps_per_epoch
-        else:
-            loss = math.nan
-        if not math.isfinite(loss):
-            raise DivergenceError(
-                f"loss became non-finite at epoch {epoch}", epoch=epoch
-            )
-        trace.append(loss)
-    return params, trace
+
+        keep = []
+        for slot, m in enumerate(alive):
+            if full_trace:
+                loss = dataset_loss(views[m], dataset)
+            elif all(np.isfinite(w[slot]).all() and np.isfinite(b[slot]).all()
+                     for w, b in trained):
+                # each batch's mean cross-entropy, summed in step order: the
+                # float a running sum of per-batch np.mean would give
+                batch_losses = np.log(row_sums[:, slot]) - label_logits[:, slot]
+                loss = 0.0
+                for mean in (np.add.reduce(batch_losses, axis=1) / rows).tolist():
+                    loss += mean
+                loss /= steps_per_epoch
+            else:
+                loss = math.nan
+            if math.isfinite(loss):
+                traces[m].append(loss)
+                keep.append(slot)
+            else:
+                outcomes[m] = DivergenceError(
+                    f"loss became non-finite at epoch {epoch}", epoch=epoch
+                )
+        if len(keep) < len(alive):
+            alive = [alive[slot] for slot in keep]
+            if not alive:
+                break
+            trained = [(w[keep], b[keep]) for w, b in trained]
+            step, scratch, row_sums, label_logits, xs, ys = restack()
+
+    for m in alive:
+        trained_params = NetworkParams([(w.copy(), b.copy()) for w, b in views[m].layers])
+        outcomes[m] = (trained_params, traces[m])
+    return outcomes
+
+
+def _one(outcomes: list) -> tuple[NetworkParams, list[float]]:
+    (outcome,) = outcomes
+    if isinstance(outcome, DivergenceError):
+        raise outcome
+    return outcome
 
 
 def train_network(
@@ -404,7 +483,7 @@ def train_network(
     when the trace is not needed: it trains bit-identical parameters
     without the full-dataset passes.
     """
-    return _sgd(params, dataset, config, full_trace=True)
+    return _one(_sgd(params, dataset, [config], full_trace=True))
 
 
 def fit_network(
@@ -418,7 +497,23 @@ def fit_network(
     batch losses and from non-finite weights at the end of an epoch, and
     raises :class:`DivergenceError` with the epoch.
     """
-    return _sgd(params, dataset, config, full_trace=False)
+    return _one(_sgd(params, dataset, [config], full_trace=False))
+
+
+def fit_networks(params: NetworkParams, dataset: EmbeddingDataset, configs) -> list:
+    """:func:`fit_network` from one start for several configs at once.
+
+    The configs may differ only in their sampler and seed. The members train
+    in lockstep, one stacked step per batch, and each gets bitwise the
+    parameters and trace :func:`fit_network` gives it alone. Returns one
+    outcome per config, in order: ``(params, trace)``, or the
+    :class:`DivergenceError` that call would raise; a diverged member stops
+    training at the end of its epoch and the others go on.
+    """
+    configs = list(configs)
+    if not configs:
+        raise ValueError("need at least one config")
+    return _sgd(params, dataset, configs, full_trace=False)
 
 
 def _central_difference_error(loss, arrays, grads, eps: float) -> float:

@@ -118,20 +118,21 @@ def frequency_folds(bundle: DatasetBundle, cfg: RunConfig) -> FoldAssignment:
     return assign_folds(bundle.train, (cfg.dataset.many_min, cfg.dataset.few_max))
 
 
+def _baseline_config(cfg: RunConfig) -> TrainConfig:
+    return train_config_from(cfg.training, seed=cfg.training.seed + SEED_BASELINE)
+
+
+def _uniform_config(cfg: RunConfig) -> TrainConfig:
+    return train_config_from(cfg.training, seed=cfg.training.seed + SEED_UNIFORM, stage="uniform")
+
+
 def train_baselines(
     bundle: DatasetBundle, cfg: RunConfig
 ) -> tuple[tuple[BaselineModel, list[float]], tuple[BaselineModel, list[float]]]:
     """The baseline on the long-tailed train split, then its head refit with
     uniform class sampling; ``(model, loss trace)`` for each."""
-    root = cfg.training.seed
-    baseline, trace = train_baseline(
-        bundle, train_config_from(cfg.training, seed=root + SEED_BASELINE)
-    )
-    uniform, uniform_trace = finetune_uniform_classifier(
-        baseline,
-        bundle,
-        train_config_from(cfg.training, seed=root + SEED_UNIFORM, stage="uniform"),
-    )
+    baseline, trace = train_baseline(bundle, _baseline_config(cfg))
+    uniform, uniform_trace = finetune_uniform_classifier(baseline, bundle, _uniform_config(cfg))
     return (baseline, trace), (uniform, uniform_trace)
 
 
@@ -209,7 +210,12 @@ def train_all(bundle: DatasetBundle, cfg: RunConfig, threads: int = 1) -> Traine
     """
     folds = frequency_folds(bundle, cfg)
     subsets = partition_subsets(folds, bundle.train)
-    (baseline, trace), (uniform, _) = train_baselines(bundle, cfg)
+    baseline, trace = train_baseline(bundle, _baseline_config(cfg))
+    # the same weights as train_baselines' uniform model; its full-dataset
+    # trace is not kept, so it is not computed
+    uniform, _ = finetune_uniform_classifier(
+        baseline, bundle, _uniform_config(cfg), full_trace=False
+    )
     selections = select_experts(baseline, subsets, bundle, cfg, threads)
     return TrainedEnsemble(
         bundle=bundle,

@@ -172,3 +172,34 @@ def test_load_chain_reruns_are_byte_identical_with_the_cache(tmp_path):
         assert other.keys() == first.keys()
         for name in first:
             assert other[name] == first[name], f"{name} differs {what}"
+
+
+def test_gen_data_on_a_loaded_bundle_copies_the_input_bytes(tmp_path):
+    # inputs under other names and in a hand-written number format that
+    # parses to the same arrays but is not what save_bundle would write
+    source = save_bundle(generate_longtailed(SMALL_CFG, seed=3), tmp_path / "src")
+    names = {}
+    for split in SPLITS:
+        lines = (source.parent / f"{split}.csv").read_text().splitlines()
+        lines[1] = lines[1].replace(",", ", ").replace(", ", ",", 1) + " "
+        names[split] = f"my_{split}.csv"
+        (source.parent / names[split]).write_text("\n".join(lines) + "\n\n")
+    payload = json.loads(source.read_text())
+    payload.update(names)
+    manifest = source.parent / "mine.json"
+    manifest.write_text(json.dumps(payload))
+
+    out = tmp_path / "out"
+    assert main(["gen-data", str(load_config_for(tmp_path, manifest, out))]) == 0
+    data = out / "data"
+    assert sorted(p.name for p in data.iterdir()) == sorted(
+        ["manifest.json"] + [f"{s}.csv" for s in SPLITS]
+    )
+    for split in SPLITS:
+        assert (data / f"{split}.csv").read_bytes() == (source.parent / names[split]).read_bytes()
+    assert json.loads((data / "manifest.json").read_text()) == json.loads(source.read_text())
+    copied, loaded = load_bundle(data / "manifest.json"), load_bundle(manifest)
+    for split in SPLITS:
+        a, b = getattr(copied, split), getattr(loaded, split)
+        assert a.features.tobytes() == b.features.tobytes()
+        assert a.labels.tobytes() == b.labels.tobytes()

@@ -13,8 +13,8 @@ from tailens.config import (
     serialize_config,
 )
 from tailens.evaluation import fourfold_accuracy
-from tailens import pipeline
-from tailens.experts import expert_partial_posterior
+from tailens import network, pipeline
+from tailens.experts import expert_partial_posterior, load_baseline_checkpoint
 from tailens.pipeline import (
     FUSIONS,
     ExpertEnsemble,
@@ -183,6 +183,34 @@ class TestCliMatchesPipeline:
         assert [(t["rho"], t["frozen_layers"]) for t in tables] == [
             (sel.rho, sel.frozen_layers) for sel in ens.selections
         ]
+
+
+    def test_library_uniform_is_the_cli_uniform_without_its_trace(
+        self, cli_and_library_runs, monkeypatch
+    ):
+        # train_all keeps no uniform trace, so it skips the uniform
+        # finetune's full-dataset losses; the weights are the CLI's, whose
+        # train-baseline still writes that trace
+        cfg, out, ens = cli_and_library_runs
+        uniform = load_baseline_checkpoint(out / "checkpoints" / "uniform.ckpt")
+        for (wa, ba), (wb, bb) in zip(uniform.params.layers, ens.uniform.params.layers):
+            assert wa.tobytes() == wb.tobytes() and ba.tobytes() == bb.tobytes()
+        traces = json.loads((out / "checkpoints" / "train_traces.json").read_text())
+        assert len(traces["uniform"]) == cfg.training.epochs + 1
+
+        calls = []
+        dataset_loss = network.dataset_loss
+
+        def counting(params, dataset):
+            calls.append(params.dims[-1])
+            return dataset_loss(params, dataset)
+
+        monkeypatch.setattr(network, "dataset_loss", counting)
+        again = train_all(prepare_bundle(cfg), cfg)
+        assert len(calls) == cfg.training.epochs + 1  # the baseline's trace only
+        assert list(again.baseline_trace) == traces["baseline"]
+        for (wa, ba), (wb, bb) in zip(again.uniform.params.layers, ens.uniform.params.layers):
+            assert wa.tobytes() == wb.tobytes() and ba.tobytes() == bb.tobytes()
 
 
 class TestEnsemblePartials:

@@ -221,6 +221,84 @@ class TestHyperparamSelection:
         assert rho == pytest.approx((bundle.train.n - in_count) / in_count)
 
 
+def reference_selection(baseline, subset, bundle, rho_grid, frozen_grid, config):
+    """The grid search written out plainly: one train_expert call per grid
+    point in table order (rho outer, frozen inner), stopping at the first
+    divergence. Returns the table, the winner's key and every point's
+    expert and trace."""
+    table, best, trained = [], None, {}
+    for rho in rho_grid:
+        for frozen in frozen_grid:
+            expert, trace = train_expert(baseline, subset, bundle, rho, frozen, config)
+            score = expert_subset_accuracy(expert, bundle.val)
+            table.append((rho, frozen, score))
+            trained[(rho, frozen)] = (expert, trace)
+            if best is None or (score, rho, frozen) > best:
+                best = (score, rho, frozen)
+    return table, best, trained
+
+
+class TestLockstepGridSearch:
+    """select_expert_hyperparams trains each frozen value's rho points in
+    one stacked call; every result must be that of one train_expert call
+    per point."""
+
+    @pytest.mark.parametrize("frozen_grid", [(0, 1), (1, 0)])
+    @pytest.mark.parametrize("which", [0, 2])
+    def test_table_winner_and_weights_are_the_reference(
+        self, tiny_world, which, frozen_grid, monkeypatch
+    ):
+        bundle, _, subsets, baseline, config = tiny_world
+        rho_grid = (1.0, 2.0, 4.0, 8.0)
+        table, best, trained = reference_selection(
+            baseline, subsets[which], bundle, rho_grid, frozen_grid, config
+        )
+        stacked = {}
+        fit_networks = t.experts.fit_networks
+
+        def spy(params, dataset, configs):
+            results = fit_networks(params, dataset, configs)
+            for cfg, (params_out, trace) in zip(configs, results):
+                stacked[(cfg.sampler.rho, cfg.frozen_layers)] = (params_out, trace)
+            return results
+
+        monkeypatch.setattr(t.experts, "fit_networks", spy)
+        sel = select_expert_hyperparams(
+            baseline, subsets[which], bundle, rho_grid, frozen_grid, config
+        )
+        assert [(p.rho, p.frozen_layers, p.val_accuracy) for p in sel.table] == table
+        assert (sel.rho, sel.frozen_layers) == best[1:]
+        assert sel.expert.rho == sel.rho and sel.expert.frozen_layers == sel.frozen_layers
+        assert set(stacked) == set(trained)
+        for key, (expert, trace) in trained.items():
+            params, stacked_trace = stacked[key]
+            assert stacked_trace == trace
+            for (wa, ba), (wb, bb) in zip(params.layers, expert.params.layers):
+                assert wa.tobytes() == wb.tobytes() and ba.tobytes() == bb.tobytes()
+        for (wa, ba), (wb, bb) in zip(
+            sel.expert.params.layers, trained[best[1:]][0].params.layers
+        ):
+            assert wa.tobytes() == wb.tobytes() and ba.tobytes() == bb.tobytes()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("frozen_grid", [(0, 1), (1, 0)])
+    @pytest.mark.parametrize("lr0", [1e12, 1e4])
+    def test_divergence_is_the_reference_loops_first(self, tiny_world, lr0, frozen_grid):
+        # with a frozen backbone the softmax head saturates instead of
+        # diverging, so only the frozen=0 points diverge; at lr0=1e4 they do
+        # so at different epochs (rho 2 and 4 before rho 1), and the stack
+        # must go on without them
+        bundle, _, subsets, baseline, config = tiny_world
+        config = replace(config, lr0=lr0, weight_decay=0.0)
+        grid = ((1.0, 2.0, 4.0), frozen_grid)
+        with pytest.raises(t.DivergenceError) as ref:
+            reference_selection(baseline, subsets[2], bundle, *grid, config)
+        with pytest.raises(t.DivergenceError) as err:
+            select_expert_hyperparams(baseline, subsets[2], bundle, *grid, config)
+        assert str(err.value) == str(ref.value)
+        assert err.value.epoch == ref.value.epoch is not None
+
+
 class TestExpertCheckpoint:
     def test_round_trip(self, tiny_world, tmp_path):
         bundle, _, subsets, baseline, config = tiny_world

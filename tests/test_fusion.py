@@ -387,6 +387,99 @@ class TestStacker:
         assert np.max(np.abs(q.sum(axis=1) - 1.0)) < 1e-9
 
 
+def reference_calibration_grad(logit_rows, subsets, class_count, labels, scales, shifts):
+    """The calibration loss and gradient through the full expansion: every
+    expert's posterior is expanded to all classes, and dL/dp is a full
+    table with one nonzero per row."""
+    n, n_experts = len(labels), len(logit_rows)
+    probs = [softmax(z * w + b) for z, w, b in zip(logit_rows, scales, shifts)]
+    q = np.stack([expand_partial(p, s, class_count) for p, s in zip(probs, subsets)]).mean(axis=0)
+    loss = float(-np.log(q[np.arange(n), labels]).mean())
+    coef = -1.0 / (n * n_experts * q[np.arange(n), labels])
+    grads_w, grads_b = [], []
+    for z, p, subset in zip(logit_rows, probs, subsets):
+        dp = np.zeros_like(p)
+        if subset is None:
+            dp[np.arange(n), labels] = coef
+        else:
+            local = subset.local_map(class_count)[labels]
+            rows_in = np.nonzero(local >= 0)[0]
+            dp[rows_in, local[rows_in]] = coef[rows_in]
+            rows_out = np.nonzero(local < 0)[0]
+            dp[rows_out, subset.size] = coef[rows_out] / (class_count - subset.size)
+        inner = (p * dp).sum(axis=1, keepdims=True)
+        du = p * (dp - inner)
+        grads_w.append((du * z).sum(axis=0))
+        grads_b.append(du.sum(axis=0))
+    return loss, grads_w, grads_b
+
+
+def reference_calibration(logits, subsets, labels, class_count, steps, lr):
+    """train_joint_calibration's gradient descent on the reference gradient."""
+    scales = [np.ones(z.shape[1]) for z in logits]
+    shifts = [np.zeros(z.shape[1]) for z in logits]
+    loss, gw, gb = reference_calibration_grad(logits, subsets, class_count, labels, scales, shifts)
+    trace, best = [loss], (loss, [w.copy() for w in scales], [b.copy() for b in shifts])
+    for _ in range(steps):
+        for w, b, dw, db in zip(scales, shifts, gw, gb):
+            w -= lr * dw
+            b -= lr * db
+        loss, gw, gb = reference_calibration_grad(
+            logits, subsets, class_count, labels, scales, shifts
+        )
+        trace.append(loss)
+        if loss < best[0]:
+            best = (loss, [w.copy() for w in scales], [b.copy() for b in shifts])
+    return best[1], best[2], trace
+
+
+class TestCalibrationReadsTheLabelColumn:
+    """The fit reads each expert's calibrated posterior at the label only;
+    the parameters and the trace must be bitwise those of the gradient
+    through the full expansion."""
+
+    @pytest.mark.parametrize(
+        "world",
+        ["two-subsets", "with-full-width", "uneven-seven"],
+    )
+    def test_fit_is_bitwise_the_expansion_gradient(self, world):
+        rng = np.random.default_rng(17)
+        if world == "two-subsets":
+            class_count, subsets = 4, [S01, S23]
+        elif world == "with-full-width":
+            class_count, subsets = 4, [S01, None, S23]
+        else:
+            class_count = 7
+            subsets = [
+                SubsetSpec(Fold.MANYSHOT, np.array([0, 4])),
+                SubsetSpec(Fold.MEDIUMSHOT, np.array([1, 2, 6])),
+                SubsetSpec(Fold.FEWSHOT, np.array([3, 5])),
+            ]
+        widths = [class_count if s is None else s.size + 1 for s in subsets]
+        logits = [rng.normal(0.0, 2.0, size=(120, m)) for m in widths]
+        labels = rng.integers(0, class_count, size=120)
+        calib, trace = train_joint_calibration(
+            logits, subsets, labels, class_count, steps=60, lr=2.0
+        )
+        scales, shifts, ref_trace = reference_calibration(
+            logits, subsets, labels, class_count, steps=60, lr=2.0
+        )
+        assert trace == ref_trace
+        for a, b in zip(calib.scales + calib.shifts, scales + shifts):
+            assert a.tobytes() == b.tobytes()
+
+    def test_full_coverage_subset_is_rejected(self):
+        full = SubsetSpec(Fold.MANYSHOT, np.arange(4))
+        z = [np.zeros((3, 5)), np.zeros((3, 3))]
+        with pytest.raises(ValueError, match="full-coverage"):
+            train_joint_calibration(z, [full, S01], np.array([0, 1, 2]), 4, steps=1)
+
+    def test_width_mismatch_is_rejected(self):
+        z = [np.zeros((3, 4)), np.zeros((3, 3))]
+        with pytest.raises(ValueError, match="logit width"):
+            train_joint_calibration(z, [S01, S23], np.array([0, 1, 2]), 4, steps=1)
+
+
 class TestJointCalibration:
     def _instance(self, n=40, seed=0):
         rng = np.random.default_rng(seed)

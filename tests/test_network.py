@@ -17,6 +17,7 @@ from tailens.network import (
     dataset_loss,
     finite_diff_check,
     fit_network,
+    fit_networks,
     forward_logits,
     init_network,
     load_checkpoint,
@@ -424,6 +425,94 @@ class TestKernelMatchesReference:
         assert len(grads) == len(ref_grads) == 3 - frozen
         for (gw, gb), (rw, rb) in zip(grads, ref_grads):
             assert gw.tobytes() == rw.tobytes() and gb.tobytes() == rb.tobytes()
+
+
+def fit_alone(params, dataset, config):
+    """fit_network's result, or the DivergenceError it raises."""
+    try:
+        return fit_network(params, dataset, config)
+    except DivergenceError as exc:
+        return exc
+
+
+class TestStackedMembers:
+    """fit_networks trains a stack of members in lockstep; each member must
+    get the bits fit_network gives it alone."""
+
+    MEMBERS = [
+        (SamplerMode.reject_undersampled(1.0), 11),
+        (SamplerMode.reject_undersampled(3.5), 11),
+        (SamplerMode.instance_balanced(), 12),
+        (SamplerMode.reject_undersampled(2.0), 13),
+    ]
+
+    @pytest.mark.parametrize("frozen", [0, 1, 2, 3])
+    @pytest.mark.parametrize("with_uniform", [False, True], ids=["per-epoch", "per-step"])
+    def test_each_member_is_fit_network_alone(self, frozen, with_uniform):
+        ds = three_class_dataset()
+        params = init_network([5, 12, 9, 3], seed=7)
+        members = self.MEMBERS + ([(SamplerMode.uniform_class(), 14)] if with_uniform else [])
+        configs = [
+            TrainConfig(
+                lr0=0.4, epochs=5, batch_size=16, seed=seed, sampler=sampler,
+                frozen_layers=frozen, weight_decay=1e-3,
+            )
+            for sampler, seed in members
+        ]
+        results = fit_networks(params, ds, configs)
+        assert len(results) == len(configs)
+        for config, (fitted, trace) in zip(configs, results):
+            alone, alone_trace = fit_network(params, ds, config)
+            assert_same_bits(fitted, alone)
+            assert trace == alone_trace
+
+    @pytest.mark.parametrize("batch_size", [1, 90])
+    def test_one_row_and_whole_dataset_batches(self, batch_size):
+        ds = three_class_dataset(seed=1)
+        params = init_network([5, 12, 9, 3], seed=2)
+        configs = [
+            TrainConfig(
+                lr0=0.2, epochs=2, batch_size=batch_size, seed=seed, frozen_layers=1,
+                sampler=sampler,
+            )
+            for sampler, seed in self.MEMBERS
+        ]
+        for config, (fitted, trace) in zip(configs, fit_networks(params, ds, configs)):
+            alone, alone_trace = fit_network(params, ds, config)
+            assert_same_bits(fitted, alone)
+            assert trace == alone_trace
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("lr0", [1e12, 1e8])
+    @pytest.mark.parametrize("frozen", [0, 1])
+    def test_a_diverged_member_leaves_the_others_as_they_were(self, lr0, frozen):
+        # at frozen=0 the rho-3.5 member diverges at epoch 1 and leaves the stack
+        ds = three_class_dataset()
+        params = init_network([5, 12, 9, 3], seed=7)
+        configs = [
+            TrainConfig(
+                lr0=lr0, epochs=8, batch_size=16, seed=seed, sampler=sampler,
+                frozen_layers=frozen, weight_decay=0.0,
+            )
+            for sampler, seed in self.MEMBERS + [(SamplerMode.uniform_class(), 14)]
+        ]
+        for config, outcome in zip(configs, fit_networks(params, ds, configs)):
+            alone = fit_alone(params, ds, config)
+            if isinstance(alone, DivergenceError):
+                assert isinstance(outcome, DivergenceError)
+                assert str(outcome) == str(alone) and outcome.epoch == alone.epoch
+            else:
+                assert_same_bits(outcome[0], alone[0])
+                assert outcome[1] == alone[1]
+
+    def test_configs_may_differ_only_in_sampler_and_seed(self):
+        ds = three_class_dataset()
+        params = init_network([5, 4, 3], seed=0)
+        base = TrainConfig(lr0=0.1, epochs=1, batch_size=16)
+        with pytest.raises(ValueError, match="sampler and seed"):
+            fit_networks(params, ds, [base, TrainConfig(lr0=0.2, epochs=1, batch_size=16)])
+        with pytest.raises(ValueError, match="at least one"):
+            fit_networks(params, ds, [])
 
 
 class TestCheckpoint:
