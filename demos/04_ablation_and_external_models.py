@@ -16,7 +16,7 @@ import numpy as np
 import tailens as t
 from tailens.evaluation import take_one_out_ablation
 from tailens.fusion import (
-    fuse_models,
+    fuse_soft_vote,
     ingest_external_posteriors,
     write_posterior_csv,
 )
@@ -53,8 +53,11 @@ for name, probs in tables.items():
     loaded[name] = ingest_external_posteriors(path, bundle.class_count)
 print(f"dumped and re-ingested {len(loaded)} posterior tables under {workdir}")
 
-fused = fuse_models(list(loaded.values()))
-print(f"soft-voted ensemble rows normalize to {fused.probabilities.sum(axis=1).mean():.6f}")
+# full-width members carry no reject entry, so each joins with subset None
+fused = fuse_soft_vote(
+    [table.probabilities for table in loaded.values()], [None] * len(loaded), bundle.class_count
+)
+print(f"soft-voted ensemble rows normalize to {fused.sum(axis=1).mean():.6f}")
 
 reports = take_one_out_ablation(
     {name: table.probabilities for name, table in loaded.items()},

@@ -76,7 +76,6 @@ from .fusion import (
     fuse_by_stacking,
     fuse_calibrated,
     fuse_kl_min,
-    fuse_models,
     fuse_soft_vote,
     ingest_external_posteriors,
     train_expert_selector,

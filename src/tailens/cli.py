@@ -163,7 +163,7 @@ def cmd_dump_posteriors(cfg: RunConfig, args) -> None:
         experts = _load_experts(cfg)
         partials = [expert_partial_posterior(e, split.features) for e in experts]
         fused = FUSIONS["softvote"].apply(
-            partials, [e.subset for e in experts], bundle.class_count, None, cfg
+            partials, [e.subset for e in experts], bundle.class_count, None
         )
         write_posterior_csv(out, ids, fused)
     else:
@@ -188,9 +188,10 @@ def cmd_train_fusion(cfg: RunConfig, args) -> None:
 
 def cmd_evaluate(cfg: RunConfig, args) -> None:
     ensemble = _load_ensemble(cfg)
-    load = FUSIONS[args.strategy].load
-    hint = f"tailens train-fusion --strategy {args.strategy}"
-    params = load(_require_file(_fusion_path(cfg, args.strategy), hint)) if load else None
+    params = None
+    if load := FUSIONS[args.strategy].load:
+        hint = f"tailens train-fusion --strategy {args.strategy}"
+        params = load(_require_file(_fusion_path(cfg, args.strategy), hint), ensemble)
     fused = fused_posteriors(ensemble, FittedFusion(args.strategy, params), cfg)
     report = fourfold_accuracy(
         np.argmax(fused, axis=1), ensemble.bundle.test.labels, ensemble.folds
@@ -250,7 +251,7 @@ def cmd_report(cfg: RunConfig, args) -> None:
     if calib_path.is_file():
         calibrate = FUSIONS["calibrate"]
         fused = calibrate.apply(
-            partials, subsets, bundle.class_count, calibrate.load(calib_path), cfg
+            partials, subsets, bundle.class_count, calibrate.load(calib_path, ensemble)
         )
         calibrated = expert_confusion_matrix(
             partials, subsets, bundle.test.labels, folds, fused_probabilities=fused
@@ -279,13 +280,13 @@ def build_parser() -> argparse.ArgumentParser:
     def add(name, fn, help_text):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("config", help="run configuration (INI)")
-        p.add_argument("--threads", type=int, default=1, help="worker threads")
         p.set_defaults(fn=fn)
         return p
 
     add("gen-data", cmd_gen_data, "write bundle CSVs and manifest")
     add("train-baseline", cmd_train_baseline, "train baseline and uniform finetune")
-    add("train-experts", cmd_train_experts, "grid-search and train the three experts")
+    p = add("train-experts", cmd_train_experts, "grid-search and train the three experts")
+    p.add_argument("--threads", type=int, default=1, help="worker threads")
 
     p = add("dump-posteriors", cmd_dump_posteriors, "write a posterior dump CSV")
     p.add_argument("--model", required=True, choices=MODEL_NAMES)

@@ -61,13 +61,6 @@ class ExpertSection:
 @dataclass(frozen=True)
 class FusionSection:
     strategy: str = "calibrate"
-    kl_steps: int = 2000
-    kl_tol: float = 1e-12
-    calibration_steps: int = 200
-    calibration_lr: float = 2.0
-    meta_epochs: int = 100
-    meta_lr0: float = 0.5
-    meta_batch_size: int = 64
 
 
 @dataclass(frozen=True)

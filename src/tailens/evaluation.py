@@ -266,16 +266,14 @@ def take_one_out_ablation(
     tables: Mapping[str, np.ndarray],
     labels,
     folds: FoldAssignment,
-    strategy: str = "softvote",
 ) -> dict[str, EvalReport]:
-    """Evaluate the full ensemble and every leave-one-out sub-ensemble.
+    """Evaluate the soft-voted full ensemble and every leave-one-out
+    sub-ensemble.
 
     ``tables`` maps model names to aligned full-width posterior matrices.
-    Soft-voting is the default because it needs no learned parameters. The
-    result has one entry for the full ensemble plus one per removed model.
+    Soft-voting needs no learned parameters. The result has one entry for
+    the full ensemble plus one per removed model.
     """
-    if strategy != "softvote":
-        raise ValueError(f"unsupported ablation strategy {strategy!r}")
     names = list(tables)
     if len(names) < 2:
         raise ValueError("take-one-out needs at least two models")

@@ -179,16 +179,13 @@ def expert_partial_posterior(expert: ExpertModel, features) -> PartialPosterior:
     )
 
 
-def expert_subset_accuracy(
-    expert: ExpertModel, dataset: EmbeddingDataset, *, restricted: bool = True
-) -> float:
+def expert_subset_accuracy(expert: ExpertModel, dataset: EmbeddingDataset) -> float:
     """Accuracy on the samples whose true class lies in the expert's subset.
 
-    Out-of-subset (reject) samples are excluded from the score. By default
-    the prediction is the argmax over the subset classes only, measuring the
+    Out-of-subset (reject) samples are excluded from the score. The
+    prediction is the argmax over the subset classes only, measuring the
     expert's discrimination on its own job independently of how much mass
-    the reject correction moves; ``restricted=False`` instead uses the full
-    (k+1)-way argmax, where predicting reject counts as an error.
+    the reject correction moves.
     """
     lookup = expert.subset.local_map(dataset.class_count)
     local = lookup[dataset.labels]
@@ -198,8 +195,7 @@ def expert_subset_accuracy(
             f"no {expert.subset.expert_id.label} samples available for scoring"
         )
     partial = expert_partial_posterior(expert, dataset.features[mask])
-    width = expert.subset.size if restricted else expert.subset.size + 1
-    preds = np.argmax(partial.probabilities[:, :width], axis=1)
+    preds = np.argmax(partial.probabilities[:, : expert.subset.size], axis=1)
     return float(np.mean(preds == local[mask]))
 
 
@@ -305,17 +301,20 @@ def load_expert_checkpoint(path) -> ExpertModel:
     params, meta = load_checkpoint(path)
     if meta.get("kind") != "expert":
         raise DataError(f"{path}: not an expert checkpoint")
-    subset = SubsetSpec(
-        expert_id=Fold(meta["expert_id"]),
-        classes=np.asarray(meta["subset_classes"], dtype=np.int64),
-    )
-    return ExpertModel(
-        params=params,
-        subset=subset,
-        rho=float(meta["rho"]),
-        frozen_layers=int(meta["frozen_layers"]),
-        apply_reject_correction=bool(meta["apply_reject_correction"]),
-    )
+    try:
+        subset = SubsetSpec(
+            expert_id=Fold(meta["expert_id"]),
+            classes=np.asarray(meta["subset_classes"], dtype=np.int64),
+        )
+        return ExpertModel(
+            params=params,
+            subset=subset,
+            rho=float(meta["rho"]),
+            frozen_layers=int(meta["frozen_layers"]),
+            apply_reject_correction=bool(meta["apply_reject_correction"]),
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"{path}: malformed expert checkpoint ({exc!r})") from None
 
 
 def save_baseline_checkpoint(path, model: BaselineModel) -> None:

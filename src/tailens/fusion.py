@@ -125,15 +125,11 @@ def _expanded_rows(partials, subsets, class_count: int) -> tuple[list[np.ndarray
     return expanded, single
 
 
-def _combine_expansions(expanded: list[np.ndarray]) -> np.ndarray:
-    q = np.stack(expanded).mean(axis=0)
-    return q / q.sum(axis=1, keepdims=True)
-
-
 def fuse_soft_vote(partials, subsets, class_count: int) -> np.ndarray:
     """Average the expanded partial posteriors and renormalize."""
     expanded, single = _expanded_rows(partials, subsets, class_count)
-    q = _combine_expansions(expanded)
+    q = np.stack(expanded).mean(axis=0)
+    q = q / q.sum(axis=1, keepdims=True)
     return q[0] if single else q
 
 
@@ -438,8 +434,15 @@ class StackerModel:
         return self.params.dims[-1]
 
 
-def _meta_train_config(seed, epochs, lr0, batch_size, weight_decay) -> TrainConfig:
-    return TrainConfig(
+def _train_linear_softmax(
+    val_partials, labels, class_count: int, seed, epochs, lr0, batch_size, weight_decay
+) -> NetworkParams:
+    """A single-layer softmax from concatenated partial posteriors to
+    ``class_count`` outputs, trained with instance-balanced SGD."""
+    features = concat_partials(val_partials)
+    ds = EmbeddingDataset(features, labels, class_count=class_count)
+    params = init_network([features.shape[1], class_count], seed=seed)
+    config = TrainConfig(
         lr0=lr0,
         epochs=epochs,
         batch_size=batch_size,
@@ -448,6 +451,8 @@ def _meta_train_config(seed, epochs, lr0, batch_size, weight_decay) -> TrainConf
         weight_decay=weight_decay,
         hidden_dims=(),
     )
+    trained, _ = fit_network(params, ds, config)
+    return trained
 
 
 def train_expert_selector(
@@ -466,19 +471,17 @@ def train_expert_selector(
     in expert order (manyshot, mediumshot, fewshot). Every fold must appear
     in the validation labels.
     """
-    features = concat_partials(val_partials)
     labels = np.asarray(val_fold_labels, dtype=np.int64)
     expert_count = len(val_partials)
     present = set(np.unique(labels).tolist())
     for e in range(expert_count):
         if e not in present:
             raise ValueError(f"fold {e} is absent from the validation labels")
-    ds = EmbeddingDataset(features, labels, class_count=expert_count)
-    params = init_network([features.shape[1], expert_count], seed=seed)
-    trained, _ = fit_network(
-        params, ds, _meta_train_config(seed, epochs, lr0, batch_size, weight_decay)
+    return SelectorModel(
+        _train_linear_softmax(
+            val_partials, labels, expert_count, seed, epochs, lr0, batch_size, weight_decay
+        )
     )
-    return SelectorModel(trained)
 
 
 def fuse_by_selection(
@@ -509,14 +512,12 @@ def train_stacker(
     weight_decay: float = 0.0,
 ) -> StackerModel:
     """Train the single-layer linear softmax stacker on validation data."""
-    features = concat_partials(val_partials)
     labels = np.asarray(val_class_labels, dtype=np.int64)
-    ds = EmbeddingDataset(features, labels, class_count=class_count)
-    params = init_network([features.shape[1], class_count], seed=seed)
-    trained, _ = fit_network(
-        params, ds, _meta_train_config(seed, epochs, lr0, batch_size, weight_decay)
+    return StackerModel(
+        _train_linear_softmax(
+            val_partials, labels, class_count, seed, epochs, lr0, batch_size, weight_decay
+        )
     )
-    return StackerModel(trained)
 
 
 def fuse_by_stacking(partials, stacker: StackerModel) -> np.ndarray:
@@ -895,57 +896,3 @@ def read_partial_posterior_csv(path) -> tuple[np.ndarray, np.ndarray, dict]:
     header = ["sample_id", "expert_id"] + [f"p{j}" for j in range(k)] + ["preject"]
     ids, probs = _read_posterior_dump(path, header, 2, "its sidecar")
     return ids, probs, sidecar
-
-
-def fuse_models(
-    tables,
-    strategy: str = "softvote",
-    *,
-    val_tables=None,
-    val_labels=None,
-    calibration_steps: int = 200,
-    calibration_lr: float = 2.0,
-) -> ExternalPosteriorTable:
-    """Fuse full-width posterior tables into one ensemble table.
-
-    All tables must cover the same sample keys. ``softvote`` averages rows;
-    ``calibrate`` treats each model as a full-width member (no reject entry),
-    learns scale/shift vectors on the matching validation tables, and applies
-    them. Returns a table named ``ensemble`` with ids in ascending order.
-    """
-    if len(tables) < 1:
-        raise ValueError("need at least one posterior table")
-    tables = [t.sorted_by_id() for t in tables]
-    ref = tables[0]
-    for t in tables[1:]:
-        if not np.array_equal(t.sample_ids, ref.sample_ids):
-            raise ValueError(
-                f"sample keys differ between models {ref.name!r} and {t.name!r}"
-            )
-        if t.class_count != ref.class_count:
-            raise ValueError("posterior tables disagree on class count")
-
-    if strategy == "softvote":
-        fused = _combine_expansions([t.probabilities for t in tables])
-    elif strategy == "calibrate":
-        if val_tables is None or val_labels is None:
-            raise ValueError("calibrate needs val_tables and val_labels")
-        val_tables = [t.sorted_by_id() for t in val_tables]
-        subsets = [None] * len(tables)
-        val_logits = [np.log(np.maximum(t.probabilities, 1e-15)) for t in val_tables]
-        calib, _ = train_joint_calibration(
-            val_logits,
-            subsets,
-            val_labels,
-            ref.class_count,
-            steps=calibration_steps,
-            lr=calibration_lr,
-        )
-        test_logits = [np.log(np.maximum(t.probabilities, 1e-15)) for t in tables]
-        fused = fuse_calibrated(test_logits, calib, subsets, ref.class_count)
-    else:
-        raise ValueError(f"unsupported model-fusion strategy {strategy!r}")
-
-    return ExternalPosteriorTable(
-        name="ensemble", sample_ids=ref.sample_ids, probabilities=fused
-    )

@@ -593,6 +593,10 @@ def save_checkpoint(path, params: NetworkParams, meta: dict | None = None) -> No
 
 
 def load_checkpoint(path) -> tuple[NetworkParams, dict]:
+    """Inverse of :func:`save_checkpoint`. Content that does not form a
+    valid network (bad magic or header, a truncated or missing array,
+    inconsistent shapes, non-finite weights) raises a :class:`DataError`
+    naming the file."""
     path = Path(path)
     with open(path, "rb") as fh:
         magic = fh.read(len(CHECKPOINT_MAGIC))
@@ -600,19 +604,25 @@ def load_checkpoint(path) -> tuple[NetworkParams, dict]:
             raise DataError(f"{path.name}: not a checkpoint file")
         try:
             header = json.loads(fh.readline().decode("utf-8"))
-            entries, dims = header["arrays"], header["dims"]
+            entries = [(name, [int(n) for n in shape]) for name, shape in header["arrays"]]
+            layer_count = len(header["dims"]) - 1
         except (ValueError, KeyError, TypeError):
             raise DataError(f"{path.name}: malformed checkpoint header") from None
         arrays = {}
         for name, shape in entries:
-            count = int(np.prod(shape)) if shape else 1
+            count = math.prod(shape)
             buf = fh.read(count * 8)
             if len(buf) != count * 8:
                 raise DataError(f"{path.name}: truncated array {name}")
             arrays[name] = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
-    layer_count = len(dims) - 1
-    layers = [
-        (arrays[f"layers.{i}.weight"], arrays[f"layers.{i}.bias"])
-        for i in range(layer_count)
-    ]
-    return NetworkParams(layers), header.get("meta", {})
+    try:
+        layers = [
+            (arrays[f"layers.{i}.weight"], arrays[f"layers.{i}.bias"])
+            for i in range(layer_count)
+        ]
+        params = NetworkParams(layers)
+    except KeyError as exc:
+        raise DataError(f"{path.name}: checkpoint has no array {exc}") from None
+    except ValueError as exc:
+        raise DataError(f"{path.name}: {exc}") from None
+    return params, header.get("meta", {})

@@ -251,14 +251,17 @@ def model_posterior_tables(ensemble: TrainedEnsemble, split: str) -> dict[str, n
 class FusionStrategy:
     """One fusion strategy. ``fit(ensemble, cfg)`` learns parameters from the
     validation partials (None, like ``save``/``load``, when there is nothing
-    to learn); ``apply(partials, subsets, class_count, params, cfg)`` returns
-    full posteriors. The callables look fusion functions up in this module's
-    globals at call time, so rebinding a module attribute reaches them."""
+    to learn); ``load(path, ensemble)`` reads them back and checks them
+    against the ensemble's experts; ``apply(partials, subsets, class_count,
+    params)`` returns full posteriors. Every solver and meta-model runs at
+    its function's defaults. The callables look fusion functions up in this
+    module's globals at call time, so rebinding a module attribute reaches
+    them."""
 
     apply: Callable[..., np.ndarray]
     fit: Callable[..., object] | None = None
     save: Callable[[Path, object], None] | None = None
-    load: Callable[[Path], object] | None = None
+    load: Callable[[Path, ExpertEnsemble], object] | None = None
 
 
 @dataclass(frozen=True)
@@ -270,27 +273,19 @@ class FittedFusion:
 
 
 def _fit_select(ensemble: ExpertEnsemble, cfg: RunConfig) -> SelectorModel:
-    fs = cfg.fusion
     return train_expert_selector(
         ensemble.partials("val"),
         ensemble.folds.fold_of_samples(ensemble.bundle.val.labels),
         seed=cfg.training.seed + SEED_SELECTOR,
-        epochs=fs.meta_epochs,
-        lr0=fs.meta_lr0,
-        batch_size=fs.meta_batch_size,
     )
 
 
 def _fit_stack(ensemble: ExpertEnsemble, cfg: RunConfig) -> StackerModel:
-    fs = cfg.fusion
     return train_stacker(
         ensemble.partials("val"),
         ensemble.bundle.val.labels,
         ensemble.bundle.class_count,
         seed=cfg.training.seed + SEED_STACKER,
-        epochs=fs.meta_epochs,
-        lr0=fs.meta_lr0,
-        batch_size=fs.meta_batch_size,
     )
 
 
@@ -303,32 +298,30 @@ def _fit_calibrate(
         ensemble.subset_list(),
         ensemble.bundle.val.labels,
         ensemble.bundle.class_count,
-        steps=cfg.fusion.calibration_steps,
-        lr=cfg.fusion.calibration_lr,
     )
 
 
-def _apply_kl(partials, subsets, class_count, params, cfg):
-    fs = cfg.fusion
-    return fuse_kl_min(
-        partials,
-        subsets,
-        class_count,
-        steps=fs.kl_steps,
-        tol=fs.kl_tol,
-    ).probabilities
+def _head_widths(ensemble: ExpertEnsemble) -> tuple[int, ...]:
+    return tuple(e.params.dims[-1] for e in ensemble.experts)
 
 
-def _meta_model_io(kind: str, model_type):
-    """Save and load for a linear meta-model stored as a tagged checkpoint."""
+def _meta_model_io(kind: str, model_type, outputs: Callable[[ExpertEnsemble], int]):
+    """Save and load for a linear meta-model stored as a tagged checkpoint;
+    ``outputs`` gives the output width the ensemble expects."""
 
     def save(path, model) -> None:
         save_checkpoint(path, model.params, {"kind": kind})
 
-    def load(path):
+    def load(path, ensemble):
         params, meta = load_checkpoint(path)
         if meta.get("kind") != kind:
             raise DataError(f"{path} is not a {kind} parameter file")
+        expected = [sum(_head_widths(ensemble)), outputs(ensemble)]
+        if [params.dims[0], params.dims[-1]] != expected:
+            raise DataError(
+                f"{path}: {kind} maps {params.dims[0]} -> {params.dims[-1]} "
+                f"but the experts need {expected[0]} -> {expected[1]}"
+            )
         return model_type(params)
 
     return save, load
@@ -348,31 +341,43 @@ def _save_calibration(path, fitted: tuple[CalibrationParams, list[float]]) -> No
     )
 
 
-def _load_calibration(path) -> tuple[CalibrationParams, list[float]]:
+def _load_calibration(path, ensemble) -> tuple[CalibrationParams, list[float]]:
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
-        scales, shifts = payload["scales"], payload["shifts"]
+        calib = CalibrationParams(
+            scales=tuple(np.asarray(w, dtype=np.float64) for w in payload["scales"]),
+            shifts=tuple(np.asarray(b, dtype=np.float64) for b in payload["shifts"]),
+        )
         objectives = [payload["objective_initial"], payload["objective_final"]]
     except (ValueError, KeyError, TypeError):
         raise DataError(f"{path} is not a calibrate parameter file") from None
-    calib = CalibrationParams(
-        scales=tuple(np.asarray(w, dtype=np.float64) for w in scales),
-        shifts=tuple(np.asarray(b, dtype=np.float64) for b in shifts),
-    )
+    if calib.widths != _head_widths(ensemble):
+        raise DataError(
+            f"{path}: calibration widths {list(calib.widths)} do not match "
+            f"the experts' head widths {list(_head_widths(ensemble))}"
+        )
     return calib, objectives
 
 
-_select_save, _select_load = _meta_model_io("selector", SelectorModel)
-_stack_save, _stack_load = _meta_model_io("stacker", StackerModel)
+_select_save, _select_load = _meta_model_io(
+    "selector", SelectorModel, lambda ensemble: len(ensemble.experts)
+)
+_stack_save, _stack_load = _meta_model_io(
+    "stacker", StackerModel, lambda ensemble: ensemble.bundle.class_count
+)
 
 # One record per name in config.FUSION_STRATEGIES.
 FUSIONS: dict[str, FusionStrategy] = {
     "softvote": FusionStrategy(
-        apply=lambda partials, subsets, c, params, cfg: fuse_soft_vote(partials, subsets, c)
+        apply=lambda partials, subsets, c, params: fuse_soft_vote(partials, subsets, c)
     ),
-    "kl": FusionStrategy(apply=_apply_kl),
+    "kl": FusionStrategy(
+        apply=lambda partials, subsets, c, params: fuse_kl_min(
+            partials, subsets, c
+        ).probabilities
+    ),
     "select": FusionStrategy(
-        apply=lambda partials, subsets, c, params, cfg: fuse_by_selection(
+        apply=lambda partials, subsets, c, params: fuse_by_selection(
             partials, params, subsets, c
         ),
         fit=_fit_select,
@@ -380,13 +385,13 @@ FUSIONS: dict[str, FusionStrategy] = {
         load=_select_load,
     ),
     "stack": FusionStrategy(
-        apply=lambda partials, subsets, c, params, cfg: fuse_by_stacking(partials, params),
+        apply=lambda partials, subsets, c, params: fuse_by_stacking(partials, params),
         fit=_fit_stack,
         save=_stack_save,
         load=_stack_load,
     ),
     "calibrate": FusionStrategy(
-        apply=lambda partials, subsets, c, params, cfg: fuse_calibrated(
+        apply=lambda partials, subsets, c, params: fuse_calibrated(
             [p.logits for p in partials], params[0], subsets, c
         ),
         fit=_fit_calibrate,
@@ -397,7 +402,8 @@ FUSIONS: dict[str, FusionStrategy] = {
 
 
 def train_fusion(ensemble: ExpertEnsemble, cfg: RunConfig, strategy: str) -> FittedFusion:
-    """Fit whatever the strategy needs on the validation split."""
+    """Fit whatever the strategy needs on the validation split; ``cfg``
+    supplies the root seed of the selector and the stacker."""
     fit = FUSIONS[strategy].fit
     return FittedFusion(strategy, None if fit is None else fit(ensemble, cfg))
 
@@ -408,13 +414,13 @@ def fused_posteriors(
     cfg: RunConfig,
     split: str = "test",
 ) -> np.ndarray:
-    """Apply a trained fusion strategy to one split."""
+    """Apply a trained fusion strategy to one split. No strategy reads
+    ``cfg``; it stays in the signature to mirror :func:`train_fusion`."""
     return FUSIONS[artifacts.strategy].apply(
         ensemble.partials(split),
         ensemble.subset_list(),
         ensemble.bundle.class_count,
         artifacts.params,
-        cfg,
     )
 
 

@@ -172,7 +172,7 @@ def tiny_run_config(out_dir: str, seed: int = 0) -> t.RunConfig:
             expert_epochs=12,
         ),
         expert=ExpertSection(rho_grid=(1.0, 4.0), frozen_grid=(0, 1)),
-        fusion=FusionSection(kl_steps=300, meta_epochs=30),
+        fusion=FusionSection(),
         paths=PathsSection(out_dir=out_dir),
     )
 

@@ -1,4 +1,6 @@
 import json
+import re
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +31,17 @@ from conftest import (
     snapshot_tree,
     tiny_run_config,
     write_config_file,
+)
+
+
+REMOVED_FUSION_KEYS = (
+    "kl_steps",
+    "kl_tol",
+    "calibration_steps",
+    "calibration_lr",
+    "meta_epochs",
+    "meta_lr0",
+    "meta_batch_size",
 )
 
 
@@ -65,6 +78,12 @@ class TestConfigRoundTrip:
         text = "[training]\nseed = 0\n[fusion]\nstrategy = psychic\n"
         with pytest.raises(ConfigError, match="strategy"):
             parse_config(text)
+
+    @pytest.mark.parametrize("key", REMOVED_FUSION_KEYS)
+    def test_fusion_solver_keys_are_unknown(self, key):
+        # the fusion solvers and meta-models run at their functions' defaults
+        with pytest.raises(ConfigError, match=f"unknown key fusion.{key}"):
+            parse_config(f"[training]\nseed = 0\n[fusion]\n{key} = 1\n")
 
     def test_load_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
@@ -240,7 +259,7 @@ class TestEnsemblePartials:
             record = FUSIONS[s]
             params = None if record.fit is None else train_fusion(ens, cfg, s).params
             expected = record.apply(
-                fresh("test"), ens.subset_list(), ens.bundle.class_count, params, cfg
+                fresh("test"), ens.subset_list(), ens.bundle.class_count, params
             )
             assert probs.tobytes() == expected.tobytes(), s
         assert len(calls) == 2 * len(ens.experts)
@@ -267,6 +286,22 @@ class TestCliErrors:
         path = tmp_path / "bad.ini"
         path.write_text("[training]\nseed = 0\n[fusion]\nstrategy = psychic\n")
         assert run_cli("oracle", path) == 2
+
+    def test_removed_fusion_key_is_config_error(self, tmp_path, capsys):
+        path = tmp_path / "old.ini"
+        path.write_text(
+            f"[training]\nseed = 0\n[fusion]\nkl_steps = 300\n[paths]\nout_dir = {tmp_path}\n"
+        )
+        assert run_cli("train-fusion", path, "--strategy", "kl") == 2
+        assert "unknown key fusion.kl_steps" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["gen-data", "train-baseline", "oracle", "report"])
+    def test_threads_belongs_to_train_experts_only(self, tmp_path, command, capsys):
+        config = write_config(tmp_path, str(tmp_path / "out"))
+        with pytest.raises(SystemExit) as exc:
+            run_cli(command, config, "--threads", "2")
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --threads" in capsys.readouterr().err
 
     def test_missing_checkpoints_is_data_error(self, tmp_path, capsys):
         config = write_config(tmp_path, str(tmp_path / "out"))
@@ -374,3 +409,74 @@ class TestCliErrors:
         capsys.readouterr()
         assert run_cli("evaluate", config, "--strategy", "calibrate") == 3
         assert "calibrate.params is not a calibrate parameter file" in capsys.readouterr().err
+
+
+def _edit_calibration(**edit):
+    def corrupt(path):
+        payload = json.loads(path.read_text())
+        for key, value in edit.items():
+            payload[key] = value(payload[key])
+        path.write_text(json.dumps(payload))  # writes NaN, which json.loads accepts
+
+    return corrupt
+
+
+def _set_first(value):
+    return lambda vectors: [[value] + vectors[0][1:]] + vectors[1:]
+
+
+def _checkpoint_header_replace(old: bytes, new: bytes):
+    def corrupt(path):
+        data = path.read_bytes()
+        end = data.index(b"\n", len(network.CHECKPOINT_MAGIC))
+        path.write_bytes(data[:end].replace(old, new) + data[end:])
+
+    return corrupt
+
+
+def _checkpoint_first_weight_nan(path):
+    data = path.read_bytes()
+    start = data.index(b"\n", len(network.CHECKPOINT_MAGIC)) + 1
+    path.write_bytes(data[:start] + np.float64(np.nan).tobytes() + data[start + 8 :])
+
+
+def _wrong_width_selector(path):
+    network.save_checkpoint(path, network.init_network([2, 3], seed=0), {"kind": "selector"})
+
+
+@pytest.mark.parametrize(
+    "strategy, name, corrupt, problem",
+    [
+        ("calibrate", "fusion/calibrate.params", _edit_calibration(scales=_set_first(float("nan"))),
+         "not a calibrate parameter file"),
+        ("calibrate", "fusion/calibrate.params", _edit_calibration(scales=_set_first("a")),
+         "not a calibrate parameter file"),
+        ("calibrate", "fusion/calibrate.params",
+         _edit_calibration(scales=lambda v: [[1.0]] * len(v), shifts=lambda v: [[0.0]] * len(v)),
+         "calibration widths \\[1, 1, 1\\] do not match the experts' head widths"),
+        ("select", "fusion/select.params", _checkpoint_first_weight_nan,
+         "layer 0 contains non-finite entries"),
+        ("select", "fusion/select.params", _wrong_width_selector, "selector maps 2 -> 3"),
+        ("softvote", "checkpoints/expert_fewshot.ckpt",
+         _checkpoint_header_replace(b'"layers.', b'"tensor.'),
+         "checkpoint has no array 'layers.0.weight'"),
+        ("softvote", "checkpoints/expert_fewshot.ckpt",
+         _checkpoint_header_replace(b'"rho"', b'"rh0"'),
+         "malformed expert checkpoint .*'rho'"),
+    ],
+    ids=["calibrate-nan", "calibrate-text", "calibrate-width", "select-nan", "select-width",
+         "checkpoint-array-names", "expert-meta"],
+)
+def test_corrupt_fusion_input_is_data_error(
+    cli_and_library_runs, tmp_path, capsys, strategy, name, corrupt, problem
+):
+    _, trained_out, _ = cli_and_library_runs
+    out = tmp_path / "out"
+    shutil.copytree(trained_out, out)
+    config = write_config(tmp_path, str(out))
+    corrupt(out / name)
+    capsys.readouterr()
+    assert run_cli("evaluate", config, "--strategy", strategy) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: data:") and Path(name).name in err
+    assert re.search(problem, err), err

@@ -5,7 +5,6 @@ from tailens import DataError
 from tailens.dataset import Fold, SubsetSpec
 from tailens.fusion import (
     CalibrationParams,
-    ExternalPosteriorTable,
     calibration_finite_diff_check,
     concat_partials,
     expand_partial,
@@ -13,7 +12,6 @@ from tailens.fusion import (
     fuse_by_stacking,
     fuse_calibrated,
     fuse_kl_min,
-    fuse_models,
     fuse_soft_vote,
     ingest_external_posteriors,
     read_partial_posterior_csv,
@@ -546,9 +544,8 @@ class TestExternalPosteriors:
 
     def test_single_model_ensemble_is_identity(self):
         probs = np.array([[0.25, 0.25, 0.5], [0.5, 0.25, 0.25]])
-        table = ExternalPosteriorTable("m", np.array([0, 1]), probs)
-        fused = fuse_models([table])
-        assert np.allclose(fused.probabilities, probs, atol=1e-12)
+        fused = fuse_soft_vote([probs], [None], 3)
+        assert np.allclose(fused, probs, atol=1e-12)
 
     def test_off_mass_rows_renormalized_with_warning(self, tmp_path):
         path = tmp_path / "sloppy.csv"
@@ -571,30 +568,19 @@ class TestExternalPosteriors:
         with pytest.raises(ValueError, match=f"broken.csv line 3: .*{problem}"):
             ingest_external_posteriors(path, 2)
 
-    def test_key_mismatch_rejected(self):
-        a = ExternalPosteriorTable("a", np.array([0, 1]), np.full((2, 2), 0.5))
-        b = ExternalPosteriorTable("b", np.array([0, 2]), np.full((2, 2), 0.5))
-        with pytest.raises(ValueError, match="sample keys"):
-            fuse_models([a, b])
-
     def test_calibrated_model_fusion(self):
         rng = np.random.default_rng(1)
         val_p = [rng.dirichlet(np.ones(3), size=50) for _ in range(2)]
         test_p = [rng.dirichlet(np.ones(3), size=20) for _ in range(2)]
         labels = rng.integers(0, 3, size=50)
-        ids_val = np.arange(50)
-        ids_test = np.arange(20)
-        fused = fuse_models(
-            [ExternalPosteriorTable(f"m{i}", ids_test, p) for i, p in enumerate(test_p)],
-            strategy="calibrate",
-            val_tables=[
-                ExternalPosteriorTable(f"m{i}", ids_val, p) for i, p in enumerate(val_p)
-            ],
-            val_labels=labels,
-            calibration_steps=20,
+        # full-width models join as members with subset None
+        members = [None, None]
+        calib, _ = train_joint_calibration(
+            [np.log(p) for p in val_p], members, labels, 3, steps=20
         )
-        assert fused.probabilities.shape == (20, 3)
-        assert np.max(np.abs(fused.probabilities.sum(axis=1) - 1.0)) < 1e-9
+        fused = fuse_calibrated([np.log(p) for p in test_p], calib, members, 3)
+        assert fused.shape == (20, 3)
+        assert np.max(np.abs(fused.sum(axis=1) - 1.0)) < 1e-9
 
     def test_partial_dump_round_trip(self, tmp_path):
         rng = np.random.default_rng(2)
