@@ -71,6 +71,7 @@ from .fusion import (
     SelectorModel,
     StackerModel,
     calibration_finite_diff_check,
+    calibration_gradient,
     expand_partial,
     fuse_by_selection,
     fuse_by_stacking,

@@ -27,6 +27,7 @@ from .evaluation import (
     take_one_out_ablation,
 )
 from .experts import (
+    ExpertModel,
     expert_partial_posterior,
     load_baseline_checkpoint,
     load_expert_checkpoint,
@@ -77,19 +78,32 @@ def _require_file(path: Path, hint: str) -> Path:
     return path
 
 
-def _load_experts(cfg: RunConfig):
-    return tuple(
-        load_expert_checkpoint(
-            _require_file(_ckpt_path(cfg, f"expert_{name}"), "tailens train-experts")
+def _load_expert(cfg: RunConfig, name: str, bundle) -> ExpertModel:
+    """One expert checkpoint, checked against the bundle it will read: its
+    subset classes lie in [0, class_count) (``SubsetSpec`` already rejects
+    repeated and negative classes) and its input width is the bundle's."""
+    path = _require_file(_ckpt_path(cfg, f"expert_{name}"), "tailens train-experts")
+    expert = load_expert_checkpoint(path)
+    top = int(expert.subset.classes.max())
+    if top >= bundle.class_count:
+        raise DataError(
+            f"{path}: subset class {top} is outside the bundle's {bundle.class_count} classes"
         )
-        for name in EXPERT_NAMES
-    )
+    if expert.params.dims[0] != bundle.feature_dim:
+        raise DataError(
+            f"{path}: expert reads {expert.params.dims[0]} features, "
+            f"the bundle has {bundle.feature_dim}"
+        )
+    return expert
+
+
+def _load_experts(cfg: RunConfig, bundle):
+    return tuple(_load_expert(cfg, name, bundle) for name in EXPERT_NAMES)
 
 
 def _load_ensemble(cfg: RunConfig) -> ExpertEnsemble:
     bundle = prepare_bundle(cfg)
-    experts = _load_experts(cfg)
-    return ExpertEnsemble(bundle, frequency_folds(bundle, cfg), experts)
+    return ExpertEnsemble(bundle, frequency_folds(bundle, cfg), _load_experts(cfg, bundle))
 
 
 def cmd_gen_data(cfg: RunConfig, args) -> None:
@@ -160,16 +174,14 @@ def cmd_dump_posteriors(cfg: RunConfig, args) -> None:
         )
         write_posterior_csv(out, ids, full_posterior_table(model, split.features))
     elif args.model == "experts":
-        experts = _load_experts(cfg)
+        experts = _load_experts(cfg, bundle)
         partials = [expert_partial_posterior(e, split.features) for e in experts]
         fused = FUSIONS["softvote"].apply(
             partials, [e.subset for e in experts], bundle.class_count, None
         )
         write_posterior_csv(out, ids, fused)
     else:
-        expert = load_expert_checkpoint(
-            _require_file(_ckpt_path(cfg, f"expert_{args.model}"), "tailens train-experts")
-        )
+        expert = _load_expert(cfg, args.model, bundle)
         partial = expert_partial_posterior(expert, split.features)
         write_partial_posterior_csv(out, ids, partial, expert.subset, rho=expert.rho)
     print(f"wrote {out}")

@@ -595,8 +595,8 @@ def save_checkpoint(path, params: NetworkParams, meta: dict | None = None) -> No
 def load_checkpoint(path) -> tuple[NetworkParams, dict]:
     """Inverse of :func:`save_checkpoint`. Content that does not form a
     valid network (bad magic or header, a truncated or missing array,
-    inconsistent shapes, non-finite weights) raises a :class:`DataError`
-    naming the file."""
+    inconsistent shapes, non-finite weights, a ``meta`` that is not a JSON
+    object) raises a :class:`DataError` naming the file."""
     path = Path(path)
     with open(path, "rb") as fh:
         magic = fh.read(len(CHECKPOINT_MAGIC))
@@ -606,8 +606,11 @@ def load_checkpoint(path) -> tuple[NetworkParams, dict]:
             header = json.loads(fh.readline().decode("utf-8"))
             entries = [(name, [int(n) for n in shape]) for name, shape in header["arrays"]]
             layer_count = len(header["dims"]) - 1
+            meta = header.get("meta", {})
         except (ValueError, KeyError, TypeError):
             raise DataError(f"{path.name}: malformed checkpoint header") from None
+        if not isinstance(meta, dict):
+            raise DataError(f"{path.name}: checkpoint meta is not a JSON object")
         arrays = {}
         for name, shape in entries:
             count = math.prod(shape)
@@ -625,4 +628,4 @@ def load_checkpoint(path) -> tuple[NetworkParams, dict]:
         raise DataError(f"{path.name}: checkpoint has no array {exc}") from None
     except ValueError as exc:
         raise DataError(f"{path.name}: {exc}") from None
-    return params, header.get("meta", {})
+    return params, meta

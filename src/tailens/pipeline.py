@@ -53,6 +53,7 @@ from .fusion import (
     CalibrationParams,
     SelectorModel,
     StackerModel,
+    calibration_gradient,
     fuse_by_selection,
     fuse_by_stacking,
     fuse_calibrated,
@@ -289,15 +290,31 @@ def _fit_stack(ensemble: ExpertEnsemble, cfg: RunConfig) -> StackerModel:
     )
 
 
-def _fit_calibrate(
-    ensemble: ExpertEnsemble, cfg: RunConfig
-) -> tuple[CalibrationParams, list[float]]:
-    """The calibration parameters and their objective trace."""
-    return train_joint_calibration(
+@dataclass(frozen=True)
+class CalibrationFit:
+    """Joint calibration parameters with the record of their fit: the
+    penalized objective at the identity and at the result, the Newton steps
+    taken, and the largest absolute entry of the final gradient, the fit's
+    certificate."""
+
+    params: CalibrationParams
+    objective_initial: float
+    objective_final: float
+    steps: int
+    gradient_norm: float
+
+
+def _fit_calibrate(ensemble: ExpertEnsemble, cfg: RunConfig) -> CalibrationFit:
+    problem = (
         [p.logits for p in ensemble.partials("val")],
         ensemble.subset_list(),
         ensemble.bundle.val.labels,
         ensemble.bundle.class_count,
+    )
+    calib, trace = train_joint_calibration(*problem)
+    gradient = calibration_gradient(*problem, calib)
+    return CalibrationFit(
+        calib, trace[0], trace[-1], len(trace) - 1, float(np.abs(gradient).max())
     )
 
 
@@ -327,36 +344,44 @@ def _meta_model_io(kind: str, model_type, outputs: Callable[[ExpertEnsemble], in
     return save, load
 
 
-def _save_calibration(path, fitted: tuple[CalibrationParams, list[float]]) -> None:
-    calib, trace = fitted
+def _save_calibration(path, fit: CalibrationFit) -> None:
     atomic_write_json(
         path,
         {
             "strategy": "calibrate",
-            "scales": [w.tolist() for w in calib.scales],
-            "shifts": [b.tolist() for b in calib.shifts],
-            "objective_initial": trace[0],
-            "objective_final": min(trace),
+            "scales": [w.tolist() for w in fit.params.scales],
+            "shifts": [b.tolist() for b in fit.params.shifts],
+            "objective_initial": fit.objective_initial,
+            "objective_final": fit.objective_final,
+            "steps": fit.steps,
+            "gradient_norm": fit.gradient_norm,
         },
     )
 
 
-def _load_calibration(path, ensemble) -> tuple[CalibrationParams, list[float]]:
+def _load_calibration(path, ensemble) -> CalibrationFit:
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
-        calib = CalibrationParams(
-            scales=tuple(np.asarray(w, dtype=np.float64) for w in payload["scales"]),
-            shifts=tuple(np.asarray(b, dtype=np.float64) for b in payload["shifts"]),
+        fit = CalibrationFit(
+            params=CalibrationParams(
+                scales=tuple(np.asarray(w, dtype=np.float64) for w in payload["scales"]),
+                shifts=tuple(np.asarray(b, dtype=np.float64) for b in payload["shifts"]),
+            ),
+            objective_initial=float(payload["objective_initial"]),
+            objective_final=float(payload["objective_final"]),
+            steps=payload["steps"],
+            gradient_norm=float(payload["gradient_norm"]),
         )
-        objectives = [payload["objective_initial"], payload["objective_final"]]
+        if not isinstance(fit.steps, int) or fit.steps < 0:
+            raise ValueError("steps is not a count")
     except (ValueError, KeyError, TypeError):
         raise DataError(f"{path} is not a calibrate parameter file") from None
-    if calib.widths != _head_widths(ensemble):
+    if fit.params.widths != _head_widths(ensemble):
         raise DataError(
-            f"{path}: calibration widths {list(calib.widths)} do not match "
+            f"{path}: calibration widths {list(fit.params.widths)} do not match "
             f"the experts' head widths {list(_head_widths(ensemble))}"
         )
-    return calib, objectives
+    return fit
 
 
 _select_save, _select_load = _meta_model_io(
@@ -392,7 +417,7 @@ FUSIONS: dict[str, FusionStrategy] = {
     ),
     "calibrate": FusionStrategy(
         apply=lambda partials, subsets, c, params: fuse_calibrated(
-            [p.logits for p in partials], params[0], subsets, c
+            [p.logits for p in partials], params.params, subsets, c
         ),
         fit=_fit_calibrate,
         save=_save_calibration,

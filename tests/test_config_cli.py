@@ -1,6 +1,7 @@
 import json
 import re
 import shutil
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,12 @@ from tailens.config import (
 )
 from tailens.evaluation import fourfold_accuracy
 from tailens import network, pipeline
-from tailens.experts import expert_partial_posterior, load_baseline_checkpoint
+from tailens.experts import (
+    expert_partial_posterior,
+    load_baseline_checkpoint,
+    load_expert_checkpoint,
+    save_expert_checkpoint,
+)
 from tailens.pipeline import (
     FUSIONS,
     ExpertEnsemble,
@@ -444,6 +450,31 @@ def _wrong_width_selector(path):
     network.save_checkpoint(path, network.init_network([2, 3], seed=0), {"kind": "selector"})
 
 
+def _checkpoint_meta(edit):
+    """Rewrite a checkpoint's header with ``edit`` applied to its meta."""
+
+    def corrupt(path):
+        data = path.read_bytes()
+        start = len(network.CHECKPOINT_MAGIC)
+        end = data.index(b"\n", start)
+        header = json.loads(data[start:end])
+        header["meta"] = edit(header["meta"])
+        path.write_bytes(data[:start] + json.dumps(header).encode() + data[end:])
+
+    return corrupt
+
+
+def _last_class_99(meta):
+    return {**meta, "subset_classes": meta["subset_classes"][:-1] + [99]}
+
+
+def _wider_input_expert(path):
+    expert = load_expert_checkpoint(path)
+    dims = list(expert.params.dims)
+    dims[0] += 1
+    save_expert_checkpoint(path, replace(expert, params=network.init_network(dims, seed=0)))
+
+
 @pytest.mark.parametrize(
     "strategy, name, corrupt, problem",
     [
@@ -463,9 +494,17 @@ def _wrong_width_selector(path):
         ("softvote", "checkpoints/expert_fewshot.ckpt",
          _checkpoint_header_replace(b'"rho"', b'"rh0"'),
          "malformed expert checkpoint .*'rho'"),
+        ("softvote", "checkpoints/expert_fewshot.ckpt",
+         _checkpoint_meta(lambda meta: list(meta.values())),
+         "checkpoint meta is not a JSON object"),
+        ("softvote", "checkpoints/expert_fewshot.ckpt", _checkpoint_meta(_last_class_99),
+         "subset class 99 is outside the bundle's 6 classes"),
+        ("softvote", "checkpoints/expert_mediumshot.ckpt", _wider_input_expert,
+         "expert reads 5 features, the bundle has 4"),
     ],
     ids=["calibrate-nan", "calibrate-text", "calibrate-width", "select-nan", "select-width",
-         "checkpoint-array-names", "expert-meta"],
+         "checkpoint-array-names", "expert-meta", "expert-meta-list", "expert-class-99",
+         "expert-feature-width"],
 )
 def test_corrupt_fusion_input_is_data_error(
     cli_and_library_runs, tmp_path, capsys, strategy, name, corrupt, problem

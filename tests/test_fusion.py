@@ -1,11 +1,18 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from tailens import DataError
 from tailens.dataset import Fold, SubsetSpec
 from tailens.fusion import (
+    CALIBRATION_TOL,
     CalibrationParams,
+    _calibration_grad,
+    _label_columns,
+    _PenalizedCalibration,
     calibration_finite_diff_check,
+    calibration_gradient,
     concat_partials,
     expand_partial,
     fuse_by_selection,
@@ -22,7 +29,7 @@ from tailens.fusion import (
     write_posterior_csv,
 )
 from tailens.experts import PartialPosterior
-from tailens.network import init_network, softmax
+from tailens.network import _central_difference_error, init_network, softmax
 
 S01 = SubsetSpec(Fold.MANYSHOT, np.array([0, 1]))
 S23 = SubsetSpec(Fold.FEWSHOT, np.array([2, 3]))
@@ -412,58 +419,55 @@ def reference_calibration_grad(logit_rows, subsets, class_count, labels, scales,
     return loss, grads_w, grads_b
 
 
-def reference_calibration(logits, subsets, labels, class_count, steps, lr):
-    """train_joint_calibration's gradient descent on the reference gradient."""
-    scales = [np.ones(z.shape[1]) for z in logits]
-    shifts = [np.zeros(z.shape[1]) for z in logits]
-    loss, gw, gb = reference_calibration_grad(logits, subsets, class_count, labels, scales, shifts)
-    trace, best = [loss], (loss, [w.copy() for w in scales], [b.copy() for b in shifts])
-    for _ in range(steps):
-        for w, b, dw, db in zip(scales, shifts, gw, gb):
-            w -= lr * dw
-            b -= lr * db
-        loss, gw, gb = reference_calibration_grad(
-            logits, subsets, class_count, labels, scales, shifts
-        )
-        trace.append(loss)
-        if loss < best[0]:
-            best = (loss, [w.copy() for w in scales], [b.copy() for b in shifts])
-    return best[1], best[2], trace
+def _calibration_world(world, n=120, seed=17, scale=2.0):
+    """Random logits and labels for a named ensemble layout."""
+    rng = np.random.default_rng(seed)
+    if world == "two-subsets":
+        class_count, subsets = 4, [S01, S23]
+    elif world == "with-full-width":
+        class_count, subsets = 4, [S01, None, S23]
+    elif world == "full-width-only":
+        class_count, subsets = 4, [None, None]
+    else:
+        class_count = 7
+        subsets = [
+            SubsetSpec(Fold.MANYSHOT, np.array([0, 4])),
+            SubsetSpec(Fold.MEDIUMSHOT, np.array([1, 2, 6])),
+            SubsetSpec(Fold.FEWSHOT, np.array([3, 5])),
+        ]
+    widths = [class_count if s is None else s.size + 1 for s in subsets]
+    logits = [rng.normal(0.0, scale, size=(n, m)) for m in widths]
+    labels = rng.integers(0, class_count, size=n)
+    return logits, subsets, labels, class_count
+
+
+THREE_WORLDS = ["two-subsets", "with-full-width", "uneven-seven"]
 
 
 class TestCalibrationReadsTheLabelColumn:
-    """The fit reads each expert's calibrated posterior at the label only;
-    the parameters and the trace must be bitwise those of the gradient
-    through the full expansion."""
+    """The calibration gradient reads each expert's calibrated posterior at
+    the label only; the loss and the gradient must be bitwise those of the
+    gradient through the full expansion."""
 
-    @pytest.mark.parametrize(
-        "world",
-        ["two-subsets", "with-full-width", "uneven-seven"],
-    )
-    def test_fit_is_bitwise_the_expansion_gradient(self, world):
-        rng = np.random.default_rng(17)
-        if world == "two-subsets":
-            class_count, subsets = 4, [S01, S23]
-        elif world == "with-full-width":
-            class_count, subsets = 4, [S01, None, S23]
+    @pytest.mark.parametrize("world", THREE_WORLDS)
+    @pytest.mark.parametrize("at", ["identity", "random"])
+    def test_gradient_is_bitwise_the_expansion_gradient(self, world, at):
+        logits, subsets, labels, class_count = _calibration_world(world)
+        rng = np.random.default_rng(5)
+        widths = [z.shape[1] for z in logits]
+        if at == "identity":
+            scales = [np.ones(m) for m in widths]
+            shifts = [np.zeros(m) for m in widths]
         else:
-            class_count = 7
-            subsets = [
-                SubsetSpec(Fold.MANYSHOT, np.array([0, 4])),
-                SubsetSpec(Fold.MEDIUMSHOT, np.array([1, 2, 6])),
-                SubsetSpec(Fold.FEWSHOT, np.array([3, 5])),
-            ]
-        widths = [class_count if s is None else s.size + 1 for s in subsets]
-        logits = [rng.normal(0.0, 2.0, size=(120, m)) for m in widths]
-        labels = rng.integers(0, class_count, size=120)
-        calib, trace = train_joint_calibration(
-            logits, subsets, labels, class_count, steps=60, lr=2.0
+            scales = [rng.normal(1.0, 0.4, size=m) for m in widths]
+            shifts = [rng.normal(0.0, 0.4, size=m) for m in widths]
+        columns = _label_columns(logits, subsets, class_count, labels)
+        loss, gw, gb = _calibration_grad(logits, columns, scales, shifts)
+        ref_loss, ref_gw, ref_gb = reference_calibration_grad(
+            logits, subsets, class_count, labels, scales, shifts
         )
-        scales, shifts, ref_trace = reference_calibration(
-            logits, subsets, labels, class_count, steps=60, lr=2.0
-        )
-        assert trace == ref_trace
-        for a, b in zip(calib.scales + calib.shifts, scales + shifts):
+        assert loss == ref_loss
+        for a, b in zip(gw + gb, ref_gw + ref_gb):
             assert a.tobytes() == b.tobytes()
 
     def test_full_coverage_subset_is_rejected(self):
@@ -476,6 +480,83 @@ class TestCalibrationReadsTheLabelColumn:
         z = [np.zeros((3, 4)), np.zeros((3, 3))]
         with pytest.raises(ValueError, match="logit width"):
             train_joint_calibration(z, [S01, S23], np.array([0, 1, 2]), 4, steps=1)
+
+
+class TestRidgeNewtonCalibration:
+    """The fit minimizes the penalized objective by damped Newton and
+    returns with its gradient certificate."""
+
+    def _problem(self, world, n=40):
+        logits, subsets, labels, class_count = _calibration_world(world, n=n, seed=3)
+        problem = _PenalizedCalibration(logits, subsets, labels, class_count)
+        rng = np.random.default_rng(8)
+        theta = problem.identity + rng.normal(0.0, 0.3, size=problem.identity.shape)
+        return problem, theta
+
+    @pytest.mark.parametrize("world", THREE_WORLDS)
+    def test_penalized_gradient_matches_finite_differences(self, world):
+        problem, theta = self._problem(world)
+        grad = problem.gradient(problem.evaluate(theta.copy()))
+        err = _central_difference_error(
+            lambda: problem.objective(problem.evaluate(theta)), [theta], [grad], 1e-6
+        )
+        assert err < 1e-7
+
+    @pytest.mark.parametrize("world", THREE_WORLDS)
+    def test_hessian_matches_finite_differences(self, world):
+        problem, theta = self._problem(world)
+        hess = problem.hessian(problem.evaluate(theta))
+        assert np.array_equal(hess, hess.T)
+        eps = 1e-5
+        numeric = np.empty_like(hess)
+        for j in range(len(theta)):
+            up, down = theta.copy(), theta.copy()
+            up[j] += eps
+            down[j] -= eps
+            numeric[:, j] = (
+                problem.gradient(problem.evaluate(up))
+                - problem.gradient(problem.evaluate(down))
+            ) / (2 * eps)
+        assert np.max(np.abs(hess - numeric)) < 1e-7 * max(1.0, np.abs(hess).max())
+
+    @pytest.mark.parametrize("world", THREE_WORLDS + ["full-width-only"])
+    def test_fit_returns_with_its_certificate(self, world):
+        logits, subsets, labels, class_count = _calibration_world(world)
+        calib, trace = train_joint_calibration(logits, subsets, labels, class_count)
+        grad = calibration_gradient(logits, subsets, labels, class_count, calib)
+        assert np.abs(grad).max() <= CALIBRATION_TOL
+        assert all(b <= a for a, b in zip(trace, trace[1:]))
+
+    def test_trace_is_the_penalized_objective(self):
+        logits, subsets, labels, class_count = _calibration_world("uneven-seven")
+        calib, trace = train_joint_calibration(logits, subsets, labels, class_count)
+        problem = _PenalizedCalibration(logits, subsets, labels, class_count)
+        final = problem.objective(problem.evaluate(problem.flatten(calib)))
+        assert abs(trace[-1] - final) <= 1e-14
+        assert trace[0] == _calibration_grad(
+            logits,
+            _label_columns(logits, subsets, class_count, labels),
+            [np.ones(z.shape[1]) for z in logits],
+            [np.zeros(z.shape[1]) for z in logits],
+        )[0]
+
+    def test_steps_cap_newton_iterations(self):
+        logits, subsets, labels, class_count = _calibration_world("two-subsets")
+        _, trace = train_joint_calibration(logits, subsets, labels, class_count, steps=2)
+        assert len(trace) == 3
+
+    def test_large_logits_do_not_warn(self):
+        # confident, often wrong experts: some trial steps underflow a
+        # label probability to zero, and must be rejected quietly
+        logits, subsets, labels, class_count = _calibration_world(
+            "full-width-only", scale=60.0
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            calib, trace = train_joint_calibration(logits, subsets, labels, class_count)
+            grad = calibration_gradient(logits, subsets, labels, class_count, calib)
+        assert np.abs(grad).max() <= CALIBRATION_TOL
+        assert all(b <= a for a, b in zip(trace, trace[1:]))
 
 
 class TestJointCalibration:
@@ -515,7 +596,7 @@ class TestJointCalibration:
 
     def test_training_does_not_increase_objective(self):
         z, subsets, labels = self._instance(n=60, seed=5)
-        _, trace = train_joint_calibration(z, subsets, labels, 4, steps=50, lr=1.0)
+        _, trace = train_joint_calibration(z, subsets, labels, 4, steps=50)
         assert min(trace) <= trace[0]
 
     def test_reject_shift_invariance_for_full_width_member(self):
