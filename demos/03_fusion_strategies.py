@@ -50,9 +50,7 @@ val_partials = [t.expert_partial_posterior(e, bundle.val.features) for e in expe
 test_partials = [t.expert_partial_posterior(e, bundle.test.features) for e in experts]
 
 # fit what needs fitting, on validation only
-selector = train_expert_selector(
-    val_partials, folds.fold_of_samples(bundle.val.labels), seed=3, epochs=60
-)
+selector = train_expert_selector(val_partials, folds.fold_of_samples(bundle.val.labels))
 stacker = train_stacker(val_partials, bundle.val.labels, C, seed=4, epochs=60)
 calibration_problem = ([p.logits for p in val_partials], subsets, bundle.val.labels, C)
 calibration, cal_trace = train_joint_calibration(*calibration_problem)
@@ -61,6 +59,10 @@ gradient = calibration_gradient(*calibration_problem, calibration)
 print(
     f"joint calibration: {len(cal_trace) - 1} Newton steps, "
     f"final gradient norm {np.abs(gradient).max():.1e}"
+)
+print(
+    f"expert selector: {selector.steps} Newton steps, "
+    f"final gradient norm {selector.gradient_norm:.1e}"
 )
 
 fused = {

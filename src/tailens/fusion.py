@@ -9,8 +9,10 @@ all C classes. Five fusion strategies are built on top of it:
   with best, solved exactly: classes that every expert treats alike are
   pooled into atoms, and each row's few atom masses are found by damped
   Newton with a Frank-Wolfe optimality certificate;
-* expert selection: a 3-way linear classifier picks the expert whose
-  expansion becomes the answer;
+* expert selection: a 3-way linear softmax picks the expert whose
+  expansion becomes the answer; it minimizes the validation cross-entropy
+  plus a ridge, solved by damped Newton with conjugate-gradient steps to a
+  gradient certificate;
 * stacking: a linear softmax layer maps concatenated partial posteriors
   straight to class probabilities;
 * joint calibration: per-expert elementwise scale and shift of the logits,
@@ -59,6 +61,15 @@ CALIBRATION_RIDGE = 1e-4
 # The calibration fit is certified once the largest absolute entry of the
 # penalized gradient is at most this.
 CALIBRATION_TOL = 1e-10
+# Weight of the ridge SELECTOR_RIDGE / 2 * |theta|^2 on the expert selector's
+# weights and biases, chosen by the rule that chose CALIBRATION_RIDGE (README,
+# "Expert selection"); SELECTOR_TOL is the selector's certificate.
+SELECTOR_RIDGE = 3.2e-5
+SELECTOR_TOL = 1e-10
+# Summed row by row, a change of a fit's objective below this is still
+# mostly the rows' rounding (about 4e-17 was seen at the end of a
+# calibration fit), so the trapezoid rule on the gradients gives it instead.
+UNRESOLVED_CHANGE = 1e-14
 
 
 def _as_probabilities(partial) -> np.ndarray:
@@ -424,11 +435,114 @@ def concat_partials(partials) -> np.ndarray:
     return np.concatenate(rows, axis=1)
 
 
+class _RidgeNewtonProblem:
+    """A mean of per-row losses plus the ridge
+    ``ridge / 2 * |theta - anchor|^2`` over one flat parameter vector, the
+    form every certified fit here minimizes. A subclass sets ``name``,
+    ``anchor`` and ``ridge`` and supplies ``evaluate(theta)``, a point that
+    carries ``theta``, the per-row ``loss`` and ``finite`` (false where
+    anything overflowed); ``gradient(point)``; and
+    ``newton_step(point, grad)``, a descent direction that solves the Newton
+    system exactly or approximately."""
+
+    name: str
+    anchor: np.ndarray
+    ridge: float
+
+    def objective(self, point) -> float:
+        r = point.theta - self.anchor
+        return float(point.loss.mean()) + 0.5 * self.ridge * float(r @ r)
+
+    def change(self, old, new) -> float:
+        """objective(new) - objective(old), from the rows' differences in
+        loss and the ridge's exact change. Summed this way it resolves
+        changes far below the rounding of the objective itself, which a
+        Newton step near the optimum makes. Below ``UNRESOLVED_CHANGE`` it
+        is the trapezoid rule on the two gradients instead, whose error is
+        cubic in the step."""
+        if not new.finite:
+            return math.inf
+        step = new.theta - old.theta
+        r = old.theta - self.anchor
+        ridge = self.ridge * float(r @ step + 0.5 * (step @ step))
+        change = float((new.loss - old.loss).mean()) + ridge
+        if abs(change) <= UNRESOLVED_CHANGE:
+            change = 0.5 * float((self.gradient(old) + self.gradient(new)) @ step)
+        return change
+
+
+def _damped_newton(problem: _RidgeNewtonProblem, theta, tol: float, steps: int):
+    """Damped Newton on ``problem`` from ``theta``.
+
+    Each iteration takes the problem's Newton step, then halves it until the
+    Armijo condition holds on the change as
+    :meth:`_RidgeNewtonProblem.change` resolves it; a trial point that
+    overflows is a rejected step. The fit stops once the largest absolute
+    gradient entry is at most ``tol`` (its certificate), when no decrease
+    that float64 can represent is left, or after ``steps`` iterations.
+
+    Returns the final point, its gradient, and the objective trace, one
+    entry per iterate, initial first. Each later entry is the one before
+    plus the step's change, so the trace never increases.
+    """
+    point = problem.evaluate(theta)
+    if not point.finite:
+        raise DivergenceError(f"{problem.name} objective is non-finite at initialization")
+    trace = [problem.objective(point)]
+    grad = problem.gradient(point)
+    for _ in range(steps):
+        if np.abs(grad).max() <= tol:
+            break
+        step = problem.newton_step(point, grad)
+        slope = float(grad @ step)
+        alpha = 1.0
+        for _ in range(60):
+            trial = problem.evaluate(point.theta + alpha * step)
+            change = problem.change(point, trial)
+            if change < 0 and change <= 1e-4 * alpha * slope:
+                break
+            alpha *= 0.5
+        else:
+            break  # no decrease that float64 can represent is left
+        point = trial
+        trace.append(trace[-1] + change)
+        grad = problem.gradient(point)
+    return point, grad, trace
+
+
+def _conjugate_gradient(matvec, rhs, rtol: float) -> np.ndarray:
+    """Conjugate gradients from zero on A s = rhs, A symmetric positive
+    definite and given as ``matvec``, until the residual norm is at most
+    ``rtol`` times that of ``rhs`` or after len(rhs) iterations. Every
+    iterate s has rhs @ s > 0, so -grad as ``rhs`` gives a descent step."""
+    s = np.zeros_like(rhs)
+    r = rhs.copy()
+    d = r.copy()
+    rr = float(r @ r)
+    stop = rtol * rtol * rr
+    for _ in range(len(rhs)):
+        ad = matvec(d)
+        alpha = rr / float(d @ ad)
+        s += alpha * d
+        r -= alpha * ad
+        rr_next = float(r @ r)
+        if rr_next <= stop:
+            break
+        d = r + (rr_next / rr) * d
+        rr = rr_next
+    return s
+
+
 @dataclass(frozen=True)
 class SelectorModel:
-    """Linear softmax picking which expert owns a sample's true class."""
+    """Linear softmax picking which expert owns a sample's true class, with
+    the record of the fit that made it (None for a model built by hand):
+    the Newton steps taken and the largest absolute entry of the final
+    penalized gradient, the fit's certificate."""
 
     params: NetworkParams
+    steps: int | None = None
+    gradient_norm: float | None = None
 
     def scores(self, partials) -> np.ndarray:
         return softmax(forward_logits(self.params, concat_partials(partials)))
@@ -445,42 +559,84 @@ class StackerModel:
         return self.params.dims[-1]
 
 
-def _train_linear_softmax(
-    val_partials, labels, class_count: int, seed, epochs, lr0, batch_size, weight_decay
-) -> NetworkParams:
-    """A single-layer softmax from concatenated partial posteriors to
-    ``class_count`` outputs, trained with instance-balanced SGD."""
-    features = concat_partials(val_partials)
-    ds = EmbeddingDataset(features, labels, class_count=class_count)
-    params = init_network([features.shape[1], class_count], seed=seed)
-    config = TrainConfig(
-        lr0=lr0,
-        epochs=epochs,
-        batch_size=batch_size,
-        sampler=SamplerMode.instance_balanced(),
-        seed=seed,
-        weight_decay=weight_decay,
-        hidden_dims=(),
-    )
-    trained, _ = fit_network(params, ds, config)
-    return trained
+@dataclass(frozen=True)
+class _SoftmaxPoint:
+    """The selector's per-row losses and probabilities at one parameter
+    vector; ``finite`` is false where a loss overflowed."""
+
+    theta: np.ndarray
+    loss: np.ndarray
+    probs: np.ndarray
+    finite: bool
 
 
-def train_expert_selector(
-    val_partials,
-    val_fold_labels,
-    *,
-    seed: int = 0,
-    epochs: int = 100,
-    lr0: float = 0.5,
-    batch_size: int = 64,
-    weight_decay: float = 0.0,
-) -> SelectorModel:
-    """Train the 3-way expert selector on validation partial posteriors.
+class _PenalizedSoftmax(_RidgeNewtonProblem):
+    """The mean cross-entropy of the linear softmax softmax(x W + b) plus
+    the ridge ``SELECTOR_RIDGE / 2 * |theta|^2``, over theta = the rows of
+    [W; b] in order, with its gradient and a conjugate-gradient Newton
+    step."""
+
+    name = "selector"
+
+    def __init__(self, features, labels, outputs: int):
+        n, d = features.shape
+        # a constant last input carries the bias, so x W + b = inputs @ [W; b]
+        self.inputs = np.hstack([features, np.ones((n, 1))])
+        self.labels = labels
+        self.outputs = outputs
+        self.anchor = np.zeros((d + 1) * outputs)
+        self.ridge = SELECTOR_RIDGE
+
+    def params(self, theta) -> NetworkParams:
+        weights = theta.reshape(-1, self.outputs)
+        return NetworkParams([(weights[:-1].copy(), weights[-1].copy())])
+
+    def evaluate(self, theta) -> _SoftmaxPoint:
+        """Each row's loss is log(1 + sum of the other exponentials) minus
+        the label's logit, both relative to the row's largest logit, so a
+        confident row keeps its tiny loss instead of rounding it to zero."""
+        rows = np.arange(len(self.labels))
+        with np.errstate(all="ignore"):
+            z = self.inputs @ theta.reshape(-1, self.outputs)
+            top = np.argmax(z, axis=1)
+            z -= z[rows, top][:, None]
+            e = np.exp(z)
+            e[rows, top] = 0.0
+            log_mass = np.log1p(e.sum(axis=1))
+            loss = log_mass - z[rows, self.labels]
+            probs = np.exp(z - log_mass[:, None])
+        return _SoftmaxPoint(theta, loss, probs, bool(np.isfinite(loss).all()))
+
+    def gradient(self, point: _SoftmaxPoint) -> np.ndarray:
+        residual = point.probs.copy()
+        # p - 1 at the label, without cancellation for a confident row
+        residual[np.arange(len(self.labels)), self.labels] = np.expm1(-point.loss)
+        return (self.inputs.T @ residual).ravel() / len(self.labels) + self.ridge * point.theta
+
+    def newton_step(self, point: _SoftmaxPoint, grad) -> np.ndarray:
+        """Conjugate gradients on the Hessian-vector product
+        (1/n) X^T (p * (X V - sum(p * X V))) + ridge V, with the forcing
+        tolerance min(1/2, sqrt|grad|) that keeps Newton's convergence
+        superlinear. The ridge makes the Hessian positive definite."""
+        p, n = point.probs, len(self.labels)
+
+        def hess_times(v):
+            dz = self.inputs @ v.reshape(-1, self.outputs)
+            dp = p * (dz - (p * dz).sum(axis=1, keepdims=True))
+            return (self.inputs.T @ dp).ravel() / n + self.ridge * v
+
+        rtol = min(0.5, math.sqrt(float(np.linalg.norm(grad))))
+        return _conjugate_gradient(hess_times, -grad, rtol)
+
+
+def train_expert_selector(val_partials, val_fold_labels) -> SelectorModel:
+    """Fit the 3-way expert selector on validation partial posteriors.
 
     The target of a sample is the expert whose subset holds its true class,
     in expert order (manyshot, mediumshot, fewshot). Every fold must appear
-    in the validation labels.
+    in the validation labels. The fit minimizes the mean cross-entropy plus
+    the ridge ``SELECTOR_RIDGE / 2 * |theta|^2`` by damped Newton from zero
+    weights, to the certificate ``SELECTOR_TOL``.
     """
     labels = np.asarray(val_fold_labels, dtype=np.int64)
     expert_count = len(val_partials)
@@ -488,10 +644,11 @@ def train_expert_selector(
     for e in range(expert_count):
         if e not in present:
             raise ValueError(f"fold {e} is absent from the validation labels")
+    problem = _PenalizedSoftmax(concat_partials(val_partials), labels, expert_count)
+    # the workloads take 11-13 steps; the cap only bounds a fit gone wrong
+    point, grad, trace = _damped_newton(problem, problem.anchor, SELECTOR_TOL, 100)
     return SelectorModel(
-        _train_linear_softmax(
-            val_partials, labels, expert_count, seed, epochs, lr0, batch_size, weight_decay
-        )
+        problem.params(point.theta), len(trace) - 1, float(np.abs(grad).max())
     )
 
 
@@ -522,13 +679,23 @@ def train_stacker(
     batch_size: int = 64,
     weight_decay: float = 0.0,
 ) -> StackerModel:
-    """Train the single-layer linear softmax stacker on validation data."""
+    """Train the single-layer linear softmax stacker on validation data
+    with instance-balanced SGD."""
     labels = np.asarray(val_class_labels, dtype=np.int64)
-    return StackerModel(
-        _train_linear_softmax(
-            val_partials, labels, class_count, seed, epochs, lr0, batch_size, weight_decay
-        )
+    features = concat_partials(val_partials)
+    ds = EmbeddingDataset(features, labels, class_count=class_count)
+    params = init_network([features.shape[1], class_count], seed=seed)
+    config = TrainConfig(
+        lr0=lr0,
+        epochs=epochs,
+        batch_size=batch_size,
+        sampler=SamplerMode.instance_balanced(),
+        seed=seed,
+        weight_decay=weight_decay,
+        hidden_dims=(),
     )
+    trained, _ = fit_network(params, ds, config)
+    return StackerModel(trained)
 
 
 def fuse_by_stacking(partials, stacker: StackerModel) -> np.ndarray:
@@ -669,22 +836,25 @@ def _calibration_grad(logit_rows, columns, scales, shifts):
 @dataclass(frozen=True)
 class _CalibrationPoint:
     """The per-row terms of :func:`_calibration_rows` at one parameter
-    vector; ``finite`` is false where any of them overflowed."""
+    vector, with each row's loss -log q; ``finite`` is false where any of
+    them overflowed."""
 
     theta: np.ndarray
     q: np.ndarray
-    log_q: np.ndarray
+    loss: np.ndarray
     probs: list
     picked: list
     dus: list
     finite: bool
 
 
-class _PenalizedCalibration:
+class _PenalizedCalibration(_RidgeNewtonProblem):
     """The validation cross-entropy of the calibrated soft vote plus the
     ridge ``CALIBRATION_RIDGE / 2 * (|w - 1|^2 + |b|^2)``, over one flat
-    parameter vector theta = (w_1, b_1, ..., w_E, b_E), with its gradient
-    and Hessian."""
+    parameter vector theta = (w_1, b_1, ..., w_E, b_E), with its gradient,
+    Hessian and Cholesky Newton step."""
+
+    name = "calibration"
 
     def __init__(self, val_logits, subsets, val_class_labels, class_count):
         self.logit_rows = [_rows(_as_logits(z))[0] for z in val_logits]
@@ -694,7 +864,7 @@ class _PenalizedCalibration:
         self.columns = _label_columns(self.logit_rows, subsets, class_count, labels)
         self.widths = [z.shape[1] for z in self.logit_rows]
         self.starts = np.cumsum([0] + [2 * m for m in self.widths])
-        self.identity = self.flatten(CalibrationParams.identity(self.widths))
+        self.anchor = self.flatten(CalibrationParams.identity(self.widths))
         self.ridge = CALIBRATION_RIDGE
 
     def flatten(self, calib: CalibrationParams) -> np.ndarray:
@@ -718,25 +888,9 @@ class _PenalizedCalibration:
             q, probs, picked, dus = _calibration_rows(
                 self.logit_rows, self.columns, *self._split(theta)
             )
-            log_q = np.log(q)
-        finite = bool(np.isfinite(log_q).all()) and all(np.isfinite(du).all() for du in dus)
-        return _CalibrationPoint(theta, q, log_q, probs, picked, dus, finite)
-
-    def objective(self, point: _CalibrationPoint) -> float:
-        r = point.theta - self.identity
-        return float(-point.log_q.mean()) + 0.5 * self.ridge * float(r @ r)
-
-    def change(self, old: _CalibrationPoint, new: _CalibrationPoint) -> float:
-        """objective(new) - objective(old), from the rows' differences in
-        log q and the ridge's exact change. Summed this way it resolves
-        changes far below the rounding of the objective itself, which a
-        Newton step near the optimum makes."""
-        if not new.finite:
-            return math.inf
-        step = new.theta - old.theta
-        r = old.theta - self.identity
-        ridge = self.ridge * float(r @ step + 0.5 * (step @ step))
-        return float((old.log_q - new.log_q).mean()) + ridge
+            loss = -np.log(q)
+        finite = bool(np.isfinite(loss).all()) and all(np.isfinite(du).all() for du in dus)
+        return _CalibrationPoint(theta, q, loss, probs, picked, dus, finite)
 
     def gradient(self, point: _CalibrationPoint) -> np.ndarray:
         parts = [
@@ -744,7 +898,7 @@ class _PenalizedCalibration:
             for du, z in zip(point.dus, self.logit_rows)
             for v in ((du * z).sum(axis=0), du.sum(axis=0))
         ]
-        return np.concatenate(parts) + self.ridge * (point.theta - self.identity)
+        return np.concatenate(parts) + self.ridge * (point.theta - self.anchor)
 
     def hessian(self, point: _CalibrationPoint) -> np.ndarray:
         """(1/n) G^T G - (1/n) sum_i J_i^T (grad^2 q_i / q_i) J_i + ridge I.
@@ -797,11 +951,16 @@ class _PenalizedCalibration:
         hess[np.diag_indices(size)] += self.ridge
         return hess
 
+    def newton_step(self, point: _CalibrationPoint, grad) -> np.ndarray:
+        return _newton_step(self.hessian(point), grad)
+
 
 def _newton_step(hess, grad) -> np.ndarray:
     """-hess^-1 grad through a Cholesky factor. Where ``hess`` is not
-    positive definite, the Levenberg shift mu I is added, grown fourfold
-    from 1e-6 of hess's largest entry until the factor exists."""
+    positive definite, the Levenberg shift mu I is added with mu twice the
+    magnitude of its most negative eigenvalue, so that the shifted
+    Hessian's least curvature mirrors it; mu is at least 1e-6 of hess's
+    largest entry, and doubles if the factor still fails in rounding."""
     if not np.all(np.isfinite(hess)):
         raise DivergenceError("calibration Hessian is non-finite")
     eye = np.eye(len(grad))
@@ -810,7 +969,11 @@ def _newton_step(hess, grad) -> np.ndarray:
         try:
             factor = np.linalg.cholesky(hess + shift * eye)
         except np.linalg.LinAlgError:
-            shift = max(4.0 * shift, 1e-6 * np.abs(hess).max())
+            shift = max(
+                2.0 * shift,
+                -2.0 * np.linalg.eigvalsh(hess)[0],
+                1e-6 * np.abs(hess).max(),
+            )
             continue
         return -np.linalg.solve(factor.T, np.linalg.solve(factor, grad))
 
@@ -827,41 +990,16 @@ def train_joint_calibration(
     of the calibrated soft-vote posterior plus the ridge
     ``CALIBRATION_RIDGE / 2 * (|w - 1|^2 + |b|^2)`` toward the identity.
 
-    Damped Newton from the identity (w = 1, b = 0): each step solves with
-    the exact Hessian, shifted where it is not positive definite, then
-    halves the step until the Armijo condition holds. A trial point that
-    overflows is a rejected step. The fit stops once the largest absolute
-    entry of the penalized gradient is at most ``CALIBRATION_TOL``, or when
-    no decrease that float64 can represent is left; ``steps`` caps the
+    :func:`_damped_newton` from the identity (w = 1, b = 0), each step
+    solved with the exact Hessian, shifted where it is not positive
+    definite, to the certificate ``CALIBRATION_TOL``; ``steps`` caps the
     Newton iterations, and ``steps=0`` returns the identity.
 
     Returns the parameters and the trace of the penalized objective, one
-    entry per iterate, initial first. Each later entry is the one before
-    plus the step's change as :meth:`_PenalizedCalibration.change`
-    resolves it, so the trace never increases.
+    entry per iterate, initial first; the trace never increases.
     """
     problem = _PenalizedCalibration(val_logits, subsets, val_class_labels, class_count)
-    point = problem.evaluate(problem.identity)
-    if not point.finite:
-        raise DivergenceError("calibration objective is non-finite at initialization")
-    trace = [problem.objective(point)]
-    for _ in range(steps):
-        grad = problem.gradient(point)
-        if np.abs(grad).max() <= CALIBRATION_TOL:
-            break
-        step = _newton_step(problem.hessian(point), grad)
-        slope = float(grad @ step)
-        alpha = 1.0
-        for _ in range(60):
-            trial = problem.evaluate(point.theta + alpha * step)
-            change = problem.change(point, trial)
-            if change < 0 and change <= 1e-4 * alpha * slope:
-                break
-            alpha *= 0.5
-        else:
-            break  # no decrease that float64 can represent is left
-        point = trial
-        trace.append(trace[-1] + change)
+    point, _, trace = _damped_newton(problem, problem.anchor, CALIBRATION_TOL, steps)
     return problem.params(point.theta), trace
 
 

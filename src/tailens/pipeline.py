@@ -12,6 +12,7 @@ suite and the walkthrough scripts.
 from __future__ import annotations
 
 import json
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -69,7 +70,6 @@ from .network import TrainConfig, forward_logits, load_checkpoint, save_checkpoi
 SEED_BASELINE = 1
 SEED_UNIFORM = 2
 SEED_EXPERT_BASE = 100  # expert e uses root + SEED_EXPERT_BASE * (e + 1)
-SEED_SELECTOR = 500
 SEED_STACKER = 501
 
 
@@ -275,9 +275,7 @@ class FittedFusion:
 
 def _fit_select(ensemble: ExpertEnsemble, cfg: RunConfig) -> SelectorModel:
     return train_expert_selector(
-        ensemble.partials("val"),
-        ensemble.folds.fold_of_samples(ensemble.bundle.val.labels),
-        seed=cfg.training.seed + SEED_SELECTOR,
+        ensemble.partials("val"), ensemble.folds.fold_of_samples(ensemble.bundle.val.labels)
     )
 
 
@@ -322,26 +320,42 @@ def _head_widths(ensemble: ExpertEnsemble) -> tuple[int, ...]:
     return tuple(e.params.dims[-1] for e in ensemble.experts)
 
 
-def _meta_model_io(kind: str, model_type, outputs: Callable[[ExpertEnsemble], int]):
-    """Save and load for a linear meta-model stored as a tagged checkpoint;
-    ``outputs`` gives the output width the ensemble expects."""
+def _load_meta_model(path, kind: str, outputs: int, ensemble: ExpertEnsemble):
+    """A linear meta-model stored as a checkpoint tagged with ``kind``,
+    checked against the ensemble's head widths and ``outputs``; returns its
+    parameters and the checkpoint's meta."""
+    params, meta = load_checkpoint(path)
+    if meta.get("kind") != kind:
+        raise DataError(f"{path} is not a {kind} parameter file")
+    expected = [sum(_head_widths(ensemble)), outputs]
+    if [params.dims[0], params.dims[-1]] != expected:
+        raise DataError(
+            f"{path}: {kind} maps {params.dims[0]} -> {params.dims[-1]} "
+            f"but the experts need {expected[0]} -> {expected[1]}"
+        )
+    return params, meta
 
-    def save(path, model) -> None:
-        save_checkpoint(path, model.params, {"kind": kind})
 
-    def load(path, ensemble):
-        params, meta = load_checkpoint(path)
-        if meta.get("kind") != kind:
-            raise DataError(f"{path} is not a {kind} parameter file")
-        expected = [sum(_head_widths(ensemble)), outputs(ensemble)]
-        if [params.dims[0], params.dims[-1]] != expected:
-            raise DataError(
-                f"{path}: {kind} maps {params.dims[0]} -> {params.dims[-1]} "
-                f"but the experts need {expected[0]} -> {expected[1]}"
-            )
-        return model_type(params)
+def _save_selector(path, model: SelectorModel) -> None:
+    meta = {"kind": "selector", "steps": model.steps, "gradient_norm": model.gradient_norm}
+    save_checkpoint(path, model.params, meta)
 
-    return save, load
+
+def _load_selector(path, ensemble) -> SelectorModel:
+    params, meta = _load_meta_model(path, "selector", len(ensemble.experts), ensemble)
+    steps, norm = meta.get("steps"), meta.get("gradient_norm")
+    if type(steps) is not int or steps < 0 or type(norm) is not float or not 0 <= norm < math.inf:
+        raise DataError(f"{path}: selector certificate is malformed")
+    return SelectorModel(params, steps, norm)
+
+
+def _save_stacker(path, model: StackerModel) -> None:
+    save_checkpoint(path, model.params, {"kind": "stacker"})
+
+
+def _load_stacker(path, ensemble) -> StackerModel:
+    params, _ = _load_meta_model(path, "stacker", ensemble.bundle.class_count, ensemble)
+    return StackerModel(params)
 
 
 def _save_calibration(path, fit: CalibrationFit) -> None:
@@ -384,13 +398,6 @@ def _load_calibration(path, ensemble) -> CalibrationFit:
     return fit
 
 
-_select_save, _select_load = _meta_model_io(
-    "selector", SelectorModel, lambda ensemble: len(ensemble.experts)
-)
-_stack_save, _stack_load = _meta_model_io(
-    "stacker", StackerModel, lambda ensemble: ensemble.bundle.class_count
-)
-
 # One record per name in config.FUSION_STRATEGIES.
 FUSIONS: dict[str, FusionStrategy] = {
     "softvote": FusionStrategy(
@@ -406,14 +413,14 @@ FUSIONS: dict[str, FusionStrategy] = {
             partials, params, subsets, c
         ),
         fit=_fit_select,
-        save=_select_save,
-        load=_select_load,
+        save=_save_selector,
+        load=_load_selector,
     ),
     "stack": FusionStrategy(
         apply=lambda partials, subsets, c, params: fuse_by_stacking(partials, params),
         fit=_fit_stack,
-        save=_stack_save,
-        load=_stack_load,
+        save=_save_stacker,
+        load=_load_stacker,
     ),
     "calibrate": FusionStrategy(
         apply=lambda partials, subsets, c, params: fuse_calibrated(
@@ -428,7 +435,8 @@ FUSIONS: dict[str, FusionStrategy] = {
 
 def train_fusion(ensemble: ExpertEnsemble, cfg: RunConfig, strategy: str) -> FittedFusion:
     """Fit whatever the strategy needs on the validation split; ``cfg``
-    supplies the root seed of the selector and the stacker."""
+    supplies the root seed of the stacker, the one fit that draws random
+    numbers."""
     fit = FUSIONS[strategy].fit
     return FittedFusion(strategy, None if fit is None else fit(ensemble, cfg))
 

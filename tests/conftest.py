@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import multiprocessing
 import time
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -125,11 +127,16 @@ def _run_seed(seed: int) -> SeedRun:
 def benchmark_runs() -> tuple[list[SeedRun], float]:
     """Train the full pipeline on the pinned benchmark for five seeds.
 
+    The seeds run two at a time in forked worker processes, which end with
+    the ``with`` block. Each seed derives every generator from its own root
+    seed, so the values are those of a serial run.
+
     Returns the per-seed artifacts and the wall-clock seconds spent
     building them (counted against the benchmark runtime budget).
     """
     start = time.perf_counter()
-    runs = [_run_seed(seed) for seed in BENCHMARK_SEEDS]
+    with ProcessPoolExecutor(2, mp_context=multiprocessing.get_context("fork")) as pool:
+        runs = list(pool.map(_run_seed, BENCHMARK_SEEDS))
     return runs, time.perf_counter() - start
 
 

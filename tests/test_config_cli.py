@@ -16,6 +16,7 @@ from tailens.config import (
     serialize_config,
 )
 from tailens.evaluation import fourfold_accuracy
+from tailens.fusion import SELECTOR_TOL
 from tailens import network, pipeline
 from tailens.experts import (
     expert_partial_posterior,
@@ -201,6 +202,15 @@ class TestCliMatchesPipeline:
         ).to_json_dict()
         written = json.loads((out / "reports" / f"eval_{strategy}.json").read_text())
         assert written == expected
+
+    def test_selector_certificate_round_trips(self, cli_and_library_runs):
+        cfg, out, ens = cli_and_library_runs
+        fitted = train_fusion(ens, cfg, "select").params
+        loaded = FUSIONS["select"].load(out / "fusion" / "select.params", ens)
+        assert (loaded.steps, loaded.gradient_norm) == (fitted.steps, fitted.gradient_norm)
+        assert loaded.gradient_norm <= SELECTOR_TOL and loaded.steps > 0
+        for a, b in zip(loaded.params.layers[0], fitted.params.layers[0]):
+            assert a.tobytes() == b.tobytes()
 
     def test_selection_tables_match_library_selections(self, cli_and_library_runs):
         _, out, ens = cli_and_library_runs
@@ -488,6 +498,15 @@ def _wider_input_expert(path):
         ("select", "fusion/select.params", _checkpoint_first_weight_nan,
          "layer 0 contains non-finite entries"),
         ("select", "fusion/select.params", _wrong_width_selector, "selector maps 2 -> 3"),
+        ("select", "fusion/select.params",
+         _checkpoint_meta(lambda meta: {**meta, "gradient_norm": "1e-12"}),
+         "selector certificate is malformed"),
+        ("select", "fusion/select.params",
+         _checkpoint_meta(lambda meta: {**meta, "steps": -1}),
+         "selector certificate is malformed"),
+        ("select", "fusion/select.params",
+         _checkpoint_meta(lambda meta: {"kind": meta["kind"]}),
+         "selector certificate is malformed"),
         ("softvote", "checkpoints/expert_fewshot.ckpt",
          _checkpoint_header_replace(b'"layers.', b'"tensor.'),
          "checkpoint has no array 'layers.0.weight'"),
@@ -503,6 +522,7 @@ def _wider_input_expert(path):
          "expert reads 5 features, the bundle has 4"),
     ],
     ids=["calibrate-nan", "calibrate-text", "calibrate-width", "select-nan", "select-width",
+         "select-norm-text", "select-steps-negative", "select-no-certificate",
          "checkpoint-array-names", "expert-meta", "expert-meta-list", "expert-class-99",
          "expert-feature-width"],
 )

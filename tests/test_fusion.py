@@ -7,10 +7,13 @@ from tailens import DataError
 from tailens.dataset import Fold, SubsetSpec
 from tailens.fusion import (
     CALIBRATION_TOL,
+    SELECTOR_TOL,
     CalibrationParams,
     _calibration_grad,
     _label_columns,
+    _newton_step,
     _PenalizedCalibration,
+    _PenalizedSoftmax,
     calibration_finite_diff_check,
     calibration_gradient,
     concat_partials,
@@ -298,27 +301,75 @@ def _selector_training_data(n_per_fold=60, seed=0):
     return partials, fold_labels
 
 
+def _constant_partials_world():
+    """Identical partials on every row, folds 60/20/10: only the biases can
+    learn, and the fit must find the majority share."""
+    partials = [np.tile([0.4, 0.4, 0.2], (90, 1)) for _ in range(3)]
+    return partials, np.repeat([0, 1, 2], [60, 20, 10])
+
+
+def _selector_theta(selector):
+    weights, bias = selector.params.layers[0]
+    return np.vstack([weights, bias]).ravel()
+
+
 class TestSelector:
+    @pytest.mark.parametrize(
+        "world", [_selector_training_data, _constant_partials_world], ids=["separable", "constant"]
+    )
+    def test_fit_returns_with_its_certificate(self, world):
+        partials, fold_labels = world()
+        selector = train_expert_selector(partials, fold_labels)
+        problem = _PenalizedSoftmax(concat_partials(partials), fold_labels, 3)
+        grad = problem.gradient(problem.evaluate(_selector_theta(selector)))
+        assert np.abs(grad).max() <= SELECTOR_TOL
+        assert selector.gradient_norm == np.abs(grad).max()
+        assert 0 < selector.steps < 100
+
+    def test_penalized_gradient_and_hessian_match_finite_differences(self):
+        partials, fold_labels = _selector_training_data(n_per_fold=10, seed=4)
+        problem = _PenalizedSoftmax(concat_partials(partials), fold_labels, 3)
+        rng = np.random.default_rng(6)
+        theta = rng.normal(0.0, 2.0, size=problem.anchor.shape)
+        point = problem.evaluate(theta.copy())
+        grad = problem.gradient(point)
+        err = _central_difference_error(
+            lambda: problem.objective(problem.evaluate(theta)), [theta], [grad], 1e-6
+        )
+        assert err < 1e-7
+        # conjugate gradients on the Hessian-vector product solve the
+        # Newton system: H step = -grad, H from central differences
+        eps = 1e-6
+        hess = np.empty((len(theta), len(theta)))
+        for j in range(len(theta)):
+            up, down = theta.copy(), theta.copy()
+            up[j] += eps
+            down[j] -= eps
+            hess[:, j] = (
+                problem.gradient(problem.evaluate(up)) - problem.gradient(problem.evaluate(down))
+            ) / (2 * eps)
+        step = problem.newton_step(point, grad)
+        assert np.linalg.norm(hess @ step + grad) <= 0.5 * np.linalg.norm(grad)
+        assert grad @ step < 0
+
     def test_separable_selector_generalizes(self):
         partials, fold_labels = _selector_training_data()
         train = [p[::2] for p in partials]
         held = [p[1::2] for p in partials]
-        selector = train_expert_selector(train, fold_labels[::2], seed=0, epochs=60)
+        selector = train_expert_selector(train, fold_labels[::2])
         preds = np.argmax(selector.scores(held), axis=1)
         assert np.mean(preds == fold_labels[1::2]) >= 0.95
 
     def test_constant_partials_hit_majority_share(self):
-        n = 90
-        partials = [np.tile([0.4, 0.4, 0.2], (n, 1)) for _ in range(3)]
-        fold_labels = np.repeat([0, 1, 2], [60, 20, 10])
-        selector = train_expert_selector(partials, fold_labels, seed=1, epochs=40)
+        partials, fold_labels = _constant_partials_world()
+        selector = train_expert_selector(partials, fold_labels)
         preds = np.argmax(selector.scores(partials), axis=1)
         assert np.mean(preds == fold_labels) == pytest.approx(60 / 90)
 
     def test_concatenated_feature_width(self):
         partials, fold_labels = _selector_training_data()
         assert concat_partials(partials).shape[1] == sum(p.shape[1] for p in partials)
-        selector = train_expert_selector(partials, fold_labels, seed=0, epochs=5)
+        selector = train_expert_selector(partials, fold_labels)
         assert selector.params.dims == [9, 3]
 
     def test_missing_fold_is_an_error(self):
@@ -348,7 +399,7 @@ class TestSelector:
         pb = np.array([[0.2, 0.2, 0.6]])
         partials, fold_labels = _selector_training_data()
         # build a selector certain of expert 0 by training on fold-0 rich data
-        selector = train_expert_selector(partials, fold_labels, seed=0, epochs=60)
+        selector = train_expert_selector(partials, fold_labels)
         scores = selector.scores([pa, pb, pa])
         winner = int(np.argmax(scores))
         subsets = [S01, S23, SubsetSpec(Fold.MEDIUMSHOT, np.array([0, 1]))]
@@ -376,7 +427,7 @@ class TestStacker:
 
         monkeypatch.setattr("tailens.network.dataset_loss", no_full_pass)
         partials, fold_labels = _selector_training_data()
-        train_expert_selector(partials, fold_labels, seed=0, epochs=3)
+        train_expert_selector(partials, fold_labels)
         train_stacker(partials, fold_labels, 3, seed=0, epochs=3)
 
     def test_untrained_stacker_still_normalizes(self):
@@ -490,7 +541,7 @@ class TestRidgeNewtonCalibration:
         logits, subsets, labels, class_count = _calibration_world(world, n=n, seed=3)
         problem = _PenalizedCalibration(logits, subsets, labels, class_count)
         rng = np.random.default_rng(8)
-        theta = problem.identity + rng.normal(0.0, 0.3, size=problem.identity.shape)
+        theta = problem.anchor + rng.normal(0.0, 0.3, size=problem.anchor.shape)
         return problem, theta
 
     @pytest.mark.parametrize("world", THREE_WORLDS)
@@ -544,6 +595,25 @@ class TestRidgeNewtonCalibration:
         logits, subsets, labels, class_count = _calibration_world("two-subsets")
         _, trace = train_joint_calibration(logits, subsets, labels, class_count, steps=2)
         assert len(trace) == 3
+
+    def test_tiny_descent_step_resolves_as_a_decrease(self):
+        # next to the optimum a short step along -grad lowers the objective
+        # far less than the rows' rounding; its change must still be < 0
+        logits, subsets, labels, class_count = _calibration_world("with-full-width")
+        calib, _ = train_joint_calibration(logits, subsets, labels, class_count)
+        problem = _PenalizedCalibration(logits, subsets, labels, class_count)
+        rng = np.random.default_rng(2)
+        for _ in range(20):
+            theta = problem.flatten(calib) + rng.normal(0.0, 1e-8, size=problem.anchor.shape)
+            old = problem.evaluate(theta)
+            new = problem.evaluate(theta - 1e-3 * problem.gradient(old))
+            assert problem.change(old, new) < 0
+
+    def test_indefinite_hessian_takes_the_mirrored_shift(self):
+        # the most negative eigenvalue is -1, so the shift is 2 and the
+        # shifted Hessian diag(1, 4)
+        step = _newton_step(np.diag([-1.0, 2.0]), np.array([1.0, 1.0]))
+        assert np.allclose(step, [-1.0, -0.25], rtol=1e-12)
 
     def test_large_logits_do_not_warn(self):
         # confident, often wrong experts: some trial steps underflow a
