@@ -280,9 +280,17 @@ def take_one_out_ablation(
     labels = np.asarray(labels, dtype=np.int64)
 
     def evaluate(members: list[str]) -> EvalReport:
-        stacked = np.stack([np.atleast_2d(tables[m]) for m in members]).mean(axis=0)
-        preds = np.argmax(stacked, axis=1)
-        return fourfold_accuracy(preds, labels, folds)
+        # the members' mean, summed into one table in member order
+        total = np.array(np.atleast_2d(tables[members[0]]), dtype=np.float64)
+        for m in members[1:]:
+            table = np.atleast_2d(tables[m])
+            if table.shape != total.shape:
+                raise ValueError(
+                    f"table {m!r} has shape {table.shape}, expected {total.shape}"
+                )
+            total += table
+        total /= len(members)
+        return fourfold_accuracy(np.argmax(total, axis=1), labels, folds)
 
     out: dict[str, EvalReport] = {"ensemble": evaluate(names)}
     for name in names:

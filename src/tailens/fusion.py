@@ -102,56 +102,96 @@ def expand_partial(partial, subset: SubsetSpec | None, class_count: int) -> np.n
     degenerate case of a subset covering every class drops the reject mass,
     renormalizes, and warns.
     """
-    probs = _as_probabilities(partial)
-    rows, single = _rows(probs)
+    rows, single = _rows(_as_probabilities(partial))
+    drops = _check_expansion(rows, subset, class_count)
+    full = _expansion(rows, subset, class_count, drops)
+    return full[0] if single else full
+
+
+def _check_expansion(rows, subset: SubsetSpec | None, class_count: int) -> bool:
+    """Raise where ``rows`` cannot be expanded, and warn where the expansion
+    drops reject mass (the subset covers every class and some row has
+    reject mass); returns whether it does."""
     if subset is None:
         if rows.shape[1] != class_count:
             raise ValueError(
                 f"full-width posterior has {rows.shape[1]} entries, expected {class_count}"
             )
-        out = rows.copy()
-        return out[0] if single else out
-
-    k = subset.size
-    if rows.shape[1] != k + 1:
+        return False
+    if rows.shape[1] != subset.size + 1:
         raise ValueError(
-            f"partial posterior has {rows.shape[1]} entries, expected {k + 1}"
+            f"partial posterior has {rows.shape[1]} entries, expected {subset.size + 1}"
         )
+    drops = len(subset.out_classes(class_count)) == 0 and bool(np.any(rows[:, -1] > 0))
+    if drops:
+        warnings.warn(REJECT_DROP_WARNING, stacklevel=3)
+    return drops
+
+
+def _expansion(rows, subset: SubsetSpec | None, class_count: int, drops: bool) -> np.ndarray:
+    """The expansion of checked ``rows`` in a table of its own; ``drops``
+    renormalizes the rows of a full-coverage subset."""
+    if subset is None:
+        return rows.copy()
+    k = subset.size
     out_classes = subset.out_classes(class_count)
     full = np.zeros((rows.shape[0], class_count))
     full[:, subset.classes] = rows[:, :k]
     if len(out_classes):
         full[:, out_classes] += rows[:, k : k + 1] / len(out_classes)
-    else:
-        if np.any(rows[:, k] > 0):
-            warnings.warn(REJECT_DROP_WARNING, stacklevel=2)
-            full /= full.sum(axis=1, keepdims=True)
-    return full[0] if single else full
+    elif drops:
+        full /= full.sum(axis=1, keepdims=True)
+    return full
 
 
-def _expanded_rows(partials, subsets, class_count: int) -> tuple[list[np.ndarray], bool]:
+def _expansion_inputs(partials, subsets, class_count: int):
+    """Each partial posterior as rows, checked in expert order as
+    :func:`expand_partial` checks it (warning where it warns), then checked
+    for one sample count. Returns the rows, whether each expert's expansion
+    drops reject mass, and whether every input was 1d."""
     if len(partials) != len(subsets):
         raise ValueError("need one subset (or None) per partial posterior")
     if len(partials) == 0:
         raise ValueError("need at least one partial posterior")
-    expanded = []
+    prob_rows, drops = [], []
     single = True
     for partial, subset in zip(partials, subsets):
-        probs = _as_probabilities(partial)
-        rows, was_1d = _rows(probs)
+        rows, was_1d = _rows(_as_probabilities(partial))
         single = single and was_1d
-        expanded.append(expand_partial(rows, subset, class_count))
-    sizes = {e.shape[0] for e in expanded}
+        drops.append(_check_expansion(rows, subset, class_count))
+        prob_rows.append(rows)
+    sizes = {len(rows) for rows in prob_rows}
     if len(sizes) != 1:
         raise ValueError(f"partial posteriors disagree on sample count: {sorted(sizes)}")
-    return expanded, single
+    return prob_rows, drops, single
+
+
+def _mean_expansion(prob_rows, subsets, drops, class_count: int) -> np.ndarray:
+    """The mean of the checked rows' expansions, built in one (n, C) table:
+    each expert's expansion is added into it in expert order, so the result
+    is bitwise ``np.stack(expansions).mean(axis=0)`` without the stack."""
+    total = _expansion(prob_rows[0], subsets[0], class_count, drops[0])
+    for rows, subset, drop in zip(prob_rows[1:], subsets[1:], drops[1:]):
+        if subset is None:
+            total += rows
+            continue
+        k, out_classes = subset.size, subset.out_classes(class_count)
+        if len(out_classes):
+            total[:, subset.classes] += rows[:, :k]
+            total[:, out_classes] += rows[:, k : k + 1] / len(out_classes)
+        else:
+            # a full-coverage expansion may be renormalized, so it is built
+            # in a table of its own
+            total += _expansion(rows, subset, class_count, drop)
+    total /= len(prob_rows)
+    return total
 
 
 def fuse_soft_vote(partials, subsets, class_count: int) -> np.ndarray:
     """Average the expanded partial posteriors and renormalize."""
-    expanded, single = _expanded_rows(partials, subsets, class_count)
-    q = np.stack(expanded).mean(axis=0)
-    q = q / q.sum(axis=1, keepdims=True)
+    prob_rows, drops, single = _expansion_inputs(partials, subsets, class_count)
+    q = _mean_expansion(prob_rows, subsets, drops, class_count)
+    q /= q.sum(axis=1, keepdims=True)
     return q[0] if single else q
 
 
@@ -185,25 +225,33 @@ def _atom_sums(values: np.ndarray, atom_of: np.ndarray, atom_count: int) -> np.n
     )
 
 
+def _plogp_sum(p, scratch) -> np.ndarray:
+    """Per-row sum of p log(p / a) with 0 log 0 = 0, where ``scratch``
+    holds a and is overwritten. It must be C-ordered: a row is summed in
+    memory order, and the terms of KL's objective in class order."""
+    pos = p > 0
+    p_pos = p[pos]
+    terms = scratch[pos]
+    np.divide(p_pos, terms, out=terms)
+    np.log(terms, out=terms)
+    terms *= p_pos
+    scratch.fill(0.0)
+    scratch[pos] = terms
+    return scratch.sum(axis=-1)
+
+
 def _kl_objective(q, prob_rows, subsets) -> np.ndarray:
     """Per-row sum over experts of KL(p_e || A_e q), with 0 log 0 = 0."""
-
-    def plogp_over(p, a):
-        out = np.zeros_like(p)
-        pos = p > 0
-        out[pos] = p[pos] * np.log(p[pos] / a[pos])
-        return out.sum(axis=-1)
-
     total = np.zeros(q.shape[0])
     for p_rows, subset in zip(prob_rows, subsets):
         if subset is None:
-            total += plogp_over(p_rows, q)
+            total += _plogp_sum(p_rows, q.copy())
             continue
         k = subset.size
-        total += plogp_over(p_rows[:, :k], q[:, subset.classes])
+        total += _plogp_sum(p_rows[:, :k], np.take(q, subset.classes, axis=1))
         out_classes = subset.out_classes(q.shape[1])
         if len(out_classes):
-            total += plogp_over(
+            total += _plogp_sum(
                 p_rows[:, k:], q[:, out_classes].sum(axis=1, keepdims=True)
             )
     return total
@@ -287,7 +335,8 @@ def _pinned_newton_step(hess, pull, pinned_step, free, pinned):
 
 
 def _solve_kl_atoms(q_soft, prob_rows, subsets, steps: int, tol: float):
-    """Damped Newton on the atom masses; see ``fuse_kl_min``.
+    """Damped Newton on the atom masses; see ``fuse_kl_min``. The result is
+    written over ``q_soft``, the soft-vote start.
 
     In atom space the objective is, up to a constant,
     F(Q) = -sum_A W_A log Q_A - sum_e r_e log R_e(Q), where r_e is expert
@@ -314,18 +363,15 @@ def _solve_kl_atoms(q_soft, prob_rows, subsets, steps: int, tol: float):
     out_f = out.astype(np.float64)
     diag = (slice(None), np.arange(m), np.arange(m))
 
-    # in-subset mass per class, and the reject mass of experts that have an
-    # out-of-subset region (the others' reject entries carry no term)
-    w = np.zeros((n, class_count))
+    # the reject mass of experts that have an out-of-subset region (the
+    # others' reject entries carry no term)
     rej = np.zeros((n, len(subsets)))
     for e, (p_rows, subset) in enumerate(zip(prob_rows, subsets)):
-        if subset is None:
-            w += p_rows
-        else:
-            w[:, subset.classes] += p_rows[:, : subset.size]
-            if out[e].any():
-                rej[:, e] = p_rows[:, subset.size]
-    W = _atom_sums(w, atom_of, m)
+        if subset is not None and out[e].any():
+            rej[:, e] = p_rows[:, subset.size]
+    # the (n, C) class masses are summed again at the end rather than held
+    # through the iterations
+    W = _atom_sums(_in_subset_mass(prob_rows, subsets, class_count), atom_of, m)
     Q = _atom_sums(q_soft, atom_of, m)
     barrier = W > 0
     mass = W.sum(axis=1) + rej.sum(axis=1)
@@ -421,12 +467,34 @@ def _solve_kl_atoms(q_soft, prob_rows, subsets, steps: int, tol: float):
         # no representable decrease: the row is as good as float64 allows
         active[rows[~accepted]] = False
 
-    spread = W[:, atom_of]
-    share = np.divide(w, spread, out=np.zeros_like(w), where=spread > 0)
-    sizes = np.bincount(atom_of, minlength=m)
-    share = np.where(spread > 0, share, 1.0 / sizes[atom_of])
-    q = Q[:, atom_of] * share
-    return q / q.sum(axis=1, keepdims=True), steps_taken
+    w = _in_subset_mass(prob_rows, subsets, class_count)
+    return _class_posterior(Q, W, w, atom_of, q_soft), steps_taken
+
+
+def _in_subset_mass(prob_rows, subsets, class_count: int) -> np.ndarray:
+    """w: per class, the in-subset mass the experts put on it."""
+    w = np.zeros((len(prob_rows[0]), class_count))
+    for p_rows, subset in zip(prob_rows, subsets):
+        if subset is None:
+            w += p_rows
+        else:
+            w[:, subset.classes] += p_rows[:, : subset.size]
+    return w
+
+
+def _class_posterior(Q, W, w, atom_of, out) -> np.ndarray:
+    """The class posterior q_c = Q_A w_c / W_A of atom masses ``Q``
+    (uniform over an atom with W_A = 0), renormalized, built in ``out``;
+    ``w`` is overwritten with each class's share of its atom."""
+    np.take(W, atom_of, axis=1, out=out, mode="clip")
+    filled = out > 0
+    np.divide(w, out, out=w, where=filled)
+    sizes = np.bincount(atom_of, minlength=W.shape[1])
+    np.copyto(w, 1.0 / sizes[atom_of], where=~filled)
+    np.take(Q, atom_of, axis=1, out=out, mode="clip")
+    out *= w
+    out /= out.sum(axis=1, keepdims=True)
+    return out
 
 
 def concat_partials(partials) -> np.ndarray:
@@ -660,11 +728,16 @@ def fuse_by_selection(
     Ties go to the earliest expert in the list order, i.e. manyshot before
     mediumshot before fewshot.
     """
-    expanded, single = _expanded_rows(partials, subsets, class_count)
+    prob_rows, drops, single = _expansion_inputs(partials, subsets, class_count)
     scores = np.atleast_2d(selector.scores(partials))
     winner = np.argmax(scores, axis=1)
-    stacked = np.stack(expanded)
-    q = stacked[winner, np.arange(stacked.shape[1])]
+    if np.any(winner >= len(prob_rows)):
+        raise IndexError(f"the selector picks expert {winner.max()} of {len(prob_rows)}")
+    # only the rows an expert wins are expanded, straight into the answer
+    q = np.empty((len(winner), class_count))
+    for e, (rows, subset, drop) in enumerate(zip(prob_rows, subsets, drops)):
+        won = winner == e
+        q[won] = _expansion(rows[won], subset, class_count, drop)
     return q[0] if single else q
 
 
@@ -751,21 +824,20 @@ def fuse_calibrated(
                 f"logit width {rows.shape[1]} does not match calibration width {len(w)}"
             )
         logit_rows.append(rows)
-    _, q = _calibration_forward(logit_rows, subsets, class_count, calib.scales, calib.shifts)
-    q = q / q.sum(axis=1, keepdims=True)
+    q = _calibration_forward(logit_rows, subsets, class_count, calib.scales, calib.shifts)
+    q /= q.sum(axis=1, keepdims=True)
     return q[0] if single else q
 
 
 def _calibration_forward(logit_rows, subsets, class_count, scales, shifts):
-    """Per-expert softmax(w * z + b) and the mean of their expansions."""
+    """The mean of the expansions of the per-expert softmax(w * z + b)."""
     probs = [softmax(z * w + b) for z, w, b in zip(logit_rows, scales, shifts)]
-    expanded = [expand_partial(p, s, class_count) for p, s in zip(probs, subsets)]
-    q = np.stack(expanded).mean(axis=0)
-    return probs, q
+    prob_rows, drops, _ = _expansion_inputs(probs, subsets, class_count)
+    return _mean_expansion(prob_rows, subsets, drops, class_count)
 
 
 def _calibration_objective(logit_rows, subsets, class_count, labels, scales, shifts):
-    _, q = _calibration_forward(logit_rows, subsets, class_count, scales, shifts)
+    q = _calibration_forward(logit_rows, subsets, class_count, scales, shifts)
     return float(-np.log(q[np.arange(len(labels)), labels]).mean())
 
 
@@ -1085,16 +1157,20 @@ def write_posterior_csv(path, sample_ids, probabilities) -> None:
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
-def _read_posterior_dump(path: Path, header: list[str], leading: int, what: str):
+def _read_posterior_dump(
+    path: Path, header: list[str], what: str, expert_id: int | None = None
+):
     """Read a posterior dump into (ids, probabilities).
 
     The first line must equal ``header`` (else it does not match ``what``).
-    Each row holds ``leading`` id columns (the sample id first) and then one
-    probability per remaining header column. A row with another column
-    count, a sample id that is not an integer or repeats an earlier one, a
+    Each row holds the sample id, then, given ``expert_id``, that expert id,
+    and then one probability per remaining header column. A row with
+    another column count, a sample id that is not an integer or repeats an
+    earlier one, an expert id that is not the integer ``expert_id``, a
     negative or non-finite probability, or zero mass raises a
     :class:`DataError` naming the file and line.
     """
+    leading = 1 if expert_id is None else 2
     width = len(header) - leading
     ids = []
     rows = []
@@ -1114,9 +1190,15 @@ def _read_posterior_dump(path: Path, header: list[str], leading: int, what: str)
                     )
                 try:
                     ids.append(int(parts[0]))
+                    row_expert = None if expert_id is None else int(parts[1])
                     rows.append([float(v) for v in parts[leading:]])
                 except ValueError:
                     raise DataError(f"{path.name} line {line_no}: not a number") from None
+                if row_expert != expert_id:
+                    raise DataError(
+                        f"{path.name} line {line_no}: expert_id {row_expert} "
+                        f"is not the sidecar's {expert_id}"
+                    )
                 line_nos.append(line_no)
     except UnicodeDecodeError:
         raise DataError(f"{path.name}: not UTF-8 text") from None
@@ -1149,9 +1231,7 @@ def ingest_external_posteriors(
     """
     path = Path(path)
     header = ["sample_id"] + [f"p{j}" for j in range(class_count)]
-    ids, probs = _read_posterior_dump(
-        path, header, 1, f"a {class_count}-class posterior dump"
-    )
+    ids, probs = _read_posterior_dump(path, header, f"a {class_count}-class posterior dump")
     sums = probs.sum(axis=1)
     off = np.abs(sums - 1.0) > 1e-6
     if np.any(off):
@@ -1200,9 +1280,10 @@ def write_partial_posterior_csv(
 def read_partial_posterior_csv(path) -> tuple[np.ndarray, np.ndarray, dict]:
     """Round-trip reader for partial dumps; returns (ids, probabilities, sidecar).
 
-    A row with the wrong column count, a negative or non-finite entry, or
-    zero mass raises a :class:`DataError` naming the file and line, as does
-    a sidecar that is not JSON or has no class list.
+    A row with the wrong column count, an expert id other than the
+    sidecar's, a negative or non-finite entry, or zero mass raises a
+    :class:`DataError` naming the file and line, as does a sidecar that is
+    not JSON or lacks an integer expert id or a class list.
     """
     path = Path(path)
     sidecar_path = path.with_suffix(".json")
@@ -1210,8 +1291,11 @@ def read_partial_posterior_csv(path) -> tuple[np.ndarray, np.ndarray, dict]:
         try:
             sidecar = json.load(fh)
             k = len(sidecar["classes"])
+            expert_id = sidecar["expert_id"]
+            if type(expert_id) is not int:
+                raise TypeError(f"expert_id {expert_id!r} is not an integer")
         except (ValueError, TypeError, KeyError) as exc:
             raise DataError(f"{sidecar_path.name}: not a dump sidecar ({exc!r})") from None
     header = ["sample_id", "expert_id"] + [f"p{j}" for j in range(k)] + ["preject"]
-    ids, probs = _read_posterior_dump(path, header, 2, "its sidecar")
+    ids, probs = _read_posterior_dump(path, header, "its sidecar", expert_id)
     return ids, probs, sidecar

@@ -104,18 +104,23 @@ def forward_logits(params: NetworkParams, x) -> np.ndarray:
             f"input has dimension {a.shape[1]}, network expects {params.dims[0]}"
         )
     for w, b in params.layers[:-1]:
-        a = np.maximum(a @ w + b, 0.0)
+        a = a @ w
+        a += b
+        np.maximum(a, 0.0, out=a)
     w, b = params.layers[-1]
-    z = a @ w + b
+    z = a @ w
+    z += b
     return z[0] if single else z
 
 
 def softmax(z) -> np.ndarray:
-    """Row-wise softmax with max subtraction for overflow safety."""
+    """Row-wise softmax with max subtraction for overflow safety, normalized
+    in place on the shifted copy."""
     z = np.asarray(z, dtype=np.float64)
-    shifted = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    e = z - z.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
 def log_softmax(z) -> np.ndarray:

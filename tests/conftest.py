@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import multiprocessing
 import time
+import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -138,6 +139,24 @@ def benchmark_runs() -> tuple[list[SeedRun], float]:
     with ProcessPoolExecutor(2, mp_context=multiprocessing.get_context("fork")) as pool:
         runs = list(pool.map(_run_seed, BENCHMARK_SEEDS))
     return runs, time.perf_counter() - start
+
+
+def traced_peak(fn, *args, **kwargs):
+    """Call ``fn`` and return its result with the most bytes that the call
+    held allocated at once, as tracemalloc counts them (numpy reports its
+    arrays to it); what the call returns counts, its arguments do not."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        result = fn(*args, **kwargs)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    return result, peak
 
 
 def majority(flags) -> bool:

@@ -759,8 +759,20 @@ class TestExternalPosteriors:
             ("1,1,0.5,0.5", "expected 3 probabilities"),
             ("0,1,0.5,0.25,0.25", "repeated sample id"),
             ("1,1,half,0.25,0.25", "not a number"),
+            ("1,banana,0.5,0.25,0.25", "not a number"),
+            ("1,2,0.5,0.25,0.25", "expert_id 2 is not the sidecar's 1"),
         ],
-        ids=["nan", "inf", "negative", "all-zero", "short-row", "repeated-id", "text-entry"],
+        ids=[
+            "nan",
+            "inf",
+            "negative",
+            "all-zero",
+            "short-row",
+            "repeated-id",
+            "text-entry",
+            "text-expert-id",
+            "other-expert-id",
+        ],
     )
     def test_partial_dump_bad_rows_name_file_and_line(self, tmp_path, row, problem):
         probs = np.array([[0.25, 0.25, 0.5]])
@@ -777,5 +789,16 @@ class TestExternalPosteriors:
         path = tmp_path / "expert_dump.csv"
         write_partial_posterior_csv(path, [0], partial, S01)
         path.with_suffix(".json").write_text('{"expert_id": 1}\n')
+        with pytest.raises(DataError, match="expert_dump.json: not a dump sidecar"):
+            read_partial_posterior_csv(path)
+
+    @pytest.mark.parametrize("expert_id", ['"1"', "1.0", "true", None])
+    def test_sidecar_without_an_integer_expert_id_is_data_error(self, tmp_path, expert_id):
+        probs = np.array([[0.25, 0.25, 0.5]])
+        partial = PartialPosterior(Fold.MEDIUMSHOT, np.log(probs), probs)
+        path = tmp_path / "expert_dump.csv"
+        write_partial_posterior_csv(path, [0], partial, S01)
+        entry = "" if expert_id is None else f'"expert_id": {expert_id}, '
+        path.with_suffix(".json").write_text("{" + entry + '"classes": [0, 1]}\n')
         with pytest.raises(DataError, match="expert_dump.json: not a dump sidecar"):
             read_partial_posterior_csv(path)
