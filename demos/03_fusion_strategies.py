@@ -51,7 +51,7 @@ test_partials = [t.expert_partial_posterior(e, bundle.test.features) for e in ex
 
 # fit what needs fitting, on validation only
 selector = train_expert_selector(val_partials, folds.fold_of_samples(bundle.val.labels))
-stacker = train_stacker(val_partials, bundle.val.labels, C, seed=4, epochs=60)
+stacker = train_stacker(val_partials, bundle.val.labels, C)
 calibration_problem = ([p.logits for p in val_partials], subsets, bundle.val.labels, C)
 calibration, cal_trace = train_joint_calibration(*calibration_problem)
 # the fit stops at a certificate: the penalized gradient's largest entry
@@ -60,10 +60,8 @@ print(
     f"joint calibration: {len(cal_trace) - 1} Newton steps, "
     f"final gradient norm {np.abs(gradient).max():.1e}"
 )
-print(
-    f"expert selector: {selector.steps} Newton steps, "
-    f"final gradient norm {selector.gradient_norm:.1e}"
-)
+for name, model in (("expert selector", selector), ("stacker", stacker)):
+    print(f"{name}: {model.steps} Newton steps, final gradient norm {model.gradient_norm:.1e}")
 
 fused = {
     "soft-voting": fuse_soft_vote(test_partials, subsets, C),

@@ -194,7 +194,7 @@ def cmd_train_fusion(cfg: RunConfig, args) -> None:
         atomic_write_json(path, {"strategy": args.strategy, "parameters": None})
         print(f"{args.strategy} needs no learned parameters; wrote marker {path}")
         return
-    strategy.save(path, strategy.fit(_load_ensemble(cfg), cfg))
+    strategy.save(path, strategy.fit(_load_ensemble(cfg)))
     print(f"wrote {path}")
 
 

@@ -11,10 +11,10 @@ all C classes. Five fusion strategies are built on top of it:
   Newton with a Frank-Wolfe optimality certificate;
 * expert selection: a 3-way linear softmax picks the expert whose
   expansion becomes the answer; it minimizes the validation cross-entropy
-  plus a ridge, solved by damped Newton with conjugate-gradient steps to a
-  gradient certificate;
-* stacking: a linear softmax layer maps concatenated partial posteriors
-  straight to class probabilities;
+  plus a ridge, solved by damped Newton with preconditioned
+  conjugate-gradient steps to a gradient certificate;
+* stacking: the selector's fit with one output per class, a linear
+  softmax from concatenated partial posteriors straight to the classes;
 * joint calibration: per-expert elementwise scale and shift of the logits,
   minimizing the validation cross-entropy of the soft-vote combination plus
   a ridge toward the identity, solved by damped Newton to a gradient
@@ -36,16 +36,13 @@ from pathlib import Path
 import numpy as np
 
 from ._io import DataError, atomic_write_json, atomic_write_text, format_float
-from .dataset import EmbeddingDataset, SamplerMode, SubsetSpec
+from .dataset import SubsetSpec
 from .experts import PartialPosterior
 from .network import (
     DivergenceError,
     NetworkParams,
-    TrainConfig,
     _central_difference_error,
-    fit_network,
     forward_logits,
-    init_network,
     softmax,
 )
 
@@ -66,6 +63,14 @@ CALIBRATION_TOL = 1e-10
 # "Expert selection"); SELECTOR_TOL is the selector's certificate.
 SELECTOR_RIDGE = 3.2e-5
 SELECTOR_TOL = 1e-10
+# Weight of the ridge STACKER_RIDGE / 2 * |theta|^2 on the stacker's weights
+# and biases; its fit is certified to SELECTOR_TOL. The rule that chose the
+# ridges above prefers 1e-5 (held-out cross-entropy 0.073, against 0.144 at
+# 1e-4 and the 0.541 that 100 epochs of SGD reached in-sample), but 1e-4 is
+# the smallest half-decade ridge whose fit is no slower than SGD's was on
+# both benchmark workloads: at 3.2e-5 a synth-60 fit took 0.21-0.27 s,
+# against SGD's 0.16-0.21 s (README, "Stacking").
+STACKER_RIDGE = 1e-4
 # Summed row by row, a change of a fit's objective below this is still
 # mostly the rows' rounding (about 4e-17 was seen at the end of a
 # calibration fit), so the trapezoid rule on the gradients gives it instead.
@@ -578,26 +583,29 @@ def _damped_newton(problem: _RidgeNewtonProblem, theta, tol: float, steps: int):
     return point, grad, trace
 
 
-def _conjugate_gradient(matvec, rhs, rtol: float) -> np.ndarray:
-    """Conjugate gradients from zero on A s = rhs, A symmetric positive
-    definite and given as ``matvec``, until the residual norm is at most
-    ``rtol`` times that of ``rhs`` or after len(rhs) iterations. Every
-    iterate s has rhs @ s > 0, so -grad as ``rhs`` gives a descent step."""
+def _conjugate_gradient(matvec, precondition, rhs, rtol: float) -> np.ndarray:
+    """Conjugate gradients from zero on A s = rhs, preconditioned by M^-1,
+    with A and M symmetric positive definite and given as ``matvec`` and
+    ``precondition``, until the residual norm is at most ``rtol`` times
+    that of ``rhs`` or after len(rhs) iterations. Every iterate s has
+    rhs @ s > 0, so -grad as ``rhs`` gives a descent step."""
     s = np.zeros_like(rhs)
     r = rhs.copy()
-    d = r.copy()
-    rr = float(r @ r)
-    stop = rtol * rtol * rr
+    stop = rtol * rtol * float(r @ r)
+    z = precondition(r)
+    d = z.copy()
+    rz = float(r @ z)
     for _ in range(len(rhs)):
         ad = matvec(d)
-        alpha = rr / float(d @ ad)
+        alpha = rz / float(d @ ad)
         s += alpha * d
         r -= alpha * ad
-        rr_next = float(r @ r)
-        if rr_next <= stop:
+        if float(r @ r) <= stop:
             break
-        d = r + (rr_next / rr) * d
-        rr = rr_next
+        z = precondition(r)
+        rz_next = float(r @ z)
+        d = z + (rz_next / rz) * d
+        rz = rz_next
     return s
 
 
@@ -618,18 +626,17 @@ class SelectorModel:
 
 @dataclass(frozen=True)
 class StackerModel:
-    """Linear softmax from concatenated partial posteriors to all classes."""
+    """Linear softmax from concatenated partial posteriors to all classes,
+    with the record of its fit as :class:`SelectorModel` keeps it."""
 
     params: NetworkParams
-
-    @property
-    def class_count(self) -> int:
-        return self.params.dims[-1]
+    steps: int | None = None
+    gradient_norm: float | None = None
 
 
 @dataclass(frozen=True)
 class _SoftmaxPoint:
-    """The selector's per-row losses and probabilities at one parameter
+    """A softmax fit's per-row losses and probabilities at one parameter
     vector; ``finite`` is false where a loss overflowed."""
 
     theta: np.ndarray
@@ -640,20 +647,23 @@ class _SoftmaxPoint:
 
 class _PenalizedSoftmax(_RidgeNewtonProblem):
     """The mean cross-entropy of the linear softmax softmax(x W + b) plus
-    the ridge ``SELECTOR_RIDGE / 2 * |theta|^2``, over theta = the rows of
-    [W; b] in order, with its gradient and a conjugate-gradient Newton
-    step."""
+    the ridge ``ridge / 2 * |theta|^2``, over theta = the rows of [W; b] in
+    order, with its gradient and a preconditioned conjugate-gradient Newton
+    step. Labels outside ``[0, outputs)`` raise a ValueError."""
 
-    name = "selector"
-
-    def __init__(self, features, labels, outputs: int):
+    def __init__(self, name: str, features, labels, outputs: int, ridge: float):
         n, d = features.shape
+        if labels.shape != (n,) or not np.all((labels >= 0) & (labels < outputs)):
+            raise ValueError(f"need one label in [0, {outputs}) per row")
+        self.name = name
         # a constant last input carries the bias, so x W + b = inputs @ [W; b]
         self.inputs = np.hstack([features, np.ones((n, 1))])
         self.labels = labels
         self.outputs = outputs
         self.anchor = np.zeros((d + 1) * outputs)
-        self.ridge = SELECTOR_RIDGE
+        self.ridge = ridge
+        # the input factor of the preconditioner, X^T X / n, fixed per problem
+        self.input_eig = np.linalg.eigh(self.inputs.T @ self.inputs / n)
 
     def params(self, theta) -> NetworkParams:
         weights = theta.reshape(-1, self.outputs)
@@ -685,16 +695,41 @@ class _PenalizedSoftmax(_RidgeNewtonProblem):
         """Conjugate gradients on the Hessian-vector product
         (1/n) X^T (p * (X V - sum(p * X V))) + ridge V, with the forcing
         tolerance min(1/2, sqrt|grad|) that keeps Newton's convergence
-        superlinear. The ridge makes the Hessian positive definite."""
+        superlinear. The ridge makes the Hessian positive definite.
+
+        The preconditioner is the Kronecker-factored curvature
+        (B ⊗ A + ridge I)^-1 (K-FAC, Martens & Grosse 2015), B = X^T X / n
+        and A = (diag(sum_i p_i) - P^T P) / n, applied through both factors'
+        eigendecompositions. It is the Hessian itself where every row has
+        the same probabilities, as at zero weights."""
         p, n = point.probs, len(self.labels)
+        in_vals, in_vecs = self.input_eig
+        out_vals, out_vecs = np.linalg.eigh((np.diag(p.sum(axis=0)) - p.T @ p) / n)
+        # both factors are positive semidefinite; an eigenvalue that rounding
+        # makes negative is about -1e-15, far below the ridge
+        scale = 1.0 / (np.multiply.outer(in_vals, out_vals) + self.ridge)
 
         def hess_times(v):
             dz = self.inputs @ v.reshape(-1, self.outputs)
             dp = p * (dz - (p * dz).sum(axis=1, keepdims=True))
             return (self.inputs.T @ dp).ravel() / n + self.ridge * v
 
+        def precondition(v):
+            rotated = in_vecs.T @ v.reshape(-1, self.outputs) @ out_vecs
+            return (in_vecs @ (rotated * scale) @ out_vecs.T).ravel()
+
         rtol = min(0.5, math.sqrt(float(np.linalg.norm(grad))))
-        return _conjugate_gradient(hess_times, -grad, rtol)
+        return _conjugate_gradient(hess_times, precondition, -grad, rtol)
+
+
+def _fit_softmax(name: str, val_partials, labels, outputs: int, ridge: float):
+    """:func:`_damped_newton` on :class:`_PenalizedSoftmax` from zero
+    weights to ``SELECTOR_TOL``; returns the parameters, the Newton steps
+    taken and the final gradient's largest absolute entry."""
+    problem = _PenalizedSoftmax(name, concat_partials(val_partials), labels, outputs, ridge)
+    # the workloads take 8-12 steps; the cap only bounds a fit gone wrong
+    point, grad, trace = _damped_newton(problem, problem.anchor, SELECTOR_TOL, 100)
+    return problem.params(point.theta), len(trace) - 1, float(np.abs(grad).max())
 
 
 def train_expert_selector(val_partials, val_fold_labels) -> SelectorModel:
@@ -712,11 +747,8 @@ def train_expert_selector(val_partials, val_fold_labels) -> SelectorModel:
     for e in range(expert_count):
         if e not in present:
             raise ValueError(f"fold {e} is absent from the validation labels")
-    problem = _PenalizedSoftmax(concat_partials(val_partials), labels, expert_count)
-    # the workloads take 11-13 steps; the cap only bounds a fit gone wrong
-    point, grad, trace = _damped_newton(problem, problem.anchor, SELECTOR_TOL, 100)
     return SelectorModel(
-        problem.params(point.theta), len(trace) - 1, float(np.abs(grad).max())
+        *_fit_softmax("selector", val_partials, labels, expert_count, SELECTOR_RIDGE)
     )
 
 
@@ -741,34 +773,19 @@ def fuse_by_selection(
     return q[0] if single else q
 
 
-def train_stacker(
-    val_partials,
-    val_class_labels,
-    class_count: int,
-    *,
-    seed: int = 0,
-    epochs: int = 100,
-    lr0: float = 0.5,
-    batch_size: int = 64,
-    weight_decay: float = 0.0,
-) -> StackerModel:
-    """Train the single-layer linear softmax stacker on validation data
-    with instance-balanced SGD."""
+def train_stacker(val_partials, val_class_labels, class_count: int) -> StackerModel:
+    """Fit the linear softmax stacker from the concatenated validation
+    partial posteriors to their ``class_count`` classes.
+
+    The fit minimizes the mean cross-entropy plus the ridge
+    ``STACKER_RIDGE / 2 * |theta|^2`` by damped Newton from zero weights,
+    to the certificate ``SELECTOR_TOL``, as the selector's does. A label
+    outside ``[0, class_count)`` raises a ValueError.
+    """
     labels = np.asarray(val_class_labels, dtype=np.int64)
-    features = concat_partials(val_partials)
-    ds = EmbeddingDataset(features, labels, class_count=class_count)
-    params = init_network([features.shape[1], class_count], seed=seed)
-    config = TrainConfig(
-        lr0=lr0,
-        epochs=epochs,
-        batch_size=batch_size,
-        sampler=SamplerMode.instance_balanced(),
-        seed=seed,
-        weight_decay=weight_decay,
-        hidden_dims=(),
+    return StackerModel(
+        *_fit_softmax("stacker", val_partials, labels, class_count, STACKER_RIDGE)
     )
-    trained, _ = fit_network(params, ds, config)
-    return StackerModel(trained)
 
 
 def fuse_by_stacking(partials, stacker: StackerModel) -> np.ndarray:

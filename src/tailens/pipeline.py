@@ -70,7 +70,6 @@ from .network import TrainConfig, forward_logits, load_checkpoint, save_checkpoi
 SEED_BASELINE = 1
 SEED_UNIFORM = 2
 SEED_EXPERT_BASE = 100  # expert e uses root + SEED_EXPERT_BASE * (e + 1)
-SEED_STACKER = 501
 
 
 def seed_for_expert(root_seed: int, expert: Fold) -> int:
@@ -250,7 +249,7 @@ def model_posterior_tables(ensemble: TrainedEnsemble, split: str) -> dict[str, n
 
 @dataclass(frozen=True)
 class FusionStrategy:
-    """One fusion strategy. ``fit(ensemble, cfg)`` learns parameters from the
+    """One fusion strategy. ``fit(ensemble)`` learns parameters from the
     validation partials (None, like ``save``/``load``, when there is nothing
     to learn); ``load(path, ensemble)`` reads them back and checks them
     against the ensemble's experts; ``apply(partials, subsets, class_count,
@@ -273,21 +272,6 @@ class FittedFusion:
     params: object = None
 
 
-def _fit_select(ensemble: ExpertEnsemble, cfg: RunConfig) -> SelectorModel:
-    return train_expert_selector(
-        ensemble.partials("val"), ensemble.folds.fold_of_samples(ensemble.bundle.val.labels)
-    )
-
-
-def _fit_stack(ensemble: ExpertEnsemble, cfg: RunConfig) -> StackerModel:
-    return train_stacker(
-        ensemble.partials("val"),
-        ensemble.bundle.val.labels,
-        ensemble.bundle.class_count,
-        seed=cfg.training.seed + SEED_STACKER,
-    )
-
-
 @dataclass(frozen=True)
 class CalibrationFit:
     """Joint calibration parameters with the record of their fit: the
@@ -302,7 +286,7 @@ class CalibrationFit:
     gradient_norm: float
 
 
-def _fit_calibrate(ensemble: ExpertEnsemble, cfg: RunConfig) -> CalibrationFit:
+def _fit_calibrate(ensemble: ExpertEnsemble) -> CalibrationFit:
     problem = (
         [p.logits for p in ensemble.partials("val")],
         ensemble.subset_list(),
@@ -320,42 +304,36 @@ def _head_widths(ensemble: ExpertEnsemble) -> tuple[int, ...]:
     return tuple(e.params.dims[-1] for e in ensemble.experts)
 
 
-def _load_meta_model(path, kind: str, outputs: int, ensemble: ExpertEnsemble):
+# checkpoint kind -> (linear meta-model type, its output count for an ensemble)
+_META_MODELS = {
+    "selector": (SelectorModel, lambda ensemble: len(ensemble.experts)),
+    "stacker": (StackerModel, lambda ensemble: ensemble.bundle.class_count),
+}
+
+
+def _save_meta_model(path, kind: str, model) -> None:
+    meta = {"kind": kind, "steps": model.steps, "gradient_norm": model.gradient_norm}
+    save_checkpoint(path, model.params, meta)
+
+
+def _load_meta_model(path, kind: str, ensemble: ExpertEnsemble):
     """A linear meta-model stored as a checkpoint tagged with ``kind``,
-    checked against the ensemble's head widths and ``outputs``; returns its
-    parameters and the checkpoint's meta."""
+    checked against the ensemble's head widths and the kind's output count,
+    with the certificate of its fit."""
+    model_type, outputs = _META_MODELS[kind]
     params, meta = load_checkpoint(path)
     if meta.get("kind") != kind:
         raise DataError(f"{path} is not a {kind} parameter file")
-    expected = [sum(_head_widths(ensemble)), outputs]
+    expected = [sum(_head_widths(ensemble)), outputs(ensemble)]
     if [params.dims[0], params.dims[-1]] != expected:
         raise DataError(
             f"{path}: {kind} maps {params.dims[0]} -> {params.dims[-1]} "
             f"but the experts need {expected[0]} -> {expected[1]}"
         )
-    return params, meta
-
-
-def _save_selector(path, model: SelectorModel) -> None:
-    meta = {"kind": "selector", "steps": model.steps, "gradient_norm": model.gradient_norm}
-    save_checkpoint(path, model.params, meta)
-
-
-def _load_selector(path, ensemble) -> SelectorModel:
-    params, meta = _load_meta_model(path, "selector", len(ensemble.experts), ensemble)
     steps, norm = meta.get("steps"), meta.get("gradient_norm")
     if type(steps) is not int or steps < 0 or type(norm) is not float or not 0 <= norm < math.inf:
-        raise DataError(f"{path}: selector certificate is malformed")
-    return SelectorModel(params, steps, norm)
-
-
-def _save_stacker(path, model: StackerModel) -> None:
-    save_checkpoint(path, model.params, {"kind": "stacker"})
-
-
-def _load_stacker(path, ensemble) -> StackerModel:
-    params, _ = _load_meta_model(path, "stacker", ensemble.bundle.class_count, ensemble)
-    return StackerModel(params)
+        raise DataError(f"{path}: {kind} certificate is malformed")
+    return model_type(params, steps, norm)
 
 
 def _save_calibration(path, fit: CalibrationFit) -> None:
@@ -412,15 +390,19 @@ FUSIONS: dict[str, FusionStrategy] = {
         apply=lambda partials, subsets, c, params: fuse_by_selection(
             partials, params, subsets, c
         ),
-        fit=_fit_select,
-        save=_save_selector,
-        load=_load_selector,
+        fit=lambda ensemble: train_expert_selector(
+            ensemble.partials("val"), ensemble.folds.fold_of_samples(ensemble.bundle.val.labels)
+        ),
+        save=lambda path, model: _save_meta_model(path, "selector", model),
+        load=lambda path, ensemble: _load_meta_model(path, "selector", ensemble),
     ),
     "stack": FusionStrategy(
         apply=lambda partials, subsets, c, params: fuse_by_stacking(partials, params),
-        fit=_fit_stack,
-        save=_save_stacker,
-        load=_load_stacker,
+        fit=lambda ensemble: train_stacker(
+            ensemble.partials("val"), ensemble.bundle.val.labels, ensemble.bundle.class_count
+        ),
+        save=lambda path, model: _save_meta_model(path, "stacker", model),
+        load=lambda path, ensemble: _load_meta_model(path, "stacker", ensemble),
     ),
     "calibrate": FusionStrategy(
         apply=lambda partials, subsets, c, params: fuse_calibrated(
@@ -434,11 +416,11 @@ FUSIONS: dict[str, FusionStrategy] = {
 
 
 def train_fusion(ensemble: ExpertEnsemble, cfg: RunConfig, strategy: str) -> FittedFusion:
-    """Fit whatever the strategy needs on the validation split; ``cfg``
-    supplies the root seed of the stacker, the one fit that draws random
-    numbers."""
+    """Fit whatever the strategy needs on the validation split. No fit
+    reads ``cfg`` or draws random numbers; like :func:`fused_posteriors`,
+    this keeps ``cfg`` for the callers that pass it."""
     fit = FUSIONS[strategy].fit
-    return FittedFusion(strategy, None if fit is None else fit(ensemble, cfg))
+    return FittedFusion(strategy, None if fit is None else fit(ensemble))
 
 
 def fused_posteriors(

@@ -2,6 +2,16 @@
 
 from __future__ import annotations
 
+import os
+
+# BLAS thread pools are pinned to one thread before numpy loads, as the
+# benchmark pins them, unless the environment sets them: on a two-CPU host
+# the two forked workers of each seed fixture spun a two-thread pool against
+# the other's, which made the certified stacker's fits and the 256-d
+# training slower, and the whole suite 57-60 s instead of 46 s.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 import multiprocessing
 import time
 import tracemalloc
@@ -124,20 +134,24 @@ def _run_seed(seed: int) -> SeedRun:
     )
 
 
+def on_two_forked_workers(fn, seeds) -> list:
+    """``fn`` on each seed, two at a time in forked worker processes, which
+    end with the ``with`` block. Each seed derives every generator from its
+    own root seed, so the values are those of a serial run."""
+    with ProcessPoolExecutor(2, mp_context=multiprocessing.get_context("fork")) as pool:
+        return list(pool.map(fn, seeds))
+
+
 @pytest.fixture(scope="session")
 def benchmark_runs() -> tuple[list[SeedRun], float]:
-    """Train the full pipeline on the pinned benchmark for five seeds.
-
-    The seeds run two at a time in forked worker processes, which end with
-    the ``with`` block. Each seed derives every generator from its own root
-    seed, so the values are those of a serial run.
+    """Train the full pipeline on the pinned benchmark for five seeds, on
+    :func:`on_two_forked_workers`.
 
     Returns the per-seed artifacts and the wall-clock seconds spent
     building them (counted against the benchmark runtime budget).
     """
     start = time.perf_counter()
-    with ProcessPoolExecutor(2, mp_context=multiprocessing.get_context("fork")) as pool:
-        runs = list(pool.map(_run_seed, BENCHMARK_SEEDS))
+    runs = on_two_forked_workers(_run_seed, BENCHMARK_SEEDS)
     return runs, time.perf_counter() - start
 
 

@@ -1,16 +1,76 @@
 """Directional behavior on the pinned benchmark, majority-voted over seeds.
 
 These effects are statistical, not exact: each is asserted to hold in at
-least four of the five benchmark seeds.
+least four of the five benchmark seeds. The stacker checks on the world of
+the cli-embed256 workload hold on every seed.
 """
 
 import numpy as np
+import pytest
 
 import tailens as t
+from tailens.config import (
+    DatasetSection,
+    ExpertSection,
+    FusionSection,
+    PathsSection,
+    TrainingSection,
+)
 from tailens.evaluation import fourfold_accuracy, msp_histogram
 from tailens.experts import expert_subset_accuracy, select_expert_hyperparams
+from tailens.fusion import SELECTOR_TOL, expand_partial
+from tailens.pipeline import fused_posteriors, train_fusion
 
-from conftest import majority
+from conftest import BENCHMARK_SEEDS, majority, on_two_forked_workers
+
+
+def embed256_config(seed: int) -> t.RunConfig:
+    """The world of the cli-embed256 benchmark workload, generated in
+    memory: its data shape and its INI's training and grid settings."""
+    return t.RunConfig(
+        dataset=DatasetSection(
+            source="generate",
+            class_count=60,
+            feature_dim=256,
+            n_max=200,
+            alpha=1.2,
+            n_val_per_class=10,
+            n_test_per_class=10,
+            noise_scale=1.0,
+        ),
+        training=TrainingSection(
+            lr0=0.2, epochs=20, batch_size=128, seed=seed, hidden_dims=(64,), expert_epochs=20
+        ),
+        expert=ExpertSection(rho_grid=(2.0, 8.0), frozen_grid=(0, 1)),
+        fusion=FusionSection(),
+        paths=PathsSection(out_dir="unused"),
+    )
+
+
+def _embed256_stack_run(seed: int):
+    """The stacker's all-accuracy, the best single expert's and the fitted
+    stacker on one seed of the embed256 world."""
+    cfg = embed256_config(seed)
+    ens = t.train_all(t.prepare_bundle(cfg), cfg)
+    test, class_count = ens.bundle.test, ens.bundle.class_count
+
+    def accuracy(probs) -> float:
+        return fourfold_accuracy(np.argmax(probs, axis=1), test.labels, ens.folds).all
+
+    fitted = train_fusion(ens, cfg, "stack")
+    best_single = max(
+        accuracy(expand_partial(p.probabilities, s, class_count))
+        for p, s in zip(ens.partials("test"), ens.subset_list())
+    )
+    stack = accuracy(fused_posteriors(ens, fitted, cfg, "test"))
+    return stack, best_single, fitted.params
+
+
+@pytest.fixture(scope="module")
+def embed256_stack_runs():
+    """:func:`_embed256_stack_run` on the five benchmark seeds, built as
+    ``benchmark_runs`` builds its seeds."""
+    return on_two_forked_workers(_embed256_stack_run, BENCHMARK_SEEDS)
 
 
 class TestImbalanceEffects:
@@ -47,6 +107,16 @@ class TestFusionOrderings:
             r.stack_report.all >= max(s.all for s in r.single_expert_reports)
             for r in runs
         )
+
+    def test_stacker_beats_best_single_expert_on_every_embed256_seed(
+        self, embed256_stack_runs
+    ):
+        for seed, (stack, best_single, _) in zip(BENCHMARK_SEEDS, embed256_stack_runs):
+            assert stack >= best_single, f"seed {seed}: {stack:.4f} < {best_single:.4f}"
+
+    def test_every_embed256_stacker_fit_is_certified(self, embed256_stack_runs):
+        for _, _, stacker in embed256_stack_runs:
+            assert stacker.gradient_norm <= SELECTOR_TOL and stacker.steps > 0
 
     def test_adding_baseline_shifts_vote_toward_manyshot(self, benchmark_runs):
         runs, _ = benchmark_runs

@@ -203,13 +203,29 @@ class TestCliMatchesPipeline:
         written = json.loads((out / "reports" / f"eval_{strategy}.json").read_text())
         assert written == expected
 
-    def test_selector_certificate_round_trips(self, cli_and_library_runs):
+    @pytest.mark.parametrize("strategy", ["select", "stack"])
+    def test_selector_certificate_round_trips(self, cli_and_library_runs, strategy):
         cfg, out, ens = cli_and_library_runs
-        fitted = train_fusion(ens, cfg, "select").params
-        loaded = FUSIONS["select"].load(out / "fusion" / "select.params", ens)
+        fitted = train_fusion(ens, cfg, strategy).params
+        loaded = FUSIONS[strategy].load(out / "fusion" / f"{strategy}.params", ens)
+        assert type(loaded) is type(fitted)
         assert (loaded.steps, loaded.gradient_norm) == (fitted.steps, fitted.gradient_norm)
         assert loaded.gradient_norm <= SELECTOR_TOL and loaded.steps > 0
         for a, b in zip(loaded.params.layers[0], fitted.params.layers[0]):
+            assert a.tobytes() == b.tobytes()
+
+    def test_fusion_draws_no_random_numbers(self, cli_and_library_runs, monkeypatch):
+        cfg, _, ens = cli_and_library_runs
+
+        def no_generator(*args, **kwargs):
+            raise AssertionError("fusion asked for a random generator")
+
+        monkeypatch.setattr(np.random, "default_rng", no_generator)
+        for strategy in FUSION_STRATEGIES:
+            fused_posteriors(ens, train_fusion(ens, cfg, strategy), cfg)
+        first, second = (train_fusion(ens, cfg, "stack").params for _ in range(2))
+        assert (first.steps, first.gradient_norm) == (second.steps, second.gradient_norm)
+        for a, b in zip(first.params.layers[0], second.params.layers[0]):
             assert a.tobytes() == b.tobytes()
 
     def test_selection_tables_match_library_selections(self, cli_and_library_runs):
@@ -507,6 +523,15 @@ def _wider_input_expert(path):
         ("select", "fusion/select.params",
          _checkpoint_meta(lambda meta: {"kind": meta["kind"]}),
          "selector certificate is malformed"),
+        ("stack", "fusion/stack.params",
+         _checkpoint_meta(lambda meta: {**meta, "gradient_norm": "1e-12"}),
+         "stacker certificate is malformed"),
+        ("stack", "fusion/stack.params",
+         _checkpoint_meta(lambda meta: {**meta, "steps": -1}),
+         "stacker certificate is malformed"),
+        ("stack", "fusion/stack.params",
+         _checkpoint_meta(lambda meta: {"kind": meta["kind"]}),
+         "stacker certificate is malformed"),
         ("softvote", "checkpoints/expert_fewshot.ckpt",
          _checkpoint_header_replace(b'"layers.', b'"tensor.'),
          "checkpoint has no array 'layers.0.weight'"),
@@ -523,6 +548,7 @@ def _wider_input_expert(path):
     ],
     ids=["calibrate-nan", "calibrate-text", "calibrate-width", "select-nan", "select-width",
          "select-norm-text", "select-steps-negative", "select-no-certificate",
+         "stack-norm-text", "stack-steps-negative", "stack-no-certificate",
          "checkpoint-array-names", "expert-meta", "expert-meta-list", "expert-class-99",
          "expert-feature-width"],
 )

@@ -3,11 +3,13 @@ import warnings
 import numpy as np
 import pytest
 
-from tailens import DataError
+from tailens import DataError, fusion
 from tailens.dataset import Fold, SubsetSpec
 from tailens.fusion import (
     CALIBRATION_TOL,
+    SELECTOR_RIDGE,
     SELECTOR_TOL,
+    STACKER_RIDGE,
     CalibrationParams,
     _calibration_grad,
     _label_columns,
@@ -308,27 +310,131 @@ def _constant_partials_world():
     return partials, np.repeat([0, 1, 2], [60, 20, 10])
 
 
-def _selector_theta(selector):
-    weights, bias = selector.params.layers[0]
+def _linear_theta(model):
+    weights, bias = model.params.layers[0]
     return np.vstack([weights, bias]).ravel()
+
+
+def _difference_hessian(problem, theta, eps=1e-6):
+    """The penalized Hessian at ``theta`` from central differences of the
+    analytic gradient."""
+    hess = np.empty((len(theta), len(theta)))
+    for j in range(len(theta)):
+        up, down = theta.copy(), theta.copy()
+        up[j] += eps
+        down[j] -= eps
+        hess[:, j] = (
+            problem.gradient(problem.evaluate(up)) - problem.gradient(problem.evaluate(down))
+        ) / (2 * eps)
+    return hess
+
+
+def _plain_conjugate_gradient(matvec, rhs, rtol):
+    """Conjugate gradients without a preconditioner, the reference for the
+    preconditioned solve: from zero on A s = rhs until the residual norm is
+    at most ``rtol`` times that of ``rhs`` or after len(rhs) iterations."""
+    s = np.zeros_like(rhs)
+    r = rhs.copy()
+    d = r.copy()
+    rr = float(r @ r)
+    stop = rtol * rtol * rr
+    for _ in range(len(rhs)):
+        ad = matvec(d)
+        alpha = rr / float(d @ ad)
+        s += alpha * d
+        r -= alpha * ad
+        rr_next = float(r @ r)
+        if rr_next <= stop:
+            break
+        d = r + (rr_next / rr) * d
+        rr = rr_next
+    return s
+
+
+def _stacker_world(n=90):
+    """Random partials of three experts (widths 3, 4, 3) with labels over
+    6 classes, loosely tied to the partials."""
+    rng = np.random.default_rng(3)
+    partials = [rng.dirichlet(np.ones(w), size=n) for w in (3, 4, 3)]
+    labels = rng.integers(0, 6, size=n)
+    partials[1][np.arange(n), labels % 4] += 2.0
+    partials[1] /= partials[1].sum(axis=1, keepdims=True)
+    return partials, labels
+
+
+class TestPreconditionedStep:
+    def _problem(self):
+        partials, labels = _stacker_world()
+        return _PenalizedSoftmax("stacker", concat_partials(partials), labels, 6, STACKER_RIDGE)
+
+    def test_step_descends(self):
+        problem = self._problem()
+        rng = np.random.default_rng(8)
+        for scale in (0.5, 2.0, 8.0):
+            point = problem.evaluate(rng.normal(0.0, scale, size=problem.anchor.shape))
+            grad = problem.gradient(point)
+            assert grad @ problem.newton_step(point, grad) < 0
+
+    def test_step_at_zero_weights_is_the_exact_newton_step(self):
+        # every row's probabilities are uniform there, so the Kronecker
+        # factors are the Hessian itself and one product solves the system
+        problem = self._problem()
+        theta = problem.anchor.copy()
+        point = problem.evaluate(theta)
+        grad = problem.gradient(point)
+        exact = np.linalg.solve(_difference_hessian(problem, theta), -grad)
+        step = problem.newton_step(point, grad)
+        assert np.linalg.norm(step - exact) <= 1e-6 * np.linalg.norm(exact)
+
+    def test_fit_reaches_the_plain_fit_minimizer(self, monkeypatch):
+        partials, labels = _stacker_world()
+        problem = self._problem()
+        fits = [train_stacker(partials, labels, 6)]
+        monkeypatch.setattr(
+            fusion,
+            "_conjugate_gradient",
+            lambda matvec, precondition, rhs, rtol: _plain_conjugate_gradient(matvec, rhs, rtol),
+        )
+        fits.append(train_stacker(partials, labels, 6))
+        thetas = [_linear_theta(fit) for fit in fits]
+        norms = []
+        for fit, theta in zip(fits, thetas):
+            grad = problem.gradient(problem.evaluate(theta))
+            assert fit.gradient_norm == np.abs(grad).max() <= SELECTOR_TOL
+            norms.append(np.linalg.norm(grad))
+        # the ridge makes the objective STACKER_RIDGE-strongly convex, so a
+        # point with gradient g lies within |g| / STACKER_RIDGE of the
+        # minimizer
+        assert np.linalg.norm(thetas[0] - thetas[1]) <= sum(norms) / STACKER_RIDGE
 
 
 class TestSelector:
     @pytest.mark.parametrize(
-        "world", [_selector_training_data, _constant_partials_world], ids=["separable", "constant"]
+        "world, fit, ridge",
+        [
+            (_selector_training_data, train_expert_selector, SELECTOR_RIDGE),
+            (_constant_partials_world, train_expert_selector, SELECTOR_RIDGE),
+            (_stacker_world, lambda partials, labels: train_stacker(partials, labels, 6),
+             STACKER_RIDGE),
+        ],
+        ids=["separable", "constant", "stacker"],
     )
-    def test_fit_returns_with_its_certificate(self, world):
-        partials, fold_labels = world()
-        selector = train_expert_selector(partials, fold_labels)
-        problem = _PenalizedSoftmax(concat_partials(partials), fold_labels, 3)
-        grad = problem.gradient(problem.evaluate(_selector_theta(selector)))
+    def test_fit_returns_with_its_certificate(self, world, fit, ridge):
+        partials, labels = world()
+        model = fit(partials, labels)
+        problem = _PenalizedSoftmax(
+            "fit", concat_partials(partials), labels, model.params.dims[-1], ridge
+        )
+        grad = problem.gradient(problem.evaluate(_linear_theta(model)))
         assert np.abs(grad).max() <= SELECTOR_TOL
-        assert selector.gradient_norm == np.abs(grad).max()
-        assert 0 < selector.steps < 100
+        assert model.gradient_norm == np.abs(grad).max()
+        assert 0 < model.steps < 100
 
     def test_penalized_gradient_and_hessian_match_finite_differences(self):
         partials, fold_labels = _selector_training_data(n_per_fold=10, seed=4)
-        problem = _PenalizedSoftmax(concat_partials(partials), fold_labels, 3)
+        problem = _PenalizedSoftmax(
+            "selector", concat_partials(partials), fold_labels, 3, SELECTOR_RIDGE
+        )
         rng = np.random.default_rng(6)
         theta = rng.normal(0.0, 2.0, size=problem.anchor.shape)
         point = problem.evaluate(theta.copy())
@@ -339,15 +445,7 @@ class TestSelector:
         assert err < 1e-7
         # conjugate gradients on the Hessian-vector product solve the
         # Newton system: H step = -grad, H from central differences
-        eps = 1e-6
-        hess = np.empty((len(theta), len(theta)))
-        for j in range(len(theta)):
-            up, down = theta.copy(), theta.copy()
-            up[j] += eps
-            down[j] -= eps
-            hess[:, j] = (
-                problem.gradient(problem.evaluate(up)) - problem.gradient(problem.evaluate(down))
-            ) / (2 * eps)
+        hess = _difference_hessian(problem, theta)
         step = problem.newton_step(point, grad)
         assert np.linalg.norm(hess @ step + grad) <= 0.5 * np.linalg.norm(grad)
         assert grad @ step < 0
@@ -415,7 +513,7 @@ class TestStacker:
         pa = rng.dirichlet(np.ones(3), size=40)
         pb = rng.dirichlet(np.ones(3), size=40)
         labels = rng.integers(0, 4, size=40)
-        stacker = train_stacker([pa, pb], labels, 4, seed=0, epochs=5)
+        stacker = train_stacker([pa, pb], labels, 4)
         assert stacker.params.dims == [6, 4]
         q = fuse_by_stacking([pa, pb], stacker)
         assert q.shape == (40, 4)
@@ -428,7 +526,15 @@ class TestStacker:
         monkeypatch.setattr("tailens.network.dataset_loss", no_full_pass)
         partials, fold_labels = _selector_training_data()
         train_expert_selector(partials, fold_labels)
-        train_stacker(partials, fold_labels, 3, seed=0, epochs=3)
+        train_stacker(partials, fold_labels, 3)
+
+    @pytest.mark.parametrize("bad", [-1, 6])
+    def test_label_outside_the_classes_is_an_error(self, bad):
+        partials, labels = _stacker_world()
+        labels = labels.copy()
+        labels[5] = bad
+        with pytest.raises(ValueError, match=r"need one label in \[0, 6\) per row"):
+            train_stacker(partials, labels, 6)
 
     def test_untrained_stacker_still_normalizes(self):
         stacker_params = init_network([6, 4], seed=3)
