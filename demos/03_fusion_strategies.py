@@ -12,7 +12,6 @@ import numpy as np
 import tailens as t
 from tailens.evaluation import fourfold_accuracy
 from tailens.fusion import (
-    calibration_gradient,
     fuse_by_selection,
     fuse_by_stacking,
     fuse_calibrated,
@@ -52,15 +51,14 @@ test_partials = [t.expert_partial_posterior(e, bundle.test.features) for e in ex
 # fit what needs fitting, on validation only
 selector = train_expert_selector(val_partials, folds.fold_of_samples(bundle.val.labels))
 stacker = train_stacker(val_partials, bundle.val.labels, C)
-calibration_problem = ([p.logits for p in val_partials], subsets, bundle.val.labels, C)
-calibration, cal_trace = train_joint_calibration(*calibration_problem)
-# the fit stops at a certificate: the penalized gradient's largest entry
-gradient = calibration_gradient(*calibration_problem, calibration)
-print(
-    f"joint calibration: {len(cal_trace) - 1} Newton steps, "
-    f"final gradient norm {np.abs(gradient).max():.1e}"
+calibration, _ = train_joint_calibration(
+    [p.logits for p in val_partials], subsets, bundle.val.labels, C
 )
-for name, model in (("expert selector", selector), ("stacker", stacker)):
+# each fit stops at a certificate, the penalized gradient's largest entry,
+# and hands it over with its parameters
+for name, model in (
+    ("joint calibration", calibration), ("expert selector", selector), ("stacker", stacker)
+):
     print(f"{name}: {model.steps} Newton steps, final gradient norm {model.gradient_norm:.1e}")
 
 fused = {

@@ -50,26 +50,35 @@ REJECT_DROP_WARNING = (
     "expert covers every class; reject mass was dropped and the row renormalized"
 )
 
+# KL fusion stops a row once its Frank-Wolfe gap, an upper bound on how far
+# the row's objective is above its minimum, is at most KL_GAP nats: far below
+# any difference in the fused posterior that an accuracy could show.
+KL_GAP = 1e-12
+# A cap on KL's Newton iterations; the workloads take about 16, so it only
+# bounds a solve gone wrong.
+KL_STEPS = 2000
+# Every ridge-Newton fit (calibration, selector, stacker) is certified once
+# the largest absolute entry of its penalized gradient is at most
+# CERTIFICATE_TOL. NEWTON_STEPS caps its iterations; the workloads take 8-14,
+# so the cap only bounds a fit gone wrong.
+CERTIFICATE_TOL = 1e-10
+NEWTON_STEPS = 100
 # Weight of the ridge CALIBRATION_RIDGE / 2 * (|w - 1|^2 + |b|^2) that pulls
 # the joint calibration toward the identity. It was chosen on validation data
 # alone, by 2-fold cross-validation over 1e-5..1e-3 in half-decade steps
 # (README, "Joint calibration").
 CALIBRATION_RIDGE = 1e-4
-# The calibration fit is certified once the largest absolute entry of the
-# penalized gradient is at most this.
-CALIBRATION_TOL = 1e-10
 # Weight of the ridge SELECTOR_RIDGE / 2 * |theta|^2 on the expert selector's
 # weights and biases, chosen by the rule that chose CALIBRATION_RIDGE (README,
-# "Expert selection"); SELECTOR_TOL is the selector's certificate.
+# "Expert selection").
 SELECTOR_RIDGE = 3.2e-5
-SELECTOR_TOL = 1e-10
 # Weight of the ridge STACKER_RIDGE / 2 * |theta|^2 on the stacker's weights
-# and biases; its fit is certified to SELECTOR_TOL. The rule that chose the
-# ridges above prefers 1e-5 (held-out cross-entropy 0.073, against 0.144 at
-# 1e-4 and the 0.541 that 100 epochs of SGD reached in-sample), but 1e-4 is
-# the smallest half-decade ridge whose fit is no slower than SGD's was on
-# both benchmark workloads: at 3.2e-5 a synth-60 fit took 0.21-0.27 s,
-# against SGD's 0.16-0.21 s (README, "Stacking").
+# and biases. The rule that chose the ridges above prefers 1e-5 (held-out
+# cross-entropy 0.073, against 0.144 at 1e-4 and the 0.541 that 100 epochs
+# of SGD reached in-sample), but 1e-4 is the smallest half-decade ridge whose
+# fit is no slower than SGD's was on both benchmark workloads: at 3.2e-5 a
+# synth-60 fit took 0.21-0.27 s, against SGD's 0.16-0.21 s (README,
+# "Stacking").
 STACKER_RIDGE = 1e-4
 # Summed row by row, a change of a fit's objective below this is still
 # mostly the rows' rounding (about 4e-17 was seen at the end of a
@@ -262,14 +271,7 @@ def _kl_objective(q, prob_rows, subsets) -> np.ndarray:
     return total
 
 
-def fuse_kl_min(
-    partials,
-    subsets,
-    class_count: int,
-    *,
-    steps: int = 2000,
-    tol: float = 1e-12,
-) -> KLFusionResult:
+def fuse_kl_min(partials, subsets, class_count: int) -> KLFusionResult:
     """Full posterior minimizing the summed KL divergence from every
     partial posterior.
 
@@ -288,31 +290,21 @@ def fuse_kl_min(
       the step kept inside Q >= 0, and Armijo backtracking on an exactly
       evaluated decrease, so a row's objective never rises.
     * A row stops when its Frank-Wolfe gap max_A(-dF/dQ_A) - sum_A Q_A
-      (-dF/dQ_A), which bounds F(q) - F(q*), is at most ``tol``, or when
+      (-dF/dQ_A), which bounds F(q) - F(q*), is at most ``KL_GAP``, or when
       backtracking finds no decrease that float64 can represent.
 
-    ``steps`` caps the Newton iterations; ``steps=0`` returns the soft-vote
-    combination unchanged. ``steps_taken`` is the iteration count of the
-    slowest row, and the reported objective is the per-row sum over experts.
+    The inputs are checked, and warned about, as :func:`fuse_soft_vote`
+    checks them. ``steps_taken`` is the Newton iteration count of the
+    slowest row (at most ``KL_STEPS``), and the reported objective is the
+    per-row sum over experts.
     """
-    prob_rows = []
-    single = True
-    for partial in partials:
-        rows, was_1d = _rows(_as_probabilities(partial))
-        single = single and was_1d
-        prob_rows.append(rows)
-    if len(prob_rows) != len(subsets) or not prob_rows:
-        raise ValueError("need one subset (or None) per partial posterior")
-
-    q_soft = np.atleast_2d(fuse_soft_vote(prob_rows, subsets, class_count))
-    start_objective = _kl_objective(q_soft, prob_rows, subsets)
-    if not np.all(np.isfinite(start_objective)):
+    prob_rows, drops, single = _expansion_inputs(partials, subsets, class_count)
+    q_soft = _mean_expansion(prob_rows, subsets, drops, class_count)
+    q_soft /= q_soft.sum(axis=1, keepdims=True)
+    if not np.all(np.isfinite(_kl_objective(q_soft, prob_rows, subsets))):
         raise DivergenceError("KL fusion objective is non-finite at initialization")
-    if steps <= 0:
-        q, objective, steps_taken = q_soft, start_objective, 0
-    else:
-        q, steps_taken = _solve_kl_atoms(q_soft, prob_rows, subsets, steps, tol)
-        objective = _kl_objective(q, prob_rows, subsets)
+    q, steps_taken = _solve_kl_atoms(q_soft, prob_rows, subsets)
+    objective = _kl_objective(q, prob_rows, subsets)
     if single:
         return KLFusionResult(q[0], float(objective[0]), steps_taken)
     return KLFusionResult(q, objective, steps_taken)
@@ -339,7 +331,7 @@ def _pinned_newton_step(hess, pull, pinned_step, free, pinned):
     return np.where(var, sol[:, :m], fixed), sol[:, m : m + 1]
 
 
-def _solve_kl_atoms(q_soft, prob_rows, subsets, steps: int, tol: float):
+def _solve_kl_atoms(q_soft, prob_rows, subsets):
     """Damped Newton on the atom masses; see ``fuse_kl_min``. The result is
     written over ``q_soft``, the soft-vote start.
 
@@ -387,7 +379,7 @@ def _solve_kl_atoms(q_soft, prob_rows, subsets, steps: int, tol: float):
 
     active = np.ones(n, dtype=bool)
     steps_taken = 0
-    for it in range(steps):
+    for it in range(KL_STEPS):
         coef = rej / reject_mass(Q, rej)
         own = np.divide(W, Q, out=np.zeros_like(W), where=barrier)
         h = own + np.einsum("ne,ea->na", coef, out_f)  # the pull -dF/dQ
@@ -395,7 +387,7 @@ def _solve_kl_atoms(q_soft, prob_rows, subsets, steps: int, tol: float):
         # the step, of the size of the gap, is then not lost to rounding
         # against the mean pull of about the expert count
         h -= (Q * h).sum(axis=1, keepdims=True)
-        active &= h.max(axis=1) > tol  # the Frank-Wolfe gap
+        active &= h.max(axis=1) > KL_GAP  # the Frank-Wolfe gap
         rows = np.nonzero(active)[0]
         if len(rows) == 0:
             break
@@ -544,27 +536,29 @@ class _RidgeNewtonProblem:
         return change
 
 
-def _damped_newton(problem: _RidgeNewtonProblem, theta, tol: float, steps: int):
-    """Damped Newton on ``problem`` from ``theta``.
+def _damped_newton(problem: _RidgeNewtonProblem):
+    """Damped Newton on ``problem`` from its anchor.
 
     Each iteration takes the problem's Newton step, then halves it until the
     Armijo condition holds on the change as
     :meth:`_RidgeNewtonProblem.change` resolves it; a trial point that
     overflows is a rejected step. The fit stops once the largest absolute
-    gradient entry is at most ``tol`` (its certificate), when no decrease
-    that float64 can represent is left, or after ``steps`` iterations.
+    gradient entry is at most ``CERTIFICATE_TOL`` (its certificate), when no
+    decrease that float64 can represent is left, or after ``NEWTON_STEPS``
+    iterations.
 
-    Returns the final point, its gradient, and the objective trace, one
-    entry per iterate, initial first. Each later entry is the one before
-    plus the step's change, so the trace never increases.
+    Returns the final point, the Newton steps taken, the final gradient's
+    largest absolute entry, and the objective trace, one entry per iterate,
+    initial first. Each later entry is the one before plus the step's
+    change, so the trace never increases.
     """
-    point = problem.evaluate(theta)
+    point = problem.evaluate(problem.anchor)
     if not point.finite:
         raise DivergenceError(f"{problem.name} objective is non-finite at initialization")
     trace = [problem.objective(point)]
     grad = problem.gradient(point)
-    for _ in range(steps):
-        if np.abs(grad).max() <= tol:
+    for _ in range(NEWTON_STEPS):
+        if np.abs(grad).max() <= CERTIFICATE_TOL:
             break
         step = problem.newton_step(point, grad)
         slope = float(grad @ step)
@@ -580,7 +574,7 @@ def _damped_newton(problem: _RidgeNewtonProblem, theta, tol: float, steps: int):
         point = trial
         trace.append(trace[-1] + change)
         grad = problem.gradient(point)
-    return point, grad, trace
+    return point, len(trace) - 1, float(np.abs(grad).max()), trace
 
 
 def _conjugate_gradient(matvec, precondition, rhs, rtol: float) -> np.ndarray:
@@ -724,12 +718,11 @@ class _PenalizedSoftmax(_RidgeNewtonProblem):
 
 def _fit_softmax(name: str, val_partials, labels, outputs: int, ridge: float):
     """:func:`_damped_newton` on :class:`_PenalizedSoftmax` from zero
-    weights to ``SELECTOR_TOL``; returns the parameters, the Newton steps
-    taken and the final gradient's largest absolute entry."""
+    weights; returns the parameters, the Newton steps taken and the final
+    gradient's largest absolute entry."""
     problem = _PenalizedSoftmax(name, concat_partials(val_partials), labels, outputs, ridge)
-    # the workloads take 8-12 steps; the cap only bounds a fit gone wrong
-    point, grad, trace = _damped_newton(problem, problem.anchor, SELECTOR_TOL, 100)
-    return problem.params(point.theta), len(trace) - 1, float(np.abs(grad).max())
+    point, steps, gradient_norm, _ = _damped_newton(problem)
+    return problem.params(point.theta), steps, gradient_norm
 
 
 def train_expert_selector(val_partials, val_fold_labels) -> SelectorModel:
@@ -739,7 +732,7 @@ def train_expert_selector(val_partials, val_fold_labels) -> SelectorModel:
     in expert order (manyshot, mediumshot, fewshot). Every fold must appear
     in the validation labels. The fit minimizes the mean cross-entropy plus
     the ridge ``SELECTOR_RIDGE / 2 * |theta|^2`` by damped Newton from zero
-    weights, to the certificate ``SELECTOR_TOL``.
+    weights, to the certificate ``CERTIFICATE_TOL``.
     """
     labels = np.asarray(val_fold_labels, dtype=np.int64)
     expert_count = len(val_partials)
@@ -779,7 +772,7 @@ def train_stacker(val_partials, val_class_labels, class_count: int) -> StackerMo
 
     The fit minimizes the mean cross-entropy plus the ridge
     ``STACKER_RIDGE / 2 * |theta|^2`` by damped Newton from zero weights,
-    to the certificate ``SELECTOR_TOL``, as the selector's does. A label
+    to the certificate ``CERTIFICATE_TOL``, as the selector's does. A label
     outside ``[0, class_count)`` raises a ValueError.
     """
     labels = np.asarray(val_class_labels, dtype=np.int64)
@@ -797,10 +790,14 @@ def fuse_by_stacking(partials, stacker: StackerModel) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CalibrationParams:
-    """Per-expert elementwise logit scale and shift vectors."""
+    """Per-expert elementwise logit scale and shift vectors, with the record
+    of the fit that made them as :class:`SelectorModel` keeps it (None for
+    vectors set by hand)."""
 
     scales: tuple[np.ndarray, ...]
     shifts: tuple[np.ndarray, ...]
+    steps: int | None = None
+    gradient_norm: float | None = None
 
     def __post_init__(self):
         if len(self.scales) != len(self.shifts):
@@ -908,20 +905,6 @@ def _calibration_rows(logit_rows, columns, scales, shifts):
     return q, probs, picked, dus
 
 
-def _calibration_grad(logit_rows, columns, scales, shifts):
-    """Analytic gradient of the validation cross-entropy in (scales, shifts).
-
-    Chains through the expansion map, the per-expert softmax, and the mean
-    combination whose normalizer is the expert count (each expansion row has
-    unit mass, so the normalizer is constant). The loss and the gradient are
-    bitwise those of the full expansion.
-    """
-    q, _, _, dus = _calibration_rows(logit_rows, columns, scales, shifts)
-    loss = float(-np.log(q).mean())
-    grads_w = [(du * z).sum(axis=0) for du, z in zip(dus, logit_rows)]
-    return loss, grads_w, [du.sum(axis=0) for du in dus]
-
-
 @dataclass(frozen=True)
 class _CalibrationPoint:
     """The per-row terms of :func:`_calibration_rows` at one parameter
@@ -964,10 +947,10 @@ class _PenalizedCalibration(_RidgeNewtonProblem):
         shifts = [theta[s + m : s + 2 * m] for s, m in zip(self.starts, self.widths)]
         return scales, shifts
 
-    def params(self, theta) -> CalibrationParams:
+    def params(self, theta, steps: int, gradient_norm: float) -> CalibrationParams:
         scales, shifts = self._split(theta)
         return CalibrationParams(
-            scales=tuple(w.copy() for w in scales), shifts=tuple(b.copy() for b in shifts)
+            tuple(w.copy() for w in scales), tuple(b.copy() for b in shifts), steps, gradient_norm
         )
 
     def evaluate(self, theta) -> _CalibrationPoint:
@@ -982,6 +965,10 @@ class _PenalizedCalibration(_RidgeNewtonProblem):
         return _CalibrationPoint(theta, q, loss, probs, picked, dus, finite)
 
     def gradient(self, point: _CalibrationPoint) -> np.ndarray:
+        """Chains through the expansion map, the per-expert softmax, and the
+        mean combination whose normalizer is the expert count (each
+        expansion row has unit mass, so the normalizer is constant). Its
+        cross-entropy part is bitwise that of the full expansion."""
         parts = [
             v
             for du, z in zip(point.dus, self.logit_rows)
@@ -1068,12 +1055,7 @@ def _newton_step(hess, grad) -> np.ndarray:
 
 
 def train_joint_calibration(
-    val_logits,
-    subsets,
-    val_class_labels,
-    class_count: int,
-    *,
-    steps: int = 100,
+    val_logits, subsets, val_class_labels, class_count: int
 ) -> tuple[CalibrationParams, list[float]]:
     """Learn the scale/shift vectors minimizing the validation cross-entropy
     of the calibrated soft-vote posterior plus the ridge
@@ -1081,23 +1063,24 @@ def train_joint_calibration(
 
     :func:`_damped_newton` from the identity (w = 1, b = 0), each step
     solved with the exact Hessian, shifted where it is not positive
-    definite, to the certificate ``CALIBRATION_TOL``; ``steps`` caps the
-    Newton iterations, and ``steps=0`` returns the identity.
+    definite, to the certificate ``CERTIFICATE_TOL``.
 
-    Returns the parameters and the trace of the penalized objective, one
-    entry per iterate, initial first; the trace never increases.
+    Returns the parameters, with the Newton steps taken and the final
+    gradient's largest absolute entry, and the trace of the penalized
+    objective, one entry per iterate, initial first; the trace never
+    increases.
     """
     problem = _PenalizedCalibration(val_logits, subsets, val_class_labels, class_count)
-    point, _, trace = _damped_newton(problem, problem.anchor, CALIBRATION_TOL, steps)
-    return problem.params(point.theta), trace
+    point, steps, gradient_norm, trace = _damped_newton(problem)
+    return problem.params(point.theta, steps, gradient_norm), trace
 
 
 def calibration_gradient(
     val_logits, subsets, val_class_labels, class_count: int, params: CalibrationParams
 ) -> np.ndarray:
     """The gradient of :func:`train_joint_calibration`'s penalized objective
-    at ``params``, flat as (w_1, b_1, ..., w_E, b_E). Its largest absolute
-    entry is the fit's certificate."""
+    at ``params``, flat as (w_1, b_1, ..., w_E, b_E), recomputed from the
+    inputs: an independent check of the certificate the fit records."""
     problem = _PenalizedCalibration(val_logits, subsets, val_class_labels, class_count)
     return problem.gradient(problem.evaluate(problem.flatten(params)))
 
@@ -1111,27 +1094,26 @@ def calibration_finite_diff_check(
     *,
     eps: float = 1e-5,
 ) -> float:
-    """Compare the analytic calibration gradient against central differences.
+    """Compare the gradient that :func:`train_joint_calibration` descends
+    against central differences of its penalized objective, evaluated
+    through the full expansion, at ``params`` (default: the identity).
 
     Same error metric as the network check: |a - n| / max(1, |a|, |n|),
     maximized over every scale and shift coordinate.
     """
-    logit_rows = [_rows(_as_logits(z))[0] for z in val_logits]
+    problem = _PenalizedCalibration(val_logits, subsets, val_class_labels, class_count)
     labels = np.asarray(val_class_labels, dtype=np.int64)
-    if params is None:
-        params = CalibrationParams.identity([z.shape[1] for z in logit_rows])
-    scales = [w.copy() for w in params.scales]
-    shifts = [b.copy() for b in params.shifts]
-    columns = _label_columns(logit_rows, subsets, class_count, labels)
-    _, gw, gb = _calibration_grad(logit_rows, columns, scales, shifts)
-    return _central_difference_error(
-        lambda: _calibration_objective(
-            logit_rows, subsets, class_count, labels, scales, shifts
-        ),
-        scales + shifts,
-        gw + gb,
-        eps,
-    )
+    theta = problem.anchor.copy() if params is None else problem.flatten(params)
+    grad = problem.gradient(problem.evaluate(theta))
+
+    def objective():
+        r = theta - problem.anchor
+        loss = _calibration_objective(
+            problem.logit_rows, subsets, class_count, labels, *problem._split(theta)
+        )
+        return loss + 0.5 * problem.ridge * float(r @ r)
+
+    return _central_difference_error(objective, [theta], [grad], eps)
 
 
 @dataclass(frozen=True)

@@ -54,7 +54,6 @@ from .fusion import (
     CalibrationParams,
     SelectorModel,
     StackerModel,
-    calibration_gradient,
     fuse_by_selection,
     fuse_by_stacking,
     fuse_calibrated,
@@ -274,30 +273,23 @@ class FittedFusion:
 
 @dataclass(frozen=True)
 class CalibrationFit:
-    """Joint calibration parameters with the record of their fit: the
-    penalized objective at the identity and at the result, the Newton steps
-    taken, and the largest absolute entry of the final gradient, the fit's
-    certificate."""
+    """Joint calibration parameters, which carry their fit's certificate,
+    with the penalized objective at the identity and at the result: what
+    ``fusion/calibrate.params`` records."""
 
     params: CalibrationParams
     objective_initial: float
     objective_final: float
-    steps: int
-    gradient_norm: float
 
 
 def _fit_calibrate(ensemble: ExpertEnsemble) -> CalibrationFit:
-    problem = (
+    calib, trace = train_joint_calibration(
         [p.logits for p in ensemble.partials("val")],
         ensemble.subset_list(),
         ensemble.bundle.val.labels,
         ensemble.bundle.class_count,
     )
-    calib, trace = train_joint_calibration(*problem)
-    gradient = calibration_gradient(*problem, calib)
-    return CalibrationFit(
-        calib, trace[0], trace[-1], len(trace) - 1, float(np.abs(gradient).max())
-    )
+    return CalibrationFit(calib, trace[0], trace[-1])
 
 
 def _head_widths(ensemble: ExpertEnsemble) -> tuple[int, ...]:
@@ -316,6 +308,19 @@ def _save_meta_model(path, kind: str, model) -> None:
     save_checkpoint(path, model.params, meta)
 
 
+def _certificate(path, kind: str, record: dict, *floats: str) -> list:
+    """The record of a persisted fit, checked: ``record``'s Newton
+    ``steps``, a count, then its entries named by ``floats``, each a finite,
+    non-negative float. Anything else raises a :class:`DataError` saying
+    that the ``kind`` certificate is malformed."""
+    steps, values = record.get("steps"), [record.get(name) for name in floats]
+    if type(steps) is not int or steps < 0 or not all(
+        type(v) is float and 0 <= v < math.inf for v in values
+    ):
+        raise DataError(f"{path}: {kind} certificate is malformed")
+    return [steps, *values]
+
+
 def _load_meta_model(path, kind: str, ensemble: ExpertEnsemble):
     """A linear meta-model stored as a checkpoint tagged with ``kind``,
     checked against the ensemble's head widths and the kind's output count,
@@ -330,10 +335,7 @@ def _load_meta_model(path, kind: str, ensemble: ExpertEnsemble):
             f"{path}: {kind} maps {params.dims[0]} -> {params.dims[-1]} "
             f"but the experts need {expected[0]} -> {expected[1]}"
         )
-    steps, norm = meta.get("steps"), meta.get("gradient_norm")
-    if type(steps) is not int or steps < 0 or type(norm) is not float or not 0 <= norm < math.inf:
-        raise DataError(f"{path}: {kind} certificate is malformed")
-    return model_type(params, steps, norm)
+    return model_type(params, *_certificate(path, kind, meta, "gradient_norm"))
 
 
 def _save_calibration(path, fit: CalibrationFit) -> None:
@@ -345,8 +347,8 @@ def _save_calibration(path, fit: CalibrationFit) -> None:
             "shifts": [b.tolist() for b in fit.params.shifts],
             "objective_initial": fit.objective_initial,
             "objective_final": fit.objective_final,
-            "steps": fit.steps,
-            "gradient_norm": fit.gradient_norm,
+            "steps": fit.params.steps,
+            "gradient_norm": fit.params.gradient_norm,
         },
     )
 
@@ -354,26 +356,24 @@ def _save_calibration(path, fit: CalibrationFit) -> None:
 def _load_calibration(path, ensemble) -> CalibrationFit:
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
-        fit = CalibrationFit(
-            params=CalibrationParams(
-                scales=tuple(np.asarray(w, dtype=np.float64) for w in payload["scales"]),
-                shifts=tuple(np.asarray(b, dtype=np.float64) for b in payload["shifts"]),
-            ),
-            objective_initial=float(payload["objective_initial"]),
-            objective_final=float(payload["objective_final"]),
-            steps=payload["steps"],
-            gradient_norm=float(payload["gradient_norm"]),
+        vectors = [
+            tuple(np.asarray(v, dtype=np.float64) for v in payload[key])
+            for key in ("scales", "shifts")
+        ]
+        steps, norm, initial, final = _certificate(
+            path, "calibrate", payload, "gradient_norm", "objective_initial", "objective_final"
         )
-        if not isinstance(fit.steps, int) or fit.steps < 0:
-            raise ValueError("steps is not a count")
+        params = CalibrationParams(*vectors, steps, norm)
+    except DataError:
+        raise
     except (ValueError, KeyError, TypeError):
         raise DataError(f"{path} is not a calibrate parameter file") from None
-    if fit.params.widths != _head_widths(ensemble):
+    if params.widths != _head_widths(ensemble):
         raise DataError(
-            f"{path}: calibration widths {list(fit.params.widths)} do not match "
+            f"{path}: calibration widths {list(params.widths)} do not match "
             f"the experts' head widths {list(_head_widths(ensemble))}"
         )
-    return fit
+    return CalibrationFit(params, initial, final)
 
 
 # One record per name in config.FUSION_STRATEGIES.

@@ -148,7 +148,7 @@ def test_criterion_2_fusion_identities():
         widths = [s.size + 1 for s in subsets]
         outputs = [
             fuse_soft_vote(partials, subsets, class_count),
-            fuse_kl_min(partials, subsets, class_count, steps=60).probabilities,
+            fuse_kl_min(partials, subsets, class_count).probabilities,
             fuse_by_selection(
                 partials,
                 SelectorModel(init_network([sum(widths), 3], seed=1)),

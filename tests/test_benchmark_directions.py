@@ -18,7 +18,7 @@ from tailens.config import (
 )
 from tailens.evaluation import fourfold_accuracy, msp_histogram
 from tailens.experts import expert_subset_accuracy, select_expert_hyperparams
-from tailens.fusion import SELECTOR_TOL, expand_partial
+from tailens.fusion import CERTIFICATE_TOL, expand_partial
 from tailens.pipeline import fused_posteriors, train_fusion
 
 from conftest import BENCHMARK_SEEDS, majority, on_two_forked_workers
@@ -116,7 +116,7 @@ class TestFusionOrderings:
 
     def test_every_embed256_stacker_fit_is_certified(self, embed256_stack_runs):
         for _, _, stacker in embed256_stack_runs:
-            assert stacker.gradient_norm <= SELECTOR_TOL and stacker.steps > 0
+            assert stacker.gradient_norm <= CERTIFICATE_TOL and stacker.steps > 0
 
     def test_adding_baseline_shifts_vote_toward_manyshot(self, benchmark_runs):
         runs, _ = benchmark_runs

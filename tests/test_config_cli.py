@@ -16,7 +16,7 @@ from tailens.config import (
     serialize_config,
 )
 from tailens.evaluation import fourfold_accuracy
-from tailens.fusion import SELECTOR_TOL
+from tailens.fusion import CERTIFICATE_TOL
 from tailens import network, pipeline
 from tailens.experts import (
     expert_partial_posterior,
@@ -210,7 +210,7 @@ class TestCliMatchesPipeline:
         loaded = FUSIONS[strategy].load(out / "fusion" / f"{strategy}.params", ens)
         assert type(loaded) is type(fitted)
         assert (loaded.steps, loaded.gradient_norm) == (fitted.steps, fitted.gradient_norm)
-        assert loaded.gradient_norm <= SELECTOR_TOL and loaded.steps > 0
+        assert loaded.gradient_norm <= CERTIFICATE_TOL and loaded.steps > 0
         for a, b in zip(loaded.params.layers[0], fitted.params.layers[0]):
             assert a.tobytes() == b.tobytes()
 
@@ -453,6 +453,11 @@ def _edit_calibration(**edit):
     return corrupt
 
 
+def _drop_calibration_certificate(path):
+    payload = json.loads(path.read_text())
+    path.write_text(json.dumps({key: payload[key] for key in ("strategy", "scales", "shifts")}))
+
+
 def _set_first(value):
     return lambda vectors: [[value] + vectors[0][1:]] + vectors[1:]
 
@@ -511,6 +516,19 @@ def _wider_input_expert(path):
         ("calibrate", "fusion/calibrate.params",
          _edit_calibration(scales=lambda v: [[1.0]] * len(v), shifts=lambda v: [[0.0]] * len(v)),
          "calibration widths \\[1, 1, 1\\] do not match the experts' head widths"),
+        ("calibrate", "fusion/calibrate.params", _edit_calibration(gradient_norm=lambda v: "1e-12"),
+         "calibrate certificate is malformed"),
+        ("calibrate", "fusion/calibrate.params",
+         _edit_calibration(gradient_norm=lambda v: float("nan")),
+         "calibrate certificate is malformed"),
+        ("calibrate", "fusion/calibrate.params", _edit_calibration(steps=lambda v: -1),
+         "calibrate certificate is malformed"),
+        ("calibrate", "fusion/calibrate.params", _edit_calibration(steps=lambda v: True),
+         "calibrate certificate is malformed"),
+        ("calibrate", "fusion/calibrate.params", _edit_calibration(objective_final=str),
+         "calibrate certificate is malformed"),
+        ("calibrate", "fusion/calibrate.params", _drop_calibration_certificate,
+         "calibrate certificate is malformed"),
         ("select", "fusion/select.params", _checkpoint_first_weight_nan,
          "layer 0 contains non-finite entries"),
         ("select", "fusion/select.params", _wrong_width_selector, "selector maps 2 -> 3"),
@@ -546,7 +564,9 @@ def _wider_input_expert(path):
         ("softvote", "checkpoints/expert_mediumshot.ckpt", _wider_input_expert,
          "expert reads 5 features, the bundle has 4"),
     ],
-    ids=["calibrate-nan", "calibrate-text", "calibrate-width", "select-nan", "select-width",
+    ids=["calibrate-nan", "calibrate-text", "calibrate-width", "calibrate-norm-text",
+         "calibrate-norm-nan", "calibrate-steps-negative", "calibrate-steps-bool",
+         "calibrate-objective-text", "calibrate-no-certificate", "select-nan", "select-width",
          "select-norm-text", "select-steps-negative", "select-no-certificate",
          "stack-norm-text", "stack-steps-negative", "stack-no-certificate",
          "checkpoint-array-names", "expert-meta", "expert-meta-list", "expert-class-99",

@@ -1,3 +1,4 @@
+import inspect
 import warnings
 
 import numpy as np
@@ -6,13 +7,11 @@ import pytest
 from tailens import DataError, fusion
 from tailens.dataset import Fold, SubsetSpec
 from tailens.fusion import (
-    CALIBRATION_TOL,
+    CALIBRATION_RIDGE,
+    CERTIFICATE_TOL,
     SELECTOR_RIDGE,
-    SELECTOR_TOL,
     STACKER_RIDGE,
     CalibrationParams,
-    _calibration_grad,
-    _label_columns,
     _newton_step,
     _PenalizedCalibration,
     _PenalizedSoftmax,
@@ -155,6 +154,17 @@ def _em_reference(partials, subsets, class_count, iterations):
     return q
 
 
+@pytest.mark.parametrize(
+    "solve", [fuse_kl_min, train_joint_calibration, train_expert_selector, train_stacker]
+)
+def test_certified_solves_take_no_solver_knobs(solve):
+    # each solve runs to its certificate; a cap, tolerance, step size,
+    # epoch budget or seed as an argument would be a knob that a weak
+    # solver needs
+    for name in inspect.signature(solve).parameters:
+        assert not any(knob in name for knob in ("steps", "tol", "lr", "epochs", "seed")), name
+
+
 class TestKLFusion:
     def test_full_coverage_expert_recovers_its_posterior(self):
         subset = SubsetSpec(Fold.MANYSHOT, np.array([0, 1, 2]))
@@ -175,16 +185,11 @@ class TestKLFusion:
             pa = rng.dirichlet(np.ones(3))
             pb = rng.dirichlet(np.ones(3))
             result = fuse_kl_min([pa, pb], [S01, S23], 4)
-            start = fuse_kl_min([pa, pb], [S01, S23], 4, steps=0)
-            assert result.objective <= start.objective + 1e-12
-
-    def test_zero_steps_is_soft_vote(self):
-        rng = np.random.default_rng(4)
-        pa = rng.dirichlet(np.ones(3), size=20)
-        pb = rng.dirichlet(np.ones(3), size=20)
-        start = fuse_kl_min([pa, pb], [S01, S23], 4, steps=0)
-        assert start.steps_taken == 0
-        assert np.array_equal(start.probabilities, fuse_soft_vote([pa, pb], [S01, S23], 4))
+            start = fuse_soft_vote([pa, pb], [S01, S23], 4)
+            (start_objective,) = _kl_reference_objective(
+                start[None], [pa[None], pb[None]], [S01, S23]
+            )
+            assert result.objective <= start_objective + 1e-12
 
     def test_overlapping_subsets_with_full_width_member_match_long_em(self):
         # class 8 is in no subset; the None member still covers it
@@ -400,7 +405,7 @@ class TestPreconditionedStep:
         norms = []
         for fit, theta in zip(fits, thetas):
             grad = problem.gradient(problem.evaluate(theta))
-            assert fit.gradient_norm == np.abs(grad).max() <= SELECTOR_TOL
+            assert fit.gradient_norm == np.abs(grad).max() <= CERTIFICATE_TOL
             norms.append(np.linalg.norm(grad))
         # the ridge makes the objective STACKER_RIDGE-strongly convex, so a
         # point with gradient g lies within |g| / STACKER_RIDGE of the
@@ -426,7 +431,7 @@ class TestSelector:
             "fit", concat_partials(partials), labels, model.params.dims[-1], ridge
         )
         grad = problem.gradient(problem.evaluate(_linear_theta(model)))
-        assert np.abs(grad).max() <= SELECTOR_TOL
+        assert np.abs(grad).max() <= CERTIFICATE_TOL
         assert model.gradient_norm == np.abs(grad).max()
         assert 0 < model.steps < 100
 
@@ -519,11 +524,11 @@ class TestStacker:
         assert q.shape == (40, 4)
         assert np.max(np.abs(q.sum(axis=1) - 1.0)) < 1e-9
 
-    def test_meta_models_skip_the_full_dataset_loss(self, monkeypatch):
-        def no_full_pass(*args):
-            raise AssertionError("meta-model training evaluated the full dataset")
+    def test_meta_models_train_no_network(self, monkeypatch):
+        def no_sgd(*args, **kwargs):
+            raise AssertionError("meta-model training ran network SGD")
 
-        monkeypatch.setattr("tailens.network.dataset_loss", no_full_pass)
+        monkeypatch.setattr("tailens.network._sgd", no_sgd)
         partials, fold_labels = _selector_training_data()
         train_expert_selector(partials, fold_labels)
         train_stacker(partials, fold_labels, 3)
@@ -603,8 +608,8 @@ THREE_WORLDS = ["two-subsets", "with-full-width", "uneven-seven"]
 
 class TestCalibrationReadsTheLabelColumn:
     """The calibration gradient reads each expert's calibrated posterior at
-    the label only; the loss and the gradient must be bitwise those of the
-    gradient through the full expansion."""
+    the label only; the loss and the gradient's cross-entropy part must be
+    bitwise those of the gradient through the full expansion."""
 
     @pytest.mark.parametrize("world", THREE_WORLDS)
     @pytest.mark.parametrize("at", ["identity", "random"])
@@ -618,25 +623,27 @@ class TestCalibrationReadsTheLabelColumn:
         else:
             scales = [rng.normal(1.0, 0.4, size=m) for m in widths]
             shifts = [rng.normal(0.0, 0.4, size=m) for m in widths]
-        columns = _label_columns(logits, subsets, class_count, labels)
-        loss, gw, gb = _calibration_grad(logits, columns, scales, shifts)
+        problem = _PenalizedCalibration(logits, subsets, labels, class_count)
+        theta = problem.flatten(CalibrationParams(tuple(scales), tuple(shifts)))
+        point = problem.evaluate(theta)
         ref_loss, ref_gw, ref_gb = reference_calibration_grad(
             logits, subsets, class_count, labels, scales, shifts
         )
-        assert loss == ref_loss
-        for a, b in zip(gw + gb, ref_gw + ref_gb):
-            assert a.tobytes() == b.tobytes()
+        assert float(point.loss.mean()) == ref_loss
+        ref_grad = np.concatenate([v for w, b in zip(ref_gw, ref_gb) for v in (w, b)])
+        ref_grad += CALIBRATION_RIDGE * (theta - problem.anchor)
+        assert problem.gradient(point).tobytes() == ref_grad.tobytes()
 
     def test_full_coverage_subset_is_rejected(self):
         full = SubsetSpec(Fold.MANYSHOT, np.arange(4))
         z = [np.zeros((3, 5)), np.zeros((3, 3))]
         with pytest.raises(ValueError, match="full-coverage"):
-            train_joint_calibration(z, [full, S01], np.array([0, 1, 2]), 4, steps=1)
+            train_joint_calibration(z, [full, S01], np.array([0, 1, 2]), 4)
 
     def test_width_mismatch_is_rejected(self):
         z = [np.zeros((3, 4)), np.zeros((3, 3))]
         with pytest.raises(ValueError, match="logit width"):
-            train_joint_calibration(z, [S01, S23], np.array([0, 1, 2]), 4, steps=1)
+            train_joint_calibration(z, [S01, S23], np.array([0, 1, 2]), 4)
 
 
 class TestRidgeNewtonCalibration:
@@ -681,7 +688,8 @@ class TestRidgeNewtonCalibration:
         logits, subsets, labels, class_count = _calibration_world(world)
         calib, trace = train_joint_calibration(logits, subsets, labels, class_count)
         grad = calibration_gradient(logits, subsets, labels, class_count, calib)
-        assert np.abs(grad).max() <= CALIBRATION_TOL
+        assert calib.gradient_norm == np.abs(grad).max() <= CERTIFICATE_TOL
+        assert calib.steps == len(trace) - 1
         assert all(b <= a for a, b in zip(trace, trace[1:]))
 
     def test_trace_is_the_penalized_objective(self):
@@ -690,17 +698,21 @@ class TestRidgeNewtonCalibration:
         problem = _PenalizedCalibration(logits, subsets, labels, class_count)
         final = problem.objective(problem.evaluate(problem.flatten(calib)))
         assert abs(trace[-1] - final) <= 1e-14
-        assert trace[0] == _calibration_grad(
+        assert trace[0] == reference_calibration_grad(
             logits,
-            _label_columns(logits, subsets, class_count, labels),
+            subsets,
+            class_count,
+            labels,
             [np.ones(z.shape[1]) for z in logits],
             [np.zeros(z.shape[1]) for z in logits],
         )[0]
 
-    def test_steps_cap_newton_iterations(self):
+    def test_steps_cap_newton_iterations(self, monkeypatch):
         logits, subsets, labels, class_count = _calibration_world("two-subsets")
-        _, trace = train_joint_calibration(logits, subsets, labels, class_count, steps=2)
-        assert len(trace) == 3
+        monkeypatch.setattr(fusion, "NEWTON_STEPS", 2)
+        calib, trace = train_joint_calibration(logits, subsets, labels, class_count)
+        assert len(trace) == 3 and calib.steps == 2
+        assert calib.gradient_norm > CERTIFICATE_TOL
 
     def test_tiny_descent_step_resolves_as_a_decrease(self):
         # next to the optimum a short step along -grad lowers the objective
@@ -731,7 +743,7 @@ class TestRidgeNewtonCalibration:
             warnings.simplefilter("error")
             calib, trace = train_joint_calibration(logits, subsets, labels, class_count)
             grad = calibration_gradient(logits, subsets, labels, class_count, calib)
-        assert np.abs(grad).max() <= CALIBRATION_TOL
+        assert np.abs(grad).max() <= CERTIFICATE_TOL
         assert all(b <= a for a, b in zip(trace, trace[1:]))
 
 
@@ -741,13 +753,6 @@ class TestJointCalibration:
         z = [rng.normal(size=(n, 3)), rng.normal(size=(n, 3))]
         labels = rng.integers(0, 4, size=n)
         return z, [S01, S23], labels
-
-    def test_zero_steps_returns_identity(self):
-        z, subsets, labels = self._instance()
-        calib, trace = train_joint_calibration(z, subsets, labels, 4, steps=0)
-        assert all(np.all(w == 1.0) for w in calib.scales)
-        assert all(np.all(b == 0.0) for b in calib.shifts)
-        assert len(trace) == 1
 
     def test_identity_calibration_equals_soft_vote(self):
         z, subsets, _ = self._instance()
@@ -772,7 +777,7 @@ class TestJointCalibration:
 
     def test_training_does_not_increase_objective(self):
         z, subsets, labels = self._instance(n=60, seed=5)
-        _, trace = train_joint_calibration(z, subsets, labels, 4, steps=50)
+        _, trace = train_joint_calibration(z, subsets, labels, 4)
         assert min(trace) <= trace[0]
 
     def test_reject_shift_invariance_for_full_width_member(self):
@@ -832,9 +837,7 @@ class TestExternalPosteriors:
         labels = rng.integers(0, 3, size=50)
         # full-width models join as members with subset None
         members = [None, None]
-        calib, _ = train_joint_calibration(
-            [np.log(p) for p in val_p], members, labels, 3, steps=20
-        )
+        calib, _ = train_joint_calibration([np.log(p) for p in val_p], members, labels, 3)
         fused = fuse_calibrated([np.log(p) for p in test_p], calib, members, 3)
         assert fused.shape == (20, 3)
         assert np.max(np.abs(fused.sum(axis=1) - 1.0)) < 1e-9
