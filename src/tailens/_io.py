@@ -1,5 +1,10 @@
-"""Small file helpers shared across modules: atomic writes and the error
-type of the file boundary."""
+"""Small file helpers shared across modules: atomic writes, row-block
+streaming of numeric CSV tables and the error type of the file boundary.
+
+Bulk tables cross the file boundary in blocks of about ``ROW_BLOCK_VALUES``
+values, so that what a read or write holds besides its arrays stays bounded
+whatever the table's size.
+"""
 
 from __future__ import annotations
 
@@ -9,15 +14,17 @@ import json
 import os
 from pathlib import Path
 
+import numpy as np
+
+# Values per row block. A block of float text takes about 55 bytes per value
+# as Python floats, strings and bytes, so a writer holds about 0.2 MB
+# besides its arrays; a binary block is 32 KiB.
+ROW_BLOCK_VALUES = 1 << 12
+
 
 class DataError(ValueError):
     """An input file is malformed or inconsistent; the message names the
     file, and the line where there is one."""
-
-
-def format_float(value) -> str:
-    """Shortest decimal string that round-trips the float64 exactly."""
-    return repr(float(value))
 
 
 def atomic_write_text(path, text: str) -> None:
@@ -30,12 +37,22 @@ def atomic_write_json(path, payload) -> None:
 
 
 def atomic_write_bytes(path, data: bytes) -> None:
-    """Write ``data`` to a fresh temp file in the target directory, fsync it
-    and rename it into place, so readers see the old file or the new one and
-    concurrent writers of one path never share a temp file. The file gets
-    the mode a plain ``open(path, "wb")`` gives it; the temp file is removed
-    if anything fails. On POSIX the directory is fsynced after the rename,
-    so the rename itself survives a power loss."""
+    """Write ``data`` to ``path`` through :func:`atomic_writer`."""
+    with atomic_writer(path) as fh:
+        fh.write(data)
+
+
+@contextlib.contextmanager
+def atomic_writer(path):
+    """A binary file to write ``path``'s new contents into, piece by piece.
+
+    The file is a fresh temp file in the target directory. When the block
+    ends it is fsynced and renamed into place, so readers see the old file
+    or the new one and concurrent writers of one path never share a temp
+    file. The file gets the mode a plain ``open(path, "wb")`` gives it; the
+    temp file is removed if anything fails, the block included. On POSIX
+    the directory is fsynced after the rename, so the rename itself
+    survives a power loss."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
@@ -45,7 +62,7 @@ def atomic_write_bytes(path, data: bytes) -> None:
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
+            yield fh
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
@@ -72,3 +89,62 @@ def _fsync_directory(directory: Path) -> None:
             raise
     finally:
         os.close(fd)
+
+
+def block_rows(width: int) -> int:
+    """Rows per block of a table ``width`` values wide; at least one."""
+    return max(1, ROW_BLOCK_VALUES // max(1, width))
+
+
+def row_blocks(rows: int, width: int):
+    """(start, stop) of each block of a ``rows`` x ``width`` table, in order."""
+    step = block_rows(width)
+    for start in range(0, rows, step):
+        yield start, min(start + step, rows)
+
+
+def atomic_write_float_csv(path, header: str, keys, table, tag: str = "") -> None:
+    """Atomically write ``header``, then per row of the float64 ``table`` the
+    line ``key<tag>,v0,...,v{w-1}``, where ``key`` is the row's integer key
+    and each value is written as ``repr`` writes it, the shortest text that
+    reads back as the same float64. Lines end in ``\\n``."""
+    keys = np.asarray(keys, dtype=np.int64)
+    table = np.asarray(table, dtype=np.float64)
+    if keys.shape != table.shape[:1]:
+        raise ValueError(f"need one key per row: {len(keys)} keys, {len(table)} rows")
+    with atomic_writer(path) as fh:
+        fh.write(f"{header}\n".encode("utf-8"))
+        for start, stop in row_blocks(*table.shape):
+            fh.write("".join(
+                f"{key}{tag},{','.join(map(repr, row))}\n"
+                for key, row in zip(keys[start:stop].tolist(), table[start:stop].tolist())
+            ).encode("utf-8"))
+
+
+def count_rows(path) -> int:
+    """The non-blank lines after the first, split and stripped as a text
+    reader of the file splits and strips them: an upper bound on the rows a
+    CSV parser of the unchanged file finds. Bytes that are not UTF-8 count
+    as text here; the parser reports them."""
+    with open(path, "r", encoding="utf-8", errors="replace") as fh:
+        fh.readline()
+        return sum(1 for line in fh if line.strip())
+
+
+def shrink_rows(arrays, rows: int) -> None:
+    """Cut each array, which owns its data, to its first ``rows`` rows in
+    place."""
+    for arr in arrays:
+        if len(arr) > rows:
+            arr.resize((rows,) + arr.shape[1:], refcheck=False)
+
+
+def first_row_where(test, table) -> int | None:
+    """Index of the first row of ``table`` for which ``test`` (a function of
+    a block of rows, giving one bool per row) holds, testing block by
+    block; None if it holds for none."""
+    for start, stop in row_blocks(len(table), table.shape[1]):
+        hits = test(table[start:stop])
+        if hits.any():
+            return start + int(np.argmax(hits))
+    return None

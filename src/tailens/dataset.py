@@ -17,6 +17,8 @@ import hashlib
 import io
 import json
 import math
+import os
+import shutil
 import warnings
 from dataclasses import dataclass, field
 from enum import IntEnum
@@ -24,13 +26,23 @@ from pathlib import Path
 
 import numpy as np
 
-from ._io import DataError, atomic_write_bytes, atomic_write_text, format_float
+from ._io import (
+    DataError,
+    atomic_write_float_csv,
+    atomic_write_text,
+    atomic_writer,
+    block_rows,
+    count_rows,
+    first_row_where,
+    row_blocks,
+    shrink_rows,
+)
 
 DEFAULT_MANY_MIN = 100
 DEFAULT_FEW_MAX = 20
 
 MANIFEST_FORMAT = "tailens-bundle-v1"
-_HASH_CHUNK = 1 << 20  # bytes per read while hashing an input file
+_HASH_CHUNK = 1 << 16  # bytes per read while hashing an input file
 
 
 class Fold(IntEnum):
@@ -54,11 +66,18 @@ class EmptyFoldError(ValueError):
 
 
 def _frozen_array(values, dtype) -> np.ndarray:
+    """``values`` as a read-only array of ``dtype``: a read-only array is
+    adopted as it is (the file readers and the generator hand theirs over
+    that way), anything else is copied."""
     arr = np.asarray(values, dtype=dtype)
     if arr.flags.writeable:
         arr = arr.copy()
         arr.setflags(write=False)
     return arr
+
+
+def _nonfinite_rows(block: np.ndarray) -> np.ndarray:
+    return ~np.isfinite(block).all(axis=1)
 
 
 @dataclass(frozen=True)
@@ -85,9 +104,9 @@ class EmbeddingDataset:
             raise ValueError(
                 f"features/labels length mismatch: {len(features)} vs {len(labels)}"
             )
-        bad = ~np.isfinite(features).all(axis=1)
-        if bad.any():
-            raise ValueError(f"feature row {int(np.argmax(bad))} is not finite")
+        bad = first_row_where(_nonfinite_rows, features)
+        if bad is not None:
+            raise ValueError(f"feature row {bad} is not finite")
         if self.class_count < 1:
             raise ValueError("class_count must be positive")
         if len(labels) and (labels.min() < 0 or labels.max() >= self.class_count):
@@ -503,20 +522,20 @@ def generate_longtailed(
     means = rng.normal(0.0, 1.0, size=(config.class_count, config.feature_dim))
 
     def blob(count_per_class) -> EmbeddingDataset:
-        feats = []
-        labels = []
-        for c in range(config.class_count):
-            n_c = int(count_per_class[c])
-            feats.append(
-                means[c]
-                + rng.normal(0.0, config.noise_scale, size=(n_c, config.feature_dim))
+        # each class's rows are drawn into their place in one table, which
+        # the dataset adopts read-only rather than copying
+        counts = np.asarray(count_per_class, dtype=np.int64)
+        features = np.empty((int(counts.sum()), config.feature_dim))
+        start = 0
+        for c, n_c in enumerate(counts.tolist()):
+            features[start : start + n_c] = means[c] + rng.normal(
+                0.0, config.noise_scale, size=(n_c, config.feature_dim)
             )
-            labels.append(np.full(n_c, c, dtype=np.int64))
-        return EmbeddingDataset(
-            features=np.concatenate(feats),
-            labels=np.concatenate(labels),
-            class_count=config.class_count,
-        )
+            start += n_c
+        labels = np.repeat(np.arange(config.class_count, dtype=np.int64), counts)
+        features.setflags(write=False)
+        labels.setflags(write=False)
+        return EmbeddingDataset(features, labels, config.class_count)
 
     train = blob(freq)
     val = blob(np.full(config.class_count, config.n_val_per_class))
@@ -526,16 +545,13 @@ def generate_longtailed(
 
 def write_embeddings_csv(path, dataset: EmbeddingDataset) -> None:
     """Write one split in the ``label,f0,...,f{d-1}`` CSV format."""
-    d = dataset.feature_dim
-    lines = ["label," + ",".join(f"f{j}" for j in range(d))]
-    for label, row in zip(dataset.labels, dataset.features):
-        lines.append(str(int(label)) + "," + ",".join(format_float(v) for v in row))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    header = "label," + ",".join(f"f{j}" for j in range(dataset.feature_dim))
+    atomic_write_float_csv(path, header, dataset.labels, dataset.features)
 
 
 def read_embeddings_csv(path, *, class_count: int | None = None):
-    """Parse one embedding CSV into (features, labels) arrays. A malformed
-    file raises :class:`DataError` naming the file and line."""
+    """Parse one embedding CSV into read-only (features, labels) arrays. A
+    malformed file raises :class:`DataError` naming the file and line."""
     features, labels, _ = _parse_embeddings(Path(path), class_count)
     return features, labels
 
@@ -558,18 +574,20 @@ class _HashingReader(io.RawIOBase):
 
 def _parse_embeddings(path: Path, class_count: int | None):
     """(features, labels, SHA-256 hex digest of the bytes parsed)."""
+    capacity = count_rows(path)
     digest = hashlib.sha256()
     try:
         with open(path, "rb", buffering=0) as raw, io.TextIOWrapper(
             io.BufferedReader(_HashingReader(raw, digest), _HASH_CHUNK), encoding="utf-8"
         ) as fh:
-            features, labels = _parse_embedding_rows(path, fh, class_count)
+            features, labels = _parse_embedding_rows(path, fh, class_count, capacity)
     except UnicodeDecodeError:
         raise DataError(f"{path.name}: not UTF-8 text") from None
     return features, labels, digest.hexdigest()
 
 
-def _parse_embedding_rows(path: Path, fh, class_count: int | None):
+def _parse_embedding_rows(path: Path, fh, class_count: int | None, capacity: int):
+    """Parse the rows into arrays of ``capacity`` rows, cut to the rows found."""
     header = fh.readline().rstrip("\n")
     fields = header.split(",")
     expected = ["label"] + [f"f{j}" for j in range(len(fields) - 1)]
@@ -577,9 +595,10 @@ def _parse_embedding_rows(path: Path, fh, class_count: int | None):
         raise DataError(f"{path.name}: malformed header {header!r}")
     dim = len(fields) - 1
 
-    features = []
-    labels = []
-    line_nos = []
+    features = np.empty((capacity, dim))
+    labels = np.empty(capacity, dtype=np.int64)
+    line_nos = np.empty(capacity, dtype=np.int64)
+    rows = 0
     for line_no, line in enumerate(fh, start=2):
         line = line.strip()
         if not line:
@@ -603,65 +622,109 @@ def _parse_embedding_rows(path: Path, fh, class_count: int | None):
                 f"{path.name} line {line_no}: label {label} out of range "
                 f"[0, {class_count})"
             )
+        if rows == capacity:
+            raise DataError(f"{path.name}: changed while it was read")
         try:
-            features.append([float(v) for v in parts[1:]])
+            features[rows] = list(map(float, parts[1:]))
         except ValueError:
             raise DataError(f"{path.name} line {line_no}: feature is not a number") from None
-        labels.append(label)
-        line_nos.append(line_no)
+        labels[rows] = label
+        line_nos[rows] = line_no
+        rows += 1
 
-    if not labels:
+    if not rows:
         raise DataError(f"{path.name}: no samples")
-    features = np.asarray(features, dtype=np.float64)
-    bad = ~np.isfinite(features).all(axis=1)
-    if bad.any():
-        raise DataError(
-            f"{path.name} line {line_nos[int(np.argmax(bad))]}: non-finite feature"
-        )
-    return features, np.asarray(labels, dtype=np.int64)
+    shrink_rows((features, labels), rows)
+    bad = first_row_where(_nonfinite_rows, features)
+    if bad is not None:
+        raise DataError(f"{path.name} line {line_nos[bad]}: non-finite feature")
+    features.setflags(write=False)
+    labels.setflags(write=False)
+    return features, labels
 
 
 def _sha256_file(path: Path) -> str:
     digest = hashlib.sha256()
+    chunk = bytearray(_HASH_CHUNK)  # one buffer, read into again and again
+    view = memoryview(chunk)
     with open(path, "rb", buffering=0) as fh:
-        for chunk in iter(lambda: fh.read(_HASH_CHUNK), b""):
-            digest.update(chunk)
+        while n := fh.readinto(chunk):
+            digest.update(view[:n])
     return digest.hexdigest()
 
 
 def _load_cache_entry(entry: Path, class_count: int):
-    """(features, labels) from a cache entry, or None when the entry is
-    missing, cannot be read, or fails a check the CSV parser makes."""
+    """Read-only (features, labels) from a cache entry, read block by block,
+    or None when the entry is missing, cannot be read, is not the table
+    :func:`_write_cache_entry` writes, or fails a check the CSV parser
+    makes."""
     try:
         with open(entry, "rb") as fh:
-            table = np.load(fh, allow_pickle=False)
+            if np.lib.format.read_magic(fh) != (1, 0):
+                return None
+            shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(fh)
+            if not (
+                dtype == np.float64
+                and not fortran_order
+                and len(shape) == 2
+                and shape[0] >= 1
+                and shape[1] >= 2
+            ):
+                return None
+            n, width = shape
+            if os.fstat(fh.fileno()).st_size - fh.tell() < n * width * 8:
+                return None  # truncated
+            features = np.empty((n, width - 1))
+            labels = np.empty(n, dtype=np.int64)
+            block = np.empty((min(n, block_rows(width)), width))
+            for start, stop in row_blocks(n, width):
+                rows = block[: stop - start]
+                if fh.readinto(rows.data) != rows.nbytes:
+                    return None
+                label, feats = rows[:, 0], rows[:, 1:]
+                if not (
+                    np.all((label >= 0) & (label < class_count) & (label == np.floor(label)))
+                    and np.isfinite(feats).all()
+                ):
+                    return None
+                labels[start:stop] = label
+                features[start:stop] = feats
     except Exception:  # a cache entry that cannot be read for any reason is a miss
         return None
-    if not (
-        isinstance(table, np.ndarray)
-        and table.dtype == np.float64
-        and table.ndim == 2
-        and table.shape[0] >= 1
-        and table.shape[1] >= 2
-    ):
-        return None
-    labels, features = table[:, 0], table[:, 1:]
-    if not (
-        np.all((labels >= 0) & (labels < class_count) & (labels == np.floor(labels)))
-        and np.isfinite(features).all()
-    ):
-        return None
-    return np.ascontiguousarray(features), labels.astype(np.int64)
+    features.setflags(write=False)
+    labels.setflags(write=False)
+    return features, labels
+
+
+def _write_cache_entry(entry: Path, features: np.ndarray, labels: np.ndarray) -> None:
+    """Write the bytes ``np.save`` writes for the float64 table of the
+    labels then the features, ``np.column_stack((labels, features))``:
+    the header, then the table block by block."""
+    n, width = len(labels), features.shape[1] + 1
+    with atomic_writer(entry) as fh:
+        np.lib.format.write_array_header_1_0(fh, {
+            "descr": np.lib.format.dtype_to_descr(np.dtype(np.float64)),
+            "fortran_order": False,
+            "shape": (n, width),
+        })
+        block = np.empty((min(n, block_rows(width)), width))
+        for start, stop in row_blocks(n, width):
+            rows = block[: stop - start]
+            rows[:, 0] = labels[start:stop]
+            rows[:, 1:] = features[start:stop]
+            fh.write(rows.data)
 
 
 def _read_embeddings_cached(path, class_count: int, cache_dir: Path):
     """:func:`read_embeddings_csv` through a content-addressed cache.
 
     An entry is ``<sha256 of the CSV bytes>.npy`` in ``cache_dir``: one
-    float64 table with the labels in column 0 and the features after them.
-    A hit is checked again as the parser checks a file; an entry that fails
-    or cannot be read is a miss, so the CSV is parsed (raising its usual
-    error) and the entry is rewritten.
+    float64 table with the labels in column 0 and the features after them,
+    byte for byte what ``np.save`` writes for it (``np.save`` is
+    deterministic; ``savez`` would stamp times). A hit is checked again as
+    the parser checks a file; an entry that fails or cannot be read is a
+    miss, so the CSV is parsed (raising its usual error) and the entry is
+    rewritten.
     """
     path = Path(path)
     hit = _load_cache_entry(cache_dir / f"{_sha256_file(path)}.npy", class_count)
@@ -670,9 +733,7 @@ def _read_embeddings_cached(path, class_count: int, cache_dir: Path):
     # keyed by the bytes the parser read, which differ from the probed ones
     # only if the file changed in between
     features, labels, digest = _parse_embeddings(path, class_count)
-    table = io.BytesIO()  # np.save is deterministic; savez would stamp times
-    np.save(table, np.column_stack((labels.astype(np.float64), features)))
-    atomic_write_bytes(cache_dir / f"{digest}.npy", table.getvalue())
+    _write_cache_entry(cache_dir / f"{digest}.npy", features, labels)
     return features, labels
 
 
@@ -784,5 +845,6 @@ def copy_bundle(manifest_path, bundle: DatasetBundle, directory) -> Path:
     directory = Path(directory)
     splits, _ = _read_manifest(Path(manifest_path))
     for name, path in zip(("train", "val", "test"), splits):
-        atomic_write_bytes(directory / f"{name}.csv", path.read_bytes())
+        with open(path, "rb") as src, atomic_writer(directory / f"{name}.csv") as dst:
+            shutil.copyfileobj(src, dst)
     return _write_manifest(directory, bundle)

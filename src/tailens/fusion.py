@@ -35,7 +35,14 @@ from pathlib import Path
 
 import numpy as np
 
-from ._io import DataError, atomic_write_json, atomic_write_text, format_float
+from ._io import (
+    DataError,
+    atomic_write_float_csv,
+    atomic_write_json,
+    count_rows,
+    first_row_where,
+    shrink_rows,
+)
 from .dataset import SubsetSpec
 from .experts import PartialPosterior
 from .network import (
@@ -117,15 +124,19 @@ def expand_partial(partial, subset: SubsetSpec | None, class_count: int) -> np.n
     renormalizes, and warns.
     """
     rows, single = _rows(_as_probabilities(partial))
-    drops = _check_expansion(rows, subset, class_count)
+    drops = _check_expansion(rows, subset, class_count, stacklevel=2)
     full = _expansion(rows, subset, class_count, drops)
     return full[0] if single else full
 
 
-def _check_expansion(rows, subset: SubsetSpec | None, class_count: int) -> bool:
+def _check_expansion(
+    rows, subset: SubsetSpec | None, class_count: int, stacklevel: int
+) -> bool:
     """Raise where ``rows`` cannot be expanded, and warn where the expansion
     drops reject mass (the subset covers every class and some row has
-    reject mass); returns whether it does."""
+    reject mass); returns whether it does. The warning names the line that
+    ``warnings.warn(..., stacklevel=stacklevel)`` would name if the caller
+    warned itself."""
     if subset is None:
         if rows.shape[1] != class_count:
             raise ValueError(
@@ -138,7 +149,7 @@ def _check_expansion(rows, subset: SubsetSpec | None, class_count: int) -> bool:
         )
     drops = len(subset.out_classes(class_count)) == 0 and bool(np.any(rows[:, -1] > 0))
     if drops:
-        warnings.warn(REJECT_DROP_WARNING, stacklevel=3)
+        warnings.warn(REJECT_DROP_WARNING, stacklevel=stacklevel + 1)
     return drops
 
 
@@ -158,11 +169,12 @@ def _expansion(rows, subset: SubsetSpec | None, class_count: int, drops: bool) -
     return full
 
 
-def _expansion_inputs(partials, subsets, class_count: int):
+def _expansion_inputs(partials, subsets, class_count: int, stacklevel: int):
     """Each partial posterior as rows, checked in expert order as
-    :func:`expand_partial` checks it (warning where it warns), then checked
-    for one sample count. Returns the rows, whether each expert's expansion
-    drops reject mass, and whether every input was 1d."""
+    :func:`expand_partial` checks it (warning where it warns, at the
+    caller's ``stacklevel``), then checked for one sample count. Returns the
+    rows, whether each expert's expansion drops reject mass, and whether
+    every input was 1d."""
     if len(partials) != len(subsets):
         raise ValueError("need one subset (or None) per partial posterior")
     if len(partials) == 0:
@@ -172,7 +184,7 @@ def _expansion_inputs(partials, subsets, class_count: int):
     for partial, subset in zip(partials, subsets):
         rows, was_1d = _rows(_as_probabilities(partial))
         single = single and was_1d
-        drops.append(_check_expansion(rows, subset, class_count))
+        drops.append(_check_expansion(rows, subset, class_count, stacklevel + 1))
         prob_rows.append(rows)
     sizes = {len(rows) for rows in prob_rows}
     if len(sizes) != 1:
@@ -203,7 +215,7 @@ def _mean_expansion(prob_rows, subsets, drops, class_count: int) -> np.ndarray:
 
 def fuse_soft_vote(partials, subsets, class_count: int) -> np.ndarray:
     """Average the expanded partial posteriors and renormalize."""
-    prob_rows, drops, single = _expansion_inputs(partials, subsets, class_count)
+    prob_rows, drops, single = _expansion_inputs(partials, subsets, class_count, stacklevel=2)
     q = _mean_expansion(prob_rows, subsets, drops, class_count)
     q /= q.sum(axis=1, keepdims=True)
     return q[0] if single else q
@@ -298,7 +310,7 @@ def fuse_kl_min(partials, subsets, class_count: int) -> KLFusionResult:
     slowest row (at most ``KL_STEPS``), and the reported objective is the
     per-row sum over experts.
     """
-    prob_rows, drops, single = _expansion_inputs(partials, subsets, class_count)
+    prob_rows, drops, single = _expansion_inputs(partials, subsets, class_count, stacklevel=2)
     q_soft = _mean_expansion(prob_rows, subsets, drops, class_count)
     q_soft /= q_soft.sum(axis=1, keepdims=True)
     if not np.all(np.isfinite(_kl_objective(q_soft, prob_rows, subsets))):
@@ -753,7 +765,7 @@ def fuse_by_selection(
     Ties go to the earliest expert in the list order, i.e. manyshot before
     mediumshot before fewshot.
     """
-    prob_rows, drops, single = _expansion_inputs(partials, subsets, class_count)
+    prob_rows, drops, single = _expansion_inputs(partials, subsets, class_count, stacklevel=2)
     scores = np.atleast_2d(selector.scores(partials))
     winner = np.argmax(scores, axis=1)
     if np.any(winner >= len(prob_rows)):
@@ -838,15 +850,18 @@ def fuse_calibrated(
                 f"logit width {rows.shape[1]} does not match calibration width {len(w)}"
             )
         logit_rows.append(rows)
-    q = _calibration_forward(logit_rows, subsets, class_count, calib.scales, calib.shifts)
+    q = _calibration_forward(
+        logit_rows, subsets, class_count, calib.scales, calib.shifts, stacklevel=2
+    )
     q /= q.sum(axis=1, keepdims=True)
     return q[0] if single else q
 
 
-def _calibration_forward(logit_rows, subsets, class_count, scales, shifts):
-    """The mean of the expansions of the per-expert softmax(w * z + b)."""
+def _calibration_forward(logit_rows, subsets, class_count, scales, shifts, stacklevel=2):
+    """The mean of the expansions of the per-expert softmax(w * z + b),
+    warning as :func:`_expansion_inputs` warns."""
     probs = [softmax(z * w + b) for z, w, b in zip(logit_rows, scales, shifts)]
-    prob_rows, drops, _ = _expansion_inputs(probs, subsets, class_count)
+    prob_rows, drops, _ = _expansion_inputs(probs, subsets, class_count, stacklevel + 1)
     return _mean_expansion(prob_rows, subsets, drops, class_count)
 
 
@@ -1148,12 +1163,8 @@ class ExternalPosteriorTable:
 def write_posterior_csv(path, sample_ids, probabilities) -> None:
     """Full-width posterior dump: ``sample_id,p0,...,p{C-1}`` per row."""
     probabilities = np.atleast_2d(np.asarray(probabilities, dtype=np.float64))
-    lines = [
-        "sample_id," + ",".join(f"p{j}" for j in range(probabilities.shape[1]))
-    ]
-    for sid, row in zip(sample_ids, probabilities):
-        lines.append(str(int(sid)) + "," + ",".join(format_float(v) for v in row))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    header = "sample_id," + ",".join(f"p{j}" for j in range(probabilities.shape[1]))
+    atomic_write_float_csv(path, header, sample_ids, probabilities)
 
 
 def _read_posterior_dump(
@@ -1167,17 +1178,20 @@ def _read_posterior_dump(
     another column count, a sample id that is not an integer or repeats an
     earlier one, an expert id that is not the integer ``expert_id``, a
     negative or non-finite probability, or zero mass raises a
-    :class:`DataError` naming the file and line.
+    :class:`DataError` naming the file and line. The rows are parsed into
+    arrays sized by a first count of the file's rows.
     """
     leading = 1 if expert_id is None else 2
     width = len(header) - leading
-    ids = []
-    rows = []
-    line_nos = []
+    capacity = count_rows(path)
+    rows = 0
     try:
         with open(path, "r", encoding="utf-8") as fh:
             if fh.readline().rstrip("\n").split(",") != header:
                 raise DataError(f"{path.name}: header does not match {what}")
+            ids = np.empty(capacity, dtype=np.int64)
+            probs = np.empty((capacity, width))
+            line_nos = np.empty(capacity, dtype=np.int64)
             for line_no, line in enumerate(fh, start=2):
                 line = line.strip()
                 if not line:
@@ -1187,10 +1201,12 @@ def _read_posterior_dump(
                     raise DataError(
                         f"{path.name} line {line_no}: expected {width} probabilities"
                     )
+                if rows == capacity:
+                    raise DataError(f"{path.name}: changed while it was read")
                 try:
-                    ids.append(int(parts[0]))
+                    ids[rows] = int(parts[0])
                     row_expert = None if expert_id is None else int(parts[1])
-                    rows.append([float(v) for v in parts[leading:]])
+                    probs[rows] = list(map(float, parts[leading:]))
                 except ValueError:
                     raise DataError(f"{path.name} line {line_no}: not a number") from None
                 if row_expert != expert_id:
@@ -1198,24 +1214,26 @@ def _read_posterior_dump(
                         f"{path.name} line {line_no}: expert_id {row_expert} "
                         f"is not the sidecar's {expert_id}"
                     )
-                line_nos.append(line_no)
+                line_nos[rows] = line_no
+                rows += 1
     except UnicodeDecodeError:
         raise DataError(f"{path.name}: not UTF-8 text") from None
-    ids = np.asarray(ids, dtype=np.int64)
-    probs = np.asarray(rows, dtype=np.float64).reshape(-1, width)
+    shrink_rows((ids, probs), rows)
     order = np.argsort(ids, kind="stable")
-    repeat = np.zeros(len(ids), dtype=bool)
+    repeat = np.zeros(rows, dtype=bool)
     repeat[order[1:]] = ids[order[1:]] == ids[order[:-1]]
-    finite = np.isfinite(probs)
-    for bad, problem in (
-        (repeat, "repeated sample id"),
-        (~finite.all(axis=1), "non-finite probability"),
-        ((probs < 0).any(axis=1), "negative probability"),
+    if repeat.any():
+        raise DataError(f"{path.name} line {line_nos[np.argmax(repeat)]}: repeated sample id")
+    for test, problem in (
+        (lambda p: ~np.isfinite(p).all(axis=1), "non-finite probability"),
+        (lambda p: (p < 0).any(axis=1), "negative probability"),
         # non-finite entries are left out, so that inf - inf cannot warn
-        (np.where(finite, probs, 0.0).sum(axis=1) <= 0, "probabilities sum to zero"),
+        (lambda p: np.where(np.isfinite(p), p, 0.0).sum(axis=1) <= 0,
+         "probabilities sum to zero"),
     ):
-        if bad.any():
-            raise DataError(f"{path.name} line {line_nos[int(np.argmax(bad))]}: {problem}")
+        bad = first_row_where(test, probs)
+        if bad is not None:
+            raise DataError(f"{path.name} line {line_nos[bad]}: {problem}")
     return ids, probs
 
 
@@ -1239,7 +1257,7 @@ def ingest_external_posteriors(
             f"(mass off by up to {np.abs(sums - 1.0).max():.3g})",
             stacklevel=2,
         )
-        probs = probs / sums[:, None]
+        probs /= sums[:, None]
     return ExternalPosteriorTable(
         name=name or path.stem,
         sample_ids=ids,
@@ -1252,21 +1270,14 @@ def write_partial_posterior_csv(
 ) -> None:
     """Partial posterior dump plus a JSON sidecar describing the subset."""
     probs = np.atleast_2d(np.asarray(partial.probabilities, dtype=np.float64))
-    k = subset.size
     header = (
         "sample_id,expert_id,"
-        + ",".join(f"p{j}" for j in range(k))
+        + ",".join(f"p{j}" for j in range(subset.size))
         + ",preject"
     )
-    lines = [header]
     expert_id = int(partial.expert_id)
-    for sid, row in zip(sample_ids, probs):
-        lines.append(
-            f"{int(sid)},{expert_id},"
-            + ",".join(format_float(v) for v in row)
-        )
     path = Path(path)
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    atomic_write_float_csv(path, header, sample_ids, probs, tag=f",{expert_id}")
     sidecar = {
         "expert_id": expert_id,
         "expert": partial.expert_id.label,

@@ -1,0 +1,395 @@
+"""The file boundary streams its tables in row blocks.
+
+Every writer is checked byte for byte against the formula it replaced,
+which held the whole file in memory: one ``format_float`` join per row for
+the CSVs and ``np.save(np.column_stack(...))`` for a cache entry; those
+formulas are kept here as the references. The readers are checked against
+the arrays and the errors of the files they read, and every bulk read and
+write is bounded, traced by tracemalloc, by a multiple of the arrays it
+makes or reads.
+"""
+
+import io
+import os
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from conftest import traced_peak
+from tailens import DataError, _io, dataset, fusion
+from tailens.dataset import (
+    EmbeddingDataset,
+    SyntheticConfig,
+    generate_longtailed,
+    load_bundle,
+    load_embeddings,
+    read_embeddings_csv,
+    save_bundle,
+    write_embeddings_csv,
+)
+from tailens.experts import PartialPosterior
+from tailens.fusion import (
+    ingest_external_posteriors,
+    read_partial_posterior_csv,
+    write_partial_posterior_csv,
+    write_posterior_csv,
+)
+
+SPLITS = ("train", "val", "test")
+# the class profile of the benchmark's CLI bundle (1789 rows) at 16 features,
+# several row blocks per split; the peaks are traced at 64 features, where
+# the arrays are 0.9 MB
+CLI_CFG = SyntheticConfig(
+    class_count=60, feature_dim=16, n_max=200, alpha=1.2,
+    n_val_per_class=10, n_test_per_class=10, noise_scale=1.0,
+)
+PEAK_CFG = replace(CLI_CFG, feature_dim=64)
+
+
+def format_float(value) -> str:
+    return repr(float(value))
+
+
+def reference_csv(header, keys, table, tag="") -> bytes:
+    """A float CSV as the writers built it before: the whole text at once."""
+    lines = [header]
+    for key, row in zip(keys, table):
+        lines.append(str(int(key)) + tag + "," + ",".join(format_float(v) for v in row))
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def reference_entry(features, labels) -> bytes:
+    """A cache entry as it was written before: one np.save of one table."""
+    buf = io.BytesIO()
+    np.save(buf, np.column_stack((labels.astype(np.float64), features)))
+    return buf.getvalue()
+
+
+def awkward_table(rows, cols, seed=0):
+    """Floats whose shortest text takes every form repr gives."""
+    rng = np.random.default_rng(seed)
+    table = rng.normal(0.0, 1.0, size=(rows, cols)) * 10.0 ** rng.integers(-30, 30, (rows, cols))
+    specials = [0.0, -0.0, 1.0, -3.0, 0.1, 1e16, 1e-5, 5e-324, 1.7976931348623157e308, 2.0**53 + 2]
+    table.flat[: len(specials)] = specials
+    return table
+
+
+def bundle_arrays_nbytes(bundle) -> int:
+    splits = [getattr(bundle, s) for s in SPLITS]
+    return sum(ds.features.nbytes + ds.labels.nbytes for ds in splits)
+
+
+@pytest.fixture(params=[None, 1, 7], ids=["default-blocks", "row-blocks", "7-value-blocks"])
+def block_values(request, monkeypatch):
+    """The writers' and readers' block size: the default, one row per
+    block, and blocks that split no row but end mid-table."""
+    if request.param is not None:
+        monkeypatch.setattr(_io, "ROW_BLOCK_VALUES", request.param)
+    return request.param
+
+
+class TestWritersMatchTheWholeFileFormulas:
+    def test_embeddings_csv(self, tmp_path, block_values):
+        features = awkward_table(23, 5)
+        labels = np.arange(23) % 4
+        write_embeddings_csv(tmp_path / "x.csv", EmbeddingDataset(features, labels, 4))
+        header = "label," + ",".join(f"f{j}" for j in range(5))
+        assert (tmp_path / "x.csv").read_bytes() == reference_csv(header, labels, features)
+
+    def test_saved_bundle(self, tmp_path, block_values):
+        bundle = generate_longtailed(CLI_CFG, seed=4)
+        save_bundle(bundle, tmp_path)
+        header = "label," + ",".join(f"f{j}" for j in range(CLI_CFG.feature_dim))
+        for split in SPLITS:
+            ds = getattr(bundle, split)
+            assert (tmp_path / f"{split}.csv").read_bytes() == reference_csv(
+                header, ds.labels, ds.features
+            )
+
+    @pytest.mark.parametrize("rows", [17, 1, 0])
+    def test_posterior_dump(self, tmp_path, block_values, rows):
+        probs = awkward_table(max(rows, 1), 6)[:rows]
+        ids = np.arange(rows)[::-1] * 3
+        write_posterior_csv(tmp_path / "p.csv", ids, probs)
+        header = "sample_id," + ",".join(f"p{j}" for j in range(6))
+        assert (tmp_path / "p.csv").read_bytes() == reference_csv(header, ids, probs)
+
+    def test_one_row_posterior_dump(self, tmp_path):
+        probs = np.array([0.25, 0.75])
+        write_posterior_csv(tmp_path / "p.csv", [5], probs)
+        assert (tmp_path / "p.csv").read_bytes() == b"sample_id,p0,p1\n5,0.25,0.75\n"
+
+    def test_partial_posterior_dump(self, tmp_path, block_values):
+        probs = np.abs(awkward_table(13, 4))
+        subset = dataset.SubsetSpec(dataset.Fold.FEWSHOT, np.array([4, 1, 2]))
+        partial = PartialPosterior(dataset.Fold.FEWSHOT, np.zeros_like(probs), probs)
+        ids = np.arange(13) + 100
+        write_partial_posterior_csv(tmp_path / "e.csv", ids, partial, subset)
+        header = "sample_id,expert_id,p0,p1,p2,preject"
+        assert (tmp_path / "e.csv").read_bytes() == reference_csv(header, ids, probs, ",2")
+
+    def test_a_key_per_row_is_required(self, tmp_path):
+        with pytest.raises(ValueError, match="need one key per row"):
+            write_posterior_csv(tmp_path / "p.csv", np.arange(3), np.ones((4, 2)) / 2)
+        assert not (tmp_path / "p.csv").exists()
+
+    def test_cache_entry(self, tmp_path, block_values):
+        bundle = generate_longtailed(CLI_CFG, seed=4)
+        manifest = save_bundle(bundle, tmp_path / "data")
+        load_bundle(manifest, cache_dir=tmp_path / "cache")
+        entries = sorted(p.read_bytes() for p in (tmp_path / "cache").iterdir())
+        want = sorted(
+            reference_entry(getattr(bundle, s).features, getattr(bundle, s).labels)
+            for s in SPLITS
+        )
+        assert entries == want
+
+
+class TestReaders:
+    def test_arrays_are_read_only(self, tmp_path):
+        (tmp_path / "x.csv").write_text("label,f0\n0,1.5\n1,2.5\n")
+        features, labels = read_embeddings_csv(tmp_path / "x.csv")
+        for arr in (features, labels):
+            with pytest.raises(ValueError):
+                arr[0] = 0
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    def test_blank_lines_and_line_ends_give_the_same_arrays(
+        self, tmp_path, block_values, newline
+    ):
+        features, labels = awkward_table(9, 3), np.arange(9) % 3
+        write_embeddings_csv(tmp_path / "plain.csv", EmbeddingDataset(features, labels, 3))
+        lines = (tmp_path / "plain.csv").read_text().splitlines()
+        spaced = [lines[0], ""] + [x for line in lines[1:] for x in (line, "  ")] + ["", ""]
+        (tmp_path / "spaced.csv").write_bytes(newline.join(spaced).encode())
+        got_f, got_l = read_embeddings_csv(tmp_path / "spaced.csv")
+        assert got_f.tobytes() == features.tobytes() and got_l.tobytes() == labels.tobytes()
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    @pytest.mark.parametrize(
+        "bad, problem",
+        [("7,nan,1.0", "non-finite feature"), ("7,1.0", "expected 2 features, got 1"),
+         ("x,1.0,2.0", "label 'x' is not an integer")],
+        ids=["non-finite", "short-row", "bad-label"],
+    )
+    def test_errors_name_the_same_line(self, tmp_path, block_values, newline, bad, problem):
+        # lines: 1 header, 2 blank, 3-5 rows, 6 blank, 7 whitespace, 8 bad, 9 row
+        lines = ["label,f0,f1", "", "0,1.0,2.0", "1,1.5,2.5", "2,3.0,0.0", "", " \t",
+                 bad, "1,0.0,0.0"]
+        (tmp_path / "bad.csv").write_bytes((newline.join(lines) + newline).encode())
+        with pytest.raises(DataError, match=f"bad.csv line 8: {problem}"):
+            read_embeddings_csv(tmp_path / "bad.csv")
+
+    def test_the_first_non_finite_row_is_named_after_every_row_is_parsed(
+        self, tmp_path, block_values
+    ):
+        rows = [f"{i % 3},{i}.5,1.0" for i in range(20)]
+        rows[6] = "0,-inf,1.0"
+        rows[15] = "1,nan,1.0"
+        (tmp_path / "bad.csv").write_text("label,f0,f1\n\n" + "\n".join(rows) + "\n")
+        with pytest.raises(DataError, match=r"bad\.csv line 9: non-finite feature"):
+            read_embeddings_csv(tmp_path / "bad.csv")
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+    def test_posterior_dump_with_blank_lines_and_line_ends(self, tmp_path, block_values, newline):
+        probs = np.random.default_rng(1).dirichlet(np.ones(3), size=7)
+        write_posterior_csv(tmp_path / "p.csv", np.arange(7), probs)
+        lines = (tmp_path / "p.csv").read_text().splitlines()
+        spaced = [lines[0]] + [x for line in lines[1:] for x in ("", line)] + [""]
+        (tmp_path / "p.csv").write_bytes(newline.join(spaced).encode())
+        table = ingest_external_posteriors(tmp_path / "p.csv", 3)
+        assert table.probabilities.tobytes() == probs.tobytes()
+        assert table.sample_ids.tolist() == list(range(7))
+        # the zero-mass row is line 1 + 2 * 7 + 2: after its blank line
+        spaced[-1:] = ["", "7,0.0,0.0,0.0", "", "3,0.5,0.5,0.0"]
+        (tmp_path / "p.csv").write_bytes(newline.join(spaced).encode())
+        # the repeated id is reported before the zero mass, as before
+        with pytest.raises(DataError, match=r"p\.csv line 19: repeated sample id"):
+            ingest_external_posteriors(tmp_path / "p.csv", 3)
+        spaced[-1] = "8,0.5,0.5,0.0"
+        (tmp_path / "p.csv").write_bytes(newline.join(spaced).encode())
+        with pytest.raises(DataError, match=r"p\.csv line 17: probabilities sum to zero"):
+            ingest_external_posteriors(tmp_path / "p.csv", 3)
+
+    def test_a_file_that_grew_after_its_rows_were_counted_is_a_data_error(
+        self, tmp_path, monkeypatch
+    ):
+        (tmp_path / "x.csv").write_text("label,f0\n0,1.5\n1,2.5\n")
+        write_posterior_csv(tmp_path / "p.csv", [0, 1], np.full((2, 2), 0.5))
+        for module in (dataset, fusion):
+            monkeypatch.setattr(module, "count_rows", lambda path: 1)
+        with pytest.raises(DataError, match=r"x\.csv: changed while it was read"):
+            read_embeddings_csv(tmp_path / "x.csv")
+        with pytest.raises(DataError, match=r"p\.csv: changed while it was read"):
+            ingest_external_posteriors(tmp_path / "p.csv", 2)
+
+    def test_partial_dump_round_trip_across_blocks(self, tmp_path, block_values):
+        probs = np.random.default_rng(2).dirichlet(np.ones(3), size=11)
+        partial = PartialPosterior(dataset.Fold.MANYSHOT, np.log(probs), probs)
+        subset = dataset.SubsetSpec(dataset.Fold.MANYSHOT, np.array([0, 1]))
+        write_partial_posterior_csv(tmp_path / "e.csv", np.arange(11), partial, subset)
+        ids, loaded, _ = read_partial_posterior_csv(tmp_path / "e.csv")
+        assert ids.tolist() == list(range(11)) and loaded.tobytes() == probs.tobytes()
+
+
+class _FailingWriter(io.BufferedWriter):
+    """A temp file whose third write, the CSV's second row block, fails."""
+
+    writes = 0
+
+    def write(self, data):
+        type(self).writes += 1
+        if type(self).writes == 3:
+            raise OSError("disk failed")
+        return super().write(data)
+
+
+def test_a_failed_block_leaves_the_old_file_and_no_temp_file(tmp_path, monkeypatch):
+    target = tmp_path / "train.csv"
+    target.write_bytes(b"old")
+    monkeypatch.setattr(_io, "ROW_BLOCK_VALUES", 4)
+    monkeypatch.setattr(_io.os, "fdopen", lambda fd, mode: _FailingWriter(io.FileIO(fd, mode)))
+    monkeypatch.setattr(_FailingWriter, "writes", 0)
+    ds = EmbeddingDataset(np.ones((5, 2)), np.zeros(5, dtype=np.int64), 1)
+    with pytest.raises(OSError, match="disk failed"):
+        write_embeddings_csv(target, ds)
+    assert _FailingWriter.writes == 3
+    assert target.read_bytes() == b"old"
+    assert os.listdir(tmp_path) == ["train.csv"]
+
+
+def _entry_with(table, *, fortran=False, version=(1, 0)) -> bytes:
+    buf = io.BytesIO()
+    np.lib.format.write_array(buf, np.asfortranarray(table) if fortran else table, version)
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize(
+    "damage",
+    ["header_only", "one_row_short", "one_byte_short", "float32", "big_endian",
+     "fortran_order", "format_2_0"],
+)
+def test_damaged_entries_are_misses_that_parse_the_csv_again(
+    tmp_path, monkeypatch, block_values, damage
+):
+    small = SyntheticConfig(class_count=8, feature_dim=3, n_max=120, alpha=1.5,
+                            n_val_per_class=3, n_test_per_class=3, noise_scale=0.5)
+    manifest = save_bundle(generate_longtailed(small, seed=3), tmp_path / "data")
+    cache = tmp_path / "cache"
+    load_bundle(manifest, cache_dir=cache)
+    train = read_embeddings_csv(manifest.parent / "train.csv")
+    good = reference_entry(*train)
+    entry = next(p for p in cache.iterdir() if p.read_bytes() == good)
+    table = np.load(entry)
+    header_len = len(good) - table.nbytes
+    entry.write_bytes({
+        "header_only": lambda: good[:header_len],
+        "one_row_short": lambda: good[: len(good) - table.shape[1] * 8],
+        "one_byte_short": lambda: good[:-1],
+        "float32": lambda: _entry_with(table.astype(np.float32)),
+        "big_endian": lambda: _entry_with(table.astype(">f8")),
+        "fortran_order": lambda: _entry_with(table, fortran=True),
+        "format_2_0": lambda: _entry_with(table, version=(2, 0)),
+    }[damage]())
+
+    parsed = []
+    parse = dataset._parse_embeddings
+    monkeypatch.setattr(
+        dataset, "_parse_embeddings", lambda *a: parsed.append(a[0].name) or parse(*a)
+    )
+    bundle = load_bundle(manifest, cache_dir=cache)
+    assert parsed == ["train.csv"]
+    assert bundle.train.features.tobytes() == train[0].tobytes()
+    assert bundle.train.labels.tobytes() == train[1].tobytes()
+    assert entry.read_bytes() == good
+
+
+class TestTracedPeaks:
+    """What each bulk read or write holds at once, as a multiple of the
+    arrays it makes or reads; the whole-file versions these replace held
+    2.0x (a cache hit) to 8x (a posterior dump) on the same inputs."""
+
+    @pytest.fixture(scope="class")
+    def saved(self, tmp_path_factory):
+        bundle = generate_longtailed(PEAK_CFG, seed=0)
+        directory = tmp_path_factory.mktemp("bundle")
+        return bundle, save_bundle(bundle, directory)
+
+    def test_save_bundle(self, saved, tmp_path):
+        bundle, _ = saved
+        _, peak = traced_peak(save_bundle, bundle, tmp_path)
+        assert peak < 0.5 * bundle_arrays_nbytes(bundle)
+
+    def test_uncached_load_embeddings(self, saved):
+        _, manifest = saved
+        paths = [manifest.parent / f"{s}.csv" for s in SPLITS]
+        loaded, peak = traced_peak(load_embeddings, *paths, class_count=PEAK_CFG.class_count)
+        assert peak < 1.5 * bundle_arrays_nbytes(loaded)
+
+    def test_cache_miss(self, saved, tmp_path):
+        _, manifest = saved
+        missed, peak = traced_peak(load_bundle, manifest, cache_dir=tmp_path)
+        assert peak < 1.5 * bundle_arrays_nbytes(missed)
+
+    def test_cache_hit(self, saved, tmp_path):
+        _, manifest = saved
+        load_bundle(manifest, cache_dir=tmp_path)
+        hit, peak = traced_peak(load_bundle, manifest, cache_dir=tmp_path)
+        assert peak < 1.25 * bundle_arrays_nbytes(hit)
+
+    @pytest.fixture(scope="class")
+    def posteriors(self):
+        probs = np.random.default_rng(0).dirichlet(np.ones(60), size=2000)
+        return np.arange(len(probs)), probs
+
+    def test_write_posterior_csv(self, posteriors, tmp_path):
+        ids, probs = posteriors
+        _, peak = traced_peak(write_posterior_csv, tmp_path / "model.csv", ids, probs)
+        assert peak < 0.5 * (probs.nbytes + ids.nbytes)
+
+    def test_ingest_external_posteriors(self, posteriors, tmp_path):
+        ids, probs = posteriors
+        write_posterior_csv(tmp_path / "model.csv", ids, probs)
+        # a first call imports what np.unique needs, which is no part of a read
+        ingest_external_posteriors(tmp_path / "model.csv", 60)
+        table, peak = traced_peak(ingest_external_posteriors, tmp_path / "model.csv", 60)
+        assert table.probabilities.tobytes() == probs.tobytes()
+        assert peak < 1.5 * (table.probabilities.nbytes + table.sample_ids.nbytes)
+
+    def test_generated_bundle_is_not_copied(self):
+        bundle, peak = traced_peak(generate_longtailed, PEAK_CFG, 0)
+        assert peak < 1.25 * bundle_arrays_nbytes(bundle)
+
+
+def reference_generate(config, seed):
+    """The generator as it was: per-class blobs concatenated, then copied."""
+    freq = dataset.powerlaw_frequencies(config.class_count, config.n_max, config.alpha)
+    rng = np.random.default_rng(seed)
+    means = rng.normal(0.0, 1.0, size=(config.class_count, config.feature_dim))
+
+    def blob(count_per_class):
+        feats, labels = [], []
+        for c in range(config.class_count):
+            n_c = int(count_per_class[c])
+            feats.append(
+                means[c] + rng.normal(0.0, config.noise_scale, size=(n_c, config.feature_dim))
+            )
+            labels.append(np.full(n_c, c, dtype=np.int64))
+        return np.concatenate(feats), np.concatenate(labels)
+
+    return [
+        blob(freq),
+        blob(np.full(config.class_count, config.n_val_per_class)),
+        blob(np.full(config.class_count, config.n_test_per_class)),
+    ]
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_generated_bundle_is_bitwise_the_concatenated_blobs(seed):
+    bundle = generate_longtailed(CLI_CFG, seed)
+    for split, (features, labels) in zip(SPLITS, reference_generate(CLI_CFG, seed)):
+        ds = getattr(bundle, split)
+        assert ds.features.tobytes() == features.tobytes()
+        assert ds.labels.tobytes() == labels.tobytes()
+        assert not ds.features.flags.writeable and not ds.labels.flags.writeable

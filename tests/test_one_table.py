@@ -294,6 +294,37 @@ class TestBitwiseAgainstTheStack:
         assert _same_bits(got, want)
 
 
+def _mixed_selector(partials):
+    width = sum(_width(s) for s in MIXED_SUBSETS)
+    weights = np.random.default_rng(3).normal(0.0, 3.0, size=(width, len(partials)))
+    return SelectorModel(NetworkParams([(weights, np.zeros(len(partials)))]))
+
+
+@pytest.mark.parametrize(
+    "entry",
+    ["expand_partial", "fuse_soft_vote", "fuse_kl_min", "fuse_by_selection", "fuse_calibrated"],
+)
+def test_the_reject_drop_warning_names_the_callers_line(entry):
+    partials = _mixed_partials(n=12)
+    calls = {
+        "expand_partial": lambda: expand_partial(partials[3], MIXED_SUBSETS[3], CLASSES),
+        "fuse_soft_vote": lambda: fuse_soft_vote(partials, MIXED_SUBSETS, CLASSES),
+        "fuse_kl_min": lambda: fuse_kl_min(partials, MIXED_SUBSETS, CLASSES),
+        "fuse_by_selection": lambda: fuse_by_selection(
+            partials, _mixed_selector(partials), MIXED_SUBSETS, CLASSES
+        ),
+        "fuse_calibrated": lambda: fuse_calibrated(
+            _mixed_logits(n=12),
+            CalibrationParams.identity([_width(s) for s in MIXED_SUBSETS]),
+            MIXED_SUBSETS,
+            CLASSES,
+        ),
+    }
+    with pytest.warns(UserWarning, match="reject mass was dropped") as record:
+        calls[entry]()
+    assert [w.filename for w in record] == [__file__]
+
+
 def _wide_world(n=2000, class_count=60, seed=11):
     """Three disjoint 20-class experts on n rows: an (n, C) table is 960 kB."""
     rng = np.random.default_rng(seed)
