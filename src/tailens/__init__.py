@@ -39,7 +39,6 @@ from .network import (
     cosine_lr,
     cross_entropy_loss,
     finite_diff_check,
-    fit_network,
     forward_logits,
     init_network,
     load_checkpoint,
@@ -66,7 +65,6 @@ from .experts import (
 )
 from .fusion import (
     CalibrationParams,
-    ExternalPosteriorTable,
     KLFusionResult,
     SelectorModel,
     StackerModel,
@@ -78,11 +76,11 @@ from .fusion import (
     fuse_calibrated,
     fuse_kl_min,
     fuse_soft_vote,
-    ingest_external_posteriors,
     train_expert_selector,
     train_joint_calibration,
     train_stacker,
 )
+from ._dumps import ExternalPosteriorTable, ingest_external_posteriors
 from .evaluation import (
     ConfidenceHistogram,
     EvalReport,

@@ -1,5 +1,6 @@
 """Small file helpers shared across modules: atomic writes, row-block
-streaming of numeric CSV tables and the error type of the file boundary.
+streaming of numeric CSV tables, the row reader of the CSV parsers and the
+error type of the file boundary.
 
 Bulk tables cross the file boundary in blocks of about ``ROW_BLOCK_VALUES``
 values, so that what a read or write holds besides its arrays stays bounded
@@ -123,12 +124,43 @@ def atomic_write_float_csv(path, header: str, keys, table, tag: str = "") -> Non
 
 def count_rows(path) -> int:
     """The non-blank lines after the first, split and stripped as a text
-    reader of the file splits and strips them: an upper bound on the rows a
-    CSV parser of the unchanged file finds. Bytes that are not UTF-8 count
-    as text here; the parser reports them."""
+    reader of the file splits and strips them: an upper bound on the rows
+    :func:`csv_rows` finds in the unchanged file. Bytes that are not UTF-8
+    count as text here; :func:`csv_rows` reports them."""
     with open(path, "r", encoding="utf-8", errors="replace") as fh:
         fh.readline()
         return sum(1 for line in fh if line.strip())
+
+
+@contextlib.contextmanager
+def csv_rows(path: Path, open_text=None):
+    """The CSV file at ``path`` as ``(header, line_nos, rows)``, read as
+    UTF-8 text from ``open_text(path)`` (default: ``open``) until the block
+    ends. ``header`` is the first line without its newline; ``rows`` yields
+    the line number and the comma-split fields of each row :func:`count_rows`
+    counts, recording the line number in ``line_nos``, which is cut to the
+    rows found once ``rows`` runs out. More rows than counted, or bytes that
+    are not UTF-8, raise a :class:`DataError` naming the file."""
+    line_nos = np.empty(count_rows(path), dtype=np.int64)
+
+    def rows(fh):
+        found = 0
+        for line_no, line in enumerate(fh, start=2):
+            line = line.strip()
+            if not line:
+                continue
+            if found == len(line_nos):
+                raise DataError(f"{path.name}: changed while it was read")
+            line_nos[found] = line_no
+            found += 1
+            yield line_no, line.split(",")
+        shrink_rows((line_nos,), found)
+
+    try:
+        with open(path, "r", encoding="utf-8") if open_text is None else open_text(path) as fh:
+            yield fh.readline().rstrip("\n"), line_nos, rows(fh)
+    except UnicodeDecodeError:
+        raise DataError(f"{path.name}: not UTF-8 text") from None
 
 
 def shrink_rows(arrays, rows: int) -> None:

@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._dumps import ingest_external_posteriors, write_partial_posterior_csv, write_posterior_csv
 from ._io import DataError, atomic_write_json, atomic_write_text
 from .config import ConfigError, FUSION_STRATEGIES, RunConfig, load_config
 from .dataset import EmptyFoldError, copy_bundle, partition_subsets, save_bundle
@@ -33,11 +34,6 @@ from .experts import (
     load_expert_checkpoint,
     save_baseline_checkpoint,
     save_expert_checkpoint,
-)
-from .fusion import (
-    ingest_external_posteriors,
-    write_partial_posterior_csv,
-    write_posterior_csv,
 )
 from .network import DivergenceError
 from .pipeline import (
@@ -229,7 +225,7 @@ def cmd_ablate(cfg: RunConfig, args) -> None:
     n = bundle.test.n
     tables = {}
     for path in args.models:
-        table = ingest_external_posteriors(path, bundle.class_count).sorted_by_id()
+        table = ingest_external_posteriors(path, bundle.class_count)
         if not np.array_equal(table.sample_ids, np.arange(n)):
             raise DataError(f"{path}: sample ids do not cover the test split")
         tables[table.name] = table.probabilities

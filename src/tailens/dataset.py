@@ -32,7 +32,7 @@ from ._io import (
     atomic_write_text,
     atomic_writer,
     block_rows,
-    count_rows,
+    csv_rows,
     first_row_where,
     row_blocks,
     shrink_rows,
@@ -243,12 +243,9 @@ class FoldAssignment:
         frequencies,
         thresholds: tuple[int, int] = (DEFAULT_MANY_MIN, DEFAULT_FEW_MAX),
     ) -> "FoldAssignment":
+        # the thresholds are checked as the assignment is made
         freq = np.asarray(frequencies, dtype=np.int64)
         many_min, few_max = thresholds
-        if not many_min > few_max > 0:
-            raise ValueError(
-                f"thresholds must satisfy many_min > few_max > 0, got {thresholds}"
-            )
         fold = np.where(
             freq >= many_min,
             int(Fold.MANYSHOT),
@@ -556,91 +553,71 @@ def read_embeddings_csv(path, *, class_count: int | None = None):
     return features, labels
 
 
-class _HashingReader(io.RawIOBase):
-    """A raw binary reader that feeds every byte it reads to ``digest``."""
+class _HashingReader(io.FileIO):
+    """A raw binary reader of ``path`` that feeds every byte it reads to
+    ``digest``."""
 
-    def __init__(self, raw, digest):
-        self._raw = raw
+    def __init__(self, path, digest):
+        super().__init__(path, "rb")
         self._digest = digest
 
-    def readable(self) -> bool:
-        return True
-
     def readinto(self, buffer) -> int:
-        n = self._raw.readinto(buffer)
+        n = super().readinto(buffer)
         self._digest.update(memoryview(buffer)[:n])
         return n
 
 
 def _parse_embeddings(path: Path, class_count: int | None):
-    """(features, labels, SHA-256 hex digest of the bytes parsed)."""
-    capacity = count_rows(path)
+    """(features, labels, SHA-256 hex digest of the bytes parsed): the rows
+    parsed into read-only arrays sized by :func:`count_rows`."""
     digest = hashlib.sha256()
-    try:
-        with open(path, "rb", buffering=0) as raw, io.TextIOWrapper(
-            io.BufferedReader(_HashingReader(raw, digest), _HASH_CHUNK), encoding="utf-8"
-        ) as fh:
-            features, labels = _parse_embedding_rows(path, fh, class_count, capacity)
-    except UnicodeDecodeError:
-        raise DataError(f"{path.name}: not UTF-8 text") from None
-    return features, labels, digest.hexdigest()
+    with csv_rows(path, lambda p: io.TextIOWrapper(
+        io.BufferedReader(_HashingReader(p, digest), _HASH_CHUNK), encoding="utf-8"
+    )) as (header, line_nos, rows):
+        fields = header.split(",")
+        expected = ["label"] + [f"f{j}" for j in range(len(fields) - 1)]
+        if len(fields) < 2 or fields != expected:
+            raise DataError(f"{path.name}: malformed header {header!r}")
+        dim = len(fields) - 1
 
+        features = np.empty((len(line_nos), dim))
+        labels = np.empty(len(line_nos), dtype=np.int64)
+        for row, (line_no, parts) in enumerate(rows):
+            if len(parts) - 1 != dim:
+                raise DataError(
+                    f"{path.name} line {line_no}: expected {dim} features, "
+                    f"got {len(parts) - 1}"
+                )
+            try:
+                label = int(parts[0])
+            except ValueError:
+                raise DataError(
+                    f"{path.name} line {line_no}: label {parts[0]!r} is not an integer"
+                ) from None
+            if label < 0:
+                raise DataError(f"{path.name} line {line_no}: negative label {label}")
+            if class_count is not None and label >= class_count:
+                raise DataError(
+                    f"{path.name} line {line_no}: label {label} out of range "
+                    f"[0, {class_count})"
+                )
+            try:
+                features[row] = list(map(float, parts[1:]))
+            except ValueError:
+                raise DataError(
+                    f"{path.name} line {line_no}: feature is not a number"
+                ) from None
+            labels[row] = label
 
-def _parse_embedding_rows(path: Path, fh, class_count: int | None, capacity: int):
-    """Parse the rows into arrays of ``capacity`` rows, cut to the rows found."""
-    header = fh.readline().rstrip("\n")
-    fields = header.split(",")
-    expected = ["label"] + [f"f{j}" for j in range(len(fields) - 1)]
-    if len(fields) < 2 or fields != expected:
-        raise DataError(f"{path.name}: malformed header {header!r}")
-    dim = len(fields) - 1
-
-    features = np.empty((capacity, dim))
-    labels = np.empty(capacity, dtype=np.int64)
-    line_nos = np.empty(capacity, dtype=np.int64)
-    rows = 0
-    for line_no, line in enumerate(fh, start=2):
-        line = line.strip()
-        if not line:
-            continue
-        parts = line.split(",")
-        if len(parts) - 1 != dim:
-            raise DataError(
-                f"{path.name} line {line_no}: expected {dim} features, "
-                f"got {len(parts) - 1}"
-            )
-        try:
-            label = int(parts[0])
-        except ValueError:
-            raise DataError(
-                f"{path.name} line {line_no}: label {parts[0]!r} is not an integer"
-            ) from None
-        if label < 0:
-            raise DataError(f"{path.name} line {line_no}: negative label {label}")
-        if class_count is not None and label >= class_count:
-            raise DataError(
-                f"{path.name} line {line_no}: label {label} out of range "
-                f"[0, {class_count})"
-            )
-        if rows == capacity:
-            raise DataError(f"{path.name}: changed while it was read")
-        try:
-            features[rows] = list(map(float, parts[1:]))
-        except ValueError:
-            raise DataError(f"{path.name} line {line_no}: feature is not a number") from None
-        labels[rows] = label
-        line_nos[rows] = line_no
-        rows += 1
-
-    if not rows:
+    if not len(line_nos):
         raise DataError(f"{path.name}: no samples")
-    shrink_rows((features, labels), rows)
+    shrink_rows((features, labels), len(line_nos))
     bad = first_row_where(_nonfinite_rows, features)
     if bad is not None:
         raise DataError(f"{path.name} line {line_nos[bad]}: non-finite feature")
     features.setflags(write=False)
     labels.setflags(write=False)
-    return features, labels
+    return features, labels, digest.hexdigest()
 
 
 def _sha256_file(path: Path) -> str:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .dataset import EmbeddingDataset, Fold, FoldAssignment
 from .experts import ExpertModel, expert_partial_posterior
-from .fusion import _as_probabilities, expand_partial, fuse_soft_vote
+from .fusion import _as_array, expand_partial, fuse_soft_vote
 
 
 @dataclass(frozen=True)
@@ -228,7 +228,7 @@ def confidence_histogram(
     population: str = "",
 ) -> ConfidenceHistogram:
     """Histogram the per-row maximum probability over [0, 1]."""
-    probs = np.atleast_2d(_as_probabilities(probabilities))
+    probs = np.atleast_2d(_as_array(probabilities))
     confidence = probs.max(axis=1)
     counts, edges = np.histogram(confidence, bins=bins, range=(0.0, 1.0))
     return ConfidenceHistogram(

@@ -29,7 +29,7 @@ from .network import (
     DivergenceError,
     NetworkParams,
     TrainConfig,
-    fit_network,
+    _only_outcome,
     fit_networks,
     forward_logits,
     init_network,
@@ -107,7 +107,7 @@ def finetune_uniform_classifier(
     The whole backbone is frozen, so feature extraction stays bit-identical
     to the baseline while the decision boundary is rebalanced. The trace is
     :func:`train_network`'s, or with ``full_trace=False`` the cheaper one of
-    :func:`fit_network`; the weights are the same bits either way.
+    :func:`fit_networks`; the weights are the same bits either way.
     """
     backbone_layers = baseline.params.layer_count - 1
     cfg = replace(
@@ -115,8 +115,10 @@ def finetune_uniform_classifier(
         sampler=SamplerMode.uniform_class(),
         frozen_layers=backbone_layers,
     )
-    train = train_network if full_trace else fit_network
-    trained, trace = train(baseline.params, bundle.train, cfg)
+    if full_trace:
+        trained, trace = train_network(baseline.params, bundle.train, cfg)
+    else:
+        trained, trace = _only_outcome(fit_networks(baseline.params, bundle.train, [cfg]))
     return BaselineModel(trained), trace
 
 
@@ -155,13 +157,13 @@ def train_expert(
 
     Backbone weights start as copies of the baseline's; the (k+1)-way head is
     re-initialized. The first ``frozen_layers`` layers never change, so they
-    remain bit-identical to the baseline. Training runs :func:`fit_network`,
-    so the returned trace is the mean mini-batch loss of each epoch
-    (``epochs`` entries), not a full-dataset loss.
+    remain bit-identical to the baseline. Training runs :func:`fit_networks`
+    on this one config, so the returned trace is the mean mini-batch loss of
+    each epoch (``epochs`` entries), not a full-dataset loss.
     """
     cfg = _expert_config(config, rho, frozen_layers)
     fresh, relabeled = _expert_start(baseline, subset, bundle, config)
-    trained, trace = fit_network(fresh, relabeled, cfg)
+    trained, trace = _only_outcome(fit_networks(fresh, relabeled, [cfg]))
     expert = ExpertModel(
         params=trained, subset=subset, rho=float(rho), frozen_layers=frozen_layers
     )

@@ -23,26 +23,22 @@ all C classes. Five fusion strategies are built on top of it:
 Full-width posteriors (no reject entry) participate everywhere by passing
 ``None`` in place of a subset, which makes diverse ensembles of external
 models possible.
+
+The solver that the selector, stacker and calibration fits share is in
+:mod:`tailens._newton`, and the posterior-dump formats in :mod:`tailens._dumps`.
 """
 
 from __future__ import annotations
 
-import json
-import math
 import warnings
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from ._io import (
-    DataError,
-    atomic_write_float_csv,
-    atomic_write_json,
-    count_rows,
-    first_row_where,
-    shrink_rows,
-)
+# perfbench/tracing.py spans these two dump functions as fusion.<name>, found
+# by getattr(fusion, name), so fusion keeps binding them
+from ._dumps import ingest_external_posteriors, write_posterior_csv  # noqa: F401
+from ._newton import _damped_newton, _newton_step, _PenalizedSoftmax, _RidgeNewtonProblem
 from .dataset import SubsetSpec
 from .experts import PartialPosterior
 from .network import (
@@ -64,12 +60,6 @@ KL_GAP = 1e-12
 # A cap on KL's Newton iterations; the workloads take about 16, so it only
 # bounds a solve gone wrong.
 KL_STEPS = 2000
-# Every ridge-Newton fit (calibration, selector, stacker) is certified once
-# the largest absolute entry of its penalized gradient is at most
-# CERTIFICATE_TOL. NEWTON_STEPS caps its iterations; the workloads take 8-14,
-# so the cap only bounds a fit gone wrong.
-CERTIFICATE_TOL = 1e-10
-NEWTON_STEPS = 100
 # Weight of the ridge CALIBRATION_RIDGE / 2 * (|w - 1|^2 + |b|^2) that pulls
 # the joint calibration toward the identity. It was chosen on validation data
 # alone, by 2-fold cross-validation over 1e-5..1e-3 in half-decade steps
@@ -87,21 +77,13 @@ SELECTOR_RIDGE = 3.2e-5
 # synth-60 fit took 0.21-0.27 s, against SGD's 0.16-0.21 s (README,
 # "Stacking").
 STACKER_RIDGE = 1e-4
-# Summed row by row, a change of a fit's objective below this is still
-# mostly the rows' rounding (about 4e-17 was seen at the end of a
-# calibration fit), so the trapezoid rule on the gradients gives it instead.
-UNRESOLVED_CHANGE = 1e-14
 
 
-def _as_probabilities(partial) -> np.ndarray:
+def _as_array(partial, field: str = "probabilities") -> np.ndarray:
+    """A :class:`PartialPosterior`'s ``field``, or an array as it is, in
+    float64."""
     if isinstance(partial, PartialPosterior):
-        return np.asarray(partial.probabilities, dtype=np.float64)
-    return np.asarray(partial, dtype=np.float64)
-
-
-def _as_logits(partial) -> np.ndarray:
-    if isinstance(partial, PartialPosterior):
-        return np.asarray(partial.logits, dtype=np.float64)
+        partial = getattr(partial, field)
     return np.asarray(partial, dtype=np.float64)
 
 
@@ -123,7 +105,7 @@ def expand_partial(partial, subset: SubsetSpec | None, class_count: int) -> np.n
     degenerate case of a subset covering every class drops the reject mass,
     renormalizes, and warns.
     """
-    rows, single = _rows(_as_probabilities(partial))
+    rows, single = _rows(_as_array(partial))
     drops = _check_expansion(rows, subset, class_count, stacklevel=2)
     full = _expansion(rows, subset, class_count, drops)
     return full[0] if single else full
@@ -182,7 +164,7 @@ def _expansion_inputs(partials, subsets, class_count: int, stacklevel: int):
     prob_rows, drops = [], []
     single = True
     for partial, subset in zip(partials, subsets):
-        rows, was_1d = _rows(_as_probabilities(partial))
+        rows, was_1d = _rows(_as_array(partial))
         single = single and was_1d
         drops.append(_check_expansion(rows, subset, class_count, stacklevel + 1))
         prob_rows.append(rows)
@@ -508,111 +490,8 @@ def _class_posterior(Q, W, w, atom_of, out) -> np.ndarray:
 
 def concat_partials(partials) -> np.ndarray:
     """Concatenate partial posterior probabilities into one feature matrix."""
-    rows = [_rows(_as_probabilities(p))[0] for p in partials]
+    rows = [_rows(_as_array(p))[0] for p in partials]
     return np.concatenate(rows, axis=1)
-
-
-class _RidgeNewtonProblem:
-    """A mean of per-row losses plus the ridge
-    ``ridge / 2 * |theta - anchor|^2`` over one flat parameter vector, the
-    form every certified fit here minimizes. A subclass sets ``name``,
-    ``anchor`` and ``ridge`` and supplies ``evaluate(theta)``, a point that
-    carries ``theta``, the per-row ``loss`` and ``finite`` (false where
-    anything overflowed); ``gradient(point)``; and
-    ``newton_step(point, grad)``, a descent direction that solves the Newton
-    system exactly or approximately."""
-
-    name: str
-    anchor: np.ndarray
-    ridge: float
-
-    def objective(self, point) -> float:
-        r = point.theta - self.anchor
-        return float(point.loss.mean()) + 0.5 * self.ridge * float(r @ r)
-
-    def change(self, old, new) -> float:
-        """objective(new) - objective(old), from the rows' differences in
-        loss and the ridge's exact change. Summed this way it resolves
-        changes far below the rounding of the objective itself, which a
-        Newton step near the optimum makes. Below ``UNRESOLVED_CHANGE`` it
-        is the trapezoid rule on the two gradients instead, whose error is
-        cubic in the step."""
-        if not new.finite:
-            return math.inf
-        step = new.theta - old.theta
-        r = old.theta - self.anchor
-        ridge = self.ridge * float(r @ step + 0.5 * (step @ step))
-        change = float((new.loss - old.loss).mean()) + ridge
-        if abs(change) <= UNRESOLVED_CHANGE:
-            change = 0.5 * float((self.gradient(old) + self.gradient(new)) @ step)
-        return change
-
-
-def _damped_newton(problem: _RidgeNewtonProblem):
-    """Damped Newton on ``problem`` from its anchor.
-
-    Each iteration takes the problem's Newton step, then halves it until the
-    Armijo condition holds on the change as
-    :meth:`_RidgeNewtonProblem.change` resolves it; a trial point that
-    overflows is a rejected step. The fit stops once the largest absolute
-    gradient entry is at most ``CERTIFICATE_TOL`` (its certificate), when no
-    decrease that float64 can represent is left, or after ``NEWTON_STEPS``
-    iterations.
-
-    Returns the final point, the Newton steps taken, the final gradient's
-    largest absolute entry, and the objective trace, one entry per iterate,
-    initial first. Each later entry is the one before plus the step's
-    change, so the trace never increases.
-    """
-    point = problem.evaluate(problem.anchor)
-    if not point.finite:
-        raise DivergenceError(f"{problem.name} objective is non-finite at initialization")
-    trace = [problem.objective(point)]
-    grad = problem.gradient(point)
-    for _ in range(NEWTON_STEPS):
-        if np.abs(grad).max() <= CERTIFICATE_TOL:
-            break
-        step = problem.newton_step(point, grad)
-        slope = float(grad @ step)
-        alpha = 1.0
-        for _ in range(60):
-            trial = problem.evaluate(point.theta + alpha * step)
-            change = problem.change(point, trial)
-            if change < 0 and change <= 1e-4 * alpha * slope:
-                break
-            alpha *= 0.5
-        else:
-            break  # no decrease that float64 can represent is left
-        point = trial
-        trace.append(trace[-1] + change)
-        grad = problem.gradient(point)
-    return point, len(trace) - 1, float(np.abs(grad).max()), trace
-
-
-def _conjugate_gradient(matvec, precondition, rhs, rtol: float) -> np.ndarray:
-    """Conjugate gradients from zero on A s = rhs, preconditioned by M^-1,
-    with A and M symmetric positive definite and given as ``matvec`` and
-    ``precondition``, until the residual norm is at most ``rtol`` times
-    that of ``rhs`` or after len(rhs) iterations. Every iterate s has
-    rhs @ s > 0, so -grad as ``rhs`` gives a descent step."""
-    s = np.zeros_like(rhs)
-    r = rhs.copy()
-    stop = rtol * rtol * float(r @ r)
-    z = precondition(r)
-    d = z.copy()
-    rz = float(r @ z)
-    for _ in range(len(rhs)):
-        ad = matvec(d)
-        alpha = rz / float(d @ ad)
-        s += alpha * d
-        r -= alpha * ad
-        if float(r @ r) <= stop:
-            break
-        z = precondition(r)
-        rz_next = float(r @ z)
-        d = z + (rz_next / rz) * d
-        rz = rz_next
-    return s
 
 
 @dataclass(frozen=True)
@@ -640,94 +519,6 @@ class StackerModel:
     gradient_norm: float | None = None
 
 
-@dataclass(frozen=True)
-class _SoftmaxPoint:
-    """A softmax fit's per-row losses and probabilities at one parameter
-    vector; ``finite`` is false where a loss overflowed."""
-
-    theta: np.ndarray
-    loss: np.ndarray
-    probs: np.ndarray
-    finite: bool
-
-
-class _PenalizedSoftmax(_RidgeNewtonProblem):
-    """The mean cross-entropy of the linear softmax softmax(x W + b) plus
-    the ridge ``ridge / 2 * |theta|^2``, over theta = the rows of [W; b] in
-    order, with its gradient and a preconditioned conjugate-gradient Newton
-    step. Labels outside ``[0, outputs)`` raise a ValueError."""
-
-    def __init__(self, name: str, features, labels, outputs: int, ridge: float):
-        n, d = features.shape
-        if labels.shape != (n,) or not np.all((labels >= 0) & (labels < outputs)):
-            raise ValueError(f"need one label in [0, {outputs}) per row")
-        self.name = name
-        # a constant last input carries the bias, so x W + b = inputs @ [W; b]
-        self.inputs = np.hstack([features, np.ones((n, 1))])
-        self.labels = labels
-        self.outputs = outputs
-        self.anchor = np.zeros((d + 1) * outputs)
-        self.ridge = ridge
-        # the input factor of the preconditioner, X^T X / n, fixed per problem
-        self.input_eig = np.linalg.eigh(self.inputs.T @ self.inputs / n)
-
-    def params(self, theta) -> NetworkParams:
-        weights = theta.reshape(-1, self.outputs)
-        return NetworkParams([(weights[:-1].copy(), weights[-1].copy())])
-
-    def evaluate(self, theta) -> _SoftmaxPoint:
-        """Each row's loss is log(1 + sum of the other exponentials) minus
-        the label's logit, both relative to the row's largest logit, so a
-        confident row keeps its tiny loss instead of rounding it to zero."""
-        rows = np.arange(len(self.labels))
-        with np.errstate(all="ignore"):
-            z = self.inputs @ theta.reshape(-1, self.outputs)
-            top = np.argmax(z, axis=1)
-            z -= z[rows, top][:, None]
-            e = np.exp(z)
-            e[rows, top] = 0.0
-            log_mass = np.log1p(e.sum(axis=1))
-            loss = log_mass - z[rows, self.labels]
-            probs = np.exp(z - log_mass[:, None])
-        return _SoftmaxPoint(theta, loss, probs, bool(np.isfinite(loss).all()))
-
-    def gradient(self, point: _SoftmaxPoint) -> np.ndarray:
-        residual = point.probs.copy()
-        # p - 1 at the label, without cancellation for a confident row
-        residual[np.arange(len(self.labels)), self.labels] = np.expm1(-point.loss)
-        return (self.inputs.T @ residual).ravel() / len(self.labels) + self.ridge * point.theta
-
-    def newton_step(self, point: _SoftmaxPoint, grad) -> np.ndarray:
-        """Conjugate gradients on the Hessian-vector product
-        (1/n) X^T (p * (X V - sum(p * X V))) + ridge V, with the forcing
-        tolerance min(1/2, sqrt|grad|) that keeps Newton's convergence
-        superlinear. The ridge makes the Hessian positive definite.
-
-        The preconditioner is the Kronecker-factored curvature
-        (B ⊗ A + ridge I)^-1 (K-FAC, Martens & Grosse 2015), B = X^T X / n
-        and A = (diag(sum_i p_i) - P^T P) / n, applied through both factors'
-        eigendecompositions. It is the Hessian itself where every row has
-        the same probabilities, as at zero weights."""
-        p, n = point.probs, len(self.labels)
-        in_vals, in_vecs = self.input_eig
-        out_vals, out_vecs = np.linalg.eigh((np.diag(p.sum(axis=0)) - p.T @ p) / n)
-        # both factors are positive semidefinite; an eigenvalue that rounding
-        # makes negative is about -1e-15, far below the ridge
-        scale = 1.0 / (np.multiply.outer(in_vals, out_vals) + self.ridge)
-
-        def hess_times(v):
-            dz = self.inputs @ v.reshape(-1, self.outputs)
-            dp = p * (dz - (p * dz).sum(axis=1, keepdims=True))
-            return (self.inputs.T @ dp).ravel() / n + self.ridge * v
-
-        def precondition(v):
-            rotated = in_vecs.T @ v.reshape(-1, self.outputs) @ out_vecs
-            return (in_vecs @ (rotated * scale) @ out_vecs.T).ravel()
-
-        rtol = min(0.5, math.sqrt(float(np.linalg.norm(grad))))
-        return _conjugate_gradient(hess_times, precondition, -grad, rtol)
-
-
 def _fit_softmax(name: str, val_partials, labels, outputs: int, ridge: float):
     """:func:`_damped_newton` on :class:`_PenalizedSoftmax` from zero
     weights; returns the parameters, the Newton steps taken and the final
@@ -744,7 +535,7 @@ def train_expert_selector(val_partials, val_fold_labels) -> SelectorModel:
     in expert order (manyshot, mediumshot, fewshot). Every fold must appear
     in the validation labels. The fit minimizes the mean cross-entropy plus
     the ridge ``SELECTOR_RIDGE / 2 * |theta|^2`` by damped Newton from zero
-    weights, to the certificate ``CERTIFICATE_TOL``.
+    weights, to the certificate ``_newton.CERTIFICATE_TOL``.
     """
     labels = np.asarray(val_fold_labels, dtype=np.int64)
     expert_count = len(val_partials)
@@ -784,7 +575,7 @@ def train_stacker(val_partials, val_class_labels, class_count: int) -> StackerMo
 
     The fit minimizes the mean cross-entropy plus the ridge
     ``STACKER_RIDGE / 2 * |theta|^2`` by damped Newton from zero weights,
-    to the certificate ``CERTIFICATE_TOL``, as the selector's does. A label
+    to the certificate ``_newton.CERTIFICATE_TOL``, as the selector's does. A label
     outside ``[0, class_count)`` raises a ValueError.
     """
     labels = np.asarray(val_class_labels, dtype=np.int64)
@@ -795,7 +586,7 @@ def train_stacker(val_partials, val_class_labels, class_count: int) -> StackerMo
 
 def fuse_by_stacking(partials, stacker: StackerModel) -> np.ndarray:
     features = concat_partials(partials)
-    single = all(_as_probabilities(p).ndim == 1 for p in partials)
+    single = all(_as_array(p).ndim == 1 for p in partials)
     q = softmax(forward_logits(stacker.params, features))
     return q[0] if single else q
 
@@ -843,7 +634,7 @@ def fuse_calibrated(
     logit_rows = []
     single = True
     for logits, w in zip(partial_logits, calib.scales):
-        rows, was_1d = _rows(_as_logits(logits))
+        rows, was_1d = _rows(_as_array(logits, "logits"))
         single = single and was_1d
         if rows.shape[1] != len(w):
             raise ValueError(
@@ -944,7 +735,7 @@ class _PenalizedCalibration(_RidgeNewtonProblem):
     name = "calibration"
 
     def __init__(self, val_logits, subsets, val_class_labels, class_count):
-        self.logit_rows = [_rows(_as_logits(z))[0] for z in val_logits]
+        self.logit_rows = [_rows(_as_array(z, "logits"))[0] for z in val_logits]
         if len(self.logit_rows) != len(subsets):
             raise ValueError("need one subset (or None) per expert logit matrix")
         labels = np.asarray(val_class_labels, dtype=np.int64)
@@ -1046,29 +837,6 @@ class _PenalizedCalibration(_RidgeNewtonProblem):
         return _newton_step(self.hessian(point), grad)
 
 
-def _newton_step(hess, grad) -> np.ndarray:
-    """-hess^-1 grad through a Cholesky factor. Where ``hess`` is not
-    positive definite, the Levenberg shift mu I is added with mu twice the
-    magnitude of its most negative eigenvalue, so that the shifted
-    Hessian's least curvature mirrors it; mu is at least 1e-6 of hess's
-    largest entry, and doubles if the factor still fails in rounding."""
-    if not np.all(np.isfinite(hess)):
-        raise DivergenceError("calibration Hessian is non-finite")
-    eye = np.eye(len(grad))
-    shift = 0.0
-    while True:
-        try:
-            factor = np.linalg.cholesky(hess + shift * eye)
-        except np.linalg.LinAlgError:
-            shift = max(
-                2.0 * shift,
-                -2.0 * np.linalg.eigvalsh(hess)[0],
-                1e-6 * np.abs(hess).max(),
-            )
-            continue
-        return -np.linalg.solve(factor.T, np.linalg.solve(factor, grad))
-
-
 def train_joint_calibration(
     val_logits, subsets, val_class_labels, class_count: int
 ) -> tuple[CalibrationParams, list[float]]:
@@ -1078,7 +846,7 @@ def train_joint_calibration(
 
     :func:`_damped_newton` from the identity (w = 1, b = 0), each step
     solved with the exact Hessian, shifted where it is not positive
-    definite, to the certificate ``CERTIFICATE_TOL``.
+    definite, to the certificate ``_newton.CERTIFICATE_TOL``.
 
     Returns the parameters, with the Newton steps taken and the final
     gradient's largest absolute entry, and the trace of the penalized
@@ -1129,183 +897,3 @@ def calibration_finite_diff_check(
         return loss + 0.5 * problem.ridge * float(r @ r)
 
     return _central_difference_error(objective, [theta], [grad], eps)
-
-
-@dataclass(frozen=True)
-class ExternalPosteriorTable:
-    """Named full-width posterior per sample, keyed by sample index."""
-
-    name: str
-    sample_ids: np.ndarray
-    probabilities: np.ndarray
-
-    def __post_init__(self):
-        ids = np.asarray(self.sample_ids, dtype=np.int64)
-        probs = np.asarray(self.probabilities, dtype=np.float64)
-        if probs.ndim != 2 or len(ids) != len(probs):
-            raise ValueError("need one probability row per sample id")
-        if len(np.unique(ids)) != len(ids):
-            raise ValueError("sample ids must be unique")
-        object.__setattr__(self, "sample_ids", ids)
-        object.__setattr__(self, "probabilities", probs)
-
-    @property
-    def class_count(self) -> int:
-        return self.probabilities.shape[1]
-
-    def sorted_by_id(self) -> "ExternalPosteriorTable":
-        order = np.argsort(self.sample_ids)
-        return ExternalPosteriorTable(
-            self.name, self.sample_ids[order], self.probabilities[order]
-        )
-
-
-def write_posterior_csv(path, sample_ids, probabilities) -> None:
-    """Full-width posterior dump: ``sample_id,p0,...,p{C-1}`` per row."""
-    probabilities = np.atleast_2d(np.asarray(probabilities, dtype=np.float64))
-    header = "sample_id," + ",".join(f"p{j}" for j in range(probabilities.shape[1]))
-    atomic_write_float_csv(path, header, sample_ids, probabilities)
-
-
-def _read_posterior_dump(
-    path: Path, header: list[str], what: str, expert_id: int | None = None
-):
-    """Read a posterior dump into (ids, probabilities).
-
-    The first line must equal ``header`` (else it does not match ``what``).
-    Each row holds the sample id, then, given ``expert_id``, that expert id,
-    and then one probability per remaining header column. A row with
-    another column count, a sample id that is not an integer or repeats an
-    earlier one, an expert id that is not the integer ``expert_id``, a
-    negative or non-finite probability, or zero mass raises a
-    :class:`DataError` naming the file and line. The rows are parsed into
-    arrays sized by a first count of the file's rows.
-    """
-    leading = 1 if expert_id is None else 2
-    width = len(header) - leading
-    capacity = count_rows(path)
-    rows = 0
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            if fh.readline().rstrip("\n").split(",") != header:
-                raise DataError(f"{path.name}: header does not match {what}")
-            ids = np.empty(capacity, dtype=np.int64)
-            probs = np.empty((capacity, width))
-            line_nos = np.empty(capacity, dtype=np.int64)
-            for line_no, line in enumerate(fh, start=2):
-                line = line.strip()
-                if not line:
-                    continue
-                parts = line.split(",")
-                if len(parts) != len(header):
-                    raise DataError(
-                        f"{path.name} line {line_no}: expected {width} probabilities"
-                    )
-                if rows == capacity:
-                    raise DataError(f"{path.name}: changed while it was read")
-                try:
-                    ids[rows] = int(parts[0])
-                    row_expert = None if expert_id is None else int(parts[1])
-                    probs[rows] = list(map(float, parts[leading:]))
-                except ValueError:
-                    raise DataError(f"{path.name} line {line_no}: not a number") from None
-                if row_expert != expert_id:
-                    raise DataError(
-                        f"{path.name} line {line_no}: expert_id {row_expert} "
-                        f"is not the sidecar's {expert_id}"
-                    )
-                line_nos[rows] = line_no
-                rows += 1
-    except UnicodeDecodeError:
-        raise DataError(f"{path.name}: not UTF-8 text") from None
-    shrink_rows((ids, probs), rows)
-    order = np.argsort(ids, kind="stable")
-    repeat = np.zeros(rows, dtype=bool)
-    repeat[order[1:]] = ids[order[1:]] == ids[order[:-1]]
-    if repeat.any():
-        raise DataError(f"{path.name} line {line_nos[np.argmax(repeat)]}: repeated sample id")
-    for test, problem in (
-        (lambda p: ~np.isfinite(p).all(axis=1), "non-finite probability"),
-        (lambda p: (p < 0).any(axis=1), "negative probability"),
-        # non-finite entries are left out, so that inf - inf cannot warn
-        (lambda p: np.where(np.isfinite(p), p, 0.0).sum(axis=1) <= 0,
-         "probabilities sum to zero"),
-    ):
-        bad = first_row_where(test, probs)
-        if bad is not None:
-            raise DataError(f"{path.name} line {line_nos[bad]}: {problem}")
-    return ids, probs
-
-
-def ingest_external_posteriors(
-    path, class_count: int, name: str | None = None
-) -> ExternalPosteriorTable:
-    """Read a full-width posterior CSV produced here or by an outside model.
-
-    Rows whose mass differs from 1 by more than 1e-6 are renormalized with a
-    warning; negative or non-finite entries and rows of zero mass are
-    rejected with a :class:`DataError` naming the file and line.
-    """
-    path = Path(path)
-    header = ["sample_id"] + [f"p{j}" for j in range(class_count)]
-    ids, probs = _read_posterior_dump(path, header, f"a {class_count}-class posterior dump")
-    sums = probs.sum(axis=1)
-    off = np.abs(sums - 1.0) > 1e-6
-    if np.any(off):
-        warnings.warn(
-            f"{path.name}: {int(off.sum())} rows renormalized "
-            f"(mass off by up to {np.abs(sums - 1.0).max():.3g})",
-            stacklevel=2,
-        )
-        probs /= sums[:, None]
-    return ExternalPosteriorTable(
-        name=name or path.stem,
-        sample_ids=ids,
-        probabilities=probs,
-    )
-
-
-def write_partial_posterior_csv(
-    path, sample_ids, partial: PartialPosterior, subset: SubsetSpec, *, rho: float | None = None
-) -> None:
-    """Partial posterior dump plus a JSON sidecar describing the subset."""
-    probs = np.atleast_2d(np.asarray(partial.probabilities, dtype=np.float64))
-    header = (
-        "sample_id,expert_id,"
-        + ",".join(f"p{j}" for j in range(subset.size))
-        + ",preject"
-    )
-    expert_id = int(partial.expert_id)
-    path = Path(path)
-    atomic_write_float_csv(path, header, sample_ids, probs, tag=f",{expert_id}")
-    sidecar = {
-        "expert_id": expert_id,
-        "expert": partial.expert_id.label,
-        "classes": [int(c) for c in subset.classes],
-        "rho": rho,
-    }
-    atomic_write_json(path.with_suffix(".json"), sidecar)
-
-
-def read_partial_posterior_csv(path) -> tuple[np.ndarray, np.ndarray, dict]:
-    """Round-trip reader for partial dumps; returns (ids, probabilities, sidecar).
-
-    A row with the wrong column count, an expert id other than the
-    sidecar's, a negative or non-finite entry, or zero mass raises a
-    :class:`DataError` naming the file and line, as does a sidecar that is
-    not JSON or lacks an integer expert id or a class list.
-    """
-    path = Path(path)
-    sidecar_path = path.with_suffix(".json")
-    with open(sidecar_path, "r", encoding="utf-8") as fh:
-        try:
-            sidecar = json.load(fh)
-            k = len(sidecar["classes"])
-            expert_id = sidecar["expert_id"]
-            if type(expert_id) is not int:
-                raise TypeError(f"expert_id {expert_id!r} is not an integer")
-        except (ValueError, TypeError, KeyError) as exc:
-            raise DataError(f"{sidecar_path.name}: not a dump sidecar ({exc!r})") from None
-    header = ["sample_id", "expert_id"] + [f"p{j}" for j in range(k)] + ["preject"]
-    ids, probs = _read_posterior_dump(path, header, "its sidecar", expert_id)
-    return ids, probs, sidecar

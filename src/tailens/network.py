@@ -6,10 +6,10 @@ excludes a leading prefix of layers from updates, which is how experts reuse
 a shared backbone. Forward evaluation, losses, and gradients are pure
 functions; training copies its input parameters and returns a new set.
 
-Training runs one kernel, ``_sgd``, for :func:`train_network`,
-:func:`fit_network` and :func:`fit_networks`. It trains a stack of G
-members that share the start, the dataset and every setting but the sampler
-and the seed (G = 1 for the first two): the trained weights are
+Training runs one kernel, ``_sgd``, for :func:`train_network` and
+:func:`fit_networks`. It trains a stack of G members that share the start,
+the dataset and every setting but the sampler and the seed (G = 1 for
+:func:`train_network`): the trained weights are
 ``(G, fan_in, fan_out)`` arrays, each member has its own generator, and
 every step runs through ``_Step`` over the whole stack, whose buffers are
 allocated once per stack. It draws an epoch's rows in one sampler call per
@@ -330,8 +330,8 @@ def _sgd(
     configs: list[TrainConfig],
     full_trace: bool,
 ) -> list:
-    """The SGD loop behind :func:`train_network`, :func:`fit_network` and
-    :func:`fit_networks`: one member per config, trained in lockstep.
+    """The SGD loop behind :func:`train_network` and :func:`fit_networks`:
+    one member per config, trained in lockstep.
 
     The configs may differ only in their sampler and seed; each member has
     its own generator and trains bitwise as it would alone. With
@@ -469,7 +469,9 @@ def _sgd(
     return outcomes
 
 
-def _one(outcomes: list) -> tuple[NetworkParams, list[float]]:
+def _only_outcome(outcomes: list) -> tuple[NetworkParams, list[float]]:
+    """The outcome of a one-member training: its parameters and trace, or
+    its :class:`DivergenceError` raised."""
     (outcome,) = outcomes
     if isinstance(outcome, DivergenceError):
         raise outcome
@@ -484,35 +486,26 @@ def train_network(
     Returns new parameters (the input set is untouched) and the loss trace:
     full-dataset mean cross-entropy before training and after each epoch,
     ``epochs + 1`` entries. Aborts with :class:`DivergenceError` when the
-    loss stops being finite, reporting the epoch. Use :func:`fit_network`
+    loss stops being finite, reporting the epoch. Use :func:`fit_networks`
     when the trace is not needed: it trains bit-identical parameters
     without the full-dataset passes.
     """
-    return _one(_sgd(params, dataset, [config], full_trace=True))
-
-
-def fit_network(
-    params: NetworkParams, dataset: EmbeddingDataset, config: TrainConfig
-) -> tuple[NetworkParams, list[float]]:
-    """:func:`train_network` without the per-epoch full-dataset loss.
-
-    The parameters are bit-identical to :func:`train_network`'s. The trace
-    has ``epochs`` entries: the mean mini-batch loss of each epoch, each
-    batch scored before its own update. Divergence is detected from those
-    batch losses and from non-finite weights at the end of an epoch, and
-    raises :class:`DivergenceError` with the epoch.
-    """
-    return _one(_sgd(params, dataset, [config], full_trace=False))
+    return _only_outcome(_sgd(params, dataset, [config], full_trace=True))
 
 
 def fit_networks(params: NetworkParams, dataset: EmbeddingDataset, configs) -> list:
-    """:func:`fit_network` from one start for several configs at once.
+    """:func:`train_network` without the per-epoch full-dataset loss, from
+    one start for several configs at once.
 
     The configs may differ only in their sampler and seed. The members train
     in lockstep, one stacked step per batch, and each gets bitwise the
-    parameters and trace :func:`fit_network` gives it alone. Returns one
-    outcome per config, in order: ``(params, trace)``, or the
-    :class:`DivergenceError` that call would raise; a diverged member stops
+    parameters and trace it gets trained alone; the parameters are those
+    :func:`train_network` trains. Each member's trace has
+    ``epochs`` entries: the mean mini-batch loss of each epoch, each batch
+    scored before its own update. Divergence is detected from those batch
+    losses and from non-finite weights at the end of an epoch. Returns one
+    outcome per config, in order: ``(params, trace)``, or a
+    :class:`DivergenceError` with the epoch; a diverged member stops
     training at the end of its epoch and the others go on.
     """
     configs = list(configs)

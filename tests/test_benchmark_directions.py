@@ -18,7 +18,8 @@ from tailens.config import (
 )
 from tailens.evaluation import fourfold_accuracy, msp_histogram
 from tailens.experts import expert_subset_accuracy, select_expert_hyperparams
-from tailens.fusion import CERTIFICATE_TOL, expand_partial
+from tailens._newton import CERTIFICATE_TOL
+from tailens.fusion import expand_partial
 from tailens.pipeline import fused_posteriors, train_fusion
 
 from conftest import BENCHMARK_SEEDS, majority, on_two_forked_workers

@@ -16,7 +16,7 @@ from tailens.config import (
     serialize_config,
 )
 from tailens.evaluation import fourfold_accuracy
-from tailens.fusion import CERTIFICATE_TOL
+from tailens._newton import CERTIFICATE_TOL
 from tailens import network, pipeline
 from tailens.experts import (
     expert_partial_posterior,
@@ -180,6 +180,29 @@ class TestCliPipeline:
         a = (out_a / "data" / "train.csv").read_bytes()
         b = (out_b / "data" / "train.csv").read_bytes()
         assert a != b
+
+    def test_ablate_reads_an_out_of_order_dump_as_its_sorted_rows(self, tmp_path):
+        from tailens._dumps import write_posterior_csv
+
+        out = tmp_path / "out"
+        config = write_config(tmp_path, str(out))
+        assert run_cli("gen-data", config) == 0
+        bundle = prepare_bundle(load_config(config))
+        shuffled = np.random.default_rng(5).permutation(bundle.test.n)
+        ablations = []
+        for order in (np.arange(bundle.test.n), shuffled):
+            models = []
+            for seed, name in enumerate(("first", "second")):
+                probs = np.random.default_rng(seed).dirichlet(
+                    np.ones(bundle.class_count), size=bundle.test.n
+                )
+                # the same rows under the same names, written in id order
+                # and then shuffled
+                models.append(tmp_path / f"{len(ablations)}" / f"{name}.csv")
+                write_posterior_csv(models[-1], order, probs[order])
+            assert run_cli("ablate", config, "--models", *models) == 0
+            ablations.append((out / "reports" / "ablation.json").read_bytes())
+        assert ablations[0] == ablations[1]
 
 
 @pytest.fixture(scope="module")
@@ -354,7 +377,7 @@ class TestCliErrors:
         assert run_cli("train-baseline", path) == 4
 
     def test_ablate_with_non_finite_model_is_data_error(self, tmp_path, capsys):
-        from tailens.fusion import write_posterior_csv
+        from tailens._dumps import write_posterior_csv
 
         out = tmp_path / "out"
         config = write_config(tmp_path, str(out))

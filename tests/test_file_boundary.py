@@ -12,12 +12,19 @@ makes or reads.
 import io
 import os
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from conftest import traced_peak
-from tailens import DataError, _io, dataset, fusion
+from tailens import DataError, _io, cli, dataset
+from tailens._dumps import (
+    ingest_external_posteriors,
+    read_partial_posterior_csv,
+    write_partial_posterior_csv,
+    write_posterior_csv,
+)
 from tailens.dataset import (
     EmbeddingDataset,
     SyntheticConfig,
@@ -29,12 +36,6 @@ from tailens.dataset import (
     write_embeddings_csv,
 )
 from tailens.experts import PartialPosterior
-from tailens.fusion import (
-    ingest_external_posteriors,
-    read_partial_posterior_csv,
-    write_partial_posterior_csv,
-    write_posterior_csv,
-)
 
 SPLITS = ("train", "val", "test")
 # the class profile of the benchmark's CLI bundle (1789 rows) at 16 features,
@@ -217,8 +218,7 @@ class TestReaders:
     ):
         (tmp_path / "x.csv").write_text("label,f0\n0,1.5\n1,2.5\n")
         write_posterior_csv(tmp_path / "p.csv", [0, 1], np.full((2, 2), 0.5))
-        for module in (dataset, fusion):
-            monkeypatch.setattr(module, "count_rows", lambda path: 1)
+        monkeypatch.setattr(_io, "count_rows", lambda path: 1)
         with pytest.raises(DataError, match=r"x\.csv: changed while it was read"):
             read_embeddings_csv(tmp_path / "x.csv")
         with pytest.raises(DataError, match=r"p\.csv: changed while it was read"):
@@ -356,6 +356,23 @@ class TestTracedPeaks:
         table, peak = traced_peak(ingest_external_posteriors, tmp_path / "model.csv", 60)
         assert table.probabilities.tobytes() == probs.tobytes()
         assert peak < 1.5 * (table.probabilities.nbytes + table.sample_ids.nbytes)
+
+    def test_ablate_reads_a_dump_without_copying_it(self, posteriors, tmp_path, monkeypatch):
+        # cmd_ablate with its bundle and its analysis stubbed out: what is
+        # left is the read of the dump and the check of its ids
+        ids, probs = posteriors
+        write_posterior_csv(tmp_path / "model.csv", ids, probs)
+        ingest_external_posteriors(tmp_path / "model.csv", 60)
+        bundle = SimpleNamespace(class_count=60, test=SimpleNamespace(n=len(ids), labels=None))
+        tables = {}
+        monkeypatch.setattr(cli, "prepare_bundle", lambda cfg: bundle)
+        monkeypatch.setattr(cli, "frequency_folds", lambda bundle, cfg: None)
+        monkeypatch.setattr(cli, "take_one_out_ablation", lambda t, *rest: tables.update(t) or {})
+        cfg = SimpleNamespace(paths=SimpleNamespace(out_dir=tmp_path / "out"))
+        args = SimpleNamespace(models=[tmp_path / "model.csv"])
+        _, peak = traced_peak(cli.cmd_ablate, cfg, args)
+        assert tables["model"].tobytes() == probs.tobytes()
+        assert peak < 1.25 * (probs.nbytes + ids.nbytes)
 
     def test_generated_bundle_is_not_copied(self):
         bundle, peak = traced_peak(generate_longtailed, PEAK_CFG, 0)

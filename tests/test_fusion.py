@@ -4,17 +4,21 @@ import warnings
 import numpy as np
 import pytest
 
-from tailens import DataError, fusion
+from tailens import DataError, _newton
+from tailens._dumps import (
+    ingest_external_posteriors,
+    read_partial_posterior_csv,
+    write_partial_posterior_csv,
+    write_posterior_csv,
+)
+from tailens._newton import CERTIFICATE_TOL, _newton_step, _PenalizedSoftmax
 from tailens.dataset import Fold, SubsetSpec
 from tailens.fusion import (
     CALIBRATION_RIDGE,
-    CERTIFICATE_TOL,
     SELECTOR_RIDGE,
     STACKER_RIDGE,
     CalibrationParams,
-    _newton_step,
     _PenalizedCalibration,
-    _PenalizedSoftmax,
     calibration_finite_diff_check,
     calibration_gradient,
     concat_partials,
@@ -24,13 +28,9 @@ from tailens.fusion import (
     fuse_calibrated,
     fuse_kl_min,
     fuse_soft_vote,
-    ingest_external_posteriors,
-    read_partial_posterior_csv,
     train_expert_selector,
     train_joint_calibration,
     train_stacker,
-    write_partial_posterior_csv,
-    write_posterior_csv,
 )
 from tailens.experts import PartialPosterior
 from tailens.network import _central_difference_error, init_network, softmax
@@ -396,7 +396,7 @@ class TestPreconditionedStep:
         problem = self._problem()
         fits = [train_stacker(partials, labels, 6)]
         monkeypatch.setattr(
-            fusion,
+            _newton,
             "_conjugate_gradient",
             lambda matvec, precondition, rhs, rtol: _plain_conjugate_gradient(matvec, rhs, rtol),
         )
@@ -709,7 +709,7 @@ class TestRidgeNewtonCalibration:
 
     def test_steps_cap_newton_iterations(self, monkeypatch):
         logits, subsets, labels, class_count = _calibration_world("two-subsets")
-        monkeypatch.setattr(fusion, "NEWTON_STEPS", 2)
+        monkeypatch.setattr(_newton, "NEWTON_STEPS", 2)
         calib, trace = train_joint_calibration(logits, subsets, labels, class_count)
         assert len(trace) == 3 and calib.steps == 2
         assert calib.gradient_norm > CERTIFICATE_TOL

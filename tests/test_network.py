@@ -16,16 +16,22 @@ from tailens.network import (
     cross_entropy_loss,
     dataset_loss,
     finite_diff_check,
-    fit_network,
     fit_networks,
     forward_logits,
     init_network,
     load_checkpoint,
+    _only_outcome,
     predict_labels,
     save_checkpoint,
     softmax,
     train_network,
 )
+
+
+def fit_one(params, dataset, config):
+    """fit_networks on one config, as experts.train_expert calls it: the
+    result, or the member's DivergenceError raised."""
+    return _only_outcome(fit_networks(params, dataset, [config]))
 
 
 def two_blob_dataset(n_per_class=40, separation=6.0, seed=0):
@@ -213,7 +219,7 @@ class TestTraining:
             frozen_layers=frozen,
         )
         traced, full = train_network(params, ds, config)
-        fitted, batch = fit_network(params, ds, config)
+        fitted, batch = fit_one(params, ds, config)
         for (wa, ba), (wb, bb) in zip(traced.layers, fitted.layers):
             assert np.array_equal(wa, wb) and np.array_equal(ba, bb)
         assert len(full) == config.epochs + 1
@@ -223,14 +229,14 @@ class TestTraining:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_fit_network_divergence_reports_epoch(self, monkeypatch):
         def no_full_pass(*args):
-            raise AssertionError("fit_network evaluated the full dataset")
+            raise AssertionError("fit_networks evaluated the full dataset")
 
         monkeypatch.setattr("tailens.network.dataset_loss", no_full_pass)
         ds = two_blob_dataset()
         params = init_network([2, 4, 2], seed=5)
         config = TrainConfig(lr0=1e12, epochs=5, batch_size=8, seed=0, weight_decay=0.0)
         with pytest.raises(DivergenceError) as err:
-            fit_network(params, ds, config)
+            fit_one(params, ds, config)
         assert err.value.epoch is not None
 
     def test_backward_loss_is_batch_loss(self):
@@ -357,7 +363,7 @@ class TestKernelMatchesReference:
         assert ds.n % config.batch_size != 0
         ref, ref_full, ref_batch, _ = reference_sgd(params, ds, config)
         traced, full = train_network(params, ds, config)
-        fitted, batch = fit_network(params, ds, config)
+        fitted, batch = fit_one(params, ds, config)
         assert_same_bits(traced, ref)
         assert_same_bits(fitted, ref)
         assert full == ref_full
@@ -372,7 +378,7 @@ class TestKernelMatchesReference:
             sampler=SamplerMode.reject_undersampled(2.0),
         )
         ref, _, ref_batch, _ = reference_sgd(params, ds, config)
-        fitted, batch = fit_network(params, ds, config)
+        fitted, batch = fit_one(params, ds, config)
         assert_same_bits(fitted, ref)
         assert batch == ref_batch
 
@@ -396,11 +402,11 @@ class TestKernelMatchesReference:
         )
         ref, full, batch, finite = reference_sgd(params, ds, config)
         # train_network checks the full-dataset loss before training and
-        # after each epoch; fit_network the batch losses and the weights
+        # after each epoch; fit_networks the batch losses and the weights
         bad_full = [e for e, v in enumerate(full) if not math.isfinite(v)]
         expected = {
             train_network: max(bad_full[0] - 1, 0) if bad_full else None,
-            fit_network: next(
+            fit_one: next(
                 (e for e, ok in enumerate(finite) if not (ok and math.isfinite(batch[e]))),
                 None,
             ),
@@ -428,16 +434,14 @@ class TestKernelMatchesReference:
 
 
 def fit_alone(params, dataset, config):
-    """fit_network's result, or the DivergenceError it raises."""
-    try:
-        return fit_network(params, dataset, config)
-    except DivergenceError as exc:
-        return exc
+    """fit_networks' outcome for ``config`` alone: its result, or its
+    DivergenceError."""
+    return fit_networks(params, dataset, [config])[0]
 
 
 class TestStackedMembers:
     """fit_networks trains a stack of members in lockstep; each member must
-    get the bits fit_network gives it alone."""
+    get the bits it gets when it is trained alone."""
 
     MEMBERS = [
         (SamplerMode.reject_undersampled(1.0), 11),
@@ -462,7 +466,7 @@ class TestStackedMembers:
         results = fit_networks(params, ds, configs)
         assert len(results) == len(configs)
         for config, (fitted, trace) in zip(configs, results):
-            alone, alone_trace = fit_network(params, ds, config)
+            alone, alone_trace = fit_one(params, ds, config)
             assert_same_bits(fitted, alone)
             assert trace == alone_trace
 
@@ -478,7 +482,7 @@ class TestStackedMembers:
             for sampler, seed in self.MEMBERS
         ]
         for config, (fitted, trace) in zip(configs, fit_networks(params, ds, configs)):
-            alone, alone_trace = fit_network(params, ds, config)
+            alone, alone_trace = fit_one(params, ds, config)
             assert_same_bits(fitted, alone)
             assert trace == alone_trace
 
