@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +20,7 @@ import numpy as np
 from ._dumps import ingest_external_posteriors, write_partial_posterior_csv, write_posterior_csv
 from ._io import DataError, atomic_write_json, atomic_write_text
 from .config import ConfigError, FUSION_STRATEGIES, RunConfig, load_config
-from .dataset import EmptyFoldError, copy_bundle, partition_subsets, save_bundle
+from .dataset import EmptyFoldError, Fold, copy_bundle, partition_subsets, save_bundle
 from .evaluation import (
     expert_confusion_matrix,
     fourfold_accuracy,
@@ -77,7 +78,8 @@ def _require_file(path: Path, hint: str) -> Path:
 def _load_expert(cfg: RunConfig, name: str, bundle) -> ExpertModel:
     """One expert checkpoint, checked against the bundle it will read: its
     subset classes lie in [0, class_count) (``SubsetSpec`` already rejects
-    repeated and negative classes) and its input width is the bundle's."""
+    repeated and negative classes), its input width is the bundle's, and its
+    subset is the one the config's folds give its fold."""
     path = _require_file(_ckpt_path(cfg, f"expert_{name}"), "tailens train-experts")
     expert = load_expert_checkpoint(path)
     top = int(expert.subset.classes.max())
@@ -90,7 +92,23 @@ def _load_expert(cfg: RunConfig, name: str, bundle) -> ExpertModel:
             f"{path}: expert reads {expert.params.dims[0]} features, "
             f"the bundle has {bundle.feature_dim}"
         )
+    subset = partition_subsets(frequency_folds(bundle, cfg), bundle.train)[EXPERT_NAMES.index(name)]
+    if expert.subset.expert_id != subset.expert_id or not np.array_equal(
+        expert.subset.classes, subset.classes
+    ):
+        raise DataError(
+            f"{path}: subset is not the config's {name} fold; re-run `tailens train-experts`"
+        )
     return expert
+
+
+def _require_val_folds(bundle, folds) -> None:
+    """Each expert is scored, and the selector learns to pick it, on the
+    validation samples of its fold, so every fold needs some."""
+    held = np.unique(folds.fold_of_samples(bundle.val.labels))
+    for fold in Fold:
+        if fold not in held:
+            raise DataError(f"the val split holds no {fold.label} sample; every fold needs one")
 
 
 def _load_experts(cfg: RunConfig, bundle):
@@ -129,7 +147,9 @@ def cmd_train_experts(cfg: RunConfig, args) -> None:
     baseline = load_baseline_checkpoint(
         _require_file(_ckpt_path(cfg, "baseline"), "tailens train-baseline")
     )
-    subsets = partition_subsets(frequency_folds(bundle, cfg), bundle.train)
+    folds = frequency_folds(bundle, cfg)
+    subsets = partition_subsets(folds, bundle.train)
+    _require_val_folds(bundle, folds)
     tables = []
     for sel in select_experts(baseline, subsets, bundle, cfg, args.threads):
         name = sel.expert.subset.expert_id.label
@@ -139,14 +159,7 @@ def cmd_train_experts(cfg: RunConfig, args) -> None:
                 "expert": name,
                 "rho": sel.rho,
                 "frozen_layers": sel.frozen_layers,
-                "table": [
-                    {
-                        "rho": p.rho,
-                        "frozen_layers": p.frozen_layers,
-                        "val_accuracy": p.val_accuracy,
-                    }
-                    for p in sel.table
-                ],
+                "table": [asdict(p) for p in sel.table],
             }
         )
     atomic_write_json(_out_dir(cfg) / "checkpoints" / "selection_tables.json", tables)
@@ -190,7 +203,10 @@ def cmd_train_fusion(cfg: RunConfig, args) -> None:
         atomic_write_json(path, {"strategy": args.strategy, "parameters": None})
         print(f"{args.strategy} needs no learned parameters; wrote marker {path}")
         return
-    strategy.save(path, strategy.fit(_load_ensemble(cfg)))
+    ensemble = _load_ensemble(cfg)
+    if args.strategy == "select":
+        _require_val_folds(ensemble.bundle, ensemble.folds)
+    strategy.save(path, strategy.fit(ensemble))
     print(f"wrote {path}")
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import configparser
 import io
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .dataset import DEFAULT_FEW_MAX, DEFAULT_MANY_MIN
@@ -114,23 +114,16 @@ _SECTION_TYPES = {
 _REQUIRED_KEYS = {("training", "seed")}
 
 
-def _parse_value(name: str, kind, raw: str):
+def _parse_value(name: str, default, raw: str):
+    """``raw`` typed as the field's ``default`` is; a tuple field takes
+    comma-separated scalars typed as the default's elements."""
     raw = raw.strip()
     try:
-        if kind is int:
-            return int(raw)
-        if kind is float:
-            return float(raw)
-        if kind is str:
-            return raw
-        # tuple fields: comma-separated scalars typed by the default's contents
-        if kind == tuple[int, ...]:
-            return tuple(int(v) for v in raw.split(",") if v.strip())
-        if kind == tuple[float, ...]:
-            return tuple(float(v) for v in raw.split(",") if v.strip())
+        if isinstance(default, tuple):
+            return tuple(type(default[0])(v) for v in raw.split(",") if v.strip())
+        return type(default)(raw)
     except ValueError:
         raise ConfigError(f"could not parse {name} = {raw!r}") from None
-    raise ConfigError(f"unsupported config field type for {name}")
 
 
 def _render_value(value) -> str:
@@ -155,14 +148,12 @@ def parse_config(text: str) -> RunConfig:
     built = {}
     for section_name, section_type in _SECTION_TYPES.items():
         values = {}
-        known = {f.name: f for f in fields(section_type)}
+        defaults = {f.name: f.default for f in fields(section_type)}
         if parser.has_section(section_name):
             for key, raw in parser.items(section_name):
-                if key not in known:
+                if key not in defaults:
                     raise ConfigError(f"unknown key {section_name}.{key}")
-                values[key] = _parse_value(
-                    f"{section_name}.{key}", _field_type(section_type, key), raw
-                )
+                values[key] = _parse_value(f"{section_name}.{key}", defaults[key], raw)
         for section, key in _REQUIRED_KEYS:
             if section == section_name and key not in values:
                 raise ConfigError(f"missing required key {section}.{key}")
@@ -171,22 +162,6 @@ def parse_config(text: str) -> RunConfig:
     cfg = RunConfig(**built)
     cfg.validate()
     return cfg
-
-
-def _field_type(section_type, key):
-    # dataclass fields carry string annotations under `from __future__ import
-    # annotations`; resolve the handful of types the config uses.
-    annotation = section_type.__dataclass_fields__[key].type
-    mapping = {
-        "int": int,
-        "float": float,
-        "str": str,
-        "tuple[int, ...]": tuple[int, ...],
-        "tuple[float, ...]": tuple[float, ...],
-    }
-    if annotation in mapping:
-        return mapping[annotation]
-    return annotation
 
 
 def serialize_config(cfg: RunConfig) -> str:

@@ -14,7 +14,7 @@ from typing import Mapping
 import numpy as np
 
 from .dataset import EmbeddingDataset, Fold, FoldAssignment
-from .experts import ExpertModel, expert_partial_posterior
+from .experts import ExpertModel, _in_subset_predictions, expert_partial_posterior
 from .fusion import _as_array, expand_partial, fuse_soft_vote
 
 
@@ -121,12 +121,7 @@ def oracle_evaluate(
     predictions = np.full(test.n, -1, dtype=np.int64)
     covered = np.zeros(test.n, dtype=bool)
     for expert in experts:
-        lookup = expert.subset.local_map(test.class_count)
-        mask = lookup[test.labels] >= 0
-        if not np.any(mask):
-            continue
-        partial = expert_partial_posterior(expert, test.features[mask])
-        local_pred = np.argmax(partial.probabilities[:, : expert.subset.size], axis=1)
+        mask, _, local_pred = _in_subset_predictions(expert, test)
         predictions[mask] = expert.subset.classes[local_pred]
         covered |= mask
     if not np.all(covered):

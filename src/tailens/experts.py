@@ -181,6 +181,16 @@ def expert_partial_posterior(expert: ExpertModel, features) -> PartialPosterior:
     )
 
 
+def _in_subset_predictions(expert: ExpertModel, dataset: EmbeddingDataset):
+    """The rows of ``dataset`` whose class lies in the expert's subset (a
+    mask), their local labels, and the argmax over the subset's outputs
+    only, the reject output left out."""
+    local = expert.subset.local_map(dataset.class_count)[dataset.labels]
+    mask = local >= 0
+    partial = expert_partial_posterior(expert, dataset.features[mask])
+    return mask, local[mask], np.argmax(partial.probabilities[:, : expert.subset.size], axis=1)
+
+
 def expert_subset_accuracy(expert: ExpertModel, dataset: EmbeddingDataset) -> float:
     """Accuracy on the samples whose true class lies in the expert's subset.
 
@@ -189,16 +199,12 @@ def expert_subset_accuracy(expert: ExpertModel, dataset: EmbeddingDataset) -> fl
     expert's discrimination on its own job independently of how much mass
     the reject correction moves.
     """
-    lookup = expert.subset.local_map(dataset.class_count)
-    local = lookup[dataset.labels]
-    mask = local >= 0
-    if not np.any(mask):
+    _, local, preds = _in_subset_predictions(expert, dataset)
+    if not local.size:
         raise ValueError(
             f"no {expert.subset.expert_id.label} samples available for scoring"
         )
-    partial = expert_partial_posterior(expert, dataset.features[mask])
-    preds = np.argmax(partial.probabilities[:, : expert.subset.size], axis=1)
-    return float(np.mean(preds == local[mask]))
+    return float(np.mean(preds == local))
 
 
 @dataclass(frozen=True)

@@ -594,13 +594,16 @@ def fuse_by_stacking(partials, stacker: StackerModel) -> np.ndarray:
 @dataclass(frozen=True)
 class CalibrationParams:
     """Per-expert elementwise logit scale and shift vectors, with the record
-    of the fit that made them as :class:`SelectorModel` keeps it (None for
-    vectors set by hand)."""
+    of the fit that made them as :class:`SelectorModel` keeps it and the
+    penalized objective at the identity and at the result (None for vectors
+    set by hand)."""
 
     scales: tuple[np.ndarray, ...]
     shifts: tuple[np.ndarray, ...]
     steps: int | None = None
     gradient_norm: float | None = None
+    objective_initial: float | None = None
+    objective_final: float | None = None
 
     def __post_init__(self):
         if len(self.scales) != len(self.shifts):
@@ -753,10 +756,10 @@ class _PenalizedCalibration(_RidgeNewtonProblem):
         shifts = [theta[s + m : s + 2 * m] for s, m in zip(self.starts, self.widths)]
         return scales, shifts
 
-    def params(self, theta, steps: int, gradient_norm: float) -> CalibrationParams:
+    def params(self, theta, *record) -> CalibrationParams:
         scales, shifts = self._split(theta)
         return CalibrationParams(
-            tuple(w.copy() for w in scales), tuple(b.copy() for b in shifts), steps, gradient_norm
+            tuple(w.copy() for w in scales), tuple(b.copy() for b in shifts), *record
         )
 
     def evaluate(self, theta) -> _CalibrationPoint:
@@ -848,14 +851,14 @@ def train_joint_calibration(
     solved with the exact Hessian, shifted where it is not positive
     definite, to the certificate ``_newton.CERTIFICATE_TOL``.
 
-    Returns the parameters, with the Newton steps taken and the final
-    gradient's largest absolute entry, and the trace of the penalized
-    objective, one entry per iterate, initial first; the trace never
-    increases.
+    Returns the parameters, with the Newton steps taken, the final
+    gradient's largest absolute entry and the first and last objective, and
+    the trace of the penalized objective, one entry per iterate, initial
+    first; the trace never increases.
     """
     problem = _PenalizedCalibration(val_logits, subsets, val_class_labels, class_count)
     point, steps, gradient_norm, trace = _damped_newton(problem)
-    return problem.params(point.theta, steps, gradient_norm), trace
+    return problem.params(point.theta, steps, gradient_norm, trace[0], trace[-1]), trace
 
 
 def calibration_gradient(

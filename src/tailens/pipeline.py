@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Callable
 
@@ -100,15 +100,7 @@ def prepare_bundle(cfg: RunConfig) -> DatasetBundle:
     if d.source == "load":
         # each split CSV is parsed once per out_dir; see dataset.load_embeddings
         return load_bundle(d.manifest, cache_dir=Path(cfg.paths.out_dir) / "cache")
-    synth = SyntheticConfig(
-        class_count=d.class_count,
-        feature_dim=d.feature_dim,
-        n_max=d.n_max,
-        alpha=d.alpha,
-        n_val_per_class=d.n_val_per_class,
-        n_test_per_class=d.n_test_per_class,
-        noise_scale=d.noise_scale,
-    )
+    synth = SyntheticConfig(**{f.name: getattr(d, f.name) for f in fields(SyntheticConfig)})
     return generate_longtailed(synth, cfg.training.seed, (d.many_min, d.few_max))
 
 
@@ -194,7 +186,6 @@ class ExpertEnsemble:
 class TrainedEnsemble(ExpertEnsemble):
     """An expert ensemble plus the models and grid tables behind it."""
 
-    subsets: tuple[SubsetSpec, SubsetSpec, SubsetSpec]
     baseline: BaselineModel
     baseline_trace: tuple[float, ...]
     uniform: BaselineModel
@@ -220,7 +211,6 @@ def train_all(bundle: DatasetBundle, cfg: RunConfig, threads: int = 1) -> Traine
         bundle=bundle,
         folds=folds,
         experts=tuple(sel.expert for sel in selections),
-        subsets=subsets,
         baseline=baseline,
         baseline_trace=tuple(trace),
         uniform=uniform,
@@ -271,27 +261,6 @@ class FittedFusion:
     params: object = None
 
 
-@dataclass(frozen=True)
-class CalibrationFit:
-    """Joint calibration parameters, which carry their fit's certificate,
-    with the penalized objective at the identity and at the result: what
-    ``fusion/calibrate.params`` records."""
-
-    params: CalibrationParams
-    objective_initial: float
-    objective_final: float
-
-
-def _fit_calibrate(ensemble: ExpertEnsemble) -> CalibrationFit:
-    calib, trace = train_joint_calibration(
-        [p.logits for p in ensemble.partials("val")],
-        ensemble.subset_list(),
-        ensemble.bundle.val.labels,
-        ensemble.bundle.class_count,
-    )
-    return CalibrationFit(calib, trace[0], trace[-1])
-
-
 def _head_widths(ensemble: ExpertEnsemble) -> tuple[int, ...]:
     return tuple(e.params.dims[-1] for e in ensemble.experts)
 
@@ -338,32 +307,32 @@ def _load_meta_model(path, kind: str, ensemble: ExpertEnsemble):
     return model_type(params, *_certificate(path, kind, meta, "gradient_norm"))
 
 
-def _save_calibration(path, fit: CalibrationFit) -> None:
+def _save_calibration(path, params: CalibrationParams) -> None:
     atomic_write_json(
         path,
         {
             "strategy": "calibrate",
-            "scales": [w.tolist() for w in fit.params.scales],
-            "shifts": [b.tolist() for b in fit.params.shifts],
-            "objective_initial": fit.objective_initial,
-            "objective_final": fit.objective_final,
-            "steps": fit.params.steps,
-            "gradient_norm": fit.params.gradient_norm,
+            "scales": [w.tolist() for w in params.scales],
+            "shifts": [b.tolist() for b in params.shifts],
+            "objective_initial": params.objective_initial,
+            "objective_final": params.objective_final,
+            "steps": params.steps,
+            "gradient_norm": params.gradient_norm,
         },
     )
 
 
-def _load_calibration(path, ensemble) -> CalibrationFit:
+def _load_calibration(path, ensemble) -> CalibrationParams:
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
         vectors = [
             tuple(np.asarray(v, dtype=np.float64) for v in payload[key])
             for key in ("scales", "shifts")
         ]
-        steps, norm, initial, final = _certificate(
+        record = _certificate(
             path, "calibrate", payload, "gradient_norm", "objective_initial", "objective_final"
         )
-        params = CalibrationParams(*vectors, steps, norm)
+        params = CalibrationParams(*vectors, *record)
     except DataError:
         raise
     except (ValueError, KeyError, TypeError):
@@ -373,7 +342,7 @@ def _load_calibration(path, ensemble) -> CalibrationFit:
             f"{path}: calibration widths {list(params.widths)} do not match "
             f"the experts' head widths {list(_head_widths(ensemble))}"
         )
-    return CalibrationFit(params, initial, final)
+    return params
 
 
 # One record per name in config.FUSION_STRATEGIES.
@@ -406,9 +375,14 @@ FUSIONS: dict[str, FusionStrategy] = {
     ),
     "calibrate": FusionStrategy(
         apply=lambda partials, subsets, c, params: fuse_calibrated(
-            [p.logits for p in partials], params.params, subsets, c
+            [p.logits for p in partials], params, subsets, c
         ),
-        fit=_fit_calibrate,
+        fit=lambda ensemble: train_joint_calibration(
+            [p.logits for p in ensemble.partials("val")],
+            ensemble.subset_list(),
+            ensemble.bundle.val.labels,
+            ensemble.bundle.class_count,
+        )[0],
         save=_save_calibration,
         load=_load_calibration,
     ),

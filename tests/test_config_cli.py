@@ -92,6 +92,31 @@ class TestConfigRoundTrip:
         with pytest.raises(ConfigError, match=f"unknown key fusion.{key}"):
             parse_config(f"[training]\nseed = 0\n[fusion]\n{key} = 1\n")
 
+    @pytest.mark.parametrize(
+        "section, key, raw",
+        [
+            ("dataset", "class_count", "6.5"),
+            ("training", "lr0", "fast"),
+            ("training", "hidden_dims", "64,x"),
+            ("expert", "rho_grid", "1.0,x"),
+        ],
+        ids=["int", "float", "int-tuple", "float-tuple"],
+    )
+    def test_malformed_value_is_config_error(self, tmp_path, capsys, section, key, raw):
+        sections = {"training": {"seed": "0"}, "paths": {"out_dir": str(tmp_path / "out")}}
+        sections.setdefault(section, {})[key] = raw
+        text = "".join(
+            f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in items.items())
+            for name, items in sections.items()
+        )
+        message = f"could not parse {section}.{key} = {raw!r}"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            parse_config(text)
+        path = tmp_path / "bad.ini"
+        path.write_text(text)
+        assert run_cli("oracle", path) == 2
+        assert capsys.readouterr().err == f"error: config: {message}\n"
+
     def test_load_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
             load_config(tmp_path / "absent.ini")
@@ -453,6 +478,49 @@ class TestCliErrors:
         with pytest.raises(bug):
             run_cli("oracle", write_config(tmp_path, str(tmp_path / "out")))
 
+    def test_experts_trained_under_other_folds_are_data_error(
+        self, cli_and_library_runs, tmp_path, capsys
+    ):
+        # trained with few_max = 5 (class frequencies 40, 13, 7, 4, 3, 2);
+        # at few_max = 8, class 2 leaves the mediumshot fold for the fewshot one
+        cfg, trained_out, _ = cli_and_library_runs
+        out = tmp_path / "out"
+        shutil.copytree(trained_out, out)
+        (out / "fusion" / "select.params").unlink()
+        moved = replace(
+            cfg, dataset=replace(cfg.dataset, few_max=8), paths=replace(cfg.paths, out_dir=str(out))
+        )
+        config = write_config_file(tmp_path, moved)
+        capsys.readouterr()
+        assert run_cli("train-fusion", config, "--strategy", "select") == 3
+        err = capsys.readouterr().err
+        assert err == (
+            f"error: data: {out / 'checkpoints' / 'expert_mediumshot.ckpt'}: subset is not "
+            "the config's mediumshot fold; re-run `tailens train-experts`\n"
+        )
+        assert not (out / "fusion" / "select.params").exists()
+
+    @pytest.mark.filterwarnings("ignore:val split is not class-balanced")
+    @pytest.mark.parametrize(
+        "command", [("train-experts",), ("train-fusion", "--strategy", "select")]
+    )
+    def test_val_split_without_a_fold_is_data_error(
+        self, cli_and_library_runs, tmp_path, capsys, command
+    ):
+        # the fewshot classes are 3, 4 and 5; the loaded val split keeps none
+        cfg, trained_out, _ = cli_and_library_runs
+        out = tmp_path / "out"
+        shutil.copytree(trained_out, out)
+        val = out / "data" / "val.csv"
+        lines = val.read_text().splitlines()
+        val.write_text("\n".join(l for l in lines if l.split(",")[0] not in ("3", "4", "5")) + "\n")
+        dataset = replace(cfg.dataset, source="load", manifest=str(out / "data" / "manifest.json"))
+        loaded = replace(cfg, dataset=dataset, paths=replace(cfg.paths, out_dir=str(out)))
+        capsys.readouterr()
+        assert run_cli(command[0], write_config_file(tmp_path, loaded), *command[1:]) == 3
+        err = capsys.readouterr().err
+        assert err == "error: data: the val split holds no fewshot sample; every fold needs one\n"
+
     def test_corrupt_calibration_file_is_data_error(self, tmp_path, capsys):
         out = tmp_path / "out"
         config = write_config(tmp_path, str(out))
@@ -586,6 +654,9 @@ def _wider_input_expert(path):
          "subset class 99 is outside the bundle's 6 classes"),
         ("softvote", "checkpoints/expert_mediumshot.ckpt", _wider_input_expert,
          "expert reads 5 features, the bundle has 4"),
+        ("softvote", "checkpoints/expert_fewshot.ckpt",
+         _checkpoint_meta(lambda meta: {**meta, "subset_classes": meta["subset_classes"][::-1]}),
+         "subset is not the config's fewshot fold; re-run `tailens train-experts`"),
     ],
     ids=["calibrate-nan", "calibrate-text", "calibrate-width", "calibrate-norm-text",
          "calibrate-norm-nan", "calibrate-steps-negative", "calibrate-steps-bool",
@@ -593,7 +664,7 @@ def _wider_input_expert(path):
          "select-norm-text", "select-steps-negative", "select-no-certificate",
          "stack-norm-text", "stack-steps-negative", "stack-no-certificate",
          "checkpoint-array-names", "expert-meta", "expert-meta-list", "expert-class-99",
-         "expert-feature-width"],
+         "expert-feature-width", "expert-subset-order"],
 )
 def test_corrupt_fusion_input_is_data_error(
     cli_and_library_runs, tmp_path, capsys, strategy, name, corrupt, problem

@@ -120,6 +120,18 @@ class TestOracle:
         again = fourfold_accuracy(preds, bundle.test.labels, folds)
         assert again.all == rep.all
 
+    def test_expert_without_test_rows_changes_nothing(self, trained_world):
+        # drop the manyshot classes' test rows: the manyshot expert then
+        # owns none of them, and routing it nothing leaves the report as is
+        bundle, folds, _, experts = trained_world
+        keep = experts[0].subset.local_map(bundle.class_count)[bundle.test.labels] < 0
+        test = t.EmbeddingDataset(
+            bundle.test.features[keep], bundle.test.labels[keep], bundle.class_count
+        )
+        rep = oracle_evaluate(experts, test, folds)
+        assert rep.to_json() == oracle_evaluate(experts[1:], test, folds).to_json()
+        assert rep.many is None and rep.total == int(keep.sum())
+
 
 class TestConfusionMatrix:
     def test_perfectly_routed_experts_are_diagonal(self):
