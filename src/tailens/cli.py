@@ -20,7 +20,7 @@ import numpy as np
 from ._dumps import ingest_external_posteriors, write_partial_posterior_csv, write_posterior_csv
 from ._io import DataError, atomic_write_json, atomic_write_text
 from .config import ConfigError, FUSION_STRATEGIES, RunConfig, load_config
-from .dataset import EmptyFoldError, Fold, copy_bundle, partition_subsets, save_bundle
+from .dataset import EmptyFoldError, Fold, SubsetSpec, copy_bundle, partition_subsets, save_bundle
 from .evaluation import (
     expert_confusion_matrix,
     fourfold_accuracy,
@@ -49,7 +49,7 @@ from .pipeline import (
     train_baselines,
 )
 
-EXPERT_NAMES = ("manyshot", "mediumshot", "fewshot")
+EXPERT_NAMES = tuple(fold.label for fold in Fold)
 MODEL_NAMES = ("baseline", "uniform", "experts") + EXPERT_NAMES
 
 
@@ -75,11 +75,13 @@ def _require_file(path: Path, hint: str) -> Path:
     return path
 
 
-def _load_expert(cfg: RunConfig, name: str, bundle) -> ExpertModel:
-    """One expert checkpoint, checked against the bundle it will read: its
-    subset classes lie in [0, class_count) (``SubsetSpec`` already rejects
-    repeated and negative classes), its input width is the bundle's, and its
-    subset is the one the config's folds give its fold."""
+def _load_expert(cfg: RunConfig, bundle, subset: SubsetSpec) -> ExpertModel:
+    """The checkpoint of the expert for ``subset``, one of the config's
+    folds, checked against the bundle it will read: its subset classes lie
+    in [0, class_count) (``SubsetSpec`` already rejects repeated and
+    negative classes), its input width is the bundle's, and its subset is
+    ``subset``."""
+    name = subset.expert_id.label
     path = _require_file(_ckpt_path(cfg, f"expert_{name}"), "tailens train-experts")
     expert = load_expert_checkpoint(path)
     top = int(expert.subset.classes.max())
@@ -92,7 +94,6 @@ def _load_expert(cfg: RunConfig, name: str, bundle) -> ExpertModel:
             f"{path}: expert reads {expert.params.dims[0]} features, "
             f"the bundle has {bundle.feature_dim}"
         )
-    subset = partition_subsets(frequency_folds(bundle, cfg), bundle.train)[EXPERT_NAMES.index(name)]
     if expert.subset.expert_id != subset.expert_id or not np.array_equal(
         expert.subset.classes, subset.classes
     ):
@@ -102,22 +103,22 @@ def _load_expert(cfg: RunConfig, name: str, bundle) -> ExpertModel:
     return expert
 
 
-def _require_val_folds(bundle, folds) -> None:
-    """Each expert is scored, and the selector learns to pick it, on the
-    validation samples of its fold, so every fold needs some."""
-    held = np.unique(folds.fold_of_samples(bundle.val.labels))
-    for fold in Fold:
-        if fold not in held:
-            raise DataError(f"the val split holds no {fold.label} sample; every fold needs one")
+def _load_ensemble(cfg: RunConfig, bundle=None) -> ExpertEnsemble:
+    """The three expert checkpoints over ``bundle`` (by default the
+    config's), each checked by :func:`_load_expert`."""
+    bundle = prepare_bundle(cfg) if bundle is None else bundle
+    folds = frequency_folds(bundle, cfg)
+    subsets = partition_subsets(folds, bundle.train)
+    return ExpertEnsemble(bundle, folds, tuple(_load_expert(cfg, bundle, s) for s in subsets))
 
 
-def _load_experts(cfg: RunConfig, bundle):
-    return tuple(_load_expert(cfg, name, bundle) for name in EXPERT_NAMES)
-
-
-def _load_ensemble(cfg: RunConfig) -> ExpertEnsemble:
-    bundle = prepare_bundle(cfg)
-    return ExpertEnsemble(bundle, frequency_folds(bundle, cfg), _load_experts(cfg, bundle))
+def _load_fusion(cfg: RunConfig, strategy: str, ensemble: ExpertEnsemble) -> FittedFusion:
+    """The strategy with the parameters ``train-fusion`` saved for it."""
+    params = None
+    if load := FUSIONS[strategy].load:
+        hint = f"tailens train-fusion --strategy {strategy}"
+        params = load(_require_file(_fusion_path(cfg, strategy), hint), ensemble)
+    return FittedFusion(strategy, params)
 
 
 def cmd_gen_data(cfg: RunConfig, args) -> None:
@@ -147,11 +148,8 @@ def cmd_train_experts(cfg: RunConfig, args) -> None:
     baseline = load_baseline_checkpoint(
         _require_file(_ckpt_path(cfg, "baseline"), "tailens train-baseline")
     )
-    folds = frequency_folds(bundle, cfg)
-    subsets = partition_subsets(folds, bundle.train)
-    _require_val_folds(bundle, folds)
     tables = []
-    for sel in select_experts(baseline, subsets, bundle, cfg, args.threads):
+    for sel in select_experts(baseline, bundle, cfg, args.threads):
         name = sel.expert.subset.expert_id.label
         save_expert_checkpoint(_ckpt_path(cfg, f"expert_{name}"), sel.expert)
         tables.append(
@@ -183,14 +181,12 @@ def cmd_dump_posteriors(cfg: RunConfig, args) -> None:
         )
         write_posterior_csv(out, ids, full_posterior_table(model, split.features))
     elif args.model == "experts":
-        experts = _load_experts(cfg, bundle)
-        partials = [expert_partial_posterior(e, split.features) for e in experts]
-        fused = FUSIONS["softvote"].apply(
-            partials, [e.subset for e in experts], bundle.class_count, None
-        )
+        ensemble = _load_ensemble(cfg, bundle)
+        fused = fused_posteriors(ensemble, FittedFusion("softvote"), cfg, args.split)
         write_posterior_csv(out, ids, fused)
     else:
-        expert = _load_expert(cfg, args.model, bundle)
+        subsets = partition_subsets(frequency_folds(bundle, cfg), bundle.train)
+        expert = _load_expert(cfg, bundle, subsets[EXPERT_NAMES.index(args.model)])
         partial = expert_partial_posterior(expert, split.features)
         write_partial_posterior_csv(out, ids, partial, expert.subset, rho=expert.rho)
     print(f"wrote {out}")
@@ -203,20 +199,13 @@ def cmd_train_fusion(cfg: RunConfig, args) -> None:
         atomic_write_json(path, {"strategy": args.strategy, "parameters": None})
         print(f"{args.strategy} needs no learned parameters; wrote marker {path}")
         return
-    ensemble = _load_ensemble(cfg)
-    if args.strategy == "select":
-        _require_val_folds(ensemble.bundle, ensemble.folds)
-    strategy.save(path, strategy.fit(ensemble))
+    strategy.save(path, strategy.fit(_load_ensemble(cfg)))
     print(f"wrote {path}")
 
 
 def cmd_evaluate(cfg: RunConfig, args) -> None:
     ensemble = _load_ensemble(cfg)
-    params = None
-    if load := FUSIONS[args.strategy].load:
-        hint = f"tailens train-fusion --strategy {args.strategy}"
-        params = load(_require_file(_fusion_path(cfg, args.strategy), hint), ensemble)
-    fused = fused_posteriors(ensemble, FittedFusion(args.strategy, params), cfg)
+    fused = fused_posteriors(ensemble, _load_fusion(cfg, args.strategy, ensemble), cfg)
     report = fourfold_accuracy(
         np.argmax(fused, axis=1), ensemble.bundle.test.labels, ensemble.folds
     )
@@ -271,12 +260,8 @@ def cmd_report(cfg: RunConfig, args) -> None:
 
     confusion = expert_confusion_matrix(partials, subsets, bundle.test.labels, folds)
     atomic_write_text(reports / "confusion_softvote.csv", confusion.to_csv())
-    calib_path = _fusion_path(cfg, "calibrate")
-    if calib_path.is_file():
-        calibrate = FUSIONS["calibrate"]
-        fused = calibrate.apply(
-            partials, subsets, bundle.class_count, calibrate.load(calib_path, ensemble)
-        )
+    if _fusion_path(cfg, "calibrate").is_file():
+        fused = fused_posteriors(ensemble, _load_fusion(cfg, "calibrate", ensemble), cfg)
         calibrated = expert_confusion_matrix(
             partials, subsets, bundle.test.labels, folds, fused_probabilities=fused
         )

@@ -90,6 +90,13 @@ class RunConfig:
             raise ConfigError("every rho in expert.rho_grid must be >= 1")
         if any(f < 0 for f in self.expert.frozen_grid):
             raise ConfigError("frozen layer counts must be >= 0")
+        # an expert has len(hidden_dims) backbone layers under its new head
+        hidden = self.training.hidden_dims
+        if bad := [f for f in self.expert.frozen_grid if f > len(hidden)]:
+            raise ConfigError(
+                f"expert.frozen_grid value {bad[0]} freezes the expert's new head: "
+                f"with training.hidden_dims = {_render_value(hidden)!r} it must be <= {len(hidden)}"
+            )
         if self.fusion.strategy not in FUSION_STRATEGIES:
             raise ConfigError(
                 f"fusion.strategy must be one of {FUSION_STRATEGIES}, "

@@ -372,11 +372,16 @@ class SamplerMode:
     """Mini-batch sampling regime.
 
     * ``instance_balanced`` draws uniformly over samples.
-    * ``uniform_class`` draws a class uniformly, then a sample within it.
+    * ``uniform_class`` draws a class uniformly, then a sample within it,
+      from one pair of uniforms per row.
     * ``reject_undersampled`` draws each sample with weight 1, or 1/rho
       when it carries the reject label: the distribution of drawing
       uniformly and keeping a reject draw with probability 1/rho, taken in
       one weighted draw per row.
+
+    Every mode makes one generator call per batch, row by row, so one draw
+    of k * b rows gives the rows of k draws of b rows in order and leaves
+    the generator in the same state; training draws each epoch in one call.
     """
 
     kind: str
@@ -389,14 +394,6 @@ class SamplerMode:
             raise ValueError(
                 f"undersampling ratio must be finite and >= 1, got {self.rho}"
             )
-
-    @property
-    def draws_concatenate(self) -> bool:
-        """Whether one draw of k * b rows gives the rows of k draws of b rows
-        in order, leaving the generator in the same state: true for the
-        modes that take one generator call per batch, false for
-        ``uniform_class``, which interleaves two."""
-        return self.kind != "uniform_class"
 
     @classmethod
     def instance_balanced(cls) -> "SamplerMode":
@@ -441,8 +438,9 @@ def draw_batch(
                 f"class {int(empty[0])} has no samples"
             )
         order, bounds = dataset.class_order()
-        cls = rng.integers(0, dataset.class_count, size=batch_size)
-        within = (rng.random(batch_size) * freq[cls]).astype(np.int64)
+        u = rng.random((batch_size, 2))
+        cls = (u[:, 0] * dataset.class_count).astype(np.int64)
+        within = (u[:, 1] * freq[cls]).astype(np.int64)
         idx = order[bounds[cls] + within]
     else:  # reject_undersampled
         # one uniform per row over the total weight: [0, n_kept) holds the

@@ -96,29 +96,22 @@ def train_baseline(
 
 
 def finetune_uniform_classifier(
-    baseline: BaselineModel,
-    bundle: DatasetBundle,
-    config: TrainConfig,
-    *,
-    full_trace: bool = True,
+    baseline: BaselineModel, bundle: DatasetBundle, config: TrainConfig
 ) -> tuple[BaselineModel, list[float]]:
     """Refit only the classifier head with uniform class sampling.
 
     The whole backbone is frozen, so feature extraction stays bit-identical
-    to the baseline while the decision boundary is rebalanced. The trace is
-    :func:`train_network`'s, or with ``full_trace=False`` the cheaper one of
-    :func:`fit_networks`; the weights are the same bits either way.
+    to the baseline while the decision boundary is rebalanced. Training runs
+    :func:`fit_networks`, so the trace is the mean mini-batch loss of each
+    epoch under class-balanced sampling (``epochs`` entries): the loss the
+    refit minimizes, not the long-tailed full-dataset loss.
     """
-    backbone_layers = baseline.params.layer_count - 1
     cfg = replace(
         config,
         sampler=SamplerMode.uniform_class(),
-        frozen_layers=backbone_layers,
+        frozen_layers=baseline.params.layer_count - 1,
     )
-    if full_trace:
-        trained, trace = train_network(baseline.params, bundle.train, cfg)
-    else:
-        trained, trace = _only_outcome(fit_networks(baseline.params, bundle.train, [cfg]))
+    trained, trace = _only_outcome(fit_networks(baseline.params, bundle.train, [cfg]))
     return BaselineModel(trained), trace
 
 

@@ -13,17 +13,16 @@ the dataset and every setting but the sampler and the seed (G = 1 for
 ``(G, fan_in, fan_out)`` arrays, each member has its own generator, and
 every step runs through ``_Step`` over the whole stack, whose buffers are
 allocated once per stack. It draws an epoch's rows in one sampler call per
-member where that leaves the generator's stream unchanged
-(``instance_balanced`` and ``reject_undersampled``; ``uniform_class`` still
-draws per step), and computes a frozen prefix's activations over the whole
-dataset once and gathers batches from that table. A member whose loss or
-weights go non-finite at the end of an epoch leaves the stack and gets a
-:class:`DivergenceError`; the others go on. ``_Step`` is also what
-:func:`backward_gradients` runs, so the gradient checks cover the training
-arithmetic. Each member's weights, trace and divergence epoch are bitwise
-those of a plain loop that trains it alone, drawing a batch, calling
-:func:`backward_gradients` and updating once per step; the tests keep that
-loop as the reference.
+member, which leaves each generator's stream as per-step draws would (see
+:class:`~tailens.dataset.SamplerMode`), and computes a frozen prefix's
+activations over the whole dataset once and gathers batches from that
+table. A member whose loss or weights go non-finite at the end of an epoch
+leaves the stack and gets a :class:`DivergenceError`; the others go on.
+``_Step`` is also what :func:`backward_gradients` runs, so the gradient
+checks cover the training arithmetic. Each member's weights, trace and
+divergence epoch are bitwise those of a plain loop that trains it alone,
+drawing a batch, calling :func:`backward_gradients` and updating once per
+step; the tests keep that loop as the reference.
 """
 
 from __future__ import annotations
@@ -328,20 +327,20 @@ def _sgd(
     params: NetworkParams,
     dataset: EmbeddingDataset,
     configs: list[TrainConfig],
-    full_trace: bool,
+    dataset_trace: bool,
 ) -> list:
     """The SGD loop behind :func:`train_network` and :func:`fit_networks`:
     one member per config, trained in lockstep.
 
     The configs may differ only in their sampler and seed; each member has
     its own generator and trains bitwise as it would alone. With
-    ``full_trace`` each epoch's loss is the full-dataset loss after the
+    ``dataset_trace`` each epoch's loss is the full-dataset loss after the
     epoch (plus one before training); without it, the mean of the epoch's
     batch losses, each taken before its update, and the updated weights must
     also be finite. A member whose loss goes non-finite leaves the stack at
     the end of that epoch. Returns one outcome per config, in order: the
     trained parameters and the trace, or the :class:`DivergenceError` that
-    reports the epoch. The updates do not depend on ``full_trace``.
+    reports the epoch. The updates do not depend on ``dataset_trace``.
     """
     config = configs[0]
     for other in configs[1:]:
@@ -360,7 +359,7 @@ def _sgd(
     steps_per_epoch = max(1, dataset.n // rows)
     outcomes: list = [None] * len(configs)
     traces = [[] for _ in configs]
-    if full_trace:
+    if dataset_trace:
         loss = dataset_loss(params, dataset)
         if not math.isfinite(loss):
             return [DivergenceError("initial loss is non-finite", epoch=0) for _ in configs]
@@ -381,7 +380,6 @@ def _sgd(
         source = dataset.with_features(table)
 
     rngs = [np.random.default_rng(c.seed) for c in configs]
-    per_epoch = all(c.sampler.draws_concatenate for c in configs)
     alive = list(range(len(configs)))  # the members still in the stack, by slot
     trained = [  # stacked copies of the trained layers
         (np.repeat(w[None], len(alive), axis=0), np.repeat(b[None, None], len(alive), axis=0))
@@ -403,28 +401,19 @@ def _sgd(
         # per step, member and row: sum_c exp(z - max z) and the label's z - max z
         sums = np.empty((steps_per_epoch, count, rows))
         label_logits = np.empty((steps_per_epoch, count, rows))
-        # one epoch's batches, or one step's when the sampler draws per step
-        draws = steps_per_epoch if per_epoch else 1
-        xs = np.empty((draws, count, rows, source.feature_dim))
-        ys = np.empty((draws, count, rows), dtype=np.int64)
+        xs = np.empty((steps_per_epoch, count, rows, source.feature_dim))
+        ys = np.empty((steps_per_epoch, count, rows), dtype=np.int64)
         return step, scratch, sums, label_logits, xs, ys
 
     step, scratch, row_sums, label_logits, xs, ys = restack()
     for epoch in range(config.epochs):
         lr = cosine_lr(config.lr0, epoch, config.epochs)
-        if per_epoch:
-            for slot, m in enumerate(alive):
-                x, y = draw_batch(source, configs[m].sampler, steps_per_epoch * rows, rngs[m])
-                xs[:, slot] = x.reshape(steps_per_epoch, rows, -1)
-                ys[:, slot] = y.reshape(steps_per_epoch, rows)
+        for slot, m in enumerate(alive):
+            x, y = draw_batch(source, configs[m].sampler, steps_per_epoch * rows, rngs[m])
+            xs[:, slot] = x.reshape(steps_per_epoch, rows, -1)
+            ys[:, slot] = y.reshape(steps_per_epoch, rows)
         for s in range(steps_per_epoch):
-            if not per_epoch:
-                for slot, m in enumerate(alive):
-                    xs[0, slot], ys[0, slot] = draw_batch(
-                        source, configs[m].sampler, rows, rngs[m]
-                    )
-            d = s if per_epoch else 0
-            grads = step(xs[d], ys[d], row_sums[s], label_logits[s])
+            grads = step(xs[s], ys[s], row_sums[s], label_logits[s])
             for (w, b), (gw, gb), (tw, tb) in zip(trained, grads, scratch):
                 if config.weight_decay:
                     np.multiply(w, config.weight_decay, out=tw)
@@ -436,7 +425,7 @@ def _sgd(
 
         keep = []
         for slot, m in enumerate(alive):
-            if full_trace:
+            if dataset_trace:
                 loss = dataset_loss(views[m], dataset)
             elif all(np.isfinite(w[slot]).all() and np.isfinite(b[slot]).all()
                      for w, b in trained):
@@ -490,7 +479,7 @@ def train_network(
     when the trace is not needed: it trains bit-identical parameters
     without the full-dataset passes.
     """
-    return _only_outcome(_sgd(params, dataset, [config], full_trace=True))
+    return _only_outcome(_sgd(params, dataset, [config], dataset_trace=True))
 
 
 def fit_networks(params: NetworkParams, dataset: EmbeddingDataset, configs) -> list:
@@ -511,7 +500,7 @@ def fit_networks(params: NetworkParams, dataset: EmbeddingDataset, configs) -> l
     configs = list(configs)
     if not configs:
         raise ValueError("need at least one config")
-    return _sgd(params, dataset, configs, full_trace=False)
+    return _sgd(params, dataset, configs, dataset_trace=False)
 
 
 def _central_difference_error(loss, arrays, grads, eps: float) -> float:

@@ -109,36 +109,44 @@ def frequency_folds(bundle: DatasetBundle, cfg: RunConfig) -> FoldAssignment:
     return assign_folds(bundle.train, (cfg.dataset.many_min, cfg.dataset.few_max))
 
 
-def _baseline_config(cfg: RunConfig) -> TrainConfig:
-    return train_config_from(cfg.training, seed=cfg.training.seed + SEED_BASELINE)
-
-
-def _uniform_config(cfg: RunConfig) -> TrainConfig:
-    return train_config_from(cfg.training, seed=cfg.training.seed + SEED_UNIFORM, stage="uniform")
-
-
 def train_baselines(
     bundle: DatasetBundle, cfg: RunConfig
 ) -> tuple[tuple[BaselineModel, list[float]], tuple[BaselineModel, list[float]]]:
     """The baseline on the long-tailed train split, then its head refit with
     uniform class sampling; ``(model, loss trace)`` for each."""
-    baseline, trace = train_baseline(bundle, _baseline_config(cfg))
-    uniform, uniform_trace = finetune_uniform_classifier(baseline, bundle, _uniform_config(cfg))
+    root = cfg.training.seed
+    baseline, trace = train_baseline(
+        bundle, train_config_from(cfg.training, seed=root + SEED_BASELINE)
+    )
+    uniform, uniform_trace = finetune_uniform_classifier(
+        baseline, bundle, train_config_from(cfg.training, seed=root + SEED_UNIFORM, stage="uniform")
+    )
     return (baseline, trace), (uniform, uniform_trace)
 
 
-def select_experts(
-    baseline: BaselineModel,
-    subsets,
-    bundle: DatasetBundle,
-    cfg: RunConfig,
-    threads: int = 1,
-) -> tuple[HyperparamSelection, ...]:
-    """Grid-search (rho, frozen_layers) and train one expert per subset.
+def _val_folds(bundle: DatasetBundle, folds: FoldAssignment) -> np.ndarray:
+    """The fold of each validation sample. Each expert is scored, and the
+    selector learns to pick it, on the validation samples of its fold, so a
+    fold without one raises a :class:`DataError`."""
+    of_samples = folds.fold_of_samples(bundle.val.labels)
+    for fold in Fold:
+        if not np.any(of_samples == fold):
+            raise DataError(f"the val split holds no {fold.label} sample; every fold needs one")
+    return of_samples
 
-    Selections come back in subset order. Each subset's search derives its
+
+def select_experts(
+    baseline: BaselineModel, bundle: DatasetBundle, cfg: RunConfig, threads: int = 1
+) -> tuple[HyperparamSelection, ...]:
+    """Grid-search (rho, frozen_layers) and train one expert per subset of
+    the config's frequency folds.
+
+    Selections come back in fold order. Each subset's search derives its
     own seed, so ``threads`` (the worker pool size) only changes wall time.
     """
+    folds = frequency_folds(bundle, cfg)
+    subsets = partition_subsets(folds, bundle.train)
+    _val_folds(bundle, folds)
     root = cfg.training.seed
 
     def run_selection(subset: SubsetSpec) -> HyperparamSelection:
@@ -193,23 +201,18 @@ class TrainedEnsemble(ExpertEnsemble):
 
 
 def train_all(bundle: DatasetBundle, cfg: RunConfig, threads: int = 1) -> TrainedEnsemble:
-    """Train baseline, uniform finetune, and the three experts (with grids).
+    """Train baseline, uniform finetune, and the three experts (with grids)
+    through :func:`train_baselines` and :func:`select_experts`, the stages
+    that ``tailens train-baseline`` and ``train-experts`` run.
 
     Thread count only affects wall-clock time: every task derives its own
     seed, so the results are identical for any ``threads`` value.
     """
-    folds = frequency_folds(bundle, cfg)
-    subsets = partition_subsets(folds, bundle.train)
-    baseline, trace = train_baseline(bundle, _baseline_config(cfg))
-    # the same weights as train_baselines' uniform model; its full-dataset
-    # trace is not kept, so it is not computed
-    uniform, _ = finetune_uniform_classifier(
-        baseline, bundle, _uniform_config(cfg), full_trace=False
-    )
-    selections = select_experts(baseline, subsets, bundle, cfg, threads)
+    (baseline, trace), (uniform, _) = train_baselines(bundle, cfg)
+    selections = select_experts(baseline, bundle, cfg, threads)
     return TrainedEnsemble(
         bundle=bundle,
-        folds=folds,
+        folds=frequency_folds(bundle, cfg),
         experts=tuple(sel.expert for sel in selections),
         baseline=baseline,
         baseline_trace=tuple(trace),
@@ -360,7 +363,7 @@ FUSIONS: dict[str, FusionStrategy] = {
             partials, params, subsets, c
         ),
         fit=lambda ensemble: train_expert_selector(
-            ensemble.partials("val"), ensemble.folds.fold_of_samples(ensemble.bundle.val.labels)
+            ensemble.partials("val"), _val_folds(ensemble.bundle, ensemble.folds)
         ),
         save=lambda path, model: _save_meta_model(path, "selector", model),
         load=lambda path, ensemble: _load_meta_model(path, "selector", ensemble),

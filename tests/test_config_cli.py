@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from tailens import DataError
 from tailens.cli import main
 from tailens.config import (
     FUSION_STRATEGIES,
@@ -15,6 +16,7 @@ from tailens.config import (
     parse_config,
     serialize_config,
 )
+from tailens.dataset import DatasetBundle, EmbeddingDataset
 from tailens.evaluation import fourfold_accuracy
 from tailens._newton import CERTIFICATE_TOL
 from tailens import network, pipeline
@@ -116,6 +118,34 @@ class TestConfigRoundTrip:
         path.write_text(text)
         assert run_cli("oracle", path) == 2
         assert capsys.readouterr().err == f"error: config: {message}\n"
+
+    @pytest.mark.parametrize(
+        "hidden, grid, bad",
+        [("", "0,1", 1), ("64", "0,2", 2), ("64,32", "3", 3)],
+        ids=["no-hidden-layer", "one-hidden-layer", "two-hidden-layers"],
+    )
+    def test_frozen_grid_may_not_freeze_the_expert_head(
+        self, tmp_path, capsys, hidden, grid, bad
+    ):
+        # an expert has len(hidden_dims) backbone layers under its new head;
+        # freezing more trains nothing
+        out = tmp_path / "out"
+        text = (
+            f"[training]\nseed = 0\nhidden_dims = {hidden}\n"
+            f"[expert]\nfrozen_grid = {grid}\n[paths]\nout_dir = {out}\n"
+        )
+        message = (
+            f"expert.frozen_grid value {bad} freezes the expert's new head: with "
+            f"training.hidden_dims = {hidden!r} it must be <= {bad - 1}"
+        )
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            parse_config(text)
+        path = tmp_path / "bad.ini"
+        path.write_text(text)
+        assert run_cli("train-experts", path) == 2
+        assert capsys.readouterr().err == f"error: config: {message}\n"
+        head_only = text.replace(f"frozen_grid = {grid}", f"frozen_grid = {bad - 1}")
+        assert parse_config(head_only).expert.frozen_grid == (bad - 1,)
 
     def test_load_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
@@ -287,15 +317,14 @@ class TestCliMatchesPipeline:
     def test_library_uniform_is_the_cli_uniform_without_its_trace(
         self, cli_and_library_runs, monkeypatch
     ):
-        # train_all keeps no uniform trace, so it skips the uniform
-        # finetune's full-dataset losses; the weights are the CLI's, whose
-        # train-baseline still writes that trace
+        # the uniform finetune computes no full-dataset loss: its trace, which
+        # train_all does not keep, is one batch-mean loss per epoch
         cfg, out, ens = cli_and_library_runs
         uniform = load_baseline_checkpoint(out / "checkpoints" / "uniform.ckpt")
         for (wa, ba), (wb, bb) in zip(uniform.params.layers, ens.uniform.params.layers):
             assert wa.tobytes() == wb.tobytes() and ba.tobytes() == bb.tobytes()
         traces = json.loads((out / "checkpoints" / "train_traces.json").read_text())
-        assert len(traces["uniform"]) == cfg.training.epochs + 1
+        assert len(traces["uniform"]) == cfg.training.epochs
 
         calls = []
         dataset_loss = network.dataset_loss
@@ -520,6 +549,25 @@ class TestCliErrors:
         assert run_cli(command[0], write_config_file(tmp_path, loaded), *command[1:]) == 3
         err = capsys.readouterr().err
         assert err == "error: data: the val split holds no fewshot sample; every fold needs one\n"
+
+    @pytest.mark.filterwarnings("ignore:val split is not class-balanced")
+    @pytest.mark.parametrize("stage", ["train_all", "train_fusion"])
+    def test_library_val_split_without_a_fold_is_data_error(self, cli_and_library_runs, stage):
+        # the fewshot classes are 3, 4 and 5; the val split keeps none
+        cfg, _, trained = cli_and_library_runs
+        val = trained.bundle.val
+        kept = val.labels < 3
+        bundle = DatasetBundle(
+            trained.bundle.train,
+            EmbeddingDataset(val.features[kept], val.labels[kept], val.class_count),
+            trained.bundle.test,
+        )
+        message = "the val split holds no fewshot sample; every fold needs one"
+        with pytest.raises(DataError, match=message):
+            if stage == "train_all":
+                train_all(bundle, cfg)
+            else:
+                train_fusion(ExpertEnsemble(bundle, trained.folds, trained.experts), cfg, "select")
 
     def test_corrupt_calibration_file_is_data_error(self, tmp_path, capsys):
         out = tmp_path / "out"

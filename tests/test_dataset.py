@@ -309,14 +309,36 @@ class TestDrawBatch:
         bounds = np.concatenate(([0], np.cumsum(freq)))
         expected = []
         for _ in range(3):
-            cls = rng.integers(0, ds.class_count, size=64)
-            within = (rng.random(64) * freq[cls]).astype(np.int64)
+            u = rng.random((64, 2))
+            cls = (u[:, 0] * ds.class_count).astype(np.int64)
+            within = (u[:, 1] * freq[cls]).astype(np.int64)
             expected.append(order[bounds[cls] + within])
         rng = np.random.default_rng(42)
         for idx in expected:
             x, y = draw_batch(ds, SamplerMode.uniform_class(), 64, rng)
             assert np.array_equal(x, ds.features[idx])
             assert np.array_equal(y, ds.labels[idx])
+
+    @pytest.mark.parametrize(
+        "mode",
+        [
+            SamplerMode.instance_balanced(),
+            SamplerMode.uniform_class(),
+            SamplerMode.reject_undersampled(3.5),
+        ],
+        ids=["instance", "uniform", "reject"],
+    )
+    def test_one_draw_of_k_batches_is_k_draws(self, mode):
+        # training draws an epoch of k batches in one call; it must see the
+        # rows and leave the generator state of k one-batch draws
+        ds = _dataset_from_frequencies([50, 3, 20, 1, 26])
+        k, b = 4, 16
+        one, many = np.random.default_rng(9), np.random.default_rng(9)
+        x, y = draw_batch(ds, mode, k * b, one)
+        batches = [draw_batch(ds, mode, b, many) for _ in range(k)]
+        assert np.array_equal(x, np.concatenate([bx for bx, _ in batches]))
+        assert np.array_equal(y, np.concatenate([by for _, by in batches]))
+        assert one.bit_generator.state == many.bit_generator.state
 
     def test_class_order_is_cached_and_read_only(self):
         ds = _dataset_from_frequencies([5, 2, 3])

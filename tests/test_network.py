@@ -336,9 +336,9 @@ def assert_same_bits(a, b):
 
 
 class TestKernelMatchesReference:
-    """The training kernel draws each epoch's rows at once where the sampler
-    allows it, gathers a frozen prefix's activations from a table and
-    writes into preallocated buffers; none of that may change a bit."""
+    """The training kernel draws each epoch's rows at once, gathers a frozen
+    prefix's activations from a table and writes into preallocated buffers;
+    none of that may change a bit."""
 
     @pytest.mark.parametrize("frozen", [0, 1, 2, 3])
     @pytest.mark.parametrize(
