@@ -37,7 +37,6 @@ from .network import (
     TrainConfig,
     backward_gradients,
     cosine_lr,
-    cross_entropy_loss,
     finite_diff_check,
     forward_logits,
     init_network,
@@ -59,7 +58,6 @@ from .experts import (
     save_baseline_checkpoint,
     save_expert_checkpoint,
     select_expert_hyperparams,
-    suggest_rho,
     train_baseline,
     train_expert,
 )

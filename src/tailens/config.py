@@ -13,7 +13,7 @@ import io
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-from .dataset import DEFAULT_FEW_MAX, DEFAULT_MANY_MIN
+from .dataset import DEFAULT_FEW_MAX, DEFAULT_MANY_MIN, SyntheticConfig
 
 
 class ConfigError(ValueError):
@@ -36,6 +36,10 @@ class DatasetSection:
     noise_scale: float = 1.0
     many_min: int = DEFAULT_MANY_MIN
     few_max: int = DEFAULT_FEW_MAX
+
+    def synthetic(self) -> SyntheticConfig:
+        """The generator's settings; a ValueError names one out of range."""
+        return SyntheticConfig(**{f.name: getattr(self, f.name) for f in fields(SyntheticConfig)})
 
 
 @dataclass(frozen=True)
@@ -82,6 +86,11 @@ class RunConfig:
             raise ConfigError(f"dataset.source must be generate or load, got {d.source!r}")
         if d.source == "load" and not d.manifest:
             raise ConfigError("dataset.source=load requires dataset.manifest")
+        if d.source == "generate":
+            try:
+                d.synthetic()
+            except ValueError as exc:
+                raise ConfigError(f"dataset: {exc}") from None
         if not d.many_min > d.few_max > 0:
             raise ConfigError("dataset thresholds must satisfy many_min > few_max > 0")
         if not self.expert.rho_grid or not self.expert.frozen_grid:
@@ -104,6 +113,10 @@ class RunConfig:
             )
         if self.training.lr0 <= 0 or self.training.epochs < 1 or self.training.batch_size < 1:
             raise ConfigError("training requires lr0 > 0, epochs >= 1, batch_size >= 1")
+        if self.training.weight_decay < 0:
+            raise ConfigError("training.weight_decay must be >= 0")
+        if any(width < 1 for width in hidden):
+            raise ConfigError("every width in training.hidden_dims must be >= 1")
         if self.training.expert_epochs < 0 or self.training.uniform_epochs < 0:
             raise ConfigError("expert_epochs and uniform_epochs must be >= 0 (0 inherits epochs)")
         if not self.paths.out_dir:

@@ -482,6 +482,18 @@ class SyntheticConfig:
     n_test_per_class: int
     noise_scale: float
 
+    def __post_init__(self):
+        if self.class_count < 3:
+            raise ValueError("need at least 3 classes")
+        if self.feature_dim < 2:
+            raise ValueError("need feature_dim >= 2")
+        if self.n_max < 1 or self.alpha <= 0:
+            raise ValueError("n_max must be >= 1 and alpha > 0")
+        if self.n_val_per_class < 1 or self.n_test_per_class < 1:
+            raise ValueError("val/test per-class counts must be >= 1")
+        if not self.noise_scale > 0:
+            raise ValueError("noise_scale must be positive")
+
 
 def generate_longtailed(
     config: SyntheticConfig,
@@ -496,17 +508,6 @@ def generate_longtailed(
     under ``thresholds`` are rejected, because the three-expert split would
     be ill-defined.
     """
-    if config.class_count < 3:
-        raise ValueError("need at least 3 classes")
-    if config.feature_dim < 2:
-        raise ValueError("need feature_dim >= 2")
-    if config.n_max < 1 or config.alpha <= 0:
-        raise ValueError("n_max must be >= 1 and alpha > 0")
-    if config.n_val_per_class < 1 or config.n_test_per_class < 1:
-        raise ValueError("val/test per-class counts must be >= 1")
-    if not config.noise_scale > 0:
-        raise ValueError("noise_scale must be positive")
-
     freq = powerlaw_frequencies(config.class_count, config.n_max, config.alpha)
     assignment = FoldAssignment.from_frequencies(freq, thresholds)
     for fold in Fold:

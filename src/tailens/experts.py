@@ -29,7 +29,6 @@ from .network import (
     DivergenceError,
     NetworkParams,
     TrainConfig,
-    _only_outcome,
     fit_networks,
     forward_logits,
     init_network,
@@ -101,17 +100,16 @@ def finetune_uniform_classifier(
     """Refit only the classifier head with uniform class sampling.
 
     The whole backbone is frozen, so feature extraction stays bit-identical
-    to the baseline while the decision boundary is rebalanced. Training runs
-    :func:`fit_networks`, so the trace is the mean mini-batch loss of each
-    epoch under class-balanced sampling (``epochs`` entries): the loss the
-    refit minimizes, not the long-tailed full-dataset loss.
+    to the baseline while the decision boundary is rebalanced. The trace is
+    the mean mini-batch loss of each epoch under class-balanced sampling:
+    the loss the refit minimizes, not the long-tailed dataset's.
     """
     cfg = replace(
         config,
         sampler=SamplerMode.uniform_class(),
         frozen_layers=baseline.params.layer_count - 1,
     )
-    trained, trace = _only_outcome(fit_networks(baseline.params, bundle.train, [cfg]))
+    trained, trace = train_network(baseline.params, bundle.train, cfg)
     return BaselineModel(trained), trace
 
 
@@ -150,13 +148,11 @@ def train_expert(
 
     Backbone weights start as copies of the baseline's; the (k+1)-way head is
     re-initialized. The first ``frozen_layers`` layers never change, so they
-    remain bit-identical to the baseline. Training runs :func:`fit_networks`
-    on this one config, so the returned trace is the mean mini-batch loss of
-    each epoch (``epochs`` entries), not a full-dataset loss.
+    remain bit-identical to the baseline.
     """
     cfg = _expert_config(config, rho, frozen_layers)
     fresh, relabeled = _expert_start(baseline, subset, bundle, config)
-    trained, trace = _only_outcome(fit_networks(fresh, relabeled, [cfg]))
+    trained, trace = train_network(fresh, relabeled, cfg)
     expert = ExpertModel(
         params=trained, subset=subset, rho=float(rho), frozen_layers=frozen_layers
     )
@@ -230,9 +226,9 @@ def select_expert_hyperparams(
     train in lockstep in one :func:`fit_networks` call. Ties go to the
     larger rho, then to the larger frozen-layer count (the cheaper model).
     The winning expert is returned alongside the full score table, whose
-    order is rho outer, frozen inner. If any point diverges, the
-    :class:`DivergenceError` of the first such point in table order is
-    raised; points after it in table order are not trained.
+    order is rho outer, frozen inner. Every point is trained; if any
+    diverges, the :class:`DivergenceError` of the first such point in table
+    order is raised.
     """
     rho_grid = [float(r) for r in rho_grid]
     frozen_grid = [int(f) for f in frozen_grid]
@@ -243,18 +239,12 @@ def select_expert_hyperparams(
     points = [(rho, frozen) for rho in rho_grid for frozen in frozen_grid]
     configs = [_expert_config(config, rho, frozen) for rho, frozen in points]
     outcomes: list = [None] * len(points)
-    first_bad = len(points)  # table index of the first diverged point
     for column in range(len(frozen_grid)):
-        group = list(range(column, first_bad, len(frozen_grid)))
-        if not group:
-            continue
-        results = fit_networks(fresh, relabeled, [configs[i] for i in group])
-        for i, outcome in zip(group, results):
-            outcomes[i] = outcome
-            if isinstance(outcome, DivergenceError):
-                first_bad = min(first_bad, i)
-    if first_bad < len(points):
-        raise outcomes[first_bad]
+        group = slice(column, None, len(frozen_grid))  # one frozen value's points
+        outcomes[group] = fit_networks(fresh, relabeled, configs[group])
+    for outcome in outcomes:
+        if isinstance(outcome, DivergenceError):
+            raise outcome
 
     table: list[GridPoint] = []
     best: tuple[float, float, int] | None = None
@@ -274,16 +264,6 @@ def select_expert_hyperparams(
         table=tuple(table),
         expert=best_expert,
     )
-
-
-def suggest_rho(train: EmbeddingDataset, subset: SubsetSpec) -> float:
-    """Reject-to-subset sample ratio, the rho that balances a batch in
-    expectation. Clipped to 1 when the subset already dominates."""
-    in_count = int(train.class_frequency[subset.classes].sum())
-    if in_count == 0:
-        raise ValueError("subset has no training samples")
-    reject = train.n - in_count
-    return max(1.0, reject / in_count)
 
 
 def save_expert_checkpoint(path, expert: ExpertModel) -> None:

@@ -6,19 +6,19 @@ excludes a leading prefix of layers from updates, which is how experts reuse
 a shared backbone. Forward evaluation, losses, and gradients are pure
 functions; training copies its input parameters and returns a new set.
 
-Training runs one kernel, ``_sgd``, for :func:`train_network` and
-:func:`fit_networks`. It trains a stack of G members that share the start,
-the dataset and every setting but the sampler and the seed (G = 1 for
-:func:`train_network`): the trained weights are
-``(G, fan_in, fan_out)`` arrays, each member has its own generator, and
-every step runs through ``_Step`` over the whole stack, whose buffers are
-allocated once per stack. It draws an epoch's rows in one sampler call per
-member, which leaves each generator's stream as per-step draws would (see
-:class:`~tailens.dataset.SamplerMode`), and computes a frozen prefix's
-activations over the whole dataset once and gathers batches from that
-table. A member whose loss or weights go non-finite at the end of an epoch
-leaves the stack and gets a :class:`DivergenceError`; the others go on.
-``_Step`` is also what :func:`backward_gradients` runs, so the gradient
+Training runs one kernel, :func:`fit_networks`; :func:`train_network` is
+its one-member form. It trains a stack of G members that share the start,
+the dataset and every setting but the sampler and the seed: the trained
+weights are ``(G, fan_in, fan_out)`` arrays, each member has its own
+generator, and every step runs through ``_Step`` over the whole stack,
+whose buffers are allocated once. It draws an epoch's rows in one sampler
+call per member, which leaves each generator's stream as per-step draws
+would (see :class:`~tailens.dataset.SamplerMode`), and computes a frozen
+prefix's activations over the whole dataset once and gathers batches from
+that table. Every member's trace is the mean mini-batch loss of each
+epoch. A member whose loss or weights go non-finite at the end of an epoch
+gets a :class:`DivergenceError` and is ignored from then on; the others go
+on. ``_Step`` is also what :func:`backward_gradients` runs, so the gradient
 checks cover the training arithmetic. Each member's weights, trace and
 divergence epoch are bitwise those of a plain loop that trains it alone,
 drawing a batch, calling :func:`backward_gradients` and updating once per
@@ -38,8 +38,6 @@ from ._io import DataError, atomic_write_bytes
 from .dataset import EmbeddingDataset, SamplerMode, draw_batch
 
 CHECKPOINT_MAGIC = b"tailens-ckpt-v1\n"
-
-LOSS_PROBABILITY_FLOOR = 1e-12
 
 
 class DivergenceError(RuntimeError):
@@ -85,6 +83,8 @@ def init_network(dims, seed: int) -> NetworkParams:
     dims = [int(d) for d in dims]
     if len(dims) < 2:
         raise ValueError("dims must list input and output widths")
+    if min(dims) < 1:
+        raise ValueError(f"every layer width must be >= 1, got {dims}")
     rng = np.random.default_rng(seed)
     layers = []
     for fan_in, fan_out in zip(dims[:-1], dims[1:]):
@@ -126,16 +126,6 @@ def log_softmax(z) -> np.ndarray:
     z = np.asarray(z, dtype=np.float64)
     shifted = z - z.max(axis=-1, keepdims=True)
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-
-
-def cross_entropy_loss(probabilities, label: int) -> float:
-    """Negative log probability of ``label``, clamped at -log(1e-12)."""
-    p = np.asarray(probabilities, dtype=np.float64)
-    if p.ndim != 1:
-        raise ValueError("expected a single probability vector")
-    if not 0 <= label < len(p):
-        raise ValueError(f"label {label} out of range for {len(p)} classes")
-    return float(-np.log(max(p[label], LOSS_PROBABILITY_FLOOR)))
 
 
 def batch_loss(params: NetworkParams, features, labels) -> float:
@@ -257,7 +247,7 @@ def backward_gradients(
     empty list when every layer is frozen. With ``return_loss`` the result
     is ``(loss, grads)``, where ``loss`` is the batch's mean cross-entropy
     (log-sum-exp minus the label logit) from the same forward pass. This is
-    the arithmetic of every SGD step in :func:`train_network`.
+    the arithmetic of every SGD step in :func:`fit_networks`.
     """
     features = np.atleast_2d(np.asarray(features, dtype=np.float64))
     labels = np.atleast_1d(np.asarray(labels, dtype=np.int64))
@@ -323,25 +313,24 @@ def dataset_loss(params: NetworkParams, dataset: EmbeddingDataset) -> float:
     return batch_loss(params, dataset.features, dataset.labels)
 
 
-def _sgd(
-    params: NetworkParams,
-    dataset: EmbeddingDataset,
-    configs: list[TrainConfig],
-    dataset_trace: bool,
-) -> list:
-    """The SGD loop behind :func:`train_network` and :func:`fit_networks`:
-    one member per config, trained in lockstep.
+def fit_networks(params: NetworkParams, dataset: EmbeddingDataset, configs) -> list:
+    """SGD with a per-epoch cosine schedule and weight decay on weights, from
+    one start for several configs at once.
 
-    The configs may differ only in their sampler and seed; each member has
-    its own generator and trains bitwise as it would alone. With
-    ``dataset_trace`` each epoch's loss is the full-dataset loss after the
-    epoch (plus one before training); without it, the mean of the epoch's
-    batch losses, each taken before its update, and the updated weights must
-    also be finite. A member whose loss goes non-finite leaves the stack at
-    the end of that epoch. Returns one outcome per config, in order: the
-    trained parameters and the trace, or the :class:`DivergenceError` that
-    reports the epoch. The updates do not depend on ``dataset_trace``.
+    The configs may differ only in their sampler and seed. The members train
+    in lockstep, one stacked step per batch, and each gets bitwise the
+    parameters and trace it gets trained alone. Each member's trace has
+    ``epochs`` entries: the mean mini-batch loss of each epoch, each batch
+    scored before its own update. Divergence is detected from those batch
+    losses and from non-finite weights at the end of an epoch. Returns one
+    outcome per config, in order: new parameters (the input set is
+    untouched) and the trace, or a :class:`DivergenceError` with the epoch.
+    A diverged member keeps its slice of the stack but is ignored from the
+    end of its epoch on; the others go on.
     """
+    configs = list(configs)
+    if not configs:
+        raise ValueError("need at least one config")
     config = configs[0]
     for other in configs[1:]:
         if replace(other, sampler=config.sampler, seed=config.seed) != config:
@@ -355,22 +344,13 @@ def _sgd(
     if frozen > n_layers:
         raise ValueError(f"frozen_layers {frozen} exceeds {n_layers} layers")
 
-    rows = config.batch_size
-    steps_per_epoch = max(1, dataset.n // rows)
-    outcomes: list = [None] * len(configs)
-    traces = [[] for _ in configs]
-    if dataset_trace:
-        loss = dataset_loss(params, dataset)
-        if not math.isfinite(loss):
-            return [DivergenceError("initial loss is non-finite", epoch=0) for _ in configs]
-        for trace in traces:
-            trace.append(loss)
-
     # The frozen prefix never changes, so batches gather its activations
     # from one table over the dataset. A row of the table is bitwise the
     # batch's own activation because BLAS gemm rounds each output row alike
     # whatever the row count; a single row goes through gemv instead, which
     # rounds differently, so one-row batches and datasets keep the prefix.
+    rows, count = config.batch_size, len(configs)
+    steps_per_epoch = max(1, dataset.n // rows)
     start = min(frozen, n_layers - 1) if min(rows, dataset.n) > 1 else 0
     source = dataset
     if start:
@@ -379,39 +359,32 @@ def _sgd(
             table = np.maximum(table @ w + b, 0.0)
         source = dataset.with_features(table)
 
-    rngs = [np.random.default_rng(c.seed) for c in configs]
-    alive = list(range(len(configs)))  # the members still in the stack, by slot
-    trained = [  # stacked copies of the trained layers
-        (np.repeat(w[None], len(alive), axis=0), np.repeat(b[None, None], len(alive), axis=0))
+    trained = [  # stacked copies of the trained layers, one slice per member
+        (np.repeat(w[None], count, axis=0), np.repeat(b[None, None], count, axis=0))
         for w, b in params.layers[frozen:]
     ]
-    views = [NetworkParams(list(params.layers)) for _ in configs]  # each member's own
+    fixed = [
+        (np.broadcast_to(w, (count, *w.shape)), np.broadcast_to(b, (count, 1, len(b))))
+        for w, b in params.layers[start:frozen]
+    ]
+    step = _Step(params.layers[:start] + fixed + trained, rows, start, frozen)
+    scratch = [(np.empty_like(w), np.empty_like(b)) for w, b in trained]
+    # per step, member and row: sum_c exp(z - max z) and the label's z - max z
+    row_sums = np.empty((steps_per_epoch, count, rows))
+    label_logits = np.empty((steps_per_epoch, count, rows))
+    xs = np.empty((steps_per_epoch, count, rows, source.feature_dim))
+    ys = np.empty((steps_per_epoch, count, rows), dtype=np.int64)
 
-    def restack():
-        """Point the views at the stack and size the buffers to it."""
-        count = len(alive)
-        for slot, m in enumerate(alive):
-            views[m].layers[frozen:] = [(w[slot], b[slot, 0]) for w, b in trained]
-        fixed = [
-            (np.broadcast_to(w, (count, *w.shape)), np.broadcast_to(b, (count, 1, len(b))))
-            for w, b in params.layers[start:frozen]
-        ]
-        step = _Step(params.layers[:start] + fixed + trained, rows, start, frozen)
-        scratch = [(np.empty_like(w), np.empty_like(b)) for w, b in trained]
-        # per step, member and row: sum_c exp(z - max z) and the label's z - max z
-        sums = np.empty((steps_per_epoch, count, rows))
-        label_logits = np.empty((steps_per_epoch, count, rows))
-        xs = np.empty((steps_per_epoch, count, rows, source.feature_dim))
-        ys = np.empty((steps_per_epoch, count, rows), dtype=np.int64)
-        return step, scratch, sums, label_logits, xs, ys
-
-    step, scratch, row_sums, label_logits, xs, ys = restack()
+    rngs = [np.random.default_rng(c.seed) for c in configs]
+    traces = [[] for _ in configs]
+    diverged: list = [None] * count  # each member's DivergenceError, once it has one
     for epoch in range(config.epochs):
         lr = cosine_lr(config.lr0, epoch, config.epochs)
-        for slot, m in enumerate(alive):
-            x, y = draw_batch(source, configs[m].sampler, steps_per_epoch * rows, rngs[m])
-            xs[:, slot] = x.reshape(steps_per_epoch, rows, -1)
-            ys[:, slot] = y.reshape(steps_per_epoch, rows)
+        for m, c in enumerate(configs):
+            if diverged[m] is None:
+                x, y = draw_batch(source, c.sampler, steps_per_epoch * rows, rngs[m])
+                xs[:, m] = x.reshape(steps_per_epoch, rows, -1)
+                ys[:, m] = y.reshape(steps_per_epoch, rows)
         for s in range(steps_per_epoch):
             grads = step(xs[s], ys[s], row_sums[s], label_logits[s])
             for (w, b), (gw, gb), (tw, tb) in zip(trained, grads, scratch):
@@ -423,84 +396,49 @@ def _sgd(
                 np.multiply(gb, lr, out=tb)
                 np.subtract(b, tb, out=b)
 
-        keep = []
-        for slot, m in enumerate(alive):
-            if dataset_trace:
-                loss = dataset_loss(views[m], dataset)
-            elif all(np.isfinite(w[slot]).all() and np.isfinite(b[slot]).all()
-                     for w, b in trained):
+        for m in range(count):
+            if diverged[m] is not None:
+                continue
+            loss = math.nan
+            if all(np.isfinite(w[m]).all() and np.isfinite(b[m]).all() for w, b in trained):
                 # each batch's mean cross-entropy, summed in step order: the
                 # float a running sum of per-batch np.mean would give
-                batch_losses = np.log(row_sums[:, slot]) - label_logits[:, slot]
+                batch_losses = np.log(row_sums[:, m]) - label_logits[:, m]
                 loss = 0.0
                 for mean in (np.add.reduce(batch_losses, axis=1) / rows).tolist():
                     loss += mean
                 loss /= steps_per_epoch
-            else:
-                loss = math.nan
             if math.isfinite(loss):
                 traces[m].append(loss)
-                keep.append(slot)
             else:
-                outcomes[m] = DivergenceError(
+                diverged[m] = DivergenceError(
                     f"loss became non-finite at epoch {epoch}", epoch=epoch
                 )
-        if len(keep) < len(alive):
-            alive = [alive[slot] for slot in keep]
-            if not alive:
-                break
-            trained = [(w[keep], b[keep]) for w, b in trained]
-            step, scratch, row_sums, label_logits, xs, ys = restack()
+        if all(diverged):
+            break
 
-    for m in alive:
-        trained_params = NetworkParams([(w.copy(), b.copy()) for w, b in views[m].layers])
-        outcomes[m] = (trained_params, traces[m])
-    return outcomes
-
-
-def _only_outcome(outcomes: list) -> tuple[NetworkParams, list[float]]:
-    """The outcome of a one-member training: its parameters and trace, or
-    its :class:`DivergenceError` raised."""
-    (outcome,) = outcomes
-    if isinstance(outcome, DivergenceError):
-        raise outcome
-    return outcome
+    return [
+        error or (
+            NetworkParams(
+                [(w.copy(), b.copy()) for w, b in params.layers[:frozen]]
+                + [(w[m].copy(), b[m, 0].copy()) for w, b in trained]
+            ),
+            traces[m],
+        )
+        for m, error in enumerate(diverged)
+    ]
 
 
 def train_network(
     params: NetworkParams, dataset: EmbeddingDataset, config: TrainConfig
 ) -> tuple[NetworkParams, list[float]]:
-    """SGD with a per-epoch cosine schedule and weight decay on weights.
-
-    Returns new parameters (the input set is untouched) and the loss trace:
-    full-dataset mean cross-entropy before training and after each epoch,
-    ``epochs + 1`` entries. Aborts with :class:`DivergenceError` when the
-    loss stops being finite, reporting the epoch. Use :func:`fit_networks`
-    when the trace is not needed: it trains bit-identical parameters
-    without the full-dataset passes.
-    """
-    return _only_outcome(_sgd(params, dataset, [config], dataset_trace=True))
-
-
-def fit_networks(params: NetworkParams, dataset: EmbeddingDataset, configs) -> list:
-    """:func:`train_network` without the per-epoch full-dataset loss, from
-    one start for several configs at once.
-
-    The configs may differ only in their sampler and seed. The members train
-    in lockstep, one stacked step per batch, and each gets bitwise the
-    parameters and trace it gets trained alone; the parameters are those
-    :func:`train_network` trains. Each member's trace has
-    ``epochs`` entries: the mean mini-batch loss of each epoch, each batch
-    scored before its own update. Divergence is detected from those batch
-    losses and from non-finite weights at the end of an epoch. Returns one
-    outcome per config, in order: ``(params, trace)``, or a
-    :class:`DivergenceError` with the epoch; a diverged member stops
-    training at the end of its epoch and the others go on.
-    """
-    configs = list(configs)
-    if not configs:
-        raise ValueError("need at least one config")
-    return _sgd(params, dataset, configs, dataset_trace=False)
+    """:func:`fit_networks` on one config: the new parameters and the
+    ``epochs``-entry trace of mean mini-batch losses, or the
+    :class:`DivergenceError` that reports the epoch, raised."""
+    (outcome,) = fit_networks(params, dataset, [config])
+    if isinstance(outcome, DivergenceError):
+        raise outcome
+    return outcome
 
 
 def _central_difference_error(loss, arrays, grads, eps: float) -> float:

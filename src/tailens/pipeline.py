@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
 
@@ -34,7 +34,6 @@ from .dataset import (
     Fold,
     FoldAssignment,
     SubsetSpec,
-    SyntheticConfig,
     assign_folds,
     generate_longtailed,
     load_bundle,
@@ -100,8 +99,7 @@ def prepare_bundle(cfg: RunConfig) -> DatasetBundle:
     if d.source == "load":
         # each split CSV is parsed once per out_dir; see dataset.load_embeddings
         return load_bundle(d.manifest, cache_dir=Path(cfg.paths.out_dir) / "cache")
-    synth = SyntheticConfig(**{f.name: getattr(d, f.name) for f in fields(SyntheticConfig)})
-    return generate_longtailed(synth, cfg.training.seed, (d.many_min, d.few_max))
+    return generate_longtailed(d.synthetic(), cfg.training.seed, (d.many_min, d.few_max))
 
 
 def frequency_folds(bundle: DatasetBundle, cfg: RunConfig) -> FoldAssignment:

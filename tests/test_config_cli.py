@@ -58,6 +58,16 @@ def write_config(tmp_path: Path, out_dir: str, seed: int = 0) -> Path:
     return write_config_file(tmp_path, tiny_run_config(out_dir, seed))
 
 
+def config_with(tmp_path: Path, section: str, key: str, raw: str) -> str:
+    """A minimal INI text with ``section.key = raw`` set."""
+    sections = {"training": {"seed": "0"}, "paths": {"out_dir": str(tmp_path / "out")}}
+    sections.setdefault(section, {})[key] = raw
+    return "".join(
+        f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in items.items())
+        for name, items in sections.items()
+    )
+
+
 class TestConfigRoundTrip:
     def test_parse_serialize_parse_is_identity(self, tmp_path):
         cfg = tiny_run_config(str(tmp_path / "out"))
@@ -105,18 +115,34 @@ class TestConfigRoundTrip:
         ids=["int", "float", "int-tuple", "float-tuple"],
     )
     def test_malformed_value_is_config_error(self, tmp_path, capsys, section, key, raw):
-        sections = {"training": {"seed": "0"}, "paths": {"out_dir": str(tmp_path / "out")}}
-        sections.setdefault(section, {})[key] = raw
-        text = "".join(
-            f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in items.items())
-            for name, items in sections.items()
-        )
+        text = config_with(tmp_path, section, key, raw)
         message = f"could not parse {section}.{key} = {raw!r}"
         with pytest.raises(ConfigError, match=re.escape(message)):
             parse_config(text)
         path = tmp_path / "bad.ini"
         path.write_text(text)
         assert run_cli("oracle", path) == 2
+        assert capsys.readouterr().err == f"error: config: {message}\n"
+
+    @pytest.mark.parametrize(
+        "section, key, raw, message",
+        [
+            ("dataset", "class_count", "2", "dataset: need at least 3 classes"),
+            ("dataset", "noise_scale", "0", "dataset: noise_scale must be positive"),
+            ("training", "weight_decay", "-1", "training.weight_decay must be >= 0"),
+            ("training", "hidden_dims", "0", "every width in training.hidden_dims must be >= 1"),
+        ],
+        ids=["two-classes", "no-noise", "negative-decay", "zero-width"],
+    )
+    def test_value_the_library_rejects_is_config_error(
+        self, tmp_path, capsys, section, key, raw, message
+    ):
+        text = config_with(tmp_path, section, key, raw)
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            parse_config(text)
+        path = tmp_path / "bad.ini"
+        path.write_text(text)
+        assert run_cli("train-baseline", path) == 2
         assert capsys.readouterr().err == f"error: config: {message}\n"
 
     @pytest.mark.parametrize(
@@ -317,8 +343,9 @@ class TestCliMatchesPipeline:
     def test_library_uniform_is_the_cli_uniform_without_its_trace(
         self, cli_and_library_runs, monkeypatch
     ):
-        # the uniform finetune computes no full-dataset loss: its trace, which
-        # train_all does not keep, is one batch-mean loss per epoch
+        # no model computes a full-dataset loss: every trace, the uniform
+        # one that train_all does not keep included, is one batch-mean loss
+        # per epoch
         cfg, out, ens = cli_and_library_runs
         uniform = load_baseline_checkpoint(out / "checkpoints" / "uniform.ckpt")
         for (wa, ba), (wb, bb) in zip(uniform.params.layers, ens.uniform.params.layers):
@@ -335,7 +362,8 @@ class TestCliMatchesPipeline:
 
         monkeypatch.setattr(network, "dataset_loss", counting)
         again = train_all(prepare_bundle(cfg), cfg)
-        assert len(calls) == cfg.training.epochs + 1  # the baseline's trace only
+        assert calls == []
+        assert len(traces["baseline"]) == cfg.training.epochs
         assert list(again.baseline_trace) == traces["baseline"]
         for (wa, ba), (wb, bb) in zip(again.uniform.params.layers, ens.uniform.params.layers):
             assert wa.tobytes() == wb.tobytes() and ba.tobytes() == bb.tobytes()

@@ -11,7 +11,6 @@ from tailens.experts import (
     load_expert_checkpoint,
     save_expert_checkpoint,
     select_expert_hyperparams,
-    suggest_rho,
     train_expert,
 )
 
@@ -212,13 +211,6 @@ class TestHyperparamSelection:
         bundle, _, subsets, baseline, config = tiny_world
         with pytest.raises(ValueError):
             select_expert_hyperparams(baseline, subsets[0], bundle, [], [0], config)
-
-    def test_suggest_rho_balances_reject(self, tiny_world):
-        bundle, _, subsets, baseline, _ = tiny_world
-        subset = subsets[2]
-        rho = suggest_rho(bundle.train, subset)
-        in_count = bundle.train.class_frequency[subset.classes].sum()
-        assert rho == pytest.approx((bundle.train.n - in_count) / in_count)
 
 
 def reference_selection(baseline, subset, bundle, rho_grid, frozen_grid, config):

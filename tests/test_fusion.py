@@ -528,7 +528,7 @@ class TestStacker:
         def no_sgd(*args, **kwargs):
             raise AssertionError("meta-model training ran network SGD")
 
-        monkeypatch.setattr("tailens.network._sgd", no_sgd)
+        monkeypatch.setattr("tailens.network.fit_networks", no_sgd)
         partials, fold_labels = _selector_training_data()
         train_expert_selector(partials, fold_labels)
         train_stacker(partials, fold_labels, 3)

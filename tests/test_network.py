@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,25 +14,16 @@ from tailens.network import (
     backward_gradients,
     batch_loss,
     cosine_lr,
-    cross_entropy_loss,
-    dataset_loss,
     finite_diff_check,
     fit_networks,
     forward_logits,
     init_network,
     load_checkpoint,
-    _only_outcome,
     predict_labels,
     save_checkpoint,
     softmax,
     train_network,
 )
-
-
-def fit_one(params, dataset, config):
-    """fit_networks on one config, as experts.train_expert calls it: the
-    result, or the member's DivergenceError raised."""
-    return _only_outcome(fit_networks(params, dataset, [config]))
 
 
 def two_blob_dataset(n_per_class=40, separation=6.0, seed=0):
@@ -85,19 +77,6 @@ class TestSoftmax:
     def test_reference_values(self):
         p = softmax([1.0, 2.0, 3.0])
         assert np.max(np.abs(p - [0.09003057, 0.24472847, 0.66524096])) < 1e-5
-
-
-class TestCrossEntropy:
-    def test_certain_prediction(self):
-        assert cross_entropy_loss([0.0, 1.0], 1) == 0.0
-
-    def test_uniform_four_way(self):
-        assert abs(cross_entropy_loss([0.25] * 4, 2) - math.log(4)) < 1e-12
-
-    def test_zero_probability_clamped(self):
-        loss = cross_entropy_loss([1.0, 0.0], 1)
-        assert loss <= -math.log(1e-12) + 1e-9
-        assert loss > 27.0
 
 
 class TestGradients:
@@ -158,7 +137,7 @@ class TestTraining:
         preds = predict_labels(trained, ds.features)
         assert np.mean(preds == ds.labels) >= 0.99
         assert trace[-1] < trace[0]
-        assert len(trace) == 41
+        assert len(trace) == 40
 
     def test_all_frozen_returns_identical_params(self):
         ds = two_blob_dataset()
@@ -184,6 +163,24 @@ class TestTraining:
         b, _ = train_network(init_network([2, 8, 2], seed=0), ds, config)
         for (wa, ba), (wb, bb) in zip(a.layers, b.layers):
             assert np.array_equal(wa, wb) and np.array_equal(ba, bb)
+
+    @pytest.mark.parametrize("frozen", [1, 2])
+    def test_returned_frozen_layers_are_copies(self, frozen):
+        # every returned array is the result's own: writing into a frozen
+        # layer changes neither the input nor another member
+        ds = two_blob_dataset()
+        params = init_network([2, 4, 2], seed=5)
+        snapshot = params.copy()
+        config = TrainConfig(lr0=0.3, epochs=2, batch_size=8, seed=0, frozen_layers=frozen)
+        trained, _ = train_network(params, ds, config)
+        (first, _), (second, _) = fit_networks(params, ds, [config, replace(config, seed=1)])
+        for result in (trained, first):
+            for w, b in result.layers[:frozen]:
+                w += 1.0
+                b += 1.0
+        assert_same_bits(params, snapshot)
+        for (w, b), (w0, b0) in zip(second.layers[:frozen], snapshot.layers):
+            assert w.tobytes() == w0.tobytes() and b.tobytes() == b0.tobytes()
 
     def test_input_params_not_mutated(self):
         ds = two_blob_dataset()
@@ -218,13 +215,12 @@ class TestTraining:
             lr0=0.3, epochs=6, batch_size=16, seed=4, sampler=sampler,
             frozen_layers=frozen,
         )
-        traced, full = train_network(params, ds, config)
-        fitted, batch = fit_one(params, ds, config)
-        for (wa, ba), (wb, bb) in zip(traced.layers, fitted.layers):
-            assert np.array_equal(wa, wb) and np.array_equal(ba, bb)
-        assert len(full) == config.epochs + 1
-        assert len(batch) == config.epochs
-        assert all(math.isfinite(v) for v in batch)
+        traced, trace = train_network(params, ds, config)
+        fitted, batch = fit_networks(params, ds, [config])[0]
+        assert_same_bits(traced, fitted)
+        assert trace == batch
+        assert len(trace) == config.epochs
+        assert all(math.isfinite(v) for v in trace)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_fit_network_divergence_reports_epoch(self, monkeypatch):
@@ -235,9 +231,9 @@ class TestTraining:
         ds = two_blob_dataset()
         params = init_network([2, 4, 2], seed=5)
         config = TrainConfig(lr0=1e12, epochs=5, batch_size=8, seed=0, weight_decay=0.0)
-        with pytest.raises(DivergenceError) as err:
-            fit_one(params, ds, config)
-        assert err.value.epoch is not None
+        (outcome,) = fit_networks(params, ds, [config])
+        assert isinstance(outcome, DivergenceError)
+        assert outcome.epoch is not None
 
     def test_backward_loss_is_batch_loss(self):
         ds = two_blob_dataset()
@@ -255,6 +251,10 @@ class TestTraining:
         params = init_network([2, 4, 3], seed=0)
         with pytest.raises(ValueError, match="head width"):
             train_network(params, ds, TrainConfig(lr0=0.1, epochs=1, batch_size=8))
+
+    def test_layer_width_below_one_rejected(self):
+        with pytest.raises(ValueError, match="every layer width must be >= 1"):
+            init_network([2, 0, 2], seed=0)
 
     def test_uniform_class_sampler_trains(self):
         ds = two_blob_dataset()
@@ -293,14 +293,14 @@ def reference_backward(params, x, y, frozen):
 def reference_sgd(params, dataset, config):
     """The SGD loop written out plainly: one draw_batch per step over the raw
     features, backward_gradients through every layer, then the update.
-    Returns the weights, the full-dataset trace, the batch-mean trace and
-    whether the trained weights were finite after each epoch; it runs on
-    through non-finite values."""
+    Returns the weights, the batch-mean trace and whether the trained
+    weights were finite after each epoch; it runs on through non-finite
+    values."""
     params = params.copy()
     rng = np.random.default_rng(config.seed)
     steps = max(1, dataset.n // config.batch_size)
     trained = params.layers[config.frozen_layers :]
-    full, batch, finite = [dataset_loss(params, dataset)], [], []
+    batch, finite = [], []
     for epoch in range(config.epochs):
         lr = cosine_lr(config.lr0, epoch, config.epochs)
         total = 0.0
@@ -315,10 +315,9 @@ def reference_sgd(params, dataset, config):
                     gw = gw + config.weight_decay * w
                 w -= lr * gw
                 b -= lr * gb
-        full.append(dataset_loss(params, dataset))
         batch.append(total / steps)
         finite.append(all(np.isfinite(w).all() and np.isfinite(b).all() for w, b in trained))
-    return params, full, batch, finite
+    return params, batch, finite
 
 
 def three_class_dataset(seed=0):
@@ -361,13 +360,12 @@ class TestKernelMatchesReference:
             frozen_layers=frozen, weight_decay=1e-3,
         )
         assert ds.n % config.batch_size != 0
-        ref, ref_full, ref_batch, _ = reference_sgd(params, ds, config)
-        traced, full = train_network(params, ds, config)
-        fitted, batch = fit_one(params, ds, config)
+        ref, ref_batch, _ = reference_sgd(params, ds, config)
+        traced, trace = train_network(params, ds, config)
+        fitted, batch = fit_networks(params, ds, [config])[0]
         assert_same_bits(traced, ref)
         assert_same_bits(fitted, ref)
-        assert full == ref_full
-        assert batch == ref_batch
+        assert trace == batch == ref_batch
 
     @pytest.mark.parametrize("batch_size", [1, 90, 200])
     def test_one_row_and_whole_dataset_batches(self, batch_size):
@@ -377,8 +375,8 @@ class TestKernelMatchesReference:
             lr0=0.2, epochs=2, batch_size=batch_size, seed=5, frozen_layers=1,
             sampler=SamplerMode.reject_undersampled(2.0),
         )
-        ref, _, ref_batch, _ = reference_sgd(params, ds, config)
-        fitted, batch = fit_one(params, ds, config)
+        ref, ref_batch, _ = reference_sgd(params, ds, config)
+        fitted, batch = train_network(params, ds, config)
         assert_same_bits(fitted, ref)
         assert batch == ref_batch
 
@@ -400,24 +398,17 @@ class TestKernelMatchesReference:
             lr0=1e12, epochs=4, batch_size=16, seed=11, sampler=sampler,
             frozen_layers=frozen, weight_decay=0.0,
         )
-        ref, full, batch, finite = reference_sgd(params, ds, config)
-        # train_network checks the full-dataset loss before training and
-        # after each epoch; fit_networks the batch losses and the weights
-        bad_full = [e for e, v in enumerate(full) if not math.isfinite(v)]
-        expected = {
-            train_network: max(bad_full[0] - 1, 0) if bad_full else None,
-            fit_one: next(
-                (e for e, ok in enumerate(finite) if not (ok and math.isfinite(batch[e]))),
-                None,
-            ),
-        }
-        for train, epoch in expected.items():
-            if epoch is None:
-                assert_same_bits(train(params, ds, config)[0], ref)
-            else:
-                with pytest.raises(DivergenceError) as err:
-                    train(params, ds, config)
-                assert err.value.epoch == epoch
+        ref, batch, finite = reference_sgd(params, ds, config)
+        # the first epoch that ends with a non-finite batch loss or weight
+        epoch = next(
+            (e for e, ok in enumerate(finite) if not (ok and math.isfinite(batch[e]))), None
+        )
+        if epoch is None:
+            assert_same_bits(train_network(params, ds, config)[0], ref)
+        else:
+            with pytest.raises(DivergenceError) as err:
+                train_network(params, ds, config)
+            assert err.value.epoch == epoch
 
     @pytest.mark.parametrize("frozen", [0, 1, 2, 3])
     def test_backward_gradients_is_the_textbook_arithmetic(self, frozen):
@@ -466,7 +457,7 @@ class TestStackedMembers:
         results = fit_networks(params, ds, configs)
         assert len(results) == len(configs)
         for config, (fitted, trace) in zip(configs, results):
-            alone, alone_trace = fit_one(params, ds, config)
+            alone, alone_trace = train_network(params, ds, config)
             assert_same_bits(fitted, alone)
             assert trace == alone_trace
 
@@ -482,7 +473,7 @@ class TestStackedMembers:
             for sampler, seed in self.MEMBERS
         ]
         for config, (fitted, trace) in zip(configs, fit_networks(params, ds, configs)):
-            alone, alone_trace = fit_one(params, ds, config)
+            alone, alone_trace = train_network(params, ds, config)
             assert_same_bits(fitted, alone)
             assert trace == alone_trace
 
