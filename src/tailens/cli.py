@@ -279,6 +279,12 @@ def cmd_report(cfg: RunConfig, args) -> None:
     print(f"wrote analysis CSVs to {reports}")
 
 
+def positive_int(text: str) -> int:
+    if (value := int(text)) < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tailens",
@@ -295,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     add("gen-data", cmd_gen_data, "write bundle CSVs and manifest")
     add("train-baseline", cmd_train_baseline, "train baseline and uniform finetune")
     p = add("train-experts", cmd_train_experts, "grid-search and train the three experts")
-    p.add_argument("--threads", type=int, default=1, help="worker threads")
+    p.add_argument("--threads", type=positive_int, default=1, help="worker threads (>= 1)")
 
     p = add("dump-posteriors", cmd_dump_posteriors, "write a posterior dump CSV")
     p.add_argument("--model", required=True, choices=MODEL_NAMES)

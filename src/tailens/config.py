@@ -95,6 +95,9 @@ class RunConfig:
             raise ConfigError("dataset thresholds must satisfy many_min > few_max > 0")
         if not self.expert.rho_grid or not self.expert.frozen_grid:
             raise ConfigError("expert grids must be nonempty")
+        for key, grid in vars(self.expert).items():
+            if repeated := [v for i, v in enumerate(grid) if v in grid[:i]]:
+                raise ConfigError(f"expert.{key} repeats the value {_render_value(repeated[0])}")
         if any(r < 1 for r in self.expert.rho_grid):
             raise ConfigError("every rho in expert.rho_grid must be >= 1")
         if any(f < 0 for f in self.expert.frozen_grid):

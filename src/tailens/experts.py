@@ -113,27 +113,34 @@ def finetune_uniform_classifier(
     return BaselineModel(trained), trace
 
 
-def _expert_start(
-    baseline: BaselineModel, subset: SubsetSpec, bundle: DatasetBundle, config: TrainConfig
-) -> tuple[NetworkParams, EmbeddingDataset]:
-    """An expert's initial parameters (the baseline's backbone under a fresh
-    (k+1)-way head) and its relabeled training set."""
-    dims = baseline.params.dims[:-1] + [subset.size + 1]
-    fresh = init_network(dims, seed=config.seed)
+def expert_grid_tasks(
+    baseline: BaselineModel,
+    subset: SubsetSpec,
+    bundle: DatasetBundle,
+    rho_grid,
+    frozen_grid,
+    config: TrainConfig,
+) -> list[tuple[NetworkParams, EmbeddingDataset, list[TrainConfig]]]:
+    """A subset's grid search as :func:`fit_networks` arguments: per frozen
+    value, the expert's start (the baseline's backbone under a fresh
+    (k+1)-way head), its relabeled training set and one config per rho."""
+    rho_grid = [float(r) for r in rho_grid]
+    frozen_grid = [int(f) for f in frozen_grid]
+    for name, grid in (("rho", rho_grid), ("frozen", frozen_grid)):
+        if not grid or len(set(grid)) < len(grid):
+            raise ValueError(f"the {name} grid must be nonempty without repeats, got {grid}")
+    fresh = init_network(baseline.params.dims[:-1] + [subset.size + 1], seed=config.seed)
     for i in range(baseline.params.layer_count - 1):
         w, b = baseline.params.layers[i]
         fresh.layers[i] = (w.copy(), b.copy())
-    return fresh, relabel_for_expert(bundle.train, subset)
-
-
-def _expert_config(config: TrainConfig, rho: float, frozen_layers: int) -> TrainConfig:
-    if not rho >= 1.0:
-        raise ValueError("rho must be >= 1")
-    return replace(
-        config,
-        sampler=SamplerMode.reject_undersampled(rho),
-        frozen_layers=frozen_layers,
-    )
+    relabeled = relabel_for_expert(bundle.train, subset)
+    return [
+        (fresh, relabeled, [
+            replace(config, sampler=SamplerMode.reject_undersampled(rho), frozen_layers=frozen)
+            for rho in rho_grid
+        ])
+        for frozen in frozen_grid
+    ]
 
 
 def train_expert(
@@ -150,8 +157,9 @@ def train_expert(
     re-initialized. The first ``frozen_layers`` layers never change, so they
     remain bit-identical to the baseline.
     """
-    cfg = _expert_config(config, rho, frozen_layers)
-    fresh, relabeled = _expert_start(baseline, subset, bundle, config)
+    [(fresh, relabeled, [cfg])] = expert_grid_tasks(
+        baseline, subset, bundle, [rho], [frozen_layers], config
+    )
     trained, trace = train_network(fresh, relabeled, cfg)
     expert = ExpertModel(
         params=trained, subset=subset, rho=float(rho), frozen_layers=frozen_layers
@@ -211,6 +219,28 @@ class HyperparamSelection:
     expert: ExpertModel
 
 
+def score_expert_grid(
+    subset: SubsetSpec, val: EmbeddingDataset, tasks, outcomes
+) -> HyperparamSelection:
+    """The winner, by validation accuracy on the subset, of the outcomes of
+    :func:`expert_grid_tasks`' tasks, and the table, rho outer, frozen
+    inner. The first diverged point's error in that order is raised. Ties
+    go to the larger rho, then to the larger frozen-layer count."""
+    columns = [zip(configs, results) for (_, _, configs), results in zip(tasks, outcomes)]
+    table, best = [], None
+    for row in zip(*columns):  # one rho value, every frozen value
+        for cfg, outcome in row:
+            if isinstance(outcome, DivergenceError):
+                raise outcome
+            rho, frozen = cfg.sampler.rho, cfg.frozen_layers
+            expert = ExpertModel(params=outcome[0], subset=subset, rho=rho, frozen_layers=frozen)
+            table.append(GridPoint(rho, frozen, expert_subset_accuracy(expert, val)))
+            if best is None or (table[-1].val_accuracy, rho, frozen) > best[0]:
+                best = (table[-1].val_accuracy, rho, frozen), expert
+    (_, rho, frozen), expert = best
+    return HyperparamSelection(rho=rho, frozen_layers=frozen, table=tuple(table), expert=expert)
+
+
 def select_expert_hyperparams(
     baseline: BaselineModel,
     subset: SubsetSpec,
@@ -219,51 +249,10 @@ def select_expert_hyperparams(
     frozen_grid,
     config: TrainConfig,
 ) -> HyperparamSelection:
-    """Grid-search (rho, frozen_layers) by validation accuracy on the subset.
-
-    One expert is trained per grid point, each exactly as :func:`train_expert`
-    trains it: the points of one frozen value differ only in rho, so they
-    train in lockstep in one :func:`fit_networks` call. Ties go to the
-    larger rho, then to the larger frozen-layer count (the cheaper model).
-    The winning expert is returned alongside the full score table, whose
-    order is rho outer, frozen inner. Every point is trained; if any
-    diverges, the :class:`DivergenceError` of the first such point in table
-    order is raised.
-    """
-    rho_grid = [float(r) for r in rho_grid]
-    frozen_grid = [int(f) for f in frozen_grid]
-    if not rho_grid or not frozen_grid:
-        raise ValueError("hyperparameter grids must be nonempty")
-
-    fresh, relabeled = _expert_start(baseline, subset, bundle, config)
-    points = [(rho, frozen) for rho in rho_grid for frozen in frozen_grid]
-    configs = [_expert_config(config, rho, frozen) for rho, frozen in points]
-    outcomes: list = [None] * len(points)
-    for column in range(len(frozen_grid)):
-        group = slice(column, None, len(frozen_grid))  # one frozen value's points
-        outcomes[group] = fit_networks(fresh, relabeled, configs[group])
-    for outcome in outcomes:
-        if isinstance(outcome, DivergenceError):
-            raise outcome
-
-    table: list[GridPoint] = []
-    best: tuple[float, float, int] | None = None
-    best_expert: ExpertModel | None = None
-    for (rho, frozen), (trained, _) in zip(points, outcomes):
-        expert = ExpertModel(params=trained, subset=subset, rho=rho, frozen_layers=frozen)
-        score = expert_subset_accuracy(expert, bundle.val)
-        table.append(GridPoint(rho=rho, frozen_layers=frozen, val_accuracy=score))
-        key = (score, rho, frozen)
-        if best is None or key > best:
-            best = key
-            best_expert = expert
-    assert best is not None and best_expert is not None
-    return HyperparamSelection(
-        rho=best[1],
-        frozen_layers=best[2],
-        table=tuple(table),
-        expert=best_expert,
-    )
+    """Grid-search (rho, frozen_layers) for one subset: the tasks of
+    :func:`expert_grid_tasks` through :func:`fit_networks`, then scored."""
+    tasks = expert_grid_tasks(baseline, subset, bundle, rho_grid, frozen_grid, config)
+    return score_expert_grid(subset, bundle.val, tasks, list(map(fit_networks, *zip(*tasks))))
 
 
 def save_expert_checkpoint(path, expert: ExpertModel) -> None:

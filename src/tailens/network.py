@@ -490,10 +490,6 @@ def finite_diff_check(
     )
 
 
-def predict_labels(params: NetworkParams, features) -> np.ndarray:
-    return np.argmax(forward_logits(params, np.atleast_2d(features)), axis=1)
-
-
 def save_checkpoint(path, params: NetworkParams, meta: dict | None = None) -> None:
     """Versioned binary serialization; round-trips parameters bit-exactly."""
     entries = []

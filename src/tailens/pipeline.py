@@ -44,9 +44,10 @@ from .experts import (
     ExpertModel,
     HyperparamSelection,
     PartialPosterior,
+    expert_grid_tasks,
     expert_partial_posterior,
     finetune_uniform_classifier,
-    select_expert_hyperparams,
+    score_expert_grid,
     train_baseline,
 )
 from .fusion import (
@@ -62,7 +63,8 @@ from .fusion import (
     train_joint_calibration,
     train_stacker,
 )
-from .network import TrainConfig, forward_logits, load_checkpoint, save_checkpoint, softmax
+from .network import TrainConfig, fit_networks, forward_logits, softmax
+from .network import load_checkpoint, save_checkpoint
 
 # Fixed seed offsets for the pipeline's training tasks.
 SEED_BASELINE = 1
@@ -137,28 +139,38 @@ def select_experts(
     baseline: BaselineModel, bundle: DatasetBundle, cfg: RunConfig, threads: int = 1
 ) -> tuple[HyperparamSelection, ...]:
     """Grid-search (rho, frozen_layers) and train one expert per subset of
-    the config's frequency folds.
+    the config's frequency folds; selections come back in fold order.
 
-    Selections come back in fold order. Each subset's search derives its
-    own seed, so ``threads`` (the worker pool size) only changes wall time.
+    The (subset, frozen) groups of :func:`expert_grid_tasks`, in fold, then
+    frozen order, run through one ``map`` of :func:`fit_networks` (the
+    builtin at one thread, a pool of ``min(threads, tasks)`` threads past
+    one), and each subset is scored as its outcomes arrive. Every subset
+    derives its own seed, so ``threads`` only changes wall time.
     """
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
     folds = frequency_folds(bundle, cfg)
     subsets = partition_subsets(folds, bundle.train)
     _val_folds(bundle, folds)
     root = cfg.training.seed
-
-    def run_selection(subset: SubsetSpec) -> HyperparamSelection:
-        tc = train_config_from(
-            cfg.training, seed=seed_for_expert(root, subset.expert_id), stage="expert"
+    grids = [
+        expert_grid_tasks(
+            baseline, s, bundle, cfg.expert.rho_grid, cfg.expert.frozen_grid,
+            train_config_from(
+                cfg.training, seed=seed_for_expert(root, s.expert_id), stage="expert"
+            ),
         )
-        return select_expert_hyperparams(
-            baseline, subset, bundle, cfg.expert.rho_grid, cfg.expert.frozen_grid, tc
+        for s in subsets
+    ]
+    tasks = [task for grid in grids for task in grid]
+    with ThreadPoolExecutor(min(threads, len(tasks))) as pool:
+        # the builtin map is lazy, so at one thread a subset's losing points
+        # are freed before the next subset trains
+        outcomes = (map if threads == 1 else pool.map)(fit_networks, *zip(*tasks))
+        return tuple(
+            score_expert_grid(s, bundle.val, grid, [next(outcomes) for _ in grid])
+            for s, grid in zip(subsets, grids)
         )
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return tuple(pool.map(run_selection, subsets))
-    return tuple(run_selection(s) for s in subsets)
 
 
 @dataclass(frozen=True)
@@ -204,7 +216,7 @@ def train_all(bundle: DatasetBundle, cfg: RunConfig, threads: int = 1) -> Traine
     that ``tailens train-baseline`` and ``train-experts`` run.
 
     Thread count only affects wall-clock time: every task derives its own
-    seed, so the results are identical for any ``threads`` value.
+    seed, so the results are identical for any ``threads`` of at least 1.
     """
     (baseline, trace), (uniform, _) = train_baselines(bundle, cfg)
     selections = select_experts(baseline, bundle, cfg, threads)

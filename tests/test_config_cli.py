@@ -93,6 +93,21 @@ class TestConfigRoundTrip:
         with pytest.raises(ConfigError, match="grids"):
             parse_config(text)
 
+    @pytest.mark.parametrize(
+        "key, raw, value",
+        [("rho_grid", "2.0,2.0", "2.0"), ("rho_grid", "1,2,2.0", "2.0"), ("frozen_grid", "0,0", "0")],
+    )
+    def test_repeated_grid_value_is_config_error(self, tmp_path, capsys, key, raw, value):
+        # a repeat would train a bitwise-identical expert twice
+        text = config_with(tmp_path, "expert", key, raw)
+        message = f"expert.{key} repeats the value {value}"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            parse_config(text)
+        path = tmp_path / "bad.ini"
+        path.write_text(text)
+        assert run_cli("train-experts", path) == 2
+        assert capsys.readouterr().err == f"error: config: {message}\n"
+
     def test_bad_strategy_rejected(self):
         text = "[training]\nseed = 0\n[fusion]\nstrategy = psychic\n"
         with pytest.raises(ConfigError, match="strategy"):
@@ -439,6 +454,14 @@ class TestCliErrors:
             run_cli(command, config, "--threads", "2")
         assert exc.value.code == 2
         assert "unrecognized arguments: --threads" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one_is_usage_error(self, tmp_path, threads, capsys):
+        config = write_config(tmp_path, str(tmp_path / "out"))
+        with pytest.raises(SystemExit) as exc:
+            run_cli("train-experts", config, "--threads", threads)
+        assert exc.value.code == 2
+        assert f"argument --threads: must be >= 1, got {threads}" in capsys.readouterr().err
 
     def test_missing_checkpoints_is_data_error(self, tmp_path, capsys):
         config = write_config(tmp_path, str(tmp_path / "out"))

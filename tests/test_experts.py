@@ -52,7 +52,7 @@ class TestBaseline:
         bundle = t.DatasetBundle(train=blob(40), val=blob(10), test=blob(20))
         config = t.TrainConfig(lr0=0.3, epochs=40, batch_size=16, seed=0, hidden_dims=(8,))
         baseline, trace = t.train_baseline(bundle, config)
-        preds = t.network.predict_labels(baseline.params, bundle.test.features)
+        preds = np.argmax(t.forward_logits(baseline.params, bundle.test.features), axis=1)
         per_class = [np.mean(preds[bundle.test.labels == c] == c) for c in range(2)]
         assert min(per_class) >= 0.99
         assert trace[-1] < trace[0]
@@ -130,7 +130,7 @@ class TestTrainExpert:
         partial = expert_partial_posterior(expert, bundle.test.features)
         assert partial.probabilities[:, -1].max() < 0.05
         acc = expert_subset_accuracy(expert, bundle.test)
-        base_preds = t.network.predict_labels(baseline.params, bundle.test.features)
+        base_preds = np.argmax(t.forward_logits(baseline.params, bundle.test.features), axis=1)
         base_acc = np.mean(base_preds == bundle.test.labels)
         assert acc >= base_acc - 0.1
 
@@ -211,6 +211,12 @@ class TestHyperparamSelection:
         bundle, _, subsets, baseline, config = tiny_world
         with pytest.raises(ValueError):
             select_expert_hyperparams(baseline, subsets[0], bundle, [], [0], config)
+
+    @pytest.mark.parametrize("grid", [([2.0, 2.0], [0]), ([1.0, 2.0], [0, 1, 0])])
+    def test_repeated_grid_value_rejected(self, tiny_world, grid):
+        bundle, _, subsets, baseline, config = tiny_world
+        with pytest.raises(ValueError, match="without repeats"):
+            select_expert_hyperparams(baseline, subsets[0], bundle, *grid, config)
 
 
 def reference_selection(baseline, subset, bundle, rho_grid, frozen_grid, config):
