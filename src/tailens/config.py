@@ -1,9 +1,11 @@
 """Declarative run configuration: one INI file drives the whole pipeline.
 
 Sections mirror the pipeline stages (dataset, training, expert, fusion,
-paths). Parsing is strict: unknown sections or keys fail, the seed is
-mandatory, and grids must be nonempty. ``serialize_config`` emits a
-canonical rendering, so parse -> serialize -> parse is the identity.
+paths). Parsing is strict: unknown sections or keys fail, and the seed is
+mandatory. Value ranges are checked by the library types the sections
+build (``SyntheticConfig``, ``FoldAssignment``, ``TrainConfig`` and
+``experts.check_expert_grid``), not restated here. ``serialize_config``
+emits a canonical rendering, so parse -> serialize -> parse is the identity.
 """
 
 from __future__ import annotations
@@ -13,7 +15,9 @@ import io
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-from .dataset import DEFAULT_FEW_MAX, DEFAULT_MANY_MIN, SyntheticConfig
+from .dataset import DEFAULT_FEW_MAX, DEFAULT_MANY_MIN, FoldAssignment, SyntheticConfig
+from .experts import check_expert_grid
+from .network import TrainConfig
 
 
 class ConfigError(ValueError):
@@ -56,6 +60,18 @@ class TrainingSection:
     uniform_epochs: int = 0
 
 
+def train_config_from(
+    section: TrainingSection, *, seed: int, stage: str = "baseline"
+) -> TrainConfig:
+    """Stage-specific training settings; experts and the uniform finetune may
+    run their own epoch budget (0 inherits the baseline budget)."""
+    epochs = {"expert": section.expert_epochs, "uniform": section.uniform_epochs}.get(stage)
+    return TrainConfig(
+        lr0=section.lr0, epochs=epochs or section.epochs, batch_size=section.batch_size,
+        seed=seed, weight_decay=section.weight_decay, hidden_dims=section.hidden_dims,
+    )
+
+
 @dataclass(frozen=True)
 class ExpertSection:
     rho_grid: tuple[float, ...] = (1.0, 2.0, 4.0, 8.0)
@@ -81,49 +97,33 @@ class RunConfig:
     paths: PathsSection
 
     def validate(self) -> None:
-        d = self.dataset
+        """The INI's own rules; every other rule is checked by building the
+        library's types, each ``ValueError`` a ``ConfigError`` naming its section."""
+        d, t, e = self.dataset, self.training, self.expert
         if d.source not in ("generate", "load"):
             raise ConfigError(f"dataset.source must be generate or load, got {d.source!r}")
         if d.source == "load" and not d.manifest:
             raise ConfigError("dataset.source=load requires dataset.manifest")
-        if d.source == "generate":
-            try:
-                d.synthetic()
-            except ValueError as exc:
-                raise ConfigError(f"dataset: {exc}") from None
-        if not d.many_min > d.few_max > 0:
-            raise ConfigError("dataset thresholds must satisfy many_min > few_max > 0")
-        if not self.expert.rho_grid or not self.expert.frozen_grid:
-            raise ConfigError("expert grids must be nonempty")
-        for key, grid in vars(self.expert).items():
-            if repeated := [v for i, v in enumerate(grid) if v in grid[:i]]:
-                raise ConfigError(f"expert.{key} repeats the value {_render_value(repeated[0])}")
-        if any(r < 1 for r in self.expert.rho_grid):
-            raise ConfigError("every rho in expert.rho_grid must be >= 1")
-        if any(f < 0 for f in self.expert.frozen_grid):
-            raise ConfigError("frozen layer counts must be >= 0")
-        # an expert has len(hidden_dims) backbone layers under its new head
-        hidden = self.training.hidden_dims
-        if bad := [f for f in self.expert.frozen_grid if f > len(hidden)]:
-            raise ConfigError(
-                f"expert.frozen_grid value {bad[0]} freezes the expert's new head: "
-                f"with training.hidden_dims = {_render_value(hidden)!r} it must be <= {len(hidden)}"
-            )
         if self.fusion.strategy not in FUSION_STRATEGIES:
             raise ConfigError(
                 f"fusion.strategy must be one of {FUSION_STRATEGIES}, "
                 f"got {self.fusion.strategy!r}"
             )
-        if self.training.lr0 <= 0 or self.training.epochs < 1 or self.training.batch_size < 1:
-            raise ConfigError("training requires lr0 > 0, epochs >= 1, batch_size >= 1")
-        if self.training.weight_decay < 0:
-            raise ConfigError("training.weight_decay must be >= 0")
-        if any(width < 1 for width in hidden):
-            raise ConfigError("every width in training.hidden_dims must be >= 1")
-        if self.training.expert_epochs < 0 or self.training.uniform_epochs < 0:
+        if t.expert_epochs < 0 or t.uniform_epochs < 0:
             raise ConfigError("expert_epochs and uniform_epochs must be >= 0 (0 inherits epochs)")
         if not self.paths.out_dir:
             raise ConfigError("paths.out_dir must be set")
+        builds = [("dataset", d.synthetic)] if d.source == "generate" else []
+        builds += [
+            ("dataset", lambda: FoldAssignment.from_frequencies((), (d.many_min, d.few_max))),
+            ("training", lambda: train_config_from(t, seed=t.seed)),
+            ("expert", lambda: check_expert_grid(e.rho_grid, e.frozen_grid, len(t.hidden_dims))),
+        ]
+        for section, build in builds:
+            try:
+                build()
+            except ValueError as exc:
+                raise ConfigError(f"{section}: {exc}") from None
 
 
 _SECTION_TYPES = {
@@ -133,8 +133,6 @@ _SECTION_TYPES = {
     "fusion": FusionSection,
     "paths": PathsSection,
 }
-
-_REQUIRED_KEYS = {("training", "seed")}
 
 
 def _parse_value(name: str, default, raw: str):
@@ -177,9 +175,8 @@ def parse_config(text: str) -> RunConfig:
                 if key not in defaults:
                     raise ConfigError(f"unknown key {section_name}.{key}")
                 values[key] = _parse_value(f"{section_name}.{key}", defaults[key], raw)
-        for section, key in _REQUIRED_KEYS:
-            if section == section_name and key not in values:
-                raise ConfigError(f"missing required key {section}.{key}")
+        if section_name == "training" and "seed" not in values:
+            raise ConfigError("missing required key training.seed")
         built[section_name] = section_type(**values)
 
     cfg = RunConfig(**built)

@@ -160,13 +160,16 @@ class EmbeddingDataset:
             object.__setattr__(self, "_class_order", cached)
         return cached
 
-    def reject_pools(self) -> tuple[np.ndarray, np.ndarray]:
-        """Indices of the rows outside and inside the last class (the
-        reject class of :func:`relabel_for_expert`), in file order."""
+    def reject_pools(self) -> tuple[np.ndarray, int]:
+        """Read-only indices of the rows outside the last class (the reject
+        class of :func:`relabel_for_expert`), then of those inside it, each
+        part in file order, and the length of the first part."""
         cached = getattr(self, "_reject_pools")
         if cached is None:
             reject = self.labels == self.class_count - 1
-            cached = (np.flatnonzero(~reject), np.flatnonzero(reject))
+            order = np.concatenate((np.flatnonzero(~reject), np.flatnonzero(reject)))
+            order.setflags(write=False)
+            cached = (order, self.n - int(np.count_nonzero(reject)))
             object.__setattr__(self, "_reject_pools", cached)
         return cached
 
@@ -447,14 +450,14 @@ def draw_batch(
         # kept rows at width 1, the rest the reject rows at width 1/rho;
         # every row gets both positions in the concatenated pools, and the
         # side its uniform falls on picks one
-        kept, rejected = dataset.reject_pools()
-        n_kept = len(kept)
-        u = rng.random(batch_size) * (n_kept + len(rejected) / mode.rho)
+        pools, n_kept = dataset.reject_pools()
+        n_rejected = dataset.n - n_kept
+        u = rng.random(batch_size) * (n_kept + n_rejected / mode.rho)
         within = (np.maximum(u - n_kept, 0.0) * mode.rho).astype(np.int64)
         at = np.where(
-            u < n_kept, u.astype(np.int64), n_kept + np.minimum(within, len(rejected) - 1)
+            u < n_kept, u.astype(np.int64), n_kept + np.minimum(within, n_rejected - 1)
         )
-        idx = np.concatenate((kept, rejected))[at]
+        idx = pools[at]
 
     return np.take(dataset.features, idx, axis=0), np.take(dataset.labels, idx)
 
@@ -487,12 +490,12 @@ class SyntheticConfig:
             raise ValueError("need at least 3 classes")
         if self.feature_dim < 2:
             raise ValueError("need feature_dim >= 2")
-        if self.n_max < 1 or self.alpha <= 0:
-            raise ValueError("n_max must be >= 1 and alpha > 0")
+        if self.n_max < 1 or not 0 < self.alpha < math.inf:
+            raise ValueError("n_max must be >= 1 and alpha finite and > 0")
         if self.n_val_per_class < 1 or self.n_test_per_class < 1:
             raise ValueError("val/test per-class counts must be >= 1")
-        if not self.noise_scale > 0:
-            raise ValueError("noise_scale must be positive")
+        if not 0 < self.noise_scale < math.inf:
+            raise ValueError("noise_scale must be finite and positive")
 
 
 def generate_longtailed(

@@ -62,8 +62,7 @@ class ExpertModel:
                 f"expert head width {self.params.dims[-1]} does not equal "
                 f"subset size {self.subset.size} + 1"
             )
-        if not self.rho >= 1.0:
-            raise ValueError("rho must be >= 1")
+        SamplerMode.reject_undersampled(self.rho)  # raises unless finite and >= 1
 
     @property
     def reject_index(self) -> int:
@@ -113,6 +112,26 @@ def finetune_uniform_classifier(
     return BaselineModel(trained), trace
 
 
+def check_expert_grid(rho_grid, frozen_grid, depth: int) -> tuple[list[SamplerMode], list[int]]:
+    """The grid as one sampler per rho and the frozen values. Each grid must
+    be nonempty without a repeated value, each rho a ratio :class:`SamplerMode`
+    accepts and each frozen value in ``[0, depth]``: an expert has ``depth``
+    backbone layers under its new head, which must train."""
+    rho_grid = [float(r) for r in rho_grid]
+    frozen_grid = [int(f) for f in frozen_grid]
+    for name, grid in (("rho_grid", rho_grid), ("frozen_grid", frozen_grid)):
+        if not grid:
+            raise ValueError(f"{name} must be nonempty")
+        if repeated := [v for i, v in enumerate(grid) if v in grid[:i]]:
+            raise ValueError(f"{name} repeats the value {repeated[0]!r}")
+    if bad := [f for f in frozen_grid if not 0 <= f <= depth]:
+        raise ValueError(
+            f"frozen_grid value {bad[0]} is outside [0, {depth}], "
+            f"the backbone depth under the expert's new head"
+        )
+    return [SamplerMode.reject_undersampled(rho) for rho in rho_grid], frozen_grid
+
+
 def expert_grid_tasks(
     baseline: BaselineModel,
     subset: SubsetSpec,
@@ -124,20 +143,16 @@ def expert_grid_tasks(
     """A subset's grid search as :func:`fit_networks` arguments: per frozen
     value, the expert's start (the baseline's backbone under a fresh
     (k+1)-way head), its relabeled training set and one config per rho."""
-    rho_grid = [float(r) for r in rho_grid]
-    frozen_grid = [int(f) for f in frozen_grid]
-    for name, grid in (("rho", rho_grid), ("frozen", frozen_grid)):
-        if not grid or len(set(grid)) < len(grid):
-            raise ValueError(f"the {name} grid must be nonempty without repeats, got {grid}")
+    depth = baseline.params.layer_count - 1
+    samplers, frozen_grid = check_expert_grid(rho_grid, frozen_grid, depth)
     fresh = init_network(baseline.params.dims[:-1] + [subset.size + 1], seed=config.seed)
-    for i in range(baseline.params.layer_count - 1):
+    for i in range(depth):
         w, b = baseline.params.layers[i]
         fresh.layers[i] = (w.copy(), b.copy())
     relabeled = relabel_for_expert(bundle.train, subset)
     return [
         (fresh, relabeled, [
-            replace(config, sampler=SamplerMode.reject_undersampled(rho), frozen_layers=frozen)
-            for rho in rho_grid
+            replace(config, sampler=sampler, frozen_layers=frozen) for sampler in samplers
         ])
         for frozen in frozen_grid
     ]

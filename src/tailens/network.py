@@ -297,16 +297,20 @@ class TrainConfig:
     hidden_dims: tuple[int, ...] = (64,)
 
     def __post_init__(self):
-        if not self.lr0 > 0:
-            raise ValueError("lr0 must be positive")
+        if not 0 < self.lr0 < math.inf:
+            raise ValueError(f"lr0 must be finite and positive, got {self.lr0}")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if self.frozen_layers < 0:
             raise ValueError("frozen_layers must be >= 0")
-        if self.weight_decay < 0:
-            raise ValueError("weight_decay must be >= 0")
+        if not 0 <= self.weight_decay < math.inf:
+            raise ValueError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
+        if self.seed < 0:  # numpy's generators take no negative seed
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if any(width < 1 for width in self.hidden_dims):
+            raise ValueError("every width in hidden_dims must be >= 1")
 
 
 def dataset_loss(params: NetworkParams, dataset: EmbeddingDataset) -> float:

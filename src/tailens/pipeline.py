@@ -28,6 +28,7 @@ from .config import (
     PathsSection,
     RunConfig,
     TrainingSection,
+    train_config_from,
 )
 from .dataset import (
     DatasetBundle,
@@ -63,7 +64,7 @@ from .fusion import (
     train_joint_calibration,
     train_stacker,
 )
-from .network import TrainConfig, fit_networks, forward_logits, softmax
+from .network import fit_networks, forward_logits, softmax
 from .network import load_checkpoint, save_checkpoint
 
 # Fixed seed offsets for the pipeline's training tasks.
@@ -74,26 +75,6 @@ SEED_EXPERT_BASE = 100  # expert e uses root + SEED_EXPERT_BASE * (e + 1)
 
 def seed_for_expert(root_seed: int, expert: Fold) -> int:
     return root_seed + SEED_EXPERT_BASE * (int(expert) + 1)
-
-
-def train_config_from(
-    section: TrainingSection, *, seed: int, stage: str = "baseline"
-) -> TrainConfig:
-    """Stage-specific training settings; experts and the uniform finetune may
-    run their own epoch budget (0 inherits the baseline budget)."""
-    epochs = section.epochs
-    if stage == "expert" and section.expert_epochs:
-        epochs = section.expert_epochs
-    elif stage == "uniform" and section.uniform_epochs:
-        epochs = section.uniform_epochs
-    return TrainConfig(
-        lr0=section.lr0,
-        epochs=epochs,
-        batch_size=section.batch_size,
-        seed=seed,
-        weight_decay=section.weight_decay,
-        hidden_dims=section.hidden_dims,
-    )
 
 
 def prepare_bundle(cfg: RunConfig) -> DatasetBundle:

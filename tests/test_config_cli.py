@@ -90,7 +90,7 @@ class TestConfigRoundTrip:
 
     def test_empty_grid_rejected(self):
         text = "[training]\nseed = 0\n[expert]\nrho_grid = \n"
-        with pytest.raises(ConfigError, match="grids"):
+        with pytest.raises(ConfigError, match="expert: rho_grid must be nonempty"):
             parse_config(text)
 
     @pytest.mark.parametrize(
@@ -100,7 +100,7 @@ class TestConfigRoundTrip:
     def test_repeated_grid_value_is_config_error(self, tmp_path, capsys, key, raw, value):
         # a repeat would train a bitwise-identical expert twice
         text = config_with(tmp_path, "expert", key, raw)
-        message = f"expert.{key} repeats the value {value}"
+        message = f"expert: {key} repeats the value {value}"
         with pytest.raises(ConfigError, match=re.escape(message)):
             parse_config(text)
         path = tmp_path / "bad.ini"
@@ -143,9 +143,9 @@ class TestConfigRoundTrip:
         "section, key, raw, message",
         [
             ("dataset", "class_count", "2", "dataset: need at least 3 classes"),
-            ("dataset", "noise_scale", "0", "dataset: noise_scale must be positive"),
-            ("training", "weight_decay", "-1", "training.weight_decay must be >= 0"),
-            ("training", "hidden_dims", "0", "every width in training.hidden_dims must be >= 1"),
+            ("dataset", "noise_scale", "0", "dataset: noise_scale must be finite and positive"),
+            ("training", "weight_decay", "-1", "training: weight_decay must be finite and >= 0, got -1.0"),
+            ("training", "hidden_dims", "0", "training: every width in hidden_dims must be >= 1"),
         ],
         ids=["two-classes", "no-noise", "negative-decay", "zero-width"],
     )
@@ -159,6 +159,39 @@ class TestConfigRoundTrip:
         path.write_text(text)
         assert run_cli("train-baseline", path) == 2
         assert capsys.readouterr().err == f"error: config: {message}\n"
+
+    @pytest.mark.parametrize(
+        "section, key, raw, message",
+        [
+            ("expert", "rho_grid", "inf", "expert: undersampling ratio must be finite and >= 1, got inf"),
+            ("expert", "rho_grid", "nan", "expert: undersampling ratio must be finite and >= 1, got nan"),
+            ("training", "lr0", "nan", "training: lr0 must be finite and positive, got nan"),
+            ("training", "lr0", "inf", "training: lr0 must be finite and positive, got inf"),
+            ("training", "weight_decay", "nan", "training: weight_decay must be finite and >= 0, got nan"),
+            ("training", "weight_decay", "inf", "training: weight_decay must be finite and >= 0, got inf"),
+            ("dataset", "alpha", "nan", "dataset: n_max must be >= 1 and alpha finite and > 0"),
+            ("dataset", "alpha", "inf", "dataset: n_max must be >= 1 and alpha finite and > 0"),
+            ("dataset", "noise_scale", "inf", "dataset: noise_scale must be finite and positive"),
+            ("training", "seed", "-1", "training: seed must be >= 0, got -1"),
+        ],
+        ids=[
+            "inf-rho", "nan-rho", "nan-lr0", "inf-lr0", "nan-decay",
+            "inf-decay", "nan-alpha", "inf-alpha", "inf-noise", "negative-seed",
+        ],
+    )
+    def test_non_finite_or_negative_seed_is_config_error(
+        self, tmp_path, capsys, section, key, raw, message
+    ):
+        # each of these once got past the config and ended in a traceback,
+        # a divergence or an empty fold; the library types now reject them
+        text = config_with(tmp_path, section, key, raw)
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            parse_config(text)
+        path = tmp_path / "bad.ini"
+        path.write_text(text)
+        assert run_cli("gen-data", path) == 2
+        assert capsys.readouterr().err == f"error: config: {message}\n"
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "hidden, grid, bad",
@@ -176,8 +209,8 @@ class TestConfigRoundTrip:
             f"[expert]\nfrozen_grid = {grid}\n[paths]\nout_dir = {out}\n"
         )
         message = (
-            f"expert.frozen_grid value {bad} freezes the expert's new head: with "
-            f"training.hidden_dims = {hidden!r} it must be <= {bad - 1}"
+            f"expert: frozen_grid value {bad} is outside [0, {bad - 1}], "
+            f"the backbone depth under the expert's new head"
         )
         with pytest.raises(ConfigError, match=re.escape(message)):
             parse_config(text)

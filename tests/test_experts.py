@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -215,8 +216,18 @@ class TestHyperparamSelection:
     @pytest.mark.parametrize("grid", [([2.0, 2.0], [0]), ([1.0, 2.0], [0, 1, 0])])
     def test_repeated_grid_value_rejected(self, tiny_world, grid):
         bundle, _, subsets, baseline, config = tiny_world
-        with pytest.raises(ValueError, match="without repeats"):
+        with pytest.raises(ValueError, match="repeats the value"):
             select_expert_hyperparams(baseline, subsets[0], bundle, *grid, config)
+
+    def test_frozen_value_over_the_new_head_rejected(self, tiny_world):
+        # the baseline has one hidden layer, so frozen 2 would freeze the
+        # expert's new head and leave it at its initialization
+        bundle, _, subsets, baseline, config = tiny_world
+        message = re.escape("frozen_grid value 2 is outside [0, 1]")
+        with pytest.raises(ValueError, match=message):
+            train_expert(baseline, subsets[0], bundle, 2.0, 2, config)
+        with pytest.raises(ValueError, match=message):
+            select_expert_hyperparams(baseline, subsets[0], bundle, [2.0], [0, 2], config)
 
 
 def reference_selection(baseline, subset, bundle, rho_grid, frozen_grid, config):

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -250,6 +251,21 @@ class TestTraining:
         params = init_network([2, 4, 3], seed=0)
         with pytest.raises(ValueError, match="head width"):
             train_network(params, ds, TrainConfig(lr0=0.1, epochs=1, batch_size=8))
+
+    @pytest.mark.parametrize(
+        "setting, message",
+        [
+            ({"seed": -1}, "seed must be >= 0, got -1"),
+            ({"lr0": math.nan}, "lr0 must be finite and positive, got nan"),
+            ({"lr0": math.inf}, "lr0 must be finite and positive, got inf"),
+            ({"weight_decay": math.inf}, "weight_decay must be finite and >= 0, got inf"),
+            ({"hidden_dims": (8, 0)}, "every width in hidden_dims must be >= 1"),
+        ],
+        ids=["negative-seed", "nan-lr0", "inf-lr0", "inf-decay", "zero-width"],
+    )
+    def test_config_out_of_range_rejected(self, setting, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            TrainConfig(**{"lr0": 0.1, "epochs": 1, "batch_size": 8, **setting})
 
     def test_layer_width_below_one_rejected(self):
         with pytest.raises(ValueError, match="every layer width must be >= 1"):

@@ -1,12 +1,25 @@
 """Property-based checks of the library's structural invariants."""
 
+import math
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from tailens.config import (
+    ConfigError,
+    DatasetSection,
+    ExpertSection,
+    TrainingSection,
+    parse_config,
+    train_config_from,
+)
 from tailens.dataset import (
+    DatasetBundle,
+    EmbeddingDataset,
     Fold,
     FoldAssignment,
     SubsetSpec,
@@ -16,8 +29,10 @@ from tailens.dataset import (
     partition_subsets,
     relabel_for_expert,
 )
+from tailens.experts import BaselineModel, expert_grid_tasks
 from tailens.fusion import expand_partial, fuse_soft_vote
 from tailens.network import finite_diff_check, init_network, softmax
+from tailens.pipeline import SEED_BASELINE, SEED_UNIFORM, seed_for_expert
 
 finite_logits = arrays(
     np.float64,
@@ -139,6 +154,77 @@ class TestFusionProperties:
         assert q.shape == (6, class_count)
         assert np.max(np.abs(q.sum(axis=1) - 1.0)) < 1e-9
         assert np.all(q >= 0)
+
+
+_SPECIAL_VALUES = st.sampled_from(["0", "-1", "inf", "-inf", "nan"])
+_INI_SCALARS = {
+    int: _SPECIAL_VALUES | (st.integers(1, 3) | st.integers(1, 300)).map(str),
+    float: _SPECIAL_VALUES | st.floats(1e-3, 1e3).map(repr),
+}
+_NUMERIC_KEYS = [
+    (name, f)
+    for name, section in (("dataset", DatasetSection), ("training", TrainingSection), ("expert", ExpertSection))
+    for f in fields(section)
+    if not isinstance(f.default, str)
+]
+
+
+@st.composite
+def ini_texts(draw):
+    """An INI text that sets up to three numeric keys of [dataset],
+    [training] and [expert], each to a positive value or to zero, a
+    negative, an infinity or nan; a grid draws its entries from a small
+    pool, so repeats are common."""
+    sections = {"paths": {"out_dir": "out"}, "dataset": {}, "training": {"seed": "0"}, "expert": {}}
+    if draw(st.booleans()):
+        sections["dataset"].update(source="load", manifest="bundle.json")
+    for name, f in draw(st.lists(st.sampled_from(_NUMERIC_KEYS), min_size=1, max_size=3, unique=True)):
+        if isinstance(f.default, tuple):
+            pool = draw(st.lists(_INI_SCALARS[type(f.default[0])], min_size=1, max_size=3))
+            raw = ",".join(draw(st.lists(st.sampled_from(pool), max_size=4)))
+        else:
+            raw = draw(_INI_SCALARS[type(f.default)])
+        sections[name][f.name] = raw
+    return "".join(
+        f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in items.items())
+        for name, items in sections.items()
+    )
+
+
+_TINY_SPLIT = EmbeddingDataset(np.arange(12.0).reshape(6, 2), np.repeat(np.arange(3), 2), 3)
+_TINY_BUNDLE = DatasetBundle(_TINY_SPLIT, _TINY_SPLIT, _TINY_SPLIT)
+
+
+class TestConfigDriftGuard:
+    """A config the parser accepts must build every library object the
+    pipeline later builds from it; one it rejects fails as a ConfigError."""
+
+    @given(ini_texts())
+    @settings(max_examples=500, deadline=None)
+    def test_accepted_config_builds_every_stage(self, text):
+        try:
+            cfg = parse_config(text)
+        except ConfigError:
+            return
+        t, d = cfg.training, cfg.dataset
+        train_config_from(t, seed=t.seed + SEED_BASELINE)
+        train_config_from(t, seed=t.seed + SEED_UNIFORM, stage="uniform")
+        # numpy takes the seed where the baseline is initialized
+        baseline = BaselineModel(init_network([2, *t.hidden_dims, 3], seed=t.seed + SEED_BASELINE))
+        subset = SubsetSpec(Fold.MANYSHOT, np.array([0]))
+        for fold in Fold:
+            expert_cfg = train_config_from(t, seed=seed_for_expert(t.seed, fold), stage="expert")
+            tasks = expert_grid_tasks(
+                baseline, subset, _TINY_BUNDLE, cfg.expert.rho_grid, cfg.expert.frozen_grid, expert_cfg
+            )
+            points = [(c.sampler.rho, c.frozen_layers) for _, _, configs in tasks for c in configs]
+            assert len(set(points)) == len(cfg.expert.rho_grid) * len(cfg.expert.frozen_grid)
+            # every frozen value leaves the expert's head trainable
+            assert all(frozen < baseline.params.layer_count for _, frozen in points)
+            assert all(math.isfinite(rho) for rho, _ in points)
+        FoldAssignment.from_frequencies([1, 50, 500], (d.many_min, d.few_max))
+        if d.source == "generate":
+            d.synthetic()
 
 
 class TestGradientProperty:
