@@ -37,7 +37,6 @@ from .network import (
     TrainConfig,
     backward_gradients,
     cosine_lr,
-    finite_diff_check,
     forward_logits,
     init_network,
     load_checkpoint,
@@ -66,8 +65,6 @@ from .fusion import (
     KLFusionResult,
     SelectorModel,
     StackerModel,
-    calibration_finite_diff_check,
-    calibration_gradient,
     expand_partial,
     fuse_by_selection,
     fuse_by_stacking,

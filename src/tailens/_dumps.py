@@ -1,10 +1,11 @@
 """Posterior dumps: the CSV files through which the full-width posteriors of
-any model, and the experts' partial posteriors, leave and join the ensemble.
+any model leave and join the ensemble, and the experts' partial posteriors
+leave it. Nothing in the package reads a partial dump or its sidecar back;
+they are for readers outside it.
 """
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -42,47 +43,49 @@ class ExternalPosteriorTable:
         object.__setattr__(self, "probabilities", probs)
 
 
+def _posterior_columns(class_count: int) -> list[str]:
+    """The columns of a full-width posterior dump."""
+    return ["sample_id"] + [f"p{j}" for j in range(class_count)]
+
+
 def write_posterior_csv(path, sample_ids, probabilities) -> None:
     """Full-width posterior dump: ``sample_id,p0,...,p{C-1}`` per row."""
     probabilities = np.atleast_2d(np.asarray(probabilities, dtype=np.float64))
-    header = "sample_id," + ",".join(f"p{j}" for j in range(probabilities.shape[1]))
+    header = ",".join(_posterior_columns(probabilities.shape[1]))
     atomic_write_float_csv(path, header, sample_ids, probabilities)
 
 
-def _read_posterior_dump(path: Path, header: list[str], what: str, expert_id: int | None = None):
-    """Read a posterior dump into (ids, probabilities, order), where
-    ``order`` is the stable argsort of the ids.
+def ingest_external_posteriors(path, class_count: int) -> ExternalPosteriorTable:
+    """Read a full-width posterior CSV produced here or by an outside model,
+    named after the file's stem, its rows in sample-id order (copied only
+    when the file holds them in another order).
 
-    The first line must equal ``header`` (else it does not match ``what``).
-    Each row holds the sample id, then, given ``expert_id``, that expert id,
-    and then one probability per remaining header column. A row with
+    The first line must be ``sample_id,p0,...,p{class_count-1}``. A row with
     another column count, a sample id that is not an integer or repeats an
-    earlier one, an expert id that is not the integer ``expert_id``, a
-    negative or non-finite probability, or zero mass raises a
-    :class:`DataError` naming the file and line. The rows are parsed into
-    arrays sized by a first count of the file's rows.
+    earlier one, a negative or non-finite probability, or zero mass raises a
+    :class:`DataError` naming the file and line. Rows whose mass differs
+    from 1 by more than 1e-6 are renormalized with a warning. The rows are
+    parsed into arrays sized by a first count of the file's rows.
     """
-    leading = 1 if expert_id is None else 2
-    width = len(header) - leading
+    path = Path(path)
+    header = _posterior_columns(class_count)
     with csv_rows(path) as (first, line_nos, rows):
         if first.split(",") != header:
-            raise DataError(f"{path.name}: header does not match {what}")
+            raise DataError(
+                f"{path.name}: header does not match a {class_count}-class posterior dump"
+            )
         ids = np.empty(len(line_nos), dtype=np.int64)
-        probs = np.empty((len(line_nos), width))
+        probs = np.empty((len(line_nos), class_count))
         for row, (line_no, parts) in enumerate(rows):
             if len(parts) != len(header):
-                raise DataError(f"{path.name} line {line_no}: expected {width} probabilities")
+                raise DataError(
+                    f"{path.name} line {line_no}: expected {class_count} probabilities"
+                )
             try:
                 ids[row] = int(parts[0])
-                row_expert = None if expert_id is None else int(parts[1])
-                probs[row] = list(map(float, parts[leading:]))
+                probs[row] = list(map(float, parts[1:]))
             except ValueError:
                 raise DataError(f"{path.name} line {line_no}: not a number") from None
-            if row_expert != expert_id:
-                raise DataError(
-                    f"{path.name} line {line_no}: expert_id {row_expert} "
-                    f"is not the sidecar's {expert_id}"
-                )
     shrink_rows((ids, probs), len(line_nos))
     order = np.argsort(ids, kind="stable")
     repeat = np.zeros(len(ids), dtype=bool)
@@ -99,23 +102,6 @@ def _read_posterior_dump(path: Path, header: list[str], what: str, expert_id: in
         bad = first_row_where(test, probs)
         if bad is not None:
             raise DataError(f"{path.name} line {line_nos[bad]}: {problem}")
-    return ids, probs, order
-
-
-def ingest_external_posteriors(
-    path, class_count: int, name: str | None = None
-) -> ExternalPosteriorTable:
-    """Read a full-width posterior CSV produced here or by an outside model,
-    its rows in sample-id order (copied only when the file holds them in
-    another order).
-
-    Rows whose mass differs from 1 by more than 1e-6 are renormalized with a
-    warning; negative or non-finite entries and rows of zero mass are
-    rejected with a :class:`DataError` naming the file and line.
-    """
-    path = Path(path)
-    header = ["sample_id"] + [f"p{j}" for j in range(class_count)]
-    ids, probs, order = _read_posterior_dump(path, header, f"a {class_count}-class posterior dump")
     sums = probs.sum(axis=1)
     off = np.abs(sums - 1.0) > 1e-6
     if np.any(off):
@@ -127,7 +113,7 @@ def ingest_external_posteriors(
         probs /= sums[:, None]
     if np.any(order != np.arange(len(order))):
         ids, probs = ids[order], probs[order]
-    return ExternalPosteriorTable(name or path.stem, ids, probs)
+    return ExternalPosteriorTable(path.stem, ids, probs)
 
 
 def write_partial_posterior_csv(
@@ -146,27 +132,3 @@ def write_partial_posterior_csv(
         "rho": rho,
     }
     atomic_write_json(path.with_suffix(".json"), sidecar)
-
-
-def read_partial_posterior_csv(path) -> tuple[np.ndarray, np.ndarray, dict]:
-    """Round-trip reader for partial dumps; returns (ids, probabilities, sidecar).
-
-    A row with the wrong column count, an expert id other than the
-    sidecar's, a negative or non-finite entry, or zero mass raises a
-    :class:`DataError` naming the file and line, as does a sidecar that is
-    not JSON or lacks an integer expert id or a class list.
-    """
-    path = Path(path)
-    sidecar_path = path.with_suffix(".json")
-    with open(sidecar_path, "r", encoding="utf-8") as fh:
-        try:
-            sidecar = json.load(fh)
-            k = len(sidecar["classes"])
-            expert_id = sidecar["expert_id"]
-            if type(expert_id) is not int:
-                raise TypeError(f"expert_id {expert_id!r} is not an integer")
-        except (ValueError, TypeError, KeyError) as exc:
-            raise DataError(f"{sidecar_path.name}: not a dump sidecar ({exc!r})") from None
-    header = ["sample_id", "expert_id"] + [f"p{j}" for j in range(k)] + ["preject"]
-    ids, probs, _ = _read_posterior_dump(path, header, "its sidecar", expert_id)
-    return ids, probs, sidecar

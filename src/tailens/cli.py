@@ -29,6 +29,7 @@ from .evaluation import (
     take_one_out_ablation,
 )
 from .experts import (
+    BaselineModel,
     ExpertModel,
     expert_partial_posterior,
     load_baseline_checkpoint,
@@ -73,6 +74,11 @@ def _require_file(path: Path, hint: str) -> Path:
     if not path.is_file():
         raise FileNotFoundError(f"{path} is missing; run `{hint}` first")
     return path
+
+
+def _load_baseline(cfg: RunConfig, name: str) -> BaselineModel:
+    """The ``baseline`` or ``uniform`` checkpoint of ``train-baseline``."""
+    return load_baseline_checkpoint(_require_file(_ckpt_path(cfg, name), "tailens train-baseline"))
 
 
 def _load_expert(cfg: RunConfig, bundle, subset: SubsetSpec) -> ExpertModel:
@@ -145,9 +151,7 @@ def cmd_train_baseline(cfg: RunConfig, args) -> None:
 
 def cmd_train_experts(cfg: RunConfig, args) -> None:
     bundle = prepare_bundle(cfg)
-    baseline = load_baseline_checkpoint(
-        _require_file(_ckpt_path(cfg, "baseline"), "tailens train-baseline")
-    )
+    baseline = _load_baseline(cfg, "baseline")
     tables = []
     for sel in select_experts(baseline, bundle, cfg, args.threads):
         name = sel.expert.subset.expert_id.label
@@ -176,9 +180,7 @@ def cmd_dump_posteriors(cfg: RunConfig, args) -> None:
     )
 
     if args.model in ("baseline", "uniform"):
-        model = load_baseline_checkpoint(
-            _require_file(_ckpt_path(cfg, args.model), "tailens train-baseline")
-        )
+        model = _load_baseline(cfg, args.model)
         write_posterior_csv(out, ids, full_posterior_table(model, split.features))
     elif args.model == "experts":
         ensemble = _load_ensemble(cfg, bundle)
@@ -203,25 +205,27 @@ def cmd_train_fusion(cfg: RunConfig, args) -> None:
     print(f"wrote {path}")
 
 
+def _write_report(cfg: RunConfig, name: str, report) -> None:
+    """Write ``report`` as ``reports/<name>.json`` and ``.txt``; print it."""
+    base = _reports_dir(cfg) / name
+    atomic_write_json(base.with_suffix(".json"), report.to_json_dict())
+    atomic_write_text(base.with_suffix(".txt"), report.to_text())
+    print(report.to_text(), end="")
+
+
 def cmd_evaluate(cfg: RunConfig, args) -> None:
     ensemble = _load_ensemble(cfg)
     fused = fused_posteriors(ensemble, _load_fusion(cfg, args.strategy, ensemble), cfg)
     report = fourfold_accuracy(
         np.argmax(fused, axis=1), ensemble.bundle.test.labels, ensemble.folds
     )
-    base = _reports_dir(cfg) / f"eval_{args.strategy}"
-    atomic_write_json(base.with_suffix(".json"), report.to_json_dict())
-    atomic_write_text(base.with_suffix(".txt"), report.to_text())
-    print(report.to_text(), end="")
+    _write_report(cfg, f"eval_{args.strategy}", report)
 
 
 def cmd_oracle(cfg: RunConfig, args) -> None:
     ensemble = _load_ensemble(cfg)
     report = oracle_evaluate(ensemble.experts, ensemble.bundle.test, ensemble.folds)
-    base = _reports_dir(cfg) / "oracle"
-    atomic_write_json(base.with_suffix(".json"), report.to_json_dict())
-    atomic_write_text(base.with_suffix(".txt"), report.to_text())
-    print(report.to_text(), end="")
+    _write_report(cfg, "oracle", report)
 
 
 def cmd_ablate(cfg: RunConfig, args) -> None:

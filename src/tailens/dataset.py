@@ -82,16 +82,13 @@ def _nonfinite_rows(block: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class EmbeddingDataset:
-    """Labeled feature vectors plus per-class frequency metadata.
-
-    ``class_frequency`` is always derived from ``labels`` (recomputed when
-    omitted, cross-checked when supplied); it is never trusted blindly.
-    """
+    """Labeled feature vectors plus the per-class sample counts
+    ``class_frequency``, read-only and derived from ``labels``."""
 
     features: np.ndarray
     labels: np.ndarray
     class_count: int
-    class_frequency: np.ndarray | None = None
+    class_frequency: np.ndarray = field(init=False)
 
     def __post_init__(self):
         features = _frozen_array(self.features, np.float64)
@@ -115,10 +112,6 @@ class EmbeddingDataset:
                 f"found range [{labels.min()}, {labels.max()}]"
             )
         frequency = np.bincount(labels, minlength=self.class_count).astype(np.int64)
-        if self.class_frequency is not None:
-            declared = np.asarray(self.class_frequency, dtype=np.int64)
-            if not np.array_equal(declared, frequency):
-                raise ValueError("class_frequency does not match label counts")
         object.__setattr__(self, "features", features)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "class_frequency", _frozen_array(frequency, np.int64))

@@ -17,6 +17,8 @@ from .dataset import EmbeddingDataset, Fold, FoldAssignment
 from .experts import ExpertModel, _in_subset_predictions, expert_partial_posterior
 from .fusion import _as_array, expand_partial, fuse_soft_vote
 
+HISTOGRAM_BINS = 20
+
 
 @dataclass(frozen=True)
 class EvalReport:
@@ -216,44 +218,28 @@ class ConfidenceHistogram:
 
 
 def confidence_histogram(
-    probabilities,
-    *,
-    bins: int = 20,
-    expert_id: Fold | None = None,
-    population: str = "",
+    probabilities, *, expert_id: Fold | None = None, population: str = ""
 ) -> ConfidenceHistogram:
-    """Histogram the per-row maximum probability over [0, 1]."""
+    """Histogram the per-row maximum probability over [0, 1] in
+    ``HISTOGRAM_BINS`` equal bins."""
     probs = np.atleast_2d(_as_array(probabilities))
     confidence = probs.max(axis=1)
-    counts, edges = np.histogram(confidence, bins=bins, range=(0.0, 1.0))
+    counts, edges = np.histogram(confidence, bins=HISTOGRAM_BINS, range=(0.0, 1.0))
     return ConfidenceHistogram(
         bin_edges=edges, counts=counts, expert_id=expert_id, population=population
     )
 
 
 def msp_histogram(
-    expert: ExpertModel,
-    features,
-    *,
-    bins: int = 20,
-    expanded: bool = True,
-    class_count: int | None = None,
-    population: str = "",
+    expert: ExpertModel, features, *, class_count: int, population: str = ""
 ) -> ConfidenceHistogram:
-    """Confidence histogram of an expert on a sample population.
-
-    With ``expanded`` the confidence is taken from the full-width expansion
-    of the partial posterior (requires ``class_count``); otherwise from the
-    raw partial posterior including the reject entry.
-    """
+    """Confidence histogram of an expert on a sample population, taken from
+    the full-width expansion of its partial posterior over ``class_count``
+    classes."""
     partial = expert_partial_posterior(expert, np.atleast_2d(features))
-    probs = partial.probabilities
-    if expanded:
-        if class_count is None:
-            raise ValueError("expanded MSP needs class_count")
-        probs = expand_partial(probs, expert.subset, class_count)
+    probs = expand_partial(partial.probabilities, expert.subset, class_count)
     return confidence_histogram(
-        probs, bins=bins, expert_id=expert.subset.expert_id, population=population
+        probs, expert_id=expert.subset.expert_id, population=population
     )
 
 

@@ -185,7 +185,6 @@ def train_expert(
 def expert_partial_posterior(expert: ExpertModel, features) -> PartialPosterior:
     """Bias-corrected logits and probabilities for one or many samples."""
     z = forward_logits(expert.params, features)
-    z = np.array(z, dtype=np.float64)
     if expert.apply_reject_correction:
         z[..., expert.reject_index] += math.log(expert.rho)
     return PartialPosterior(

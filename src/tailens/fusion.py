@@ -41,13 +41,7 @@ from ._dumps import ingest_external_posteriors, write_posterior_csv  # noqa: F40
 from ._newton import _damped_newton, _newton_step, _PenalizedSoftmax, _RidgeNewtonProblem
 from .dataset import SubsetSpec
 from .experts import PartialPosterior
-from .network import (
-    DivergenceError,
-    NetworkParams,
-    _central_difference_error,
-    forward_logits,
-    softmax,
-)
+from .network import DivergenceError, NetworkParams, forward_logits, softmax
 
 REJECT_DROP_WARNING = (
     "expert covers every class; reject mass was dropped and the row renormalized"
@@ -494,6 +488,12 @@ def concat_partials(partials) -> np.ndarray:
     return np.concatenate(rows, axis=1)
 
 
+def _linear_softmax(params: NetworkParams, partials) -> np.ndarray:
+    """The softmax of a linear model of the concatenated partial posteriors,
+    as the selector and the stacker score them."""
+    return softmax(forward_logits(params, concat_partials(partials)))
+
+
 @dataclass(frozen=True)
 class SelectorModel:
     """Linear softmax picking which expert owns a sample's true class, with
@@ -506,7 +506,7 @@ class SelectorModel:
     gradient_norm: float | None = None
 
     def scores(self, partials) -> np.ndarray:
-        return softmax(forward_logits(self.params, concat_partials(partials)))
+        return _linear_softmax(self.params, partials)
 
 
 @dataclass(frozen=True)
@@ -585,9 +585,8 @@ def train_stacker(val_partials, val_class_labels, class_count: int) -> StackerMo
 
 
 def fuse_by_stacking(partials, stacker: StackerModel) -> np.ndarray:
-    features = concat_partials(partials)
+    q = _linear_softmax(stacker.params, partials)
     single = all(_as_array(p).ndim == 1 for p in partials)
-    q = softmax(forward_logits(stacker.params, features))
     return q[0] if single else q
 
 
@@ -657,11 +656,6 @@ def _calibration_forward(logit_rows, subsets, class_count, scales, shifts, stack
     probs = [softmax(z * w + b) for z, w, b in zip(logit_rows, scales, shifts)]
     prob_rows, drops, _ = _expansion_inputs(probs, subsets, class_count, stacklevel + 1)
     return _mean_expansion(prob_rows, subsets, drops, class_count)
-
-
-def _calibration_objective(logit_rows, subsets, class_count, labels, scales, shifts):
-    q = _calibration_forward(logit_rows, subsets, class_count, scales, shifts)
-    return float(-np.log(q[np.arange(len(labels)), labels]).mean())
 
 
 def _label_columns(logit_rows, subsets, class_count: int, labels):
@@ -859,44 +853,3 @@ def train_joint_calibration(
     problem = _PenalizedCalibration(val_logits, subsets, val_class_labels, class_count)
     point, steps, gradient_norm, trace = _damped_newton(problem)
     return problem.params(point.theta, steps, gradient_norm, trace[0], trace[-1]), trace
-
-
-def calibration_gradient(
-    val_logits, subsets, val_class_labels, class_count: int, params: CalibrationParams
-) -> np.ndarray:
-    """The gradient of :func:`train_joint_calibration`'s penalized objective
-    at ``params``, flat as (w_1, b_1, ..., w_E, b_E), recomputed from the
-    inputs: an independent check of the certificate the fit records."""
-    problem = _PenalizedCalibration(val_logits, subsets, val_class_labels, class_count)
-    return problem.gradient(problem.evaluate(problem.flatten(params)))
-
-
-def calibration_finite_diff_check(
-    val_logits,
-    subsets,
-    val_class_labels,
-    class_count: int,
-    params: CalibrationParams | None = None,
-    *,
-    eps: float = 1e-5,
-) -> float:
-    """Compare the gradient that :func:`train_joint_calibration` descends
-    against central differences of its penalized objective, evaluated
-    through the full expansion, at ``params`` (default: the identity).
-
-    Same error metric as the network check: |a - n| / max(1, |a|, |n|),
-    maximized over every scale and shift coordinate.
-    """
-    problem = _PenalizedCalibration(val_logits, subsets, val_class_labels, class_count)
-    labels = np.asarray(val_class_labels, dtype=np.int64)
-    theta = problem.anchor.copy() if params is None else problem.flatten(params)
-    grad = problem.gradient(problem.evaluate(theta))
-
-    def objective():
-        r = theta - problem.anchor
-        loss = _calibration_objective(
-            problem.logit_rows, subsets, class_count, labels, *problem._split(theta)
-        )
-        return loss + 0.5 * problem.ridge * float(r @ r)
-
-    return _central_difference_error(objective, [theta], [grad], eps)

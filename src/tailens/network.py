@@ -445,55 +445,6 @@ def train_network(
     return outcome
 
 
-def _central_difference_error(loss, arrays, grads, eps: float) -> float:
-    """Worst deviation of analytic gradients from central finite differences.
-
-    Each coordinate of ``arrays`` is nudged by +-eps in place (and restored)
-    and ``loss()`` is re-evaluated. The error metric is
-    |analytic - numeric| / max(1, |analytic|, |numeric|), so it reads as
-    relative error for large gradients and absolute error for small ones.
-    """
-    if not eps > 0:
-        raise ValueError("eps must be positive")
-    worst = 0.0
-    for arr, grad in zip(arrays, grads):
-        flat = arr.reshape(-1)
-        gflat = grad.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + eps
-            up = loss()
-            flat[i] = orig - eps
-            down = loss()
-            flat[i] = orig
-            numeric = (up - down) / (2.0 * eps)
-            err = abs(gflat[i] - numeric) / max(1.0, abs(gflat[i]), abs(numeric))
-            worst = max(worst, err)
-    return worst
-
-
-def finite_diff_check(
-    params: NetworkParams,
-    features,
-    labels,
-    *,
-    eps: float = 1e-4,
-    frozen_layers: int = 0,
-) -> float:
-    """Worst-coordinate deviation of analytic gradients from central
-    finite differences of the batch loss, over all unfrozen coordinates
-    (error metric as in :func:`_central_difference_error`)."""
-    features = np.atleast_2d(np.asarray(features, dtype=np.float64))
-    labels = np.atleast_1d(np.asarray(labels, dtype=np.int64))
-    analytic = backward_gradients(params, features, labels, frozen_layers)
-    work = params.copy()
-    arrays = [a for w, b in work.layers[frozen_layers:] for a in (w, b)]
-    grads = [g for gw, gb in analytic for g in (gw, gb)]
-    return _central_difference_error(
-        lambda: batch_loss(work, features, labels), arrays, grads, eps
-    )
-
-
 def save_checkpoint(path, params: NetworkParams, meta: dict | None = None) -> None:
     """Versioned binary serialization; round-trips parameters bit-exactly."""
     entries = []

@@ -26,7 +26,6 @@ from tailens.fusion import (
     CalibrationParams,
     SelectorModel,
     StackerModel,
-    calibration_finite_diff_check,
     expand_partial,
     fuse_by_selection,
     fuse_by_stacking,
@@ -34,7 +33,7 @@ from tailens.fusion import (
     fuse_kl_min,
     fuse_soft_vote,
 )
-from tailens.network import finite_diff_check, init_network, softmax
+from tailens.network import init_network, softmax
 
 from conftest import (
     imagenet_lt_like_frequencies,
@@ -45,6 +44,7 @@ from conftest import (
     tiny_run_config,
     write_config_file,
 )
+from gradient_checks import calibration_finite_diff_check, finite_diff_check
 
 
 def _criterion(number: int, description: str, ok: bool, detail: str = "") -> None:

@@ -169,7 +169,7 @@ class TestConfusionMatrix:
 class TestConfidenceHistograms:
     def test_uniform_posterior_lands_in_one_bin(self):
         probs = np.full((17, 5), 0.2)
-        hist = confidence_histogram(probs, bins=20)
+        hist = confidence_histogram(probs)
         assert hist.size == 17
         # max probability 0.2 falls in the [0.2, 0.25) bin
         assert hist.counts[4] == 17
@@ -185,20 +185,6 @@ class TestConfidenceHistograms:
         )
         assert hist.size == bundle.test.n
         assert hist.expert_id == Fold.MANYSHOT
-
-    def test_partial_flag_uses_reject_column(self, trained_world):
-        bundle, _, _, experts = trained_world
-        expanded = msp_histogram(
-            experts[2],
-            bundle.test.features,
-            class_count=bundle.class_count,
-            expanded=True,
-        )
-        partial = msp_histogram(experts[2], bundle.test.features, expanded=False)
-        assert expanded.size == partial.size == bundle.test.n
-        # expansion divides reject confidence over outside classes, so the
-        # expanded view cannot be more confident than the partial view
-        assert expanded.mean_confidence() <= partial.mean_confidence() + 1e-9
 
 
 class TestTakeOneOut:

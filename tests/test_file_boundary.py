@@ -10,6 +10,7 @@ makes or reads.
 """
 
 import io
+import json
 import os
 from dataclasses import replace
 from types import SimpleNamespace
@@ -21,7 +22,6 @@ from conftest import traced_peak
 from tailens import DataError, _io, cli, dataset
 from tailens._dumps import (
     ingest_external_posteriors,
-    read_partial_posterior_csv,
     write_partial_posterior_csv,
     write_posterior_csv,
 )
@@ -126,9 +126,13 @@ class TestWritersMatchTheWholeFileFormulas:
         subset = dataset.SubsetSpec(dataset.Fold.FEWSHOT, np.array([4, 1, 2]))
         partial = PartialPosterior(dataset.Fold.FEWSHOT, np.zeros_like(probs), probs)
         ids = np.arange(13) + 100
-        write_partial_posterior_csv(tmp_path / "e.csv", ids, partial, subset)
+        write_partial_posterior_csv(tmp_path / "e.csv", ids, partial, subset, rho=2.0)
         header = "sample_id,expert_id,p0,p1,p2,preject"
         assert (tmp_path / "e.csv").read_bytes() == reference_csv(header, ids, probs, ",2")
+        # nothing in the package reads a partial dump back, so the sidecar
+        # is checked here
+        sidecar = json.loads((tmp_path / "e.json").read_text())
+        assert sidecar == {"expert_id": 2, "expert": "fewshot", "classes": [4, 1, 2], "rho": 2.0}
 
     def test_a_key_per_row_is_required(self, tmp_path):
         with pytest.raises(ValueError, match="need one key per row"):
@@ -223,14 +227,6 @@ class TestReaders:
             read_embeddings_csv(tmp_path / "x.csv")
         with pytest.raises(DataError, match=r"p\.csv: changed while it was read"):
             ingest_external_posteriors(tmp_path / "p.csv", 2)
-
-    def test_partial_dump_round_trip_across_blocks(self, tmp_path, block_values):
-        probs = np.random.default_rng(2).dirichlet(np.ones(3), size=11)
-        partial = PartialPosterior(dataset.Fold.MANYSHOT, np.log(probs), probs)
-        subset = dataset.SubsetSpec(dataset.Fold.MANYSHOT, np.array([0, 1]))
-        write_partial_posterior_csv(tmp_path / "e.csv", np.arange(11), partial, subset)
-        ids, loaded, _ = read_partial_posterior_csv(tmp_path / "e.csv")
-        assert ids.tolist() == list(range(11)) and loaded.tobytes() == probs.tobytes()
 
 
 class _FailingWriter(io.BufferedWriter):

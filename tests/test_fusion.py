@@ -4,13 +4,8 @@ import warnings
 import numpy as np
 import pytest
 
-from tailens import DataError, _newton
-from tailens._dumps import (
-    ingest_external_posteriors,
-    read_partial_posterior_csv,
-    write_partial_posterior_csv,
-    write_posterior_csv,
-)
+from tailens import _newton
+from tailens._dumps import ingest_external_posteriors, write_posterior_csv
 from tailens._newton import CERTIFICATE_TOL, _newton_step, _PenalizedSoftmax
 from tailens.dataset import Fold, SubsetSpec
 from tailens.fusion import (
@@ -19,8 +14,6 @@ from tailens.fusion import (
     STACKER_RIDGE,
     CalibrationParams,
     _PenalizedCalibration,
-    calibration_finite_diff_check,
-    calibration_gradient,
     concat_partials,
     expand_partial,
     fuse_by_selection,
@@ -32,8 +25,13 @@ from tailens.fusion import (
     train_joint_calibration,
     train_stacker,
 )
-from tailens.experts import PartialPosterior
-from tailens.network import _central_difference_error, init_network, softmax
+from tailens.network import init_network, softmax
+
+from gradient_checks import (
+    _central_difference_error,
+    calibration_finite_diff_check,
+    calibration_gradient,
+)
 
 S01 = SubsetSpec(Fold.MANYSHOT, np.array([0, 1]))
 S23 = SubsetSpec(Fold.FEWSHOT, np.array([2, 3]))
@@ -821,13 +819,23 @@ class TestExternalPosteriors:
         [
             ("0.5,nan", "non-finite"),
             ("inf,0.5", "non-finite"),
+            ("inf,-inf", "non-finite"),
+            ("-0.25,1.25", "negative probability"),
             ("0.0,0.0", "sum to zero"),
+            ("0.5", "expected 2 probabilities"),
+            ("half,0.5", "not a number"),
         ],
     )
     def test_bad_rows_rejected_with_file_and_line(self, tmp_path, row, problem):
         path = tmp_path / "broken.csv"
         path.write_text(f"sample_id,p0,p1\n0,0.5,0.5\n1,{row}\n")
         with pytest.raises(ValueError, match=f"broken.csv line 3: .*{problem}"):
+            ingest_external_posteriors(path, 2)
+
+    def test_dump_of_another_class_count_rejected(self, tmp_path):
+        path = tmp_path / "wide.csv"
+        write_posterior_csv(path, [0], [[0.25, 0.25, 0.5]])
+        with pytest.raises(ValueError, match="wide.csv: header does not match a 2-class"):
             ingest_external_posteriors(path, 2)
 
     def test_calibrated_model_fusion(self):
@@ -841,73 +849,3 @@ class TestExternalPosteriors:
         fused = fuse_calibrated([np.log(p) for p in test_p], calib, members, 3)
         assert fused.shape == (20, 3)
         assert np.max(np.abs(fused.sum(axis=1) - 1.0)) < 1e-9
-
-    def test_partial_dump_round_trip(self, tmp_path):
-        rng = np.random.default_rng(2)
-        probs = rng.dirichlet(np.ones(3), size=5)
-        partial = PartialPosterior(
-            expert_id=Fold.MEDIUMSHOT,
-            logits=np.log(probs),
-            probabilities=probs,
-        )
-        path = tmp_path / "expert_dump.csv"
-        write_partial_posterior_csv(path, np.arange(5), partial, S01, rho=2.0)
-        ids, loaded, sidecar = read_partial_posterior_csv(path)
-        assert np.array_equal(ids, np.arange(5))
-        assert np.array_equal(loaded, probs)
-        assert sidecar["classes"] == [0, 1]
-        assert sidecar["rho"] == 2.0
-
-    @pytest.mark.parametrize(
-        "row, problem",
-        [
-            ("1,1,0.5,nan,0.5", "non-finite probability"),
-            ("1,1,inf,-inf,0.5", "non-finite probability"),
-            ("1,1,0.5,-0.25,0.75", "negative probability"),
-            ("1,1,0.0,0.0,0.0", "probabilities sum to zero"),
-            ("1,1,0.5,0.5", "expected 3 probabilities"),
-            ("0,1,0.5,0.25,0.25", "repeated sample id"),
-            ("1,1,half,0.25,0.25", "not a number"),
-            ("1,banana,0.5,0.25,0.25", "not a number"),
-            ("1,2,0.5,0.25,0.25", "expert_id 2 is not the sidecar's 1"),
-        ],
-        ids=[
-            "nan",
-            "inf",
-            "negative",
-            "all-zero",
-            "short-row",
-            "repeated-id",
-            "text-entry",
-            "text-expert-id",
-            "other-expert-id",
-        ],
-    )
-    def test_partial_dump_bad_rows_name_file_and_line(self, tmp_path, row, problem):
-        probs = np.array([[0.25, 0.25, 0.5]])
-        partial = PartialPosterior(Fold.MEDIUMSHOT, np.log(probs), probs)
-        path = tmp_path / "expert_dump.csv"
-        write_partial_posterior_csv(path, [0], partial, S01)
-        path.write_text(path.read_text() + row + "\n")
-        with pytest.raises(DataError, match=f"expert_dump.csv line 3: {problem}"):
-            read_partial_posterior_csv(path)
-
-    def test_sidecar_without_classes_is_data_error(self, tmp_path):
-        probs = np.array([[0.25, 0.25, 0.5]])
-        partial = PartialPosterior(Fold.MEDIUMSHOT, np.log(probs), probs)
-        path = tmp_path / "expert_dump.csv"
-        write_partial_posterior_csv(path, [0], partial, S01)
-        path.with_suffix(".json").write_text('{"expert_id": 1}\n')
-        with pytest.raises(DataError, match="expert_dump.json: not a dump sidecar"):
-            read_partial_posterior_csv(path)
-
-    @pytest.mark.parametrize("expert_id", ['"1"', "1.0", "true", None])
-    def test_sidecar_without_an_integer_expert_id_is_data_error(self, tmp_path, expert_id):
-        probs = np.array([[0.25, 0.25, 0.5]])
-        partial = PartialPosterior(Fold.MEDIUMSHOT, np.log(probs), probs)
-        path = tmp_path / "expert_dump.csv"
-        write_partial_posterior_csv(path, [0], partial, S01)
-        entry = "" if expert_id is None else f'"expert_id": {expert_id}, '
-        path.with_suffix(".json").write_text("{" + entry + '"classes": [0, 1]}\n')
-        with pytest.raises(DataError, match="expert_dump.json: not a dump sidecar"):
-            read_partial_posterior_csv(path)

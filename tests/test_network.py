@@ -15,7 +15,6 @@ from tailens.network import (
     backward_gradients,
     batch_loss,
     cosine_lr,
-    finite_diff_check,
     fit_networks,
     forward_logits,
     init_network,
@@ -24,6 +23,8 @@ from tailens.network import (
     softmax,
     train_network,
 )
+
+from gradient_checks import finite_diff_check
 
 
 def two_blob_dataset(n_per_class=40, separation=6.0, seed=0):

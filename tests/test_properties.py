@@ -31,8 +31,10 @@ from tailens.dataset import (
 )
 from tailens.experts import BaselineModel, expert_grid_tasks
 from tailens.fusion import expand_partial, fuse_soft_vote
-from tailens.network import finite_diff_check, init_network, softmax
+from tailens.network import init_network, softmax
 from tailens.pipeline import SEED_BASELINE, SEED_UNIFORM, seed_for_expert
+
+from gradient_checks import finite_diff_check
 
 finite_logits = arrays(
     np.float64,
