@@ -267,3 +267,22 @@ def snapshot_tree(root) -> dict[str, bytes]:
         for p in sorted(root.rglob("*"))
         if p.is_file()
     }
+
+
+def read_partial_dump(path):
+    """A partial posterior dump and its sidecar as ``(header, sample ids,
+    expert ids, probabilities, sidecar)``, read with the ``csv`` and
+    ``json`` modules: the package writes the format for outside readers
+    and reads none of it back."""
+    import csv
+    import json
+    from pathlib import Path
+
+    path = Path(path)
+    with open(path, newline="", encoding="utf-8") as fh:
+        header, *rows = list(csv.reader(fh))
+    ids = np.array([int(row[0]) for row in rows], dtype=np.int64)
+    expert_ids = np.array([int(row[1]) for row in rows], dtype=np.int64)
+    probs = np.array([[float(v) for v in row[2:]] for row in rows], dtype=np.float64)
+    sidecar = json.loads(path.with_suffix(".json").read_text(encoding="utf-8"))
+    return header, ids, expert_ids, probs, sidecar

@@ -186,6 +186,20 @@ class TestConfidenceHistograms:
         assert hist.size == bundle.test.n
         assert hist.expert_id == Fold.MANYSHOT
 
+    def test_partial_flag_uses_reject_column(self, trained_world):
+        bundle, _, _, experts = trained_world
+        expanded = msp_histogram(
+            experts[2], bundle.test.features, class_count=bundle.class_count
+        )
+        # the raw partial view: the expert's own classes plus the reject entry
+        partial = confidence_histogram(
+            t.expert_partial_posterior(experts[2], bundle.test.features).probabilities
+        )
+        assert expanded.size == partial.size == bundle.test.n
+        # expansion divides reject confidence over outside classes, so the
+        # expanded view cannot be more confident than the partial view
+        assert expanded.mean_confidence() <= partial.mean_confidence() + 1e-9
+
 
 class TestTakeOneOut:
     def test_duplicate_models_change_nothing(self):

@@ -18,7 +18,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from conftest import traced_peak
+from conftest import read_partial_dump, traced_peak
 from tailens import DataError, _io, cli, dataset
 from tailens._dumps import (
     ingest_external_posteriors,
@@ -227,6 +227,31 @@ class TestReaders:
             read_embeddings_csv(tmp_path / "x.csv")
         with pytest.raises(DataError, match=r"p\.csv: changed while it was read"):
             ingest_external_posteriors(tmp_path / "p.csv", 2)
+
+
+    @pytest.mark.parametrize(
+        "bad, problem",
+        [("7,nan,1.0", "non-finite probability"), ("7,-0.5,1.5", "negative probability"),
+         ("7,0.0,0.0", "probabilities sum to zero"), ("7,1.0", "expected 2 probabilities"),
+         ("x,0.5,0.5", "not a number"), ("1,0.5,0.5", "repeated sample id")],
+        ids=["non-finite", "negative", "zero-mass", "short-row", "bad-id", "repeated-id"],
+    )
+    def test_posterior_dump_errors_name_the_same_line(self, tmp_path, block_values, bad, problem):
+        # lines: 1 header, 2 blank, 3-5 rows, 6 blank, 7 whitespace, 8 bad, 9 row
+        lines = ["sample_id,p0,p1", "", "0,1.0,0.0", "1,0.5,0.5", "2,0.25,0.75", "", " \t",
+                 bad, "9,0.0,1.0"]
+        (tmp_path / "bad.csv").write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError, match=f"bad.csv line 8: {problem}"):
+            ingest_external_posteriors(tmp_path / "bad.csv", 2)
+
+    def test_partial_dump_round_trip_across_blocks(self, tmp_path, block_values):
+        probs = np.random.default_rng(2).dirichlet(np.ones(3), size=11)
+        partial = PartialPosterior(dataset.Fold.MANYSHOT, np.log(probs), probs)
+        subset = dataset.SubsetSpec(dataset.Fold.MANYSHOT, np.array([0, 1]))
+        write_partial_posterior_csv(tmp_path / "e.csv", np.arange(11), partial, subset)
+        _, ids, expert_ids, loaded, _ = read_partial_dump(tmp_path / "e.csv")
+        assert ids.tolist() == list(range(11)) and loaded.tobytes() == probs.tobytes()
+        assert expert_ids.tolist() == [int(dataset.Fold.MANYSHOT)] * 11
 
 
 class _FailingWriter(io.BufferedWriter):

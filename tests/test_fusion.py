@@ -4,8 +4,12 @@ import warnings
 import numpy as np
 import pytest
 
-from tailens import _newton
-from tailens._dumps import ingest_external_posteriors, write_posterior_csv
+from tailens import DataError, _newton
+from tailens._dumps import (
+    ingest_external_posteriors,
+    write_partial_posterior_csv,
+    write_posterior_csv,
+)
 from tailens._newton import CERTIFICATE_TOL, _newton_step, _PenalizedSoftmax
 from tailens.dataset import Fold, SubsetSpec
 from tailens.fusion import (
@@ -25,8 +29,10 @@ from tailens.fusion import (
     train_joint_calibration,
     train_stacker,
 )
+from tailens.experts import PartialPosterior
 from tailens.network import init_network, softmax
 
+from conftest import read_partial_dump
 from gradient_checks import (
     _central_difference_error,
     calibration_finite_diff_check,
@@ -832,6 +838,17 @@ class TestExternalPosteriors:
         with pytest.raises(ValueError, match=f"broken.csv line 3: .*{problem}"):
             ingest_external_posteriors(path, 2)
 
+    @pytest.mark.parametrize(
+        "sample_id, problem",
+        [("0", "repeated sample id"), ("banana", "not a number"), ("1.5", "not a number")],
+        ids=["repeated-id", "text-id", "fractional-id"],
+    )
+    def test_bad_sample_ids_rejected_with_file_and_line(self, tmp_path, sample_id, problem):
+        path = tmp_path / "broken.csv"
+        path.write_text(f"sample_id,p0,p1\n0,0.5,0.5\n{sample_id},0.25,0.75\n")
+        with pytest.raises(DataError, match=f"broken.csv line 3: {problem}"):
+            ingest_external_posteriors(path, 2)
+
     def test_dump_of_another_class_count_rejected(self, tmp_path):
         path = tmp_path / "wide.csv"
         write_posterior_csv(path, [0], [[0.25, 0.25, 0.5]])
@@ -849,3 +866,21 @@ class TestExternalPosteriors:
         fused = fuse_calibrated([np.log(p) for p in test_p], calib, members, 3)
         assert fused.shape == (20, 3)
         assert np.max(np.abs(fused.sum(axis=1) - 1.0)) < 1e-9
+
+    def test_partial_dump_round_trip(self, tmp_path):
+        rng = np.random.default_rng(2)
+        probs = rng.dirichlet(np.ones(3), size=5)
+        partial = PartialPosterior(
+            expert_id=Fold.MEDIUMSHOT,
+            logits=np.log(probs),
+            probabilities=probs,
+        )
+        path = tmp_path / "expert_dump.csv"
+        write_partial_posterior_csv(path, np.arange(5), partial, S01, rho=2.0)
+        header, ids, expert_ids, loaded, sidecar = read_partial_dump(path)
+        assert header == ["sample_id", "expert_id", "p0", "p1", "preject"]
+        assert np.array_equal(ids, np.arange(5))
+        assert expert_ids.tolist() == [int(Fold.MEDIUMSHOT)] * 5
+        assert np.array_equal(loaded, probs)
+        assert sidecar["classes"] == [0, 1]
+        assert sidecar["rho"] == 2.0
