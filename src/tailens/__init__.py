@@ -25,7 +25,6 @@ from .dataset import (
     draw_batch,
     generate_longtailed,
     load_bundle,
-    load_embeddings,
     partition_subsets,
     powerlaw_frequencies,
     relabel_for_expert,

@@ -16,9 +16,8 @@ from ._io import (
     DataError,
     atomic_write_float_csv,
     atomic_write_json,
-    csv_rows,
     first_row_where,
-    shrink_rows,
+    read_float_csv,
 )
 from .dataset import SubsetSpec
 from .experts import PartialPosterior
@@ -64,29 +63,18 @@ def ingest_external_posteriors(path, class_count: int) -> ExternalPosteriorTable
     another column count, a sample id that is not an integer or repeats an
     earlier one, a negative or non-finite probability, or zero mass raises a
     :class:`DataError` naming the file and line. Rows whose mass differs
-    from 1 by more than 1e-6 are renormalized with a warning. The rows are
-    parsed into arrays sized by a first count of the file's rows.
+    from 1 by more than 1e-6 are renormalized with a warning.
     """
     path = Path(path)
-    header = _posterior_columns(class_count)
-    with csv_rows(path) as (first, line_nos, rows):
-        if first.split(",") != header:
+
+    def width_of(header):
+        if header.split(",") != _posterior_columns(class_count):
             raise DataError(
                 f"{path.name}: header does not match a {class_count}-class posterior dump"
             )
-        ids = np.empty(len(line_nos), dtype=np.int64)
-        probs = np.empty((len(line_nos), class_count))
-        for row, (line_no, parts) in enumerate(rows):
-            if len(parts) != len(header):
-                raise DataError(
-                    f"{path.name} line {line_no}: expected {class_count} probabilities"
-                )
-            try:
-                ids[row] = int(parts[0])
-                probs[row] = list(map(float, parts[1:]))
-            except ValueError:
-                raise DataError(f"{path.name} line {line_no}: not a number") from None
-    shrink_rows((ids, probs), len(line_nos))
+        return class_count
+
+    ids, probs, line_nos = read_float_csv(path, width_of, ("probability", "probabilities"))
     order = np.argsort(ids, kind="stable")
     repeat = np.zeros(len(ids), dtype=bool)
     repeat[order[1:]] = ids[order[1:]] == ids[order[:-1]]

@@ -1,6 +1,7 @@
-"""Small file helpers shared across modules: atomic writes, row-block
-streaming of numeric CSV tables, the row reader of the CSV parsers and the
-error type of the file boundary.
+"""Small file helpers shared across modules: atomic writes, the float CSV
+table format that the embedding CSVs and posterior dumps share (its writer
+and its reader), row-block streaming and the error type of the file
+boundary.
 
 Bulk tables cross the file boundary in blocks of about ``ROW_BLOCK_VALUES``
 values, so that what a read or write holds besides its arrays stays bounded
@@ -125,50 +126,74 @@ def atomic_write_float_csv(path, header: str, keys, table, tag: str = "") -> Non
 def count_rows(path) -> int:
     """The non-blank lines after the first, split and stripped as a text
     reader of the file splits and strips them: an upper bound on the rows
-    :func:`csv_rows` finds in the unchanged file. Bytes that are not UTF-8
-    count as text here; :func:`csv_rows` reports them."""
+    :func:`read_float_csv` finds in the unchanged file. Bytes that are not
+    UTF-8 count as text here; :func:`read_float_csv` reports them."""
     with open(path, "r", encoding="utf-8", errors="replace") as fh:
         fh.readline()
         return sum(1 for line in fh if line.strip())
 
 
-@contextlib.contextmanager
-def csv_rows(path: Path, open_text=None):
-    """The CSV file at ``path`` as ``(header, line_nos, rows)``, read as
-    UTF-8 text from ``open_text(path)`` (default: ``open``) until the block
-    ends. ``header`` is the first line without its newline; ``rows`` yields
-    the line number and the comma-split fields of each row :func:`count_rows`
-    counts, recording the line number in ``line_nos``, which is cut to the
-    rows found once ``rows`` runs out. More rows than counted, or bytes that
-    are not UTF-8, raise a :class:`DataError` naming the file."""
-    line_nos = np.empty(count_rows(path), dtype=np.int64)
+def read_float_csv(path: Path, width_of, values: tuple[str, str], open_text=None):
+    """Inverse of :func:`atomic_write_float_csv`: ``(keys, table, line_nos)``
+    from the CSV file at ``path``, read as UTF-8 text from
+    ``open_text(path)`` (default: ``open``).
 
-    def rows(fh):
-        found = 0
-        for line_no, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            if found == len(line_nos):
-                raise DataError(f"{path.name}: changed while it was read")
-            line_nos[found] = line_no
-            found += 1
-            yield line_no, line.split(",")
-        shrink_rows((line_nos,), found)
-
+    ``width_of(header)`` checks the first line, without its newline, raising
+    a :class:`DataError` if it is not the expected header, and returns the
+    number of values per row. Every non-blank line after it is a row, its
+    fields stripped of surrounding whitespace and split on commas: an integer
+    key (named in errors by the header's first column) and then that many
+    floats (``values`` names one and several of them in errors).
+    ``line_nos`` holds each row's line number. The arrays are sized by
+    :func:`count_rows` and cut to the rows found. A row with another field
+    count, a key or value that does not parse, more rows than counted, or
+    bytes that are not UTF-8 raise a :class:`DataError` naming the file,
+    and the line where there is one."""
+    n = count_rows(path)
     try:
         with open(path, "r", encoding="utf-8") if open_text is None else open_text(path) as fh:
-            yield fh.readline().rstrip("\n"), line_nos, rows(fh)
+            header = fh.readline().rstrip("\n")
+            width, key = width_of(header), header.split(",")[0]
+            keys = np.empty(n, dtype=np.int64)
+            table = np.empty((n, width))
+            line_nos = np.empty(n, dtype=np.int64)
+            found = 0
+            for line_no, line in enumerate(fh, start=2):
+                line = line.strip()
+                if not line:
+                    continue
+                if found == n:
+                    raise DataError(f"{path.name}: changed while it was read")
+                parts = line.split(",")
+                if len(parts) != width + 1:
+                    raise DataError(
+                        f"{path.name} line {line_no}: expected {width} {values[1]}, "
+                        f"got {len(parts) - 1}"
+                    )
+                try:
+                    keys[found] = int(parts[0])
+                except ValueError:
+                    raise DataError(
+                        f"{path.name} line {line_no}: {key} {parts[0]!r} is not an integer"
+                    ) from None
+                except OverflowError:  # an integer beyond int64
+                    raise DataError(
+                        f"{path.name} line {line_no}: {key} {int(parts[0])} out of range"
+                    ) from None
+                try:
+                    table[found] = list(map(float, parts[1:]))
+                except ValueError:
+                    raise DataError(
+                        f"{path.name} line {line_no}: {values[0]} is not a number"
+                    ) from None
+                line_nos[found] = line_no
+                found += 1
     except UnicodeDecodeError:
         raise DataError(f"{path.name}: not UTF-8 text") from None
-
-
-def shrink_rows(arrays, rows: int) -> None:
-    """Cut each array, which owns its data, to its first ``rows`` rows in
-    place."""
-    for arr in arrays:
-        if len(arr) > rows:
-            arr.resize((rows,) + arr.shape[1:], refcheck=False)
+    if found < n:
+        for arr in (keys, table, line_nos):
+            arr.resize((found,) + arr.shape[1:], refcheck=False)
+    return keys, table, line_nos
 
 
 def first_row_where(test, table) -> int | None:

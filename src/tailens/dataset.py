@@ -32,10 +32,9 @@ from ._io import (
     atomic_write_text,
     atomic_writer,
     block_rows,
-    csv_rows,
     first_row_where,
+    read_float_csv,
     row_blocks,
-    shrink_rows,
 )
 
 DEFAULT_MANY_MIN = 100
@@ -541,13 +540,6 @@ def write_embeddings_csv(path, dataset: EmbeddingDataset) -> None:
     atomic_write_float_csv(path, header, dataset.labels, dataset.features)
 
 
-def read_embeddings_csv(path, *, class_count: int | None = None):
-    """Parse one embedding CSV into read-only (features, labels) arrays. A
-    malformed file raises :class:`DataError` naming the file and line."""
-    features, labels, _ = _parse_embeddings(Path(path), class_count)
-    return features, labels
-
-
 class _HashingReader(io.FileIO):
     """A raw binary reader of ``path`` that feeds every byte it reads to
     ``digest``."""
@@ -562,51 +554,35 @@ class _HashingReader(io.FileIO):
         return n
 
 
-def _parse_embeddings(path: Path, class_count: int | None):
+def _parse_embeddings(path: Path, class_count: int):
     """(features, labels, SHA-256 hex digest of the bytes parsed): the rows
-    parsed into read-only arrays sized by :func:`count_rows`."""
+    of one ``label,f0,...,f{d-1}`` CSV as read-only arrays. A malformed file,
+    or a label outside ``[0, class_count)``, raises a :class:`DataError`
+    naming the file and line."""
     digest = hashlib.sha256()
-    with csv_rows(path, lambda p: io.TextIOWrapper(
-        io.BufferedReader(_HashingReader(p, digest), _HASH_CHUNK), encoding="utf-8"
-    )) as (header, line_nos, rows):
+
+    def width_of(header):
         fields = header.split(",")
-        expected = ["label"] + [f"f{j}" for j in range(len(fields) - 1)]
-        if len(fields) < 2 or fields != expected:
+        if len(fields) < 2 or fields != ["label"] + [f"f{j}" for j in range(len(fields) - 1)]:
             raise DataError(f"{path.name}: malformed header {header!r}")
-        dim = len(fields) - 1
+        return len(fields) - 1
 
-        features = np.empty((len(line_nos), dim))
-        labels = np.empty(len(line_nos), dtype=np.int64)
-        for row, (line_no, parts) in enumerate(rows):
-            if len(parts) - 1 != dim:
-                raise DataError(
-                    f"{path.name} line {line_no}: expected {dim} features, "
-                    f"got {len(parts) - 1}"
-                )
-            try:
-                label = int(parts[0])
-            except ValueError:
-                raise DataError(
-                    f"{path.name} line {line_no}: label {parts[0]!r} is not an integer"
-                ) from None
-            if label < 0:
-                raise DataError(f"{path.name} line {line_no}: negative label {label}")
-            if class_count is not None and label >= class_count:
-                raise DataError(
-                    f"{path.name} line {line_no}: label {label} out of range "
-                    f"[0, {class_count})"
-                )
-            try:
-                features[row] = list(map(float, parts[1:]))
-            except ValueError:
-                raise DataError(
-                    f"{path.name} line {line_no}: feature is not a number"
-                ) from None
-            labels[row] = label
-
-    if not len(line_nos):
+    labels, features, line_nos = read_float_csv(
+        path, width_of, ("feature", "features"), lambda p: io.TextIOWrapper(
+            io.BufferedReader(_HashingReader(p, digest), _HASH_CHUNK), encoding="utf-8"
+        ),
+    )
+    if not len(labels):
         raise DataError(f"{path.name}: no samples")
-    shrink_rows((features, labels), len(line_nos))
+    outside = (labels < 0) | (labels >= class_count)
+    if outside.any():
+        row = int(np.argmax(outside))
+        label = labels[row]
+        problem = (
+            f"negative label {label}" if label < 0
+            else f"label {label} out of range [0, {class_count})"
+        )
+        raise DataError(f"{path.name} line {line_nos[row]}: {problem}")
     bad = first_row_where(_nonfinite_rows, features)
     if bad is not None:
         raise DataError(f"{path.name} line {line_nos[bad]}: non-finite feature")
@@ -688,7 +664,7 @@ def _write_cache_entry(entry: Path, features: np.ndarray, labels: np.ndarray) ->
 
 
 def _read_embeddings_cached(path, class_count: int, cache_dir: Path):
-    """:func:`read_embeddings_csv` through a content-addressed cache.
+    """:func:`_parse_embeddings`' arrays through a content-addressed cache.
 
     An entry is ``<sha256 of the CSV bytes>.npy`` in ``cache_dir``: one
     float64 table with the labels in column 0 and the features after them,
@@ -707,48 +683,6 @@ def _read_embeddings_cached(path, class_count: int, cache_dir: Path):
     features, labels, digest = _parse_embeddings(path, class_count)
     _write_cache_entry(cache_dir / f"{digest}.npy", features, labels)
     return features, labels
-
-
-def load_embeddings(
-    train_path,
-    val_path,
-    test_path,
-    *,
-    class_count: int | None = None,
-    cache_dir=None,
-) -> DatasetBundle:
-    """Load a bundle from three embedding CSVs.
-
-    When ``class_count`` is omitted it is inferred as one past the largest
-    label seen across the three files. Train frequencies are recomputed from
-    the train rows. Unbalanced val/test splits warn rather than fail. With
-    ``cache_dir`` (which needs ``class_count``) each CSV is parsed once and
-    its arrays are read back from the cache while its bytes are unchanged.
-    """
-    if cache_dir is not None and class_count is None:
-        raise ValueError("a bundle cache needs class_count")
-
-    def read(path):
-        if cache_dir is None:
-            return read_embeddings_csv(path, class_count=class_count)
-        return _read_embeddings_cached(path, class_count, Path(cache_dir))
-
-    (train_f, train_l), (val_f, val_l), (test_f, test_l) = (
-        read(p) for p in (train_path, val_path, test_path)
-    )
-    for path, feats in ((val_path, val_f), (test_path, test_f)):
-        if feats.shape[1] != train_f.shape[1]:
-            raise DataError(
-                f"{Path(path).name}: {feats.shape[1]} features, "
-                f"{Path(train_path).name} has {train_f.shape[1]}"
-            )
-    if class_count is None:
-        class_count = int(max(train_l.max(), val_l.max(), test_l.max())) + 1
-    return DatasetBundle(
-        train=EmbeddingDataset(train_f, train_l, class_count),
-        val=EmbeddingDataset(val_f, val_l, class_count),
-        test=EmbeddingDataset(test_f, test_l, class_count),
-    )
 
 
 def _write_manifest(directory: Path, bundle: DatasetBundle) -> Path:
@@ -801,12 +735,32 @@ def _read_manifest(manifest_path: Path) -> tuple[list[Path], int]:
 def load_bundle(manifest_path, *, cache_dir=None) -> DatasetBundle:
     """Load a bundle via its manifest (paths resolved relative to it).
 
-    With ``cache_dir``, each split is read through the array cache of
-    :func:`load_embeddings`. A manifest that is not JSON, has another
-    format or lacks a key raises :class:`DataError`.
+    The manifest states the class count; train frequencies are recomputed
+    from the train rows, and unbalanced val/test splits warn rather than
+    fail. With ``cache_dir`` each split CSV is parsed once and its arrays
+    are read back from the cache while its bytes are unchanged. A manifest
+    that is not JSON, has another format or lacks a key, or a malformed
+    split, raises :class:`DataError`.
     """
     splits, class_count = _read_manifest(Path(manifest_path))
-    return load_embeddings(*splits, class_count=class_count, cache_dir=cache_dir)
+
+    def read(path):
+        if cache_dir is None:
+            return _parse_embeddings(path, class_count)[:2]
+        return _read_embeddings_cached(path, class_count, Path(cache_dir))
+
+    (train_f, train_l), (val_f, val_l), (test_f, test_l) = (read(p) for p in splits)
+    for path, feats in ((splits[1], val_f), (splits[2], test_f)):
+        if feats.shape[1] != train_f.shape[1]:
+            raise DataError(
+                f"{path.name}: {feats.shape[1]} features, "
+                f"{splits[0].name} has {train_f.shape[1]}"
+            )
+    return DatasetBundle(
+        train=EmbeddingDataset(train_f, train_l, class_count),
+        val=EmbeddingDataset(val_f, val_l, class_count),
+        test=EmbeddingDataset(test_f, test_l, class_count),
+    )
 
 
 def copy_bundle(manifest_path, bundle: DatasetBundle, directory) -> Path:

@@ -7,7 +7,6 @@ an empty fold reports ``None`` (undefined), never zero.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -39,9 +38,6 @@ class EvalReport:
     correct: int
     total: int
 
-    def accuracy_of(self, fold: Fold) -> float | None:
-        return {Fold.MANYSHOT: self.many, Fold.MEDIUMSHOT: self.medium, Fold.FEWSHOT: self.few}[fold]
-
     def to_json_dict(self) -> dict:
         return {
             "many": self.many,
@@ -55,9 +51,6 @@ class EvalReport:
             "correct": self.correct,
             "total": self.total,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n"
 
     def to_text(self) -> str:
         def fmt(v):

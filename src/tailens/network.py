@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -330,7 +331,8 @@ def fit_networks(params: NetworkParams, dataset: EmbeddingDataset, configs) -> l
     outcome per config, in order: new parameters (the input set is
     untouched) and the trace, or a :class:`DivergenceError` with the epoch.
     A diverged member keeps its slice of the stack but is ignored from the
-    end of its epoch on; the others go on.
+    end of its epoch on; the others go on. ``frozen_layers`` must leave at
+    least one layer to train.
     """
     configs = list(configs)
     if not configs:
@@ -345,8 +347,8 @@ def fit_networks(params: NetworkParams, dataset: EmbeddingDataset, configs) -> l
         )
     n_layers = params.layer_count
     frozen = config.frozen_layers
-    if frozen > n_layers:
-        raise ValueError(f"frozen_layers {frozen} exceeds {n_layers} layers")
+    if frozen >= n_layers:
+        raise ValueError(f"frozen_layers {frozen} leaves none of {n_layers} layers to train")
 
     # The frozen prefix never changes, so batches gather its activations
     # from one table over the dataset. A row of the table is bitwise the
@@ -355,7 +357,7 @@ def fit_networks(params: NetworkParams, dataset: EmbeddingDataset, configs) -> l
     # rounds differently, so one-row batches and datasets keep the prefix.
     rows, count = config.batch_size, len(configs)
     steps_per_epoch = max(1, dataset.n // rows)
-    start = min(frozen, n_layers - 1) if min(rows, dataset.n) > 1 else 0
+    start = frozen if min(rows, dataset.n) > 1 else 0
     source = dataset
     if start:
         table = dataset.features
@@ -487,10 +489,14 @@ def load_checkpoint(path) -> tuple[NetworkParams, dict]:
             raise DataError(f"{path.name}: malformed checkpoint header") from None
         if not isinstance(meta, dict):
             raise DataError(f"{path.name}: checkpoint meta is not a JSON object")
+        if any(n < 0 for _, shape in entries for n in shape):
+            raise DataError(f"{path.name}: malformed checkpoint header")
         arrays = {}
+        size = os.fstat(fh.fileno()).st_size
         for name, shape in entries:
             count = math.prod(shape)
-            buf = fh.read(count * 8)
+            # sized against the file first, so a huge declared shape asks for no memory
+            buf = fh.read(count * 8) if size - fh.tell() >= count * 8 else b""
             if len(buf) != count * 8:
                 raise DataError(f"{path.name}: truncated array {name}")
             arrays[name] = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()

@@ -80,7 +80,7 @@ def seed_for_expert(root_seed: int, expert: Fold) -> int:
 def prepare_bundle(cfg: RunConfig) -> DatasetBundle:
     d = cfg.dataset
     if d.source == "load":
-        # each split CSV is parsed once per out_dir; see dataset.load_embeddings
+        # each split CSV is parsed once per out_dir; see dataset.load_bundle
         return load_bundle(d.manifest, cache_dir=Path(cfg.paths.out_dir) / "cache")
     return generate_longtailed(d.synthetic(), cfg.training.seed, (d.many_min, d.few_max))
 

@@ -286,3 +286,27 @@ def read_partial_dump(path):
     probs = np.array([[float(v) for v in row[2:]] for row in rows], dtype=np.float64)
     sidecar = json.loads(path.with_suffix(".json").read_text(encoding="utf-8"))
     return header, ids, expert_ids, probs, sidecar
+
+
+def parse_embeddings(path, class_count: int):
+    """One embedding CSV's read-only (features, labels), parsed as
+    ``load_bundle`` parses each split."""
+    from pathlib import Path
+
+    features, labels, _ = t.dataset._parse_embeddings(Path(path), class_count)
+    return features, labels
+
+
+def one_file_manifest(csv_path, class_count: int):
+    """A bundle manifest beside ``csv_path`` that names it as all three
+    splits, so that ``load_bundle`` reads that one file; returns its path."""
+    import json
+    from pathlib import Path
+
+    csv_path = Path(csv_path)
+    manifest = csv_path.with_name(f"{csv_path.stem}.manifest.json")
+    splits = {split: csv_path.name for split in ("train", "val", "test")}
+    manifest.write_text(json.dumps(
+        {"format": t.dataset.MANIFEST_FORMAT, "class_count": class_count, **splits}
+    ))
+    return manifest

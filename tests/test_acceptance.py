@@ -15,12 +15,13 @@ import tailens as t
 from tailens.cli import main as cli_main
 from tailens.config import serialize_config
 from tailens.dataset import (
+    DatasetBundle,
     EmbeddingDataset,
     Fold,
     SubsetSpec,
     assign_folds,
-    load_embeddings,
-    write_embeddings_csv,
+    load_bundle,
+    save_bundle,
 )
 from tailens.fusion import (
     CalibrationParams,
@@ -358,14 +359,8 @@ def test_criterion_9_dataset_shape_fidelity(tmp_path):
             labels=np.arange(class_count),
             class_count=class_count,
         )
-        base = tmp_path / name
-        base.mkdir()
-        write_embeddings_csv(base / "train.csv", train)
-        write_embeddings_csv(base / "val.csv", balanced)
-        write_embeddings_csv(base / "test.csv", balanced)
-        bundle = load_embeddings(
-            base / "train.csv", base / "val.csv", base / "test.csv"
-        )
+        manifest = save_bundle(DatasetBundle(train, balanced, balanced), tmp_path / name)
+        bundle = load_bundle(manifest)
         counts = assign_folds(bundle.train).class_counts()
         results[name] = (
             counts[Fold.MANYSHOT],

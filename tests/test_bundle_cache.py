@@ -15,11 +15,16 @@ from tailens.dataset import (
     SyntheticConfig,
     generate_longtailed,
     load_bundle,
-    read_embeddings_csv,
     save_bundle,
 )
 
-from conftest import run_cli_pipeline, snapshot_tree, tiny_run_config, write_config_file
+from conftest import (
+    parse_embeddings,
+    run_cli_pipeline,
+    snapshot_tree,
+    tiny_run_config,
+    write_config_file,
+)
 
 SPLITS = ("train", "val", "test")
 SMALL_CFG = SyntheticConfig(
@@ -41,9 +46,7 @@ def entry_of(csv_path, cache):
 
 def assert_splits_equal(bundle, data_dir, class_count):
     for split in SPLITS:
-        features, labels = read_embeddings_csv(
-            data_dir / f"{split}.csv", class_count=class_count
-        )
+        features, labels = parse_embeddings(data_dir / f"{split}.csv", class_count)
         ds = getattr(bundle, split)
         assert ds.features.dtype == features.dtype and ds.labels.dtype == labels.dtype
         assert ds.features.tobytes() == features.tobytes()

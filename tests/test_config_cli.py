@@ -578,7 +578,7 @@ class TestCliErrors:
         bad.write_text("sample_id,p0,p1,p2,p3,p4,p5\n0,1.0,0,0,0,0,0\n1,one,0,0,0,0,0\n")
         capsys.readouterr()
         assert run_cli("ablate", config, "--models", bad, bad) == 3
-        assert "text_model.csv line 3: not a number" in capsys.readouterr().err
+        assert "text_model.csv line 3: probability is not a number" in capsys.readouterr().err
 
     @pytest.mark.parametrize("bug", [ValueError, KeyError])
     def test_internal_error_is_not_reported_as_data_error(self, tmp_path, monkeypatch, bug):
@@ -704,18 +704,22 @@ def _wrong_width_selector(path):
     network.save_checkpoint(path, network.init_network([2, 3], seed=0), {"kind": "selector"})
 
 
-def _checkpoint_meta(edit):
-    """Rewrite a checkpoint's header with ``edit`` applied to its meta."""
+def _checkpoint_header(edit):
+    """Rewrite a checkpoint's header with ``edit`` applied to it."""
 
     def corrupt(path):
         data = path.read_bytes()
         start = len(network.CHECKPOINT_MAGIC)
         end = data.index(b"\n", start)
-        header = json.loads(data[start:end])
-        header["meta"] = edit(header["meta"])
+        header = edit(json.loads(data[start:end]))
         path.write_bytes(data[:start] + json.dumps(header).encode() + data[end:])
 
     return corrupt
+
+
+def _checkpoint_meta(edit):
+    """Rewrite a checkpoint's header with ``edit`` applied to its meta."""
+    return _checkpoint_header(lambda header: {**header, "meta": edit(header["meta"])})
 
 
 def _last_class_99(meta):
@@ -811,3 +815,23 @@ def test_corrupt_fusion_input_is_data_error(
     err = capsys.readouterr().err
     assert err.startswith("error: data:") and Path(name).name in err
     assert re.search(problem, err), err
+
+
+@pytest.mark.parametrize(
+    "shape, problem",
+    [([1 << 42, 1], "truncated array layers.0.weight"), ([-4, -2], "malformed checkpoint header")],
+    ids=["oversized", "negative"],
+)
+def test_corrupt_baseline_array_shape_is_data_error(
+    cli_and_library_runs, tmp_path, capsys, shape, problem
+):
+    _, trained_out, _ = cli_and_library_runs
+    out = tmp_path / "out"
+    shutil.copytree(trained_out, out)
+    config = write_config(tmp_path, str(out))
+    _checkpoint_header(
+        lambda header: {**header, "arrays": [[header["arrays"][0][0], shape], *header["arrays"][1:]]}
+    )(out / "checkpoints" / "baseline.ckpt")
+    capsys.readouterr()
+    assert run_cli("dump-posteriors", config, "--model", "baseline") == 3
+    assert capsys.readouterr().err == f"error: data: baseline.ckpt: {problem}\n"

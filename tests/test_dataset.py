@@ -1,8 +1,12 @@
+import json
+
 import numpy as np
 import pytest
 
 from tailens import DataError
 from tailens.dataset import (
+    MANIFEST_FORMAT,
+    DatasetBundle,
     EmbeddingDataset,
     EmptyFoldError,
     Fold,
@@ -13,17 +17,14 @@ from tailens.dataset import (
     assign_folds,
     draw_batch,
     generate_longtailed,
-    load_embeddings,
     partition_subsets,
     powerlaw_frequencies,
-    read_embeddings_csv,
     relabel_for_expert,
     save_bundle,
     load_bundle,
-    write_embeddings_csv,
 )
 
-from conftest import imagenet_lt_like_frequencies, places_lt_like_frequencies
+from conftest import imagenet_lt_like_frequencies, parse_embeddings, places_lt_like_frequencies
 
 
 def small_config(**overrides) -> SyntheticConfig:
@@ -362,7 +363,7 @@ class TestCsvRoundTrip:
     def test_frequencies_recomputed_from_rows(self, tmp_path):
         path = tmp_path / "train.csv"
         path.write_text("label,f0,f1\n0,0.5,1.5\n0,0.0,2.0\n1,1.0,1.0\n2,2.0,0.5\n")
-        features, labels = read_embeddings_csv(path)
+        features, labels = parse_embeddings(path, 3)
         ds = EmbeddingDataset(features, labels, class_count=3)
         assert ds.class_frequency.tolist() == [2, 1, 1]
 
@@ -370,14 +371,14 @@ class TestCsvRoundTrip:
         path = tmp_path / "bad.csv"
         path.write_text("label,f0,f1\n0,0.5,1.5\n1,1.0,2.0,3.0\n")
         with pytest.raises(ValueError, match="line 3"):
-            read_embeddings_csv(path)
+            parse_embeddings(path, 2)
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_feature_names_the_line(self, tmp_path, value):
         path = tmp_path / "bad.csv"
         path.write_text(f"label,f0,f1\n0,0.5,1.5\n1,1.0,{value}\n")
         with pytest.raises(ValueError, match="bad.csv line 3: non-finite"):
-            read_embeddings_csv(path)
+            parse_embeddings(path, 2)
 
     @pytest.mark.parametrize(
         "body, problem",
@@ -389,13 +390,13 @@ class TestCsvRoundTrip:
         path = tmp_path / "bad.csv"
         path.write_bytes(b"label,f0,f1\n" + body)
         with pytest.raises(DataError, match=problem):
-            read_embeddings_csv(path)
+            parse_embeddings(path, 2)
 
     def test_label_out_of_declared_range(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("label,f0\n0,0.5\n7,1.0\n")
         with pytest.raises(ValueError, match="out of range"):
-            read_embeddings_csv(path, class_count=3)
+            parse_embeddings(path, 3)
 
     def test_unbalanced_val_warns_with_counts(self, tmp_path):
         for name, rows in {
@@ -404,10 +405,13 @@ class TestCsvRoundTrip:
             "test.csv": ["0,0.3", "1,0.7"],
         }.items():
             (tmp_path / name).write_text("label,f0\n" + "\n".join(rows) + "\n")
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({
+            "format": MANIFEST_FORMAT, "class_count": 2,
+            "train": "train.csv", "val": "val.csv", "test": "test.csv",
+        }))
         with pytest.warns(UserWarning, match=r"val split is not class-balanced"):
-            load_embeddings(
-                tmp_path / "train.csv", tmp_path / "val.csv", tmp_path / "test.csv"
-            )
+            load_bundle(manifest)
 
     def test_imagenet_lt_shaped_load(self, tmp_path):
         # one feature per sample keeps the 115,846-row file small
@@ -417,15 +421,11 @@ class TestCsvRoundTrip:
         train = EmbeddingDataset(
             features=np.zeros((len(labels), 1)), labels=labels, class_count=1000
         )
-        write_embeddings_csv(tmp_path / "train.csv", train)
         balanced = EmbeddingDataset(
             features=np.zeros((1000, 1)), labels=np.arange(1000), class_count=1000
         )
-        write_embeddings_csv(tmp_path / "val.csv", balanced)
-        write_embeddings_csv(tmp_path / "test.csv", balanced)
-        bundle = load_embeddings(
-            tmp_path / "train.csv", tmp_path / "val.csv", tmp_path / "test.csv"
-        )
+        manifest = save_bundle(DatasetBundle(train, balanced, balanced), tmp_path)
+        bundle = load_bundle(manifest)
         counts = assign_folds(bundle.train).class_counts()
         assert counts[Fold.MANYSHOT] == 391
         assert counts[Fold.MEDIUMSHOT] == 473

@@ -1,19 +1,32 @@
-"""The walkthrough scripts in ``demos/`` are not run by the suite, so check
-statically that every ``tailens`` name they use still exists."""
+"""The walkthrough scripts in ``demos/`` and the README's Python code blocks
+are not run by the suite, so check statically that every ``tailens`` name
+they use still exists."""
 
 import ast
 import importlib
+import io
+import re
+import tokenize
 from pathlib import Path
 
 import pytest
 
-DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+README = (ROOT / "README.md").read_text(encoding="utf-8")
+# each ```python block of the README, keyed by the line it starts on
+README_BLOCKS = {
+    f"README.md:{README.count(chr(10), 0, m.start()) + 1}": m.group(1)
+    for m in re.finditer(r"^```python\n(.*?)^```", README, re.S | re.M)
+}
 
 
-def tailens_references(tree: ast.AST) -> list[tuple[str, str]]:
+def tailens_references(source: str) -> list[tuple[str, str]]:
     """(module, name) for each ``from tailens... import name`` and each
-    ``alias.name`` where ``alias`` came from ``import tailens... as alias``."""
+    ``alias.name`` where ``alias`` came from ``import tailens... as alias``,
+    in the code and then in its comments (``# or t.other(...)``)."""
     refs, aliases = [], {}
+    tree = ast.parse(source)
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "tailens":
             refs += [(node.module, a.name) for a in node.names]
@@ -24,23 +37,42 @@ def tailens_references(tree: ast.AST) -> list[tuple[str, str]]:
     for node in ast.walk(tree):
         if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) in aliases:
             refs.append((aliases[node.value.id], node.attr))
+    for token in tokenize.generate_tokens(io.StringIO(source).readline):
+        if token.type == tokenize.COMMENT:
+            refs += [(aliases[a], n) for a, n in re.findall(r"\b(\w+)\.(\w+)", token.string)
+                     if a in aliases]
     return refs
 
 
-def test_the_demos_are_found():
-    assert DEMOS
+def missing_names(source: str) -> list[str]:
+    refs = tailens_references(source)
+    assert refs, "uses no tailens name"
+    return [f"{m}.{n}" for m, n in refs if not hasattr(importlib.import_module(m), n)]
+
+
+def test_the_demos_and_readme_blocks_are_found():
+    assert DEMOS and README_BLOCKS
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
 def test_demo_tailens_names_resolve(demo):
-    refs = tailens_references(ast.parse(demo.read_text(encoding="utf-8")))
-    assert refs, f"{demo.name} uses no tailens name"
-    missing = [f"{m}.{n}" for m, n in refs if not hasattr(importlib.import_module(m), n)]
+    missing = missing_names(demo.read_text(encoding="utf-8"))
     assert not missing, f"{demo.name} uses names tailens does not define: {missing}"
 
 
+@pytest.mark.parametrize("block", README_BLOCKS.values(), ids=README_BLOCKS.keys())
+def test_readme_tailens_names_resolve(block):
+    missing = missing_names(block)
+    assert not missing, f"a README code block uses names tailens does not define: {missing}"
+
+
 def test_a_removed_name_is_caught():
-    tree = ast.parse("import tailens as t\nfrom tailens.fusion import no_such\nt.nor_this()\n")
-    refs = tailens_references(tree)
-    assert refs == [("tailens.fusion", "no_such"), ("tailens", "nor_this")]
+    source = (
+        "import tailens as t\nfrom tailens.fusion import no_such\n"
+        "t.nor_this()  # or t.load_embeddings(...)\n"
+    )
+    refs = tailens_references(source)
+    assert refs == [
+        ("tailens.fusion", "no_such"), ("tailens", "nor_this"), ("tailens", "load_embeddings")
+    ]
     assert not any(hasattr(importlib.import_module(m), n) for m, n in refs)

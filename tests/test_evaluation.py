@@ -35,7 +35,7 @@ class TestFourfoldAccuracy:
         assert rep.few == 0.0
         assert rep.all == 0.5
         assert rep.medium is None  # undefined, not zero
-        assert json.loads(rep.to_json())["medium"] is None
+        assert json.loads(json.dumps(rep.to_json_dict()))["medium"] is None
 
     def test_fold_accuracies_recombine_to_all(self):
         rng = np.random.default_rng(0)
@@ -45,8 +45,7 @@ class TestFourfoldAccuracy:
         preds = rng.integers(0, 6, size=500)
         rep = fourfold_accuracy(preds, labels, folds)
         weighted = sum(
-            rep.accuracy_of(f) * rep.fold_sample_counts[f.label.replace("shot", "")]
-            for f in Fold
+            getattr(rep, fold) * rep.fold_sample_counts[fold] for fold in ("many", "medium", "few")
         )
         assert weighted / rep.total == pytest.approx(rep.all, abs=1e-12)
         assert rep.all == rep.correct / rep.total
@@ -129,7 +128,7 @@ class TestOracle:
             bundle.test.features[keep], bundle.test.labels[keep], bundle.class_count
         )
         rep = oracle_evaluate(experts, test, folds)
-        assert rep.to_json() == oracle_evaluate(experts[1:], test, folds).to_json()
+        assert rep.to_json_dict() == oracle_evaluate(experts[1:], test, folds).to_json_dict()
         assert rep.many is None and rep.total == int(keep.sum())
 
 

@@ -18,7 +18,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from conftest import read_partial_dump, traced_peak
+from conftest import one_file_manifest, parse_embeddings, read_partial_dump, traced_peak
 from tailens import DataError, _io, cli, dataset
 from tailens._dumps import (
     ingest_external_posteriors,
@@ -30,8 +30,6 @@ from tailens.dataset import (
     SyntheticConfig,
     generate_longtailed,
     load_bundle,
-    load_embeddings,
-    read_embeddings_csv,
     save_bundle,
     write_embeddings_csv,
 )
@@ -154,7 +152,7 @@ class TestWritersMatchTheWholeFileFormulas:
 class TestReaders:
     def test_arrays_are_read_only(self, tmp_path):
         (tmp_path / "x.csv").write_text("label,f0\n0,1.5\n1,2.5\n")
-        features, labels = read_embeddings_csv(tmp_path / "x.csv")
+        features, labels = parse_embeddings(tmp_path / "x.csv", 2)
         for arr in (features, labels):
             with pytest.raises(ValueError):
                 arr[0] = 0
@@ -168,23 +166,37 @@ class TestReaders:
         lines = (tmp_path / "plain.csv").read_text().splitlines()
         spaced = [lines[0], ""] + [x for line in lines[1:] for x in (line, "  ")] + ["", ""]
         (tmp_path / "spaced.csv").write_bytes(newline.join(spaced).encode())
-        got_f, got_l = read_embeddings_csv(tmp_path / "spaced.csv")
+        got_f, got_l = parse_embeddings(tmp_path / "spaced.csv", 3)
         assert got_f.tobytes() == features.tobytes() and got_l.tobytes() == labels.tobytes()
 
+    @pytest.mark.parametrize("cache", [False, True], ids=["no-cache", "cache"])
     @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
     @pytest.mark.parametrize(
         "bad, problem",
         [("7,nan,1.0", "non-finite feature"), ("7,1.0", "expected 2 features, got 1"),
-         ("x,1.0,2.0", "label 'x' is not an integer")],
-        ids=["non-finite", "short-row", "bad-label"],
+         ("x,1.0,2.0", "label 'x' is not an integer"),
+         ("8,1.0,2.0", r"label 8 out of range \[0, 8\)"), ("-1,1.0,2.0", "negative label -1"),
+         (f"{1 << 64},1.0,2.0", f"label {1 << 64} out of range")],
+        ids=["non-finite", "short-row", "bad-label", "large-label", "negative-label",
+             "beyond-int64-label"],
     )
-    def test_errors_name_the_same_line(self, tmp_path, block_values, newline, bad, problem):
+    def test_errors_name_the_same_line(
+        self, tmp_path, block_values, newline, cache, bad, problem
+    ):
         # lines: 1 header, 2 blank, 3-5 rows, 6 blank, 7 whitespace, 8 bad, 9 row
         lines = ["label,f0,f1", "", "0,1.0,2.0", "1,1.5,2.5", "2,3.0,0.0", "", " \t",
                  bad, "1,0.0,0.0"]
         (tmp_path / "bad.csv").write_bytes((newline.join(lines) + newline).encode())
+        manifest = one_file_manifest(tmp_path / "bad.csv", 8)
         with pytest.raises(DataError, match=f"bad.csv line 8: {problem}"):
-            read_embeddings_csv(tmp_path / "bad.csv")
+            load_bundle(manifest, cache_dir=tmp_path / "cache" if cache else None)
+
+    def test_a_row_that_does_not_parse_comes_before_an_earlier_label_out_of_range(
+        self, tmp_path
+    ):
+        (tmp_path / "bad.csv").write_text("label,f0\n0,1.5\n5,2.5\n1,x\n")
+        with pytest.raises(DataError, match=r"bad\.csv line 4: feature is not a number"):
+            parse_embeddings(tmp_path / "bad.csv", 2)
 
     def test_the_first_non_finite_row_is_named_after_every_row_is_parsed(
         self, tmp_path, block_values
@@ -194,7 +206,7 @@ class TestReaders:
         rows[15] = "1,nan,1.0"
         (tmp_path / "bad.csv").write_text("label,f0,f1\n\n" + "\n".join(rows) + "\n")
         with pytest.raises(DataError, match=r"bad\.csv line 9: non-finite feature"):
-            read_embeddings_csv(tmp_path / "bad.csv")
+            parse_embeddings(tmp_path / "bad.csv", 3)
 
     @pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
     def test_posterior_dump_with_blank_lines_and_line_ends(self, tmp_path, block_values, newline):
@@ -224,7 +236,7 @@ class TestReaders:
         write_posterior_csv(tmp_path / "p.csv", [0, 1], np.full((2, 2), 0.5))
         monkeypatch.setattr(_io, "count_rows", lambda path: 1)
         with pytest.raises(DataError, match=r"x\.csv: changed while it was read"):
-            read_embeddings_csv(tmp_path / "x.csv")
+            parse_embeddings(tmp_path / "x.csv", 2)
         with pytest.raises(DataError, match=r"p\.csv: changed while it was read"):
             ingest_external_posteriors(tmp_path / "p.csv", 2)
 
@@ -232,9 +244,13 @@ class TestReaders:
     @pytest.mark.parametrize(
         "bad, problem",
         [("7,nan,1.0", "non-finite probability"), ("7,-0.5,1.5", "negative probability"),
-         ("7,0.0,0.0", "probabilities sum to zero"), ("7,1.0", "expected 2 probabilities"),
-         ("x,0.5,0.5", "not a number"), ("1,0.5,0.5", "repeated sample id")],
-        ids=["non-finite", "negative", "zero-mass", "short-row", "bad-id", "repeated-id"],
+         ("7,0.0,0.0", "probabilities sum to zero"),
+         ("7,1.0", "expected 2 probabilities, got 1"),
+         ("x,0.5,0.5", "sample_id 'x' is not an integer"),
+         ("7,0.5,half", "probability is not a number"), ("1,0.5,0.5", "repeated sample id"),
+         (f"{1 << 64},0.5,0.5", f"sample_id {1 << 64} out of range")],
+        ids=["non-finite", "negative", "zero-mass", "short-row", "bad-id", "bad-value",
+             "repeated-id", "beyond-int64-id"],
     )
     def test_posterior_dump_errors_name_the_same_line(self, tmp_path, block_values, bad, problem):
         # lines: 1 header, 2 blank, 3-5 rows, 6 blank, 7 whitespace, 8 bad, 9 row
@@ -299,7 +315,7 @@ def test_damaged_entries_are_misses_that_parse_the_csv_again(
     manifest = save_bundle(generate_longtailed(small, seed=3), tmp_path / "data")
     cache = tmp_path / "cache"
     load_bundle(manifest, cache_dir=cache)
-    train = read_embeddings_csv(manifest.parent / "train.csv")
+    train = parse_embeddings(manifest.parent / "train.csv", small.class_count)
     good = reference_entry(*train)
     entry = next(p for p in cache.iterdir() if p.read_bytes() == good)
     table = np.load(entry)
@@ -342,10 +358,9 @@ class TestTracedPeaks:
         _, peak = traced_peak(save_bundle, bundle, tmp_path)
         assert peak < 0.5 * bundle_arrays_nbytes(bundle)
 
-    def test_uncached_load_embeddings(self, saved):
+    def test_uncached_load_bundle(self, saved):
         _, manifest = saved
-        paths = [manifest.parent / f"{s}.csv" for s in SPLITS]
-        loaded, peak = traced_peak(load_embeddings, *paths, class_count=PEAK_CFG.class_count)
+        loaded, peak = traced_peak(load_bundle, manifest)
         assert peak < 1.5 * bundle_arrays_nbytes(loaded)
 
     def test_cache_miss(self, saved, tmp_path):

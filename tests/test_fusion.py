@@ -828,8 +828,8 @@ class TestExternalPosteriors:
             ("inf,-inf", "non-finite"),
             ("-0.25,1.25", "negative probability"),
             ("0.0,0.0", "sum to zero"),
-            ("0.5", "expected 2 probabilities"),
-            ("half,0.5", "not a number"),
+            ("0.5", "expected 2 probabilities, got 1"),
+            ("half,0.5", "probability is not a number"),
         ],
     )
     def test_bad_rows_rejected_with_file_and_line(self, tmp_path, row, problem):
@@ -840,7 +840,8 @@ class TestExternalPosteriors:
 
     @pytest.mark.parametrize(
         "sample_id, problem",
-        [("0", "repeated sample id"), ("banana", "not a number"), ("1.5", "not a number")],
+        [("0", "repeated sample id"), ("banana", "sample_id 'banana' is not an integer"),
+         ("1.5", "sample_id '1.5' is not an integer")],
         ids=["repeated-id", "text-id", "fractional-id"],
     )
     def test_bad_sample_ids_rejected_with_file_and_line(self, tmp_path, sample_id, problem):
