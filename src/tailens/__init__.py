@@ -62,8 +62,7 @@ from .experts import (
 from .fusion import (
     CalibrationParams,
     KLFusionResult,
-    SelectorModel,
-    StackerModel,
+    LinearSoftmaxModel,
     expand_partial,
     fuse_by_selection,
     fuse_by_stacking,

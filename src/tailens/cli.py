@@ -5,7 +5,8 @@ parses arguments, maps artifacts to paths and errors to exit codes. One INI
 config drives every subcommand; artifacts live under the config's
 ``paths.out_dir``. Outputs are written atomically (temp name, then rename)
 and are byte-identical across reruns with the same config and inputs.
-Exit codes: 0 success, 2 config error, 3 data error, 4 numeric divergence.
+Exit codes: 0 success, 2 config or usage error, 3 data error, 4 numeric
+divergence.
 """
 
 from __future__ import annotations
@@ -45,9 +46,12 @@ from .pipeline import (
     frequency_folds,
     full_posterior_table,
     fused_posteriors,
+    load_fusion,
     prepare_bundle,
+    save_fusion,
     select_experts,
     train_baselines,
+    train_fusion,
 )
 
 EXPERT_NAMES = tuple(fold.label for fold in Fold)
@@ -120,11 +124,10 @@ def _load_ensemble(cfg: RunConfig, bundle=None) -> ExpertEnsemble:
 
 def _load_fusion(cfg: RunConfig, strategy: str, ensemble: ExpertEnsemble) -> FittedFusion:
     """The strategy with the parameters ``train-fusion`` saved for it."""
-    params = None
-    if load := FUSIONS[strategy].load:
-        hint = f"tailens train-fusion --strategy {strategy}"
-        params = load(_require_file(_fusion_path(cfg, strategy), hint), ensemble)
-    return FittedFusion(strategy, params)
+    if FUSIONS[strategy].fit is None:
+        return FittedFusion(strategy)
+    path = _require_file(_fusion_path(cfg, strategy), f"tailens train-fusion --strategy {strategy}")
+    return load_fusion(path, strategy, ensemble)
 
 
 def cmd_gen_data(cfg: RunConfig, args) -> None:
@@ -195,13 +198,12 @@ def cmd_dump_posteriors(cfg: RunConfig, args) -> None:
 
 
 def cmd_train_fusion(cfg: RunConfig, args) -> None:
-    strategy = FUSIONS[args.strategy]
     path = _fusion_path(cfg, args.strategy)
-    if strategy.fit is None:
+    if FUSIONS[args.strategy].fit is None:
         atomic_write_json(path, {"strategy": args.strategy, "parameters": None})
         print(f"{args.strategy} needs no learned parameters; wrote marker {path}")
         return
-    strategy.save(path, strategy.fit(_load_ensemble(cfg)))
+    save_fusion(path, train_fusion(_load_ensemble(cfg), cfg, args.strategy))
     print(f"wrote {path}")
 
 
@@ -232,12 +234,17 @@ def cmd_ablate(cfg: RunConfig, args) -> None:
     bundle = prepare_bundle(cfg)
     folds = frequency_folds(bundle, cfg)
     n = bundle.test.n
-    tables = {}
+    tables, paths = {}, {}
     for path in args.models:
         table = ingest_external_posteriors(path, bundle.class_count)
         if not np.array_equal(table.sample_ids, np.arange(n)):
             raise DataError(f"{path}: sample ids do not cover the test split")
-        tables[table.name] = table.probabilities
+        if table.name in paths:
+            raise DataError(
+                f"{paths[table.name]} and {path} are both model {table.name!r}; "
+                "ablate names each dump by its file stem"
+            )
+        tables[table.name], paths[table.name] = table.probabilities, path
     reports = take_one_out_ablation(tables, bundle.test.labels, folds)
     payload = {name: rep.to_json_dict() for name, rep in reports.items()}
     out = _reports_dir(cfg) / "ablation.json"
@@ -329,6 +336,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    if args.command == "ablate" and len(args.models) < 2:
+        print("error: usage: ablate needs at least two posterior dumps", file=sys.stderr)
+        return 2
     try:
         cfg = load_config(args.config)
         args.fn(cfg, args)

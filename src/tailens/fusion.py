@@ -488,35 +488,20 @@ def concat_partials(partials) -> np.ndarray:
     return np.concatenate(rows, axis=1)
 
 
-def _linear_softmax(params: NetworkParams, partials) -> np.ndarray:
-    """The softmax of a linear model of the concatenated partial posteriors,
-    as the selector and the stacker score them."""
-    return softmax(forward_logits(params, concat_partials(partials)))
-
-
 @dataclass(frozen=True)
-class SelectorModel:
-    """Linear softmax picking which expert owns a sample's true class, with
-    the record of the fit that made it (None for a model built by hand):
-    the Newton steps taken and the largest absolute entry of the final
-    penalized gradient, the fit's certificate."""
+class LinearSoftmaxModel:
+    """A linear softmax of the concatenated partial posteriors: the expert
+    selector (one output per expert) or the stacker (one per class). It
+    keeps the record of the fit that made it (None for a model built by
+    hand): the Newton steps taken and the largest absolute entry of the
+    final penalized gradient, the fit's certificate."""
 
     params: NetworkParams
     steps: int | None = None
     gradient_norm: float | None = None
 
     def scores(self, partials) -> np.ndarray:
-        return _linear_softmax(self.params, partials)
-
-
-@dataclass(frozen=True)
-class StackerModel:
-    """Linear softmax from concatenated partial posteriors to all classes,
-    with the record of its fit as :class:`SelectorModel` keeps it."""
-
-    params: NetworkParams
-    steps: int | None = None
-    gradient_norm: float | None = None
+        return softmax(forward_logits(self.params, concat_partials(partials)))
 
 
 def _fit_softmax(name: str, val_partials, labels, outputs: int, ridge: float):
@@ -528,7 +513,7 @@ def _fit_softmax(name: str, val_partials, labels, outputs: int, ridge: float):
     return problem.params(point.theta), steps, gradient_norm
 
 
-def train_expert_selector(val_partials, val_fold_labels) -> SelectorModel:
+def train_expert_selector(val_partials, val_fold_labels) -> LinearSoftmaxModel:
     """Fit the 3-way expert selector on validation partial posteriors.
 
     The target of a sample is the expert whose subset holds its true class,
@@ -543,13 +528,13 @@ def train_expert_selector(val_partials, val_fold_labels) -> SelectorModel:
     for e in range(expert_count):
         if e not in present:
             raise ValueError(f"fold {e} is absent from the validation labels")
-    return SelectorModel(
+    return LinearSoftmaxModel(
         *_fit_softmax("selector", val_partials, labels, expert_count, SELECTOR_RIDGE)
     )
 
 
 def fuse_by_selection(
-    partials, selector: SelectorModel, subsets, class_count: int
+    partials, selector: LinearSoftmaxModel, subsets, class_count: int
 ) -> np.ndarray:
     """Expand the posterior of the selector's argmax expert per sample.
 
@@ -569,7 +554,7 @@ def fuse_by_selection(
     return q[0] if single else q
 
 
-def train_stacker(val_partials, val_class_labels, class_count: int) -> StackerModel:
+def train_stacker(val_partials, val_class_labels, class_count: int) -> LinearSoftmaxModel:
     """Fit the linear softmax stacker from the concatenated validation
     partial posteriors to their ``class_count`` classes.
 
@@ -579,13 +564,13 @@ def train_stacker(val_partials, val_class_labels, class_count: int) -> StackerMo
     outside ``[0, class_count)`` raises a ValueError.
     """
     labels = np.asarray(val_class_labels, dtype=np.int64)
-    return StackerModel(
+    return LinearSoftmaxModel(
         *_fit_softmax("stacker", val_partials, labels, class_count, STACKER_RIDGE)
     )
 
 
-def fuse_by_stacking(partials, stacker: StackerModel) -> np.ndarray:
-    q = _linear_softmax(stacker.params, partials)
+def fuse_by_stacking(partials, stacker: LinearSoftmaxModel) -> np.ndarray:
+    q = stacker.scores(partials)
     single = all(_as_array(p).ndim == 1 for p in partials)
     return q[0] if single else q
 
@@ -593,7 +578,7 @@ def fuse_by_stacking(partials, stacker: StackerModel) -> np.ndarray:
 @dataclass(frozen=True)
 class CalibrationParams:
     """Per-expert elementwise logit scale and shift vectors, with the record
-    of the fit that made them as :class:`SelectorModel` keeps it and the
+    of the fit that made them as :class:`LinearSoftmaxModel` keeps it and the
     penalized objective at the identity and at the result (None for vectors
     set by hand)."""
 

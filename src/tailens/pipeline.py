@@ -53,8 +53,7 @@ from .experts import (
 )
 from .fusion import (
     CalibrationParams,
-    SelectorModel,
-    StackerModel,
+    LinearSoftmaxModel,
     fuse_by_selection,
     fuse_by_stacking,
     fuse_calibrated,
@@ -64,8 +63,7 @@ from .fusion import (
     train_joint_calibration,
     train_stacker,
 )
-from .network import fit_networks, forward_logits, softmax
-from .network import load_checkpoint, save_checkpoint
+from .network import NetworkParams, fit_networks, forward_logits, softmax
 
 # Fixed seed offsets for the pipeline's training tasks.
 SEED_BASELINE = 1
@@ -233,18 +231,14 @@ def model_posterior_tables(ensemble: TrainedEnsemble, split: str) -> dict[str, n
 @dataclass(frozen=True)
 class FusionStrategy:
     """One fusion strategy. ``fit(ensemble)`` learns parameters from the
-    validation partials (None, like ``save``/``load``, when there is nothing
-    to learn); ``load(path, ensemble)`` reads them back and checks them
-    against the ensemble's experts; ``apply(partials, subsets, class_count,
-    params)`` returns full posteriors. Every solver and meta-model runs at
-    its function's defaults. The callables look fusion functions up in this
-    module's globals at call time, so rebinding a module attribute reaches
-    them."""
+    validation partials (None when there is nothing to learn);
+    ``apply(partials, subsets, class_count, params)`` returns full
+    posteriors. Every solver and meta-model runs at its function's
+    defaults. The callables look fusion functions up in this module's
+    globals at call time, so rebinding a module attribute reaches them."""
 
     apply: Callable[..., np.ndarray]
     fit: Callable[..., object] | None = None
-    save: Callable[[Path, object], None] | None = None
-    load: Callable[[Path, ExpertEnsemble], object] | None = None
 
 
 @dataclass(frozen=True)
@@ -255,88 +249,70 @@ class FittedFusion:
     params: object = None
 
 
-def _head_widths(ensemble: ExpertEnsemble) -> tuple[int, ...]:
-    return tuple(e.params.dims[-1] for e in ensemble.experts)
-
-
-# checkpoint kind -> (linear meta-model type, its output count for an ensemble)
-_META_MODELS = {
-    "selector": (SelectorModel, lambda ensemble: len(ensemble.experts)),
-    "stacker": (StackerModel, lambda ensemble: ensemble.bundle.class_count),
+# the certificate of each fitted fusion: its Newton step count, then floats
+_CERTIFICATES = {
+    "select": ("steps", "gradient_norm"),
+    "stack": ("steps", "gradient_norm"),
+    "calibrate": ("steps", "gradient_norm", "objective_initial", "objective_final"),
 }
 
 
-def _save_meta_model(path, kind: str, model) -> None:
-    meta = {"kind": kind, "steps": model.steps, "gradient_norm": model.gradient_norm}
-    save_checkpoint(path, model.params, meta)
+def save_fusion(path, fitted: FittedFusion) -> None:
+    """Write a fitted fusion as one JSON record: its ``strategy``, its
+    arrays as nested lists (JSON writes floats with ``repr``, so they read
+    back bitwise) and the certificate of its fit."""
+    params = fitted.params
+    record = {"strategy": fitted.strategy}
+    record.update((name, getattr(params, name)) for name in _CERTIFICATES[fitted.strategy])
+    if fitted.strategy == "calibrate":
+        record.update(
+            scales=[w.tolist() for w in params.scales], shifts=[b.tolist() for b in params.shifts]
+        )
+    else:
+        ((weight, bias),) = params.params.layers
+        record.update(weight=weight.tolist(), bias=bias.tolist())
+    atomic_write_json(path, record)
 
 
-def _certificate(path, kind: str, record: dict, *floats: str) -> list:
-    """The record of a persisted fit, checked: ``record``'s Newton
-    ``steps``, a count, then its entries named by ``floats``, each a finite,
-    non-negative float. Anything else raises a :class:`DataError` saying
-    that the ``kind`` certificate is malformed."""
-    steps, values = record.get("steps"), [record.get(name) for name in floats]
+def load_fusion(path, strategy: str, ensemble: ExpertEnsemble) -> FittedFusion:
+    """The fusion that :func:`save_fusion` wrote to ``path`` for
+    ``strategy``, checked: the record's tag, its certificate (``steps`` a
+    count, every other entry a finite, non-negative float) and its widths
+    against the ensemble's experts. Anything else raises a
+    :class:`DataError` that names the file and the command that rewrites
+    it."""
+
+    def error(problem: str) -> DataError:
+        return DataError(f"{path}: {problem}; re-run `tailens train-fusion --strategy {strategy}`")
+
+    heads = [e.params.dims[-1] for e in ensemble.experts]
+    try:
+        record = json.loads(Path(path).read_text(encoding="utf-8"))
+        if record["strategy"] != strategy:
+            raise ValueError(strategy)
+        certificate = {name: record.get(name) for name in _CERTIFICATES[strategy]}
+        if strategy == "calibrate":
+            vectors = (
+                tuple(np.asarray(v, dtype=np.float64) for v in record[key])
+                for key in ("scales", "shifts")
+            )
+            params = CalibrationParams(*vectors, **certificate)
+            widths, expected = list(params.widths), heads
+        else:
+            layer = tuple(np.asarray(record[key], dtype=np.float64) for key in ("weight", "bias"))
+            params = LinearSoftmaxModel(NetworkParams([layer]), **certificate)
+            outputs = len(heads) if strategy == "select" else ensemble.bundle.class_count
+            widths, expected = params.params.dims, [sum(heads), outputs]
+    except (ValueError, KeyError, TypeError):
+        raise error(f"not a {strategy} parameter file") from None
+    steps, *values = certificate.values()
     if type(steps) is not int or steps < 0 or not all(
         type(v) is float and 0 <= v < math.inf for v in values
     ):
-        raise DataError(f"{path}: {kind} certificate is malformed")
-    return [steps, *values]
-
-
-def _load_meta_model(path, kind: str, ensemble: ExpertEnsemble):
-    """A linear meta-model stored as a checkpoint tagged with ``kind``,
-    checked against the ensemble's head widths and the kind's output count,
-    with the certificate of its fit."""
-    model_type, outputs = _META_MODELS[kind]
-    params, meta = load_checkpoint(path)
-    if meta.get("kind") != kind:
-        raise DataError(f"{path} is not a {kind} parameter file")
-    expected = [sum(_head_widths(ensemble)), outputs(ensemble)]
-    if [params.dims[0], params.dims[-1]] != expected:
-        raise DataError(
-            f"{path}: {kind} maps {params.dims[0]} -> {params.dims[-1]} "
-            f"but the experts need {expected[0]} -> {expected[1]}"
-        )
-    return model_type(params, *_certificate(path, kind, meta, "gradient_norm"))
-
-
-def _save_calibration(path, params: CalibrationParams) -> None:
-    atomic_write_json(
-        path,
-        {
-            "strategy": "calibrate",
-            "scales": [w.tolist() for w in params.scales],
-            "shifts": [b.tolist() for b in params.shifts],
-            "objective_initial": params.objective_initial,
-            "objective_final": params.objective_final,
-            "steps": params.steps,
-            "gradient_norm": params.gradient_norm,
-        },
-    )
-
-
-def _load_calibration(path, ensemble) -> CalibrationParams:
-    try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-        vectors = [
-            tuple(np.asarray(v, dtype=np.float64) for v in payload[key])
-            for key in ("scales", "shifts")
-        ]
-        record = _certificate(
-            path, "calibrate", payload, "gradient_norm", "objective_initial", "objective_final"
-        )
-        params = CalibrationParams(*vectors, *record)
-    except DataError:
-        raise
-    except (ValueError, KeyError, TypeError):
-        raise DataError(f"{path} is not a calibrate parameter file") from None
-    if params.widths != _head_widths(ensemble):
-        raise DataError(
-            f"{path}: calibration widths {list(params.widths)} do not match "
-            f"the experts' head widths {list(_head_widths(ensemble))}"
-        )
-    return params
+        raise error(f"{strategy} certificate is malformed")
+    if widths != expected:
+        raise error(f"{strategy} widths {widths} do not match the experts' {expected}")
+    return FittedFusion(strategy, params)
 
 
 # One record per name in config.FUSION_STRATEGIES.
@@ -356,16 +332,12 @@ FUSIONS: dict[str, FusionStrategy] = {
         fit=lambda ensemble: train_expert_selector(
             ensemble.partials("val"), _val_folds(ensemble.bundle, ensemble.folds)
         ),
-        save=lambda path, model: _save_meta_model(path, "selector", model),
-        load=lambda path, ensemble: _load_meta_model(path, "selector", ensemble),
     ),
     "stack": FusionStrategy(
         apply=lambda partials, subsets, c, params: fuse_by_stacking(partials, params),
         fit=lambda ensemble: train_stacker(
             ensemble.partials("val"), ensemble.bundle.val.labels, ensemble.bundle.class_count
         ),
-        save=lambda path, model: _save_meta_model(path, "stacker", model),
-        load=lambda path, ensemble: _load_meta_model(path, "stacker", ensemble),
     ),
     "calibrate": FusionStrategy(
         apply=lambda partials, subsets, c, params: fuse_calibrated(
@@ -377,8 +349,6 @@ FUSIONS: dict[str, FusionStrategy] = {
             ensemble.bundle.val.labels,
             ensemble.bundle.class_count,
         )[0],
-        save=_save_calibration,
-        load=_load_calibration,
     ),
 }
 

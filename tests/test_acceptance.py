@@ -25,8 +25,7 @@ from tailens.dataset import (
 )
 from tailens.fusion import (
     CalibrationParams,
-    SelectorModel,
-    StackerModel,
+    LinearSoftmaxModel,
     expand_partial,
     fuse_by_selection,
     fuse_by_stacking,
@@ -152,12 +151,13 @@ def test_criterion_2_fusion_identities():
             fuse_kl_min(partials, subsets, class_count).probabilities,
             fuse_by_selection(
                 partials,
-                SelectorModel(init_network([sum(widths), 3], seed=1)),
+                LinearSoftmaxModel(init_network([sum(widths), 3], seed=1)),
                 subsets,
                 class_count,
             ),
             fuse_by_stacking(
-                partials, StackerModel(init_network([sum(widths), class_count], seed=2))
+                partials,
+                LinearSoftmaxModel(init_network([sum(widths), class_count], seed=2)),
             ),
             fuse_calibrated(
                 logits,

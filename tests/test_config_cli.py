@@ -1,7 +1,7 @@
 import json
 import re
 import shutil
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +30,7 @@ from tailens.pipeline import (
     FUSIONS,
     ExpertEnsemble,
     fused_posteriors,
+    load_fusion,
     prepare_bundle,
     train_all,
     train_fusion,
@@ -334,6 +335,22 @@ class TestCliPipeline:
         assert ablations[0] == ablations[1]
 
 
+def _bitwise_fields(fit) -> dict:
+    """A fitted fusion's fields with every array and float as its bytes,
+    so that ``==`` compares them bitwise."""
+
+    def raw(value):
+        if isinstance(value, network.NetworkParams):
+            return [raw(a) for layer in value.layers for a in layer]
+        if isinstance(value, tuple):
+            return [raw(v) for v in value]
+        if isinstance(value, (np.ndarray, float)):
+            return (np.shape(value), np.asarray(value, dtype=np.float64).tobytes())
+        return value
+
+    return {f.name: raw(getattr(fit, f.name)) for f in fields(fit)}
+
+
 @pytest.fixture(scope="module")
 def cli_and_library_runs(tmp_path_factory):
     """The same tiny config through every CLI subcommand and through
@@ -355,16 +372,17 @@ class TestCliMatchesPipeline:
         written = json.loads((out / "reports" / f"eval_{strategy}.json").read_text())
         assert written == expected
 
-    @pytest.mark.parametrize("strategy", ["select", "stack"])
+    @pytest.mark.parametrize("strategy", ["select", "stack", "calibrate"])
     def test_selector_certificate_round_trips(self, cli_and_library_runs, strategy):
+        # every fitted fusion reads back bitwise, the certificate of its fit included
         cfg, out, ens = cli_and_library_runs
-        fitted = train_fusion(ens, cfg, strategy).params
-        loaded = FUSIONS[strategy].load(out / "fusion" / f"{strategy}.params", ens)
-        assert type(loaded) is type(fitted)
-        assert (loaded.steps, loaded.gradient_norm) == (fitted.steps, fitted.gradient_norm)
-        assert loaded.gradient_norm <= CERTIFICATE_TOL and loaded.steps > 0
-        for a, b in zip(loaded.params.layers[0], fitted.params.layers[0]):
-            assert a.tobytes() == b.tobytes()
+        fitted = train_fusion(ens, cfg, strategy)
+        loaded = load_fusion(out / "fusion" / f"{strategy}.params", strategy, ens)
+        assert loaded.strategy == strategy
+        assert type(loaded.params) is type(fitted.params)
+        assert _bitwise_fields(loaded.params) == _bitwise_fields(fitted.params)
+        assert type(loaded.params.steps) is int and loaded.params.steps > 0
+        assert loaded.params.gradient_norm <= CERTIFICATE_TOL
 
     def test_fusion_draws_no_random_numbers(self, cli_and_library_runs, monkeypatch):
         cfg, _, ens = cli_and_library_runs
@@ -495,13 +513,6 @@ class TestCliErrors:
             run_cli("train-experts", config, "--threads", threads)
         assert exc.value.code == 2
         assert f"argument --threads: must be >= 1, got {threads}" in capsys.readouterr().err
-
-    def test_missing_checkpoints_is_data_error(self, tmp_path, capsys):
-        config = write_config(tmp_path, str(tmp_path / "out"))
-        assert run_cli("oracle", config) == 3
-        err = capsys.readouterr().err
-        assert err.startswith("error: data:")
-        assert "\n" not in err.strip()
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_exit_code(self, tmp_path):
@@ -653,20 +664,10 @@ class TestCliErrors:
             else:
                 train_fusion(ExpertEnsemble(bundle, trained.folds, trained.experts), cfg, "select")
 
-    def test_corrupt_calibration_file_is_data_error(self, tmp_path, capsys):
-        out = tmp_path / "out"
-        config = write_config(tmp_path, str(out))
-        for step in (("gen-data",), ("train-baseline",), ("train-experts",)):
-            assert run_cli(step[0], config, *step[1:]) == 0
-        params = out / "fusion" / "calibrate.params"
-        params.parent.mkdir(parents=True)
-        params.write_text('{"strategy": "calibrate", "scales": [')
-        capsys.readouterr()
-        assert run_cli("evaluate", config, "--strategy", "calibrate") == 3
-        assert "calibrate.params is not a calibrate parameter file" in capsys.readouterr().err
 
+def _edit_record(**edit):
+    """Rewrite a fusion's JSON record with each named entry edited."""
 
-def _edit_calibration(**edit):
     def corrupt(path):
         payload = json.loads(path.read_text())
         for key, value in edit.items():
@@ -676,9 +677,10 @@ def _edit_calibration(**edit):
     return corrupt
 
 
-def _drop_calibration_certificate(path):
+def _drop_certificate(path):
     payload = json.loads(path.read_text())
-    path.write_text(json.dumps({key: payload[key] for key in ("strategy", "scales", "shifts")}))
+    kept = ("strategy", "scales", "shifts", "weight", "bias")
+    path.write_text(json.dumps({key: payload[key] for key in kept if key in payload}))
 
 
 def _set_first(value):
@@ -692,16 +694,6 @@ def _checkpoint_header_replace(old: bytes, new: bytes):
         path.write_bytes(data[:end].replace(old, new) + data[end:])
 
     return corrupt
-
-
-def _checkpoint_first_weight_nan(path):
-    data = path.read_bytes()
-    start = data.index(b"\n", len(network.CHECKPOINT_MAGIC)) + 1
-    path.write_bytes(data[:start] + np.float64(np.nan).tobytes() + data[start + 8 :])
-
-
-def _wrong_width_selector(path):
-    network.save_checkpoint(path, network.init_network([2, 3], seed=0), {"kind": "selector"})
 
 
 def _checkpoint_header(edit):
@@ -736,47 +728,46 @@ def _wider_input_expert(path):
 @pytest.mark.parametrize(
     "strategy, name, corrupt, problem",
     [
-        ("calibrate", "fusion/calibrate.params", _edit_calibration(scales=_set_first(float("nan"))),
+        ("calibrate", "fusion/calibrate.params", _edit_record(scales=_set_first(float("nan"))),
          "not a calibrate parameter file"),
-        ("calibrate", "fusion/calibrate.params", _edit_calibration(scales=_set_first("a")),
+        ("calibrate", "fusion/calibrate.params", _edit_record(scales=_set_first("a")),
          "not a calibrate parameter file"),
         ("calibrate", "fusion/calibrate.params",
-         _edit_calibration(scales=lambda v: [[1.0]] * len(v), shifts=lambda v: [[0.0]] * len(v)),
-         "calibration widths \\[1, 1, 1\\] do not match the experts' head widths"),
-        ("calibrate", "fusion/calibrate.params", _edit_calibration(gradient_norm=lambda v: "1e-12"),
+         _edit_record(scales=lambda v: [[1.0]] * len(v), shifts=lambda v: [[0.0]] * len(v)),
+         "calibrate widths \\[1, 1, 1\\] do not match the experts' \\[2, 3, 4\\]"),
+        ("calibrate", "fusion/calibrate.params", _edit_record(gradient_norm=lambda v: "1e-12"),
          "calibrate certificate is malformed"),
         ("calibrate", "fusion/calibrate.params",
-         _edit_calibration(gradient_norm=lambda v: float("nan")),
+         _edit_record(gradient_norm=lambda v: float("nan")),
          "calibrate certificate is malformed"),
-        ("calibrate", "fusion/calibrate.params", _edit_calibration(steps=lambda v: -1),
+        ("calibrate", "fusion/calibrate.params", _edit_record(steps=lambda v: -1),
          "calibrate certificate is malformed"),
-        ("calibrate", "fusion/calibrate.params", _edit_calibration(steps=lambda v: True),
+        ("calibrate", "fusion/calibrate.params", _edit_record(steps=lambda v: True),
          "calibrate certificate is malformed"),
-        ("calibrate", "fusion/calibrate.params", _edit_calibration(objective_final=str),
+        ("calibrate", "fusion/calibrate.params", _edit_record(objective_final=str),
          "calibrate certificate is malformed"),
-        ("calibrate", "fusion/calibrate.params", _drop_calibration_certificate,
+        ("calibrate", "fusion/calibrate.params", _drop_certificate,
          "calibrate certificate is malformed"),
-        ("select", "fusion/select.params", _checkpoint_first_weight_nan,
-         "layer 0 contains non-finite entries"),
-        ("select", "fusion/select.params", _wrong_width_selector, "selector maps 2 -> 3"),
-        ("select", "fusion/select.params",
-         _checkpoint_meta(lambda meta: {**meta, "gradient_norm": "1e-12"}),
-         "selector certificate is malformed"),
-        ("select", "fusion/select.params",
-         _checkpoint_meta(lambda meta: {**meta, "steps": -1}),
-         "selector certificate is malformed"),
-        ("select", "fusion/select.params",
-         _checkpoint_meta(lambda meta: {"kind": meta["kind"]}),
-         "selector certificate is malformed"),
-        ("stack", "fusion/stack.params",
-         _checkpoint_meta(lambda meta: {**meta, "gradient_norm": "1e-12"}),
-         "stacker certificate is malformed"),
-        ("stack", "fusion/stack.params",
-         _checkpoint_meta(lambda meta: {**meta, "steps": -1}),
-         "stacker certificate is malformed"),
-        ("stack", "fusion/stack.params",
-         _checkpoint_meta(lambda meta: {"kind": meta["kind"]}),
-         "stacker certificate is malformed"),
+        ("select", "fusion/select.params", _edit_record(weight=_set_first(float("nan"))),
+         "not a select parameter file"),
+        ("select", "fusion/select.params", _edit_record(strategy=lambda v: "stack"),
+         "not a select parameter file"),
+        ("select", "fusion/select.params", _edit_record(weight=lambda v: v[:2]),
+         "select widths \\[2, 3\\] do not match the experts' \\[9, 3\\]"),
+        ("select", "fusion/select.params", _edit_record(gradient_norm=lambda v: "1e-12"),
+         "select certificate is malformed"),
+        ("select", "fusion/select.params", _edit_record(steps=lambda v: -1),
+         "select certificate is malformed"),
+        ("select", "fusion/select.params", _drop_certificate,
+         "select certificate is malformed"),
+        ("stack", "fusion/stack.params", _edit_record(bias=lambda v: v[:-1]),
+         "not a stack parameter file"),
+        ("stack", "fusion/stack.params", _edit_record(gradient_norm=lambda v: "1e-12"),
+         "stack certificate is malformed"),
+        ("stack", "fusion/stack.params", _edit_record(steps=lambda v: -1),
+         "stack certificate is malformed"),
+        ("stack", "fusion/stack.params", _drop_certificate,
+         "stack certificate is malformed"),
         ("softvote", "checkpoints/expert_fewshot.ckpt",
          _checkpoint_header_replace(b'"layers.', b'"tensor.'),
          "checkpoint has no array 'layers.0.weight'"),
@@ -796,9 +787,9 @@ def _wider_input_expert(path):
     ],
     ids=["calibrate-nan", "calibrate-text", "calibrate-width", "calibrate-norm-text",
          "calibrate-norm-nan", "calibrate-steps-negative", "calibrate-steps-bool",
-         "calibrate-objective-text", "calibrate-no-certificate", "select-nan", "select-width",
-         "select-norm-text", "select-steps-negative", "select-no-certificate",
-         "stack-norm-text", "stack-steps-negative", "stack-no-certificate",
+         "calibrate-objective-text", "calibrate-no-certificate", "select-nan", "select-tag",
+         "select-width", "select-norm-text", "select-steps-negative", "select-no-certificate",
+         "stack-bias-width", "stack-norm-text", "stack-steps-negative", "stack-no-certificate",
          "checkpoint-array-names", "expert-meta", "expert-meta-list", "expert-class-99",
          "expert-feature-width", "expert-subset-order"],
 )
@@ -835,3 +826,89 @@ def test_corrupt_baseline_array_shape_is_data_error(
     capsys.readouterr()
     assert run_cli("dump-posteriors", config, "--model", "baseline") == 3
     assert capsys.readouterr().err == f"error: data: baseline.ckpt: {problem}\n"
+
+
+def _other_baseline_dump(out):
+    """A copy of the baseline dump in another directory, under its stem."""
+    other = out.parent / "other" / "baseline_test.csv"
+    other.parent.mkdir(exist_ok=True)
+    return shutil.copy(out / "dumps" / "baseline_test.csv", other)
+
+
+def _without(name, *argv):
+    """``argv`` run after ``name`` is deleted from the out_dir."""
+
+    def prepare(out):
+        (out / name).unlink()
+        return list(argv)
+
+    return prepare
+
+
+def _written(name, text, *argv):
+    """``argv`` run after ``name`` is overwritten with ``text``."""
+
+    def prepare(out):
+        (out / name).write_text(text)
+        return list(argv)
+
+    return prepare
+
+
+def _checkpoint_format(strategy, kind):
+    """``evaluate`` of a select or stack fit in the network-checkpoint
+    format that ``train-fusion`` wrote before its one JSON record."""
+
+    def prepare(out):
+        path = out / "fusion" / f"{strategy}.params"
+        record = json.loads(path.read_text())
+        layer = tuple(np.asarray(record[key]) for key in ("weight", "bias"))
+        meta = {"kind": kind, "steps": record["steps"], "gradient_norm": record["gradient_norm"]}
+        network.save_checkpoint(path, network.NetworkParams([layer]), meta)
+        return ["evaluate", "--strategy", strategy]
+
+    return prepare
+
+
+@pytest.mark.parametrize(
+    "prepare, code, message",
+    [
+        (lambda out: ["ablate", "--models", out / "dumps" / "baseline_test.csv",
+                      _other_baseline_dump(out), out / "dumps" / "uniform_test.csv"],
+         3, "error: data: .*/out/dumps/baseline_test.csv and .*/other/baseline_test.csv are "
+            "both model 'baseline_test'; ablate names each dump by its file stem"),
+        (lambda out: ["ablate", "--models", out / "dumps" / "baseline_test.csv"],
+         2, "error: usage: ablate needs at least two posterior dumps"),
+        (lambda out: ["ablate", "--models", out / "dumps" / "baseline_test.csv",
+                      _other_baseline_dump(out)],
+         3, "error: data: .* are both model 'baseline_test'"),
+        (_without("checkpoints/expert_fewshot.ckpt", "oracle"),
+         3, "error: data: .*expert_fewshot.ckpt is missing; run `tailens train-experts` first"),
+        (_written("fusion/calibrate.params", '{"strategy": "calibrate", "scales": [',
+                  "evaluate", "--strategy", "calibrate"),
+         3, "error: data: .*calibrate.params: not a calibrate parameter file; "
+            "re-run `tailens train-fusion --strategy calibrate`"),
+        (_checkpoint_format("select", "selector"),
+         3, "error: data: .*select.params: not a select parameter file; "
+            "re-run `tailens train-fusion --strategy select`"),
+        (_checkpoint_format("stack", "stacker"),
+         3, "error: data: .*stack.params: not a stack parameter file; "
+            "re-run `tailens train-fusion --strategy stack`"),
+    ],
+    ids=["ablate-repeated-stem", "ablate-one-dump", "ablate-two-dumps-one-stem",
+         "missing-checkpoint", "corrupt-calibrate-params", "checkpoint-format-select",
+         "checkpoint-format-stack"],
+)
+def test_cli_misuse_exit_code(cli_and_library_runs, tmp_path, capsys, prepare, code, message):
+    # main returns the code and prints one error line; any exception that
+    # escaped it would fail this test
+    _, trained_out, _ = cli_and_library_runs
+    out = tmp_path / "out"
+    shutil.copytree(trained_out, out)
+    config = write_config(tmp_path, str(out))
+    command, *rest = prepare(out)
+    capsys.readouterr()
+    assert run_cli(command, config, *rest) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1, err
+    assert re.match(message, err), err

@@ -488,10 +488,10 @@ class TestSelector:
     def test_exact_tie_picks_the_manyshot_expert(self):
         # a zero-weight selector scores every expert equally; the first
         # expert in list order (manyshot) wins the tie
-        from tailens.fusion import SelectorModel
+        from tailens.fusion import LinearSoftmaxModel
         from tailens.network import NetworkParams
 
-        selector = SelectorModel(
+        selector = LinearSoftmaxModel(
             NetworkParams([(np.zeros((9, 3)), np.zeros(3))])
         )
         pa = np.array([[0.9, 0.05, 0.05]])
@@ -547,9 +547,9 @@ class TestStacker:
 
     def test_untrained_stacker_still_normalizes(self):
         stacker_params = init_network([6, 4], seed=3)
-        from tailens.fusion import StackerModel
+        from tailens.fusion import LinearSoftmaxModel
 
-        stacker = StackerModel(stacker_params)
+        stacker = LinearSoftmaxModel(stacker_params)
         rng = np.random.default_rng(0)
         q = fuse_by_stacking(
             [rng.dirichlet(np.ones(3), size=7), rng.dirichlet(np.ones(3), size=7)],

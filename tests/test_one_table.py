@@ -18,7 +18,7 @@ from tailens.evaluation import fourfold_accuracy, take_one_out_ablation
 from tailens.fusion import (
     REJECT_DROP_WARNING,
     CalibrationParams,
-    SelectorModel,
+    LinearSoftmaxModel,
     _class_atoms,
     _class_posterior,
     _kl_objective,
@@ -183,7 +183,7 @@ class TestBitwiseAgainstTheStack:
         rng = np.random.default_rng(3)
         bias = np.zeros(len(MIXED_SUBSETS))
         bias[loser] = -1e3  # this expert wins no row
-        selector = SelectorModel(
+        selector = LinearSoftmaxModel(
             NetworkParams([(rng.normal(0.0, 3.0, size=(width, len(bias))), bias)])
         )
         winner = np.argmax(selector.scores(partials), axis=1)
@@ -200,7 +200,7 @@ class TestBitwiseAgainstTheStack:
         width = sum(_width(s) for s in MIXED_SUBSETS)
         # a fifth output for four experts, and it wins every row
         bias = np.array([0.0, 0.0, 0.0, 0.0, 1.0])
-        selector = SelectorModel(NetworkParams([(np.zeros((width, 5)), bias)]))
+        selector = LinearSoftmaxModel(NetworkParams([(np.zeros((width, 5)), bias)]))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             with pytest.raises(IndexError, match="picks expert 4 of 4"):
@@ -297,7 +297,7 @@ class TestBitwiseAgainstTheStack:
 def _mixed_selector(partials):
     width = sum(_width(s) for s in MIXED_SUBSETS)
     weights = np.random.default_rng(3).normal(0.0, 3.0, size=(width, len(partials)))
-    return SelectorModel(NetworkParams([(weights, np.zeros(len(partials)))]))
+    return LinearSoftmaxModel(NetworkParams([(weights, np.zeros(len(partials)))]))
 
 
 @pytest.mark.parametrize(
@@ -359,7 +359,7 @@ class TestOneOutputTable:
     def test_selection(self):
         subsets, _, partials = _wide_world()
         rng = np.random.default_rng(1)
-        selector = SelectorModel(
+        selector = LinearSoftmaxModel(
             NetworkParams([(rng.normal(size=(63, 3)), np.zeros(3))])
         )
         _, peak = traced_peak(fuse_by_selection, partials, selector, subsets, 60)
