@@ -41,13 +41,13 @@ base_cfg = t.TrainConfig(lr0=0.2, epochs=15, batch_size=64, seed=1, hidden_dims=
 baseline, trace = t.train_baseline(bundle, base_cfg)
 print(f"baseline loss {trace[0]:.3f} -> {trace[-1]:.3f}")
 
-preds = np.argmax(softmax(forward_logits(baseline.params, bundle.test.features)), axis=1)
+preds = np.argmax(softmax(forward_logits(baseline, bundle.test.features)), axis=1)
 print("\nfour-fold top-1 accuracy (%):")
 show("baseline", fourfold_accuracy(preds, bundle.test.labels, folds))
 
 # uniform class sampling finetune: freeze the backbone, refit the classifier
 uniform, _ = t.finetune_uniform_classifier(baseline, bundle, base_cfg)
-preds = np.argmax(softmax(forward_logits(uniform.params, bundle.test.features)), axis=1)
+preds = np.argmax(softmax(forward_logits(uniform, bundle.test.features)), axis=1)
 show("uniform finetune", fourfold_accuracy(preds, bundle.test.labels, folds))
 
 # one expert per subset, hyperparameters picked on the validation split
@@ -58,11 +58,12 @@ for subset in subsets:
         baseline, subset, bundle, rho_grid=(1.0, 2.0, 4.0), frozen_grid=(0, 1),
         config=expert_cfg,
     )
-    experts.append(selection.expert)
+    expert = selection.expert
+    experts.append(expert)
     best = max(p.val_accuracy for p in selection.table)
     print(
-        f"{subset.expert_id.label:>10} expert: rho={selection.rho} "
-        f"frozen_layers={selection.frozen_layers} (val accuracy {best:.3f})"
+        f"{subset.expert_id.label:>10} expert: rho={expert.rho} "
+        f"frozen_layers={expert.frozen_layers} (val accuracy {best:.3f})"
     )
 
 show("experts (oracle)", oracle_evaluate(experts, bundle.test, folds))

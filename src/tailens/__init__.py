@@ -44,7 +44,6 @@ from .network import (
     train_network,
 )
 from .experts import (
-    BaselineModel,
     ExpertModel,
     HyperparamSelection,
     PartialPosterior,

@@ -110,12 +110,12 @@ def write_partial_posterior_csv(
     """Partial posterior dump plus a JSON sidecar describing the subset."""
     probs = np.atleast_2d(np.asarray(partial.probabilities, dtype=np.float64))
     header = "sample_id,expert_id," + ",".join(f"p{j}" for j in range(subset.size)) + ",preject"
-    expert_id = int(partial.expert_id)
+    expert_id = int(subset.expert_id)
     path = Path(path)
     atomic_write_float_csv(path, header, sample_ids, probs, tag=f",{expert_id}")
     sidecar = {
         "expert_id": expert_id,
-        "expert": partial.expert_id.label,
+        "expert": subset.expert_id.label,
         "classes": [int(c) for c in subset.classes],
         "rho": rho,
     }

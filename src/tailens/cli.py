@@ -30,7 +30,6 @@ from .evaluation import (
     take_one_out_ablation,
 )
 from .experts import (
-    BaselineModel,
     ExpertModel,
     expert_partial_posterior,
     load_baseline_checkpoint,
@@ -38,7 +37,7 @@ from .experts import (
     save_baseline_checkpoint,
     save_expert_checkpoint,
 )
-from .network import DivergenceError
+from .network import DivergenceError, NetworkParams
 from .pipeline import (
     FUSIONS,
     ExpertEnsemble,
@@ -80,7 +79,7 @@ def _require_file(path: Path, hint: str) -> Path:
     return path
 
 
-def _load_baseline(cfg: RunConfig, name: str) -> BaselineModel:
+def _load_baseline(cfg: RunConfig, name: str) -> NetworkParams:
     """The ``baseline`` or ``uniform`` checkpoint of ``train-baseline``."""
     return load_baseline_checkpoint(_require_file(_ckpt_path(cfg, name), "tailens train-baseline"))
 
@@ -157,13 +156,14 @@ def cmd_train_experts(cfg: RunConfig, args) -> None:
     baseline = _load_baseline(cfg, "baseline")
     tables = []
     for sel in select_experts(baseline, bundle, cfg, args.threads):
-        name = sel.expert.subset.expert_id.label
-        save_expert_checkpoint(_ckpt_path(cfg, f"expert_{name}"), sel.expert)
+        expert = sel.expert
+        name = expert.subset.expert_id.label
+        save_expert_checkpoint(_ckpt_path(cfg, f"expert_{name}"), expert)
         tables.append(
             {
                 "expert": name,
-                "rho": sel.rho,
-                "frozen_layers": sel.frozen_layers,
+                "rho": expert.rho,
+                "frozen_layers": expert.frozen_layers,
                 "table": [asdict(p) for p in sel.table],
             }
         )

@@ -22,6 +22,7 @@ import shutil
 import warnings
 from dataclasses import dataclass, field
 from enum import IntEnum
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -114,8 +115,6 @@ class EmbeddingDataset:
         object.__setattr__(self, "features", features)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "class_frequency", _frozen_array(frequency, np.int64))
-        object.__setattr__(self, "_class_order", None)
-        object.__setattr__(self, "_reject_pools", None)
 
     @property
     def n(self) -> int:
@@ -138,32 +137,26 @@ class EmbeddingDataset:
         object.__setattr__(view, "features", features)
         return view
 
+    @cached_property
     def class_order(self) -> tuple[np.ndarray, np.ndarray]:
         """Sample indices sorted by class, in stable (file) order within a
         class, and the class bounds into them: class ``c`` holds
         ``order[bounds[c]:bounds[c + 1]]``. Both arrays are read-only."""
-        cached = getattr(self, "_class_order")
-        if cached is None:
-            order = np.argsort(self.labels, kind="stable")
-            bounds = np.concatenate(([0], np.cumsum(self.class_frequency)))
-            order.setflags(write=False)
-            bounds.setflags(write=False)
-            cached = (order, bounds)
-            object.__setattr__(self, "_class_order", cached)
-        return cached
+        order = np.argsort(self.labels, kind="stable")
+        bounds = np.concatenate(([0], np.cumsum(self.class_frequency)))
+        order.setflags(write=False)
+        bounds.setflags(write=False)
+        return order, bounds
 
+    @cached_property
     def reject_pools(self) -> tuple[np.ndarray, int]:
         """Read-only indices of the rows outside the last class (the reject
         class of :func:`relabel_for_expert`), then of those inside it, each
         part in file order, and the length of the first part."""
-        cached = getattr(self, "_reject_pools")
-        if cached is None:
-            reject = self.labels == self.class_count - 1
-            order = np.concatenate((np.flatnonzero(~reject), np.flatnonzero(reject)))
-            order.setflags(write=False)
-            cached = (order, self.n - int(np.count_nonzero(reject)))
-            object.__setattr__(self, "_reject_pools", cached)
-        return cached
+        reject = self.labels == self.class_count - 1
+        order = np.concatenate((np.flatnonzero(~reject), np.flatnonzero(reject)))
+        order.setflags(write=False)
+        return order, self.n - int(np.count_nonzero(reject))
 
 
 @dataclass(frozen=True)
@@ -220,14 +213,8 @@ class FoldAssignment:
     """
 
     fold_of_class: np.ndarray
-    thresholds: tuple[int, int] = (DEFAULT_MANY_MIN, DEFAULT_FEW_MAX)
 
     def __post_init__(self):
-        many_min, few_max = self.thresholds
-        if not many_min > few_max > 0:
-            raise ValueError(
-                f"thresholds must satisfy many_min > few_max > 0, got {self.thresholds}"
-            )
         object.__setattr__(
             self, "fold_of_class", _frozen_array(self.fold_of_class, np.int64)
         )
@@ -238,15 +225,18 @@ class FoldAssignment:
         frequencies,
         thresholds: tuple[int, int] = (DEFAULT_MANY_MIN, DEFAULT_FEW_MAX),
     ) -> "FoldAssignment":
-        # the thresholds are checked as the assignment is made
-        freq = np.asarray(frequencies, dtype=np.int64)
         many_min, few_max = thresholds
+        if not many_min > few_max > 0:
+            raise ValueError(
+                f"thresholds must satisfy many_min > few_max > 0, got {thresholds}"
+            )
+        freq = np.asarray(frequencies, dtype=np.int64)
         fold = np.where(
             freq >= many_min,
             int(Fold.MANYSHOT),
             np.where(freq < few_max, int(Fold.FEWSHOT), int(Fold.MEDIUMSHOT)),
         )
-        return cls(fold_of_class=fold, thresholds=thresholds)
+        return cls(fold_of_class=fold)
 
     def classes_in(self, fold: Fold) -> np.ndarray:
         return np.nonzero(self.fold_of_class == int(fold))[0]
@@ -432,7 +422,7 @@ def draw_batch(
                 f"uniform class sampling requires every class to be nonempty; "
                 f"class {int(empty[0])} has no samples"
             )
-        order, bounds = dataset.class_order()
+        order, bounds = dataset.class_order
         u = rng.random((batch_size, 2))
         cls = (u[:, 0] * dataset.class_count).astype(np.int64)
         within = (u[:, 1] * freq[cls]).astype(np.int64)
@@ -442,7 +432,7 @@ def draw_batch(
         # kept rows at width 1, the rest the reject rows at width 1/rho;
         # every row gets both positions in the concatenated pools, and the
         # side its uniform falls on picks one
-        pools, n_kept = dataset.reject_pools()
+        pools, n_kept = dataset.reject_pools
         n_rejected = dataset.n - n_kept
         u = rng.random(batch_size) * (n_kept + n_rejected / mode.rho)
         within = (np.maximum(u - n_kept, 0.0) * mode.rho).astype(np.int64)

@@ -190,7 +190,6 @@ class ConfidenceHistogram:
 
     bin_edges: np.ndarray
     counts: np.ndarray
-    expert_id: Fold | None
     population: str
 
     @property
@@ -210,17 +209,13 @@ class ConfidenceHistogram:
         return "\n".join(lines) + "\n"
 
 
-def confidence_histogram(
-    probabilities, *, expert_id: Fold | None = None, population: str = ""
-) -> ConfidenceHistogram:
+def confidence_histogram(probabilities, *, population: str = "") -> ConfidenceHistogram:
     """Histogram the per-row maximum probability over [0, 1] in
     ``HISTOGRAM_BINS`` equal bins."""
     probs = np.atleast_2d(_as_array(probabilities))
     confidence = probs.max(axis=1)
     counts, edges = np.histogram(confidence, bins=HISTOGRAM_BINS, range=(0.0, 1.0))
-    return ConfidenceHistogram(
-        bin_edges=edges, counts=counts, expert_id=expert_id, population=population
-    )
+    return ConfidenceHistogram(bin_edges=edges, counts=counts, population=population)
 
 
 def msp_histogram(
@@ -231,9 +226,7 @@ def msp_histogram(
     classes."""
     partial = expert_partial_posterior(expert, np.atleast_2d(features))
     probs = expand_partial(partial.probabilities, expert.subset, class_count)
-    return confidence_histogram(
-        probs, expert_id=expert.subset.expert_id, population=population
-    )
+    return confidence_histogram(probs, population=population)
 
 
 def take_one_out_ablation(

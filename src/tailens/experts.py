@@ -40,13 +40,6 @@ from .network import (
 
 
 @dataclass(frozen=True)
-class BaselineModel:
-    """Plain softmax classifier over all classes."""
-
-    params: NetworkParams
-
-
-@dataclass(frozen=True)
 class ExpertModel:
     """Classifier over ``subset`` plus a trailing reject output."""
 
@@ -54,7 +47,6 @@ class ExpertModel:
     subset: SubsetSpec
     rho: float
     frozen_layers: int
-    apply_reject_correction: bool = True
 
     def __post_init__(self):
         if self.params.dims[-1] != self.subset.size + 1:
@@ -73,29 +65,28 @@ class ExpertModel:
 class PartialPosterior:
     """An expert's probabilities over its subset plus reject (reject last).
 
-    ``logits`` already include the reject bias correction when the expert
-    applies one, so downstream fusion can consume them directly.
+    ``logits`` already include the reject bias correction, so downstream
+    fusion can consume them directly.
     """
 
-    expert_id: Fold
     logits: np.ndarray
     probabilities: np.ndarray
 
 
 def train_baseline(
     bundle: DatasetBundle, config: TrainConfig
-) -> tuple[BaselineModel, list[float]]:
-    """Train the all-classes model on the long-tailed train split."""
+) -> tuple[NetworkParams, list[float]]:
+    """Train the all-classes softmax classifier on the long-tailed train
+    split."""
     dims = [bundle.feature_dim, *config.hidden_dims, bundle.class_count]
     params = init_network(dims, seed=config.seed)
     cfg = replace(config, sampler=SamplerMode.instance_balanced(), frozen_layers=0)
-    trained, trace = train_network(params, bundle.train, cfg)
-    return BaselineModel(trained), trace
+    return train_network(params, bundle.train, cfg)
 
 
 def finetune_uniform_classifier(
-    baseline: BaselineModel, bundle: DatasetBundle, config: TrainConfig
-) -> tuple[BaselineModel, list[float]]:
+    baseline: NetworkParams, bundle: DatasetBundle, config: TrainConfig
+) -> tuple[NetworkParams, list[float]]:
     """Refit only the classifier head with uniform class sampling.
 
     The whole backbone is frozen, so feature extraction stays bit-identical
@@ -106,10 +97,9 @@ def finetune_uniform_classifier(
     cfg = replace(
         config,
         sampler=SamplerMode.uniform_class(),
-        frozen_layers=baseline.params.layer_count - 1,
+        frozen_layers=baseline.layer_count - 1,
     )
-    trained, trace = train_network(baseline.params, bundle.train, cfg)
-    return BaselineModel(trained), trace
+    return train_network(baseline, bundle.train, cfg)
 
 
 def check_expert_grid(rho_grid, frozen_grid, depth: int) -> tuple[list[SamplerMode], list[int]]:
@@ -133,7 +123,7 @@ def check_expert_grid(rho_grid, frozen_grid, depth: int) -> tuple[list[SamplerMo
 
 
 def expert_grid_tasks(
-    baseline: BaselineModel,
+    baseline: NetworkParams,
     subset: SubsetSpec,
     bundle: DatasetBundle,
     rho_grid,
@@ -143,11 +133,11 @@ def expert_grid_tasks(
     """A subset's grid search as :func:`fit_networks` arguments: per frozen
     value, the expert's start (the baseline's backbone under a fresh
     (k+1)-way head), its relabeled training set and one config per rho."""
-    depth = baseline.params.layer_count - 1
+    depth = baseline.layer_count - 1
     samplers, frozen_grid = check_expert_grid(rho_grid, frozen_grid, depth)
-    fresh = init_network(baseline.params.dims[:-1] + [subset.size + 1], seed=config.seed)
+    fresh = init_network(baseline.dims[:-1] + [subset.size + 1], seed=config.seed)
     for i in range(depth):
-        w, b = baseline.params.layers[i]
+        w, b = baseline.layers[i]
         fresh.layers[i] = (w.copy(), b.copy())
     relabeled = relabel_for_expert(bundle.train, subset)
     return [
@@ -159,7 +149,7 @@ def expert_grid_tasks(
 
 
 def train_expert(
-    baseline: BaselineModel,
+    baseline: NetworkParams,
     subset: SubsetSpec,
     bundle: DatasetBundle,
     rho: float,
@@ -185,11 +175,8 @@ def train_expert(
 def expert_partial_posterior(expert: ExpertModel, features) -> PartialPosterior:
     """Bias-corrected logits and probabilities for one or many samples."""
     z = forward_logits(expert.params, features)
-    if expert.apply_reject_correction:
-        z[..., expert.reject_index] += math.log(expert.rho)
-    return PartialPosterior(
-        expert_id=expert.subset.expert_id, logits=z, probabilities=softmax(z)
-    )
+    z[..., expert.reject_index] += math.log(expert.rho)
+    return PartialPosterior(logits=z, probabilities=softmax(z))
 
 
 def _in_subset_predictions(expert: ExpertModel, dataset: EmbeddingDataset):
@@ -227,8 +214,9 @@ class GridPoint:
 
 @dataclass(frozen=True)
 class HyperparamSelection:
-    rho: float
-    frozen_layers: int
+    """A subset's grid table and its winning expert, which carries the
+    chosen rho and frozen-layer count."""
+
     table: tuple[GridPoint, ...]
     expert: ExpertModel
 
@@ -251,12 +239,11 @@ def score_expert_grid(
             table.append(GridPoint(rho, frozen, expert_subset_accuracy(expert, val)))
             if best is None or (table[-1].val_accuracy, rho, frozen) > best[0]:
                 best = (table[-1].val_accuracy, rho, frozen), expert
-    (_, rho, frozen), expert = best
-    return HyperparamSelection(rho=rho, frozen_layers=frozen, table=tuple(table), expert=expert)
+    return HyperparamSelection(table=tuple(table), expert=best[1])
 
 
 def select_expert_hyperparams(
-    baseline: BaselineModel,
+    baseline: NetworkParams,
     subset: SubsetSpec,
     bundle: DatasetBundle,
     rho_grid,
@@ -276,7 +263,6 @@ def save_expert_checkpoint(path, expert: ExpertModel) -> None:
         "subset_classes": [int(c) for c in expert.subset.classes],
         "rho": float(expert.rho),
         "frozen_layers": int(expert.frozen_layers),
-        "apply_reject_correction": bool(expert.apply_reject_correction),
     }
     save_checkpoint(path, expert.params, meta)
 
@@ -295,18 +281,17 @@ def load_expert_checkpoint(path) -> ExpertModel:
             subset=subset,
             rho=float(meta["rho"]),
             frozen_layers=int(meta["frozen_layers"]),
-            apply_reject_correction=bool(meta["apply_reject_correction"]),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"{path}: malformed expert checkpoint ({exc!r})") from None
 
 
-def save_baseline_checkpoint(path, model: BaselineModel) -> None:
-    save_checkpoint(path, model.params, {"kind": "baseline"})
+def save_baseline_checkpoint(path, model: NetworkParams) -> None:
+    save_checkpoint(path, model, {"kind": "baseline"})
 
 
-def load_baseline_checkpoint(path) -> BaselineModel:
+def load_baseline_checkpoint(path) -> NetworkParams:
     params, meta = load_checkpoint(path)
     if meta.get("kind") != "baseline":
         raise DataError(f"{path}: not a baseline checkpoint")
-    return BaselineModel(params)
+    return params

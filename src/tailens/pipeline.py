@@ -41,7 +41,6 @@ from .dataset import (
     partition_subsets,
 )
 from .experts import (
-    BaselineModel,
     ExpertModel,
     HyperparamSelection,
     PartialPosterior,
@@ -90,9 +89,9 @@ def frequency_folds(bundle: DatasetBundle, cfg: RunConfig) -> FoldAssignment:
 
 def train_baselines(
     bundle: DatasetBundle, cfg: RunConfig
-) -> tuple[tuple[BaselineModel, list[float]], tuple[BaselineModel, list[float]]]:
+) -> tuple[tuple[NetworkParams, list[float]], tuple[NetworkParams, list[float]]]:
     """The baseline on the long-tailed train split, then its head refit with
-    uniform class sampling; ``(model, loss trace)`` for each."""
+    uniform class sampling; ``(params, loss trace)`` for each."""
     root = cfg.training.seed
     baseline, trace = train_baseline(
         bundle, train_config_from(cfg.training, seed=root + SEED_BASELINE)
@@ -115,7 +114,7 @@ def _val_folds(bundle: DatasetBundle, folds: FoldAssignment) -> np.ndarray:
 
 
 def select_experts(
-    baseline: BaselineModel, bundle: DatasetBundle, cfg: RunConfig, threads: int = 1
+    baseline: NetworkParams, bundle: DatasetBundle, cfg: RunConfig, threads: int = 1
 ) -> tuple[HyperparamSelection, ...]:
     """Grid-search (rho, frozen_layers) and train one expert per subset of
     the config's frequency folds; selections come back in fold order.
@@ -183,9 +182,9 @@ class ExpertEnsemble:
 class TrainedEnsemble(ExpertEnsemble):
     """An expert ensemble plus the models and grid tables behind it."""
 
-    baseline: BaselineModel
+    baseline: NetworkParams
     baseline_trace: tuple[float, ...]
-    uniform: BaselineModel
+    uniform: NetworkParams
     selections: tuple[HyperparamSelection, HyperparamSelection, HyperparamSelection]
 
 
@@ -210,8 +209,8 @@ def train_all(bundle: DatasetBundle, cfg: RunConfig, threads: int = 1) -> Traine
     )
 
 
-def full_posterior_table(model: BaselineModel, features) -> np.ndarray:
-    return softmax(forward_logits(model.params, np.atleast_2d(features)))
+def full_posterior_table(model: NetworkParams, features) -> np.ndarray:
+    return softmax(forward_logits(model, np.atleast_2d(features)))
 
 
 def model_posterior_tables(ensemble: TrainedEnsemble, split: str) -> dict[str, np.ndarray]:
@@ -274,13 +273,22 @@ def save_fusion(path, fitted: FittedFusion) -> None:
     atomic_write_json(path, record)
 
 
+def _json_floats(value) -> np.ndarray:
+    """A (nested) list of JSON numbers as a float array. Any other entry, a
+    boolean or a string such as ``"1.5"`` that numpy would convert, raises
+    a ``ValueError``."""
+    if not all(type(v) in (int, float) for v in np.asarray(value, dtype=object).flat):
+        raise ValueError("an array entry is not a number")
+    return np.asarray(value, dtype=np.float64)
+
+
 def load_fusion(path, strategy: str, ensemble: ExpertEnsemble) -> FittedFusion:
     """The fusion that :func:`save_fusion` wrote to ``path`` for
-    ``strategy``, checked: the record's tag, its certificate (``steps`` a
-    count, every other entry a finite, non-negative float) and its widths
-    against the ensemble's experts. Anything else raises a
-    :class:`DataError` that names the file and the command that rewrites
-    it."""
+    ``strategy``, checked: the record's tag, its arrays (JSON numbers
+    only), its certificate (``steps`` a count, every other entry a finite,
+    non-negative float) and its widths against the ensemble's experts.
+    Anything else raises a :class:`DataError` that names the file and the
+    command that rewrites it."""
 
     def error(problem: str) -> DataError:
         return DataError(f"{path}: {problem}; re-run `tailens train-fusion --strategy {strategy}`")
@@ -292,14 +300,11 @@ def load_fusion(path, strategy: str, ensemble: ExpertEnsemble) -> FittedFusion:
             raise ValueError(strategy)
         certificate = {name: record.get(name) for name in _CERTIFICATES[strategy]}
         if strategy == "calibrate":
-            vectors = (
-                tuple(np.asarray(v, dtype=np.float64) for v in record[key])
-                for key in ("scales", "shifts")
-            )
+            vectors = (tuple(_json_floats(v) for v in record[key]) for key in ("scales", "shifts"))
             params = CalibrationParams(*vectors, **certificate)
             widths, expected = list(params.widths), heads
         else:
-            layer = tuple(np.asarray(record[key], dtype=np.float64) for key in ("weight", "bias"))
+            layer = tuple(_json_floats(record[key]) for key in ("weight", "bias"))
             params = LinearSoftmaxModel(NetworkParams([layer]), **certificate)
             outputs = len(heads) if strategy == "select" else ensemble.bundle.class_count
             widths, expected = params.params.dims, [sum(heads), outputs]

@@ -113,10 +113,10 @@ def _run_seed(seed: int) -> SeedRun:
         bundle=bundle,
         ensemble=ens,
         baseline_report=report(
-            softmax(forward_logits(ens.baseline.params, test.features))
+            softmax(forward_logits(ens.baseline, test.features))
         ),
         uniform_report=report(
-            softmax(forward_logits(ens.uniform.params, test.features))
+            softmax(forward_logits(ens.uniform, test.features))
         ),
         oracle_report=oracle_evaluate(ens.experts, test, folds),
         softvote_report=report(sv),

@@ -198,5 +198,5 @@ class TestHyperparamSelectionDirection:
                     lr0=0.3, epochs=40, batch_size=64, seed=seed + 50, hidden_dims=(16,)
                 ),
             )
-            flags.append(sel.rho > 1.0)
+            flags.append(sel.expert.rho > 1.0)
         assert majority(flags)

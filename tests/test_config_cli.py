@@ -402,7 +402,7 @@ class TestCliMatchesPipeline:
         _, out, ens = cli_and_library_runs
         tables = json.loads((out / "checkpoints" / "selection_tables.json").read_text())
         assert [(t["rho"], t["frozen_layers"]) for t in tables] == [
-            (sel.rho, sel.frozen_layers) for sel in ens.selections
+            (sel.expert.rho, sel.expert.frozen_layers) for sel in ens.selections
         ]
 
 
@@ -414,7 +414,7 @@ class TestCliMatchesPipeline:
         # per epoch
         cfg, out, ens = cli_and_library_runs
         uniform = load_baseline_checkpoint(out / "checkpoints" / "uniform.ckpt")
-        for (wa, ba), (wb, bb) in zip(uniform.params.layers, ens.uniform.params.layers):
+        for (wa, ba), (wb, bb) in zip(uniform.layers, ens.uniform.layers):
             assert wa.tobytes() == wb.tobytes() and ba.tobytes() == bb.tobytes()
         traces = json.loads((out / "checkpoints" / "train_traces.json").read_text())
         assert len(traces["uniform"]) == cfg.training.epochs
@@ -431,7 +431,7 @@ class TestCliMatchesPipeline:
         assert calls == []
         assert len(traces["baseline"]) == cfg.training.epochs
         assert list(again.baseline_trace) == traces["baseline"]
-        for (wa, ba), (wb, bb) in zip(again.uniform.params.layers, ens.uniform.params.layers):
+        for (wa, ba), (wb, bb) in zip(again.uniform.layers, ens.uniform.layers):
             assert wa.tobytes() == wb.tobytes() and ba.tobytes() == bb.tobytes()
 
 
@@ -760,6 +760,12 @@ def _wider_input_expert(path):
          "select certificate is malformed"),
         ("select", "fusion/select.params", _drop_certificate,
          "select certificate is malformed"),
+        ("calibrate", "fusion/calibrate.params", _edit_record(shifts=_set_first(True)),
+         "not a calibrate parameter file; re-run `tailens train-fusion --strategy calibrate`"),
+        ("select", "fusion/select.params", _edit_record(weight=_set_first(True)),
+         "not a select parameter file; re-run `tailens train-fusion --strategy select`"),
+        ("stack", "fusion/stack.params", _edit_record(bias=lambda v: ["1.5"] + v[1:]),
+         "not a stack parameter file; re-run `tailens train-fusion --strategy stack`"),
         ("stack", "fusion/stack.params", _edit_record(bias=lambda v: v[:-1]),
          "not a stack parameter file"),
         ("stack", "fusion/stack.params", _edit_record(gradient_norm=lambda v: "1e-12"),
@@ -789,7 +795,8 @@ def _wider_input_expert(path):
          "calibrate-norm-nan", "calibrate-steps-negative", "calibrate-steps-bool",
          "calibrate-objective-text", "calibrate-no-certificate", "select-nan", "select-tag",
          "select-width", "select-norm-text", "select-steps-negative", "select-no-certificate",
-         "stack-bias-width", "stack-norm-text", "stack-steps-negative", "stack-no-certificate",
+         "calibrate-bool", "select-bool", "stack-numeric-text", "stack-bias-width",
+         "stack-norm-text", "stack-steps-negative", "stack-no-certificate",
          "checkpoint-array-names", "expert-meta", "expert-meta-list", "expert-class-99",
          "expert-feature-width", "expert-subset-order"],
 )

@@ -343,8 +343,8 @@ class TestDrawBatch:
 
     def test_class_order_is_cached_and_read_only(self):
         ds = _dataset_from_frequencies([5, 2, 3])
-        order, bounds = ds.class_order()
-        assert ds.class_order()[0] is order
+        order, bounds = ds.class_order
+        assert ds.class_order[0] is order
         assert bounds.tolist() == [0, 5, 7, 10]
         for arr in (order, bounds):
             with pytest.raises(ValueError):

@@ -1,11 +1,14 @@
-"""The walkthrough scripts in ``demos/`` and the README's Python code blocks
-are not run by the suite, so check statically that every ``tailens`` name
-they use still exists."""
+"""The walkthrough scripts in ``demos/`` and the README's Python code blocks:
+each runs to exit 0 in a subprocess, and every ``tailens`` name they use,
+also in comments, still exists."""
 
 import ast
 import importlib
 import io
+import os
 import re
+import subprocess
+import sys
 import tokenize
 from pathlib import Path
 
@@ -76,3 +79,29 @@ def test_a_removed_name_is_caught():
         ("tailens.fusion", "no_such"), ("tailens", "nor_this"), ("tailens", "load_embeddings")
     ]
     assert not any(hasattr(importlib.import_module(m), n) for m, n in refs)
+
+
+def run_script(path: Path, tmp_path: Path) -> None:
+    """Run ``path`` with the package on its path and its temporary files
+    under ``tmp_path``; fail with its output unless it exits 0."""
+    env = dict(os.environ, TMPDIR=str(tmp_path))
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src"), *filter(None, [env.get("PYTHONPATH")])]
+    )
+    proc = subprocess.run(
+        [sys.executable, str(path)], cwd=tmp_path, env=env,
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, f"{path.name} exited {proc.returncode}:\n{proc.stderr}"
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
+def test_demo_runs(demo, tmp_path):
+    run_script(demo, tmp_path)
+
+
+@pytest.mark.parametrize("block", README_BLOCKS.values(), ids=README_BLOCKS.keys())
+def test_readme_block_runs(block, tmp_path):
+    script = tmp_path / "readme_block.py"
+    script.write_text(block, encoding="utf-8")
+    run_script(script, tmp_path)

@@ -183,7 +183,6 @@ class TestConfidenceHistograms:
             population="test",
         )
         assert hist.size == bundle.test.n
-        assert hist.expert_id == Fold.MANYSHOT
 
     def test_partial_flag_uses_reject_column(self, trained_world):
         bundle, _, _, experts = trained_world

@@ -53,29 +53,29 @@ class TestBaseline:
         bundle = t.DatasetBundle(train=blob(40), val=blob(10), test=blob(20))
         config = t.TrainConfig(lr0=0.3, epochs=40, batch_size=16, seed=0, hidden_dims=(8,))
         baseline, trace = t.train_baseline(bundle, config)
-        preds = np.argmax(t.forward_logits(baseline.params, bundle.test.features), axis=1)
+        preds = np.argmax(t.forward_logits(baseline, bundle.test.features), axis=1)
         per_class = [np.mean(preds[bundle.test.labels == c] == c) for c in range(2)]
         assert min(per_class) >= 0.99
         assert trace[-1] < trace[0]
 
     def test_head_width_matches_class_count(self, tiny_world):
         bundle, _, _, baseline, _ = tiny_world
-        assert baseline.params.dims[-1] == bundle.class_count
+        assert baseline.dims[-1] == bundle.class_count
 
 
 class TestUniformFinetune:
     def test_backbone_is_untouched(self, tiny_world):
         bundle, _, _, baseline, config = tiny_world
         uniform, _ = t.finetune_uniform_classifier(baseline, bundle, config)
-        for i in range(baseline.params.layer_count - 1):
+        for i in range(baseline.layer_count - 1):
             assert np.array_equal(
-                baseline.params.layers[i][0], uniform.params.layers[i][0]
+                baseline.layers[i][0], uniform.layers[i][0]
             )
             assert np.array_equal(
-                baseline.params.layers[i][1], uniform.params.layers[i][1]
+                baseline.layers[i][1], uniform.layers[i][1]
             )
         assert not np.array_equal(
-            baseline.params.layers[-1][0], uniform.params.layers[-1][0]
+            baseline.layers[-1][0], uniform.layers[-1][0]
         )
 
 
@@ -108,10 +108,10 @@ class TestTrainExpert:
         bundle, _, subsets, baseline, config = tiny_world
         expert, _ = train_expert(baseline, subsets[1], bundle, 2.0, 1, config)
         assert np.array_equal(
-            expert.params.layers[0][0], baseline.params.layers[0][0]
+            expert.params.layers[0][0], baseline.layers[0][0]
         )
         assert np.array_equal(
-            expert.params.layers[0][1], baseline.params.layers[0][1]
+            expert.params.layers[0][1], baseline.layers[0][1]
         )
 
     def test_head_width_is_subset_plus_reject(self, tiny_world):
@@ -131,7 +131,7 @@ class TestTrainExpert:
         partial = expert_partial_posterior(expert, bundle.test.features)
         assert partial.probabilities[:, -1].max() < 0.05
         acc = expert_subset_accuracy(expert, bundle.test)
-        base_preds = np.argmax(t.forward_logits(baseline.params, bundle.test.features), axis=1)
+        base_preds = np.argmax(t.forward_logits(baseline, bundle.test.features), axis=1)
         base_acc = np.mean(base_preds == bundle.test.labels)
         assert acc >= base_acc - 0.1
 
@@ -164,16 +164,9 @@ class TestPartialPosterior:
         bundle, _, subsets, baseline, config = tiny_world
         rho = 4.0
         expert, _ = train_expert(baseline, subsets[1], bundle, rho, 0, config)
-        plain = t.ExpertModel(
-            params=expert.params,
-            subset=expert.subset,
-            rho=rho,
-            frozen_layers=0,
-            apply_reject_correction=False,
-        )
         x = bundle.val.features[:20]
         corrected = expert_partial_posterior(expert, x).probabilities
-        uncorrected = expert_partial_posterior(plain, x).probabilities
+        uncorrected = t.softmax(t.forward_logits(expert.params, x))
         k = expert.reject_index
         for j in range(k):
             odds_corrected = corrected[:, k] / corrected[:, j]
@@ -193,7 +186,7 @@ class TestHyperparamSelection:
         sel = select_expert_hyperparams(
             baseline, subsets[0], bundle, [2.0], [0], config
         )
-        assert sel.rho == 2.0 and sel.frozen_layers == 0
+        assert sel.expert.rho == 2.0 and sel.expert.frozen_layers == 0
         assert len(sel.table) == 1
         assert sel.table[0].val_accuracy == pytest.approx(
             expert_subset_accuracy(sel.expert, bundle.val)
@@ -276,8 +269,7 @@ class TestLockstepGridSearch:
             baseline, subsets[which], bundle, rho_grid, frozen_grid, config
         )
         assert [(p.rho, p.frozen_layers, p.val_accuracy) for p in sel.table] == table
-        assert (sel.rho, sel.frozen_layers) == best[1:]
-        assert sel.expert.rho == sel.rho and sel.expert.frozen_layers == sel.frozen_layers
+        assert (sel.expert.rho, sel.expert.frozen_layers) == best[1:]
         assert set(stacked) == set(trained)
         for key, (expert, trace) in trained.items():
             params, stacked_trace = stacked[key]
@@ -321,3 +313,38 @@ class TestExpertCheckpoint:
         assert np.array_equal(loaded.subset.classes, expert.subset.classes)
         for (w0, b0), (w1, b1) in zip(expert.params.layers, loaded.params.layers):
             assert np.array_equal(w0, w1) and np.array_equal(b0, b1)
+
+    def test_header_with_the_old_reject_switch_still_loads(self, tiny_world, tmp_path):
+        # checkpoints written before the correction became unconditional
+        # carry an apply_reject_correction key; it is ignored
+        bundle, _, subsets, baseline, config = tiny_world
+        expert, _ = train_expert(baseline, subsets[0], bundle, 2.0, 0, config)
+        path = tmp_path / "expert.ckpt"
+        t.save_checkpoint(path, expert.params, {
+            "kind": "expert",
+            "expert_id": int(expert.subset.expert_id),
+            "subset_classes": [int(c) for c in expert.subset.classes],
+            "rho": expert.rho,
+            "frozen_layers": expert.frozen_layers,
+            "apply_reject_correction": True,
+        })
+        loaded = load_expert_checkpoint(path)
+        x = bundle.test.features
+        assert np.array_equal(
+            expert_partial_posterior(loaded, x).logits, expert_partial_posterior(expert, x).logits
+        )
+
+    def test_baseline_round_trip_keeps_the_kind_check(self, tiny_world, tmp_path):
+        bundle, _, subsets, baseline, config = tiny_world
+        path = tmp_path / "baseline.ckpt"
+        t.save_baseline_checkpoint(path, baseline)
+        loaded = t.load_baseline_checkpoint(path)
+        assert isinstance(loaded, t.NetworkParams)
+        for (w0, b0), (w1, b1) in zip(baseline.layers, loaded.layers):
+            assert w0.tobytes() == w1.tobytes() and b0.tobytes() == b1.tobytes()
+        with pytest.raises(t.DataError, match="not an expert checkpoint"):
+            load_expert_checkpoint(path)
+        expert, _ = train_expert(baseline, subsets[0], bundle, 2.0, 0, config)
+        save_expert_checkpoint(tmp_path / "expert.ckpt", expert)
+        with pytest.raises(t.DataError, match="not a baseline checkpoint"):
+            t.load_baseline_checkpoint(tmp_path / "expert.ckpt")

@@ -122,7 +122,7 @@ class TestWritersMatchTheWholeFileFormulas:
     def test_partial_posterior_dump(self, tmp_path, block_values):
         probs = np.abs(awkward_table(13, 4))
         subset = dataset.SubsetSpec(dataset.Fold.FEWSHOT, np.array([4, 1, 2]))
-        partial = PartialPosterior(dataset.Fold.FEWSHOT, np.zeros_like(probs), probs)
+        partial = PartialPosterior(np.zeros_like(probs), probs)
         ids = np.arange(13) + 100
         write_partial_posterior_csv(tmp_path / "e.csv", ids, partial, subset, rho=2.0)
         header = "sample_id,expert_id,p0,p1,p2,preject"
@@ -262,7 +262,7 @@ class TestReaders:
 
     def test_partial_dump_round_trip_across_blocks(self, tmp_path, block_values):
         probs = np.random.default_rng(2).dirichlet(np.ones(3), size=11)
-        partial = PartialPosterior(dataset.Fold.MANYSHOT, np.log(probs), probs)
+        partial = PartialPosterior(np.log(probs), probs)
         subset = dataset.SubsetSpec(dataset.Fold.MANYSHOT, np.array([0, 1]))
         write_partial_posterior_csv(tmp_path / "e.csv", np.arange(11), partial, subset)
         _, ids, expert_ids, loaded, _ = read_partial_dump(tmp_path / "e.csv")

@@ -263,6 +263,36 @@ class TestKLFusion:
         gap = pull.max(axis=1) - (q * pull).sum(axis=1)
         assert np.max(gap) <= 1e-9
 
+    @pytest.mark.parametrize("lift", [100.0, 300.0])
+    def test_active_set_keeps_confident_rows_to_a_few_steps(self, lift):
+        # each row's owner lifts one of its classes and the other two
+        # experts their reject outputs by the same margin, so most atoms
+        # sit near zero mass; without pinning atoms at their floor, Newton
+        # crawls there over tens to hundreds of steps
+        rng = np.random.default_rng(26)
+        n = 600
+        subsets = [
+            SubsetSpec(Fold.MANYSHOT, np.arange(3)),
+            SubsetSpec(Fold.MEDIUMSHOT, np.arange(3, 14)),
+            SubsetSpec(Fold.FEWSHOT, np.arange(14, 60)),
+        ]
+        logits = [rng.normal(0.0, 2.0, size=(n, s.size + 1)) for s in subsets]
+        owner = rng.integers(0, 3, size=n)
+        margin = lift * rng.uniform(0.5, 1.0, size=n)
+        for row in range(n):
+            for e, z in enumerate(logits):
+                own = e == owner[row]
+                z[row, rng.integers(0, subsets[e].size) if own else -1] += margin[row]
+        partials = [softmax(z) for z in logits]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = fuse_kl_min(partials, subsets, 60)
+        assert caught == []
+        assert result.steps_taken <= 15
+        q = result.probabilities
+        pull = _kl_pull(q, partials, subsets)
+        assert np.max(pull.max(axis=1) - (q * pull).sum(axis=1)) <= 1e-9
+
     def test_matches_grid_search_on_disjoint_experts(self):
         # brute-force oracle: evaluate the objective on a fine simplex grid
         rng = np.random.default_rng(5)
@@ -871,17 +901,14 @@ class TestExternalPosteriors:
     def test_partial_dump_round_trip(self, tmp_path):
         rng = np.random.default_rng(2)
         probs = rng.dirichlet(np.ones(3), size=5)
-        partial = PartialPosterior(
-            expert_id=Fold.MEDIUMSHOT,
-            logits=np.log(probs),
-            probabilities=probs,
-        )
+        partial = PartialPosterior(logits=np.log(probs), probabilities=probs)
         path = tmp_path / "expert_dump.csv"
         write_partial_posterior_csv(path, np.arange(5), partial, S01, rho=2.0)
         header, ids, expert_ids, loaded, sidecar = read_partial_dump(path)
         assert header == ["sample_id", "expert_id", "p0", "p1", "preject"]
         assert np.array_equal(ids, np.arange(5))
-        assert expert_ids.tolist() == [int(Fold.MEDIUMSHOT)] * 5
+        # the expert id column is the subset's
+        assert expert_ids.tolist() == [int(Fold.MANYSHOT)] * 5
         assert np.array_equal(loaded, probs)
         assert sidecar["classes"] == [0, 1]
         assert sidecar["rho"] == 2.0

@@ -46,8 +46,8 @@ def test_results_are_bitwise_equal_at_any_thread_count():
         assert [weight_bytes(e.params) for e in other.experts] == [
             weight_bytes(e.params) for e in first.experts
         ]
-        assert [(s.rho, s.frozen_layers, s.table) for s in other.selections] == [
-            (s.rho, s.frozen_layers, s.table) for s in first.selections
+        assert [(s.expert.rho, s.expert.frozen_layers, s.table) for s in other.selections] == [
+            (s.expert.rho, s.expert.frozen_layers, s.table) for s in first.selections
         ]
         for mine, theirs in zip(other.selections, first.selections):
             assert weight_bytes(mine.expert.params) == weight_bytes(theirs.expert.params)

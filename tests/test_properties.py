@@ -29,7 +29,7 @@ from tailens.dataset import (
     partition_subsets,
     relabel_for_expert,
 )
-from tailens.experts import BaselineModel, expert_grid_tasks
+from tailens.experts import expert_grid_tasks
 from tailens.fusion import expand_partial, fuse_soft_vote
 from tailens.network import init_network, softmax
 from tailens.pipeline import SEED_BASELINE, SEED_UNIFORM, seed_for_expert
@@ -212,7 +212,7 @@ class TestConfigDriftGuard:
         train_config_from(t, seed=t.seed + SEED_BASELINE)
         train_config_from(t, seed=t.seed + SEED_UNIFORM, stage="uniform")
         # numpy takes the seed where the baseline is initialized
-        baseline = BaselineModel(init_network([2, *t.hidden_dims, 3], seed=t.seed + SEED_BASELINE))
+        baseline = init_network([2, *t.hidden_dims, 3], seed=t.seed + SEED_BASELINE)
         subset = SubsetSpec(Fold.MANYSHOT, np.array([0]))
         for fold in Fold:
             expert_cfg = train_config_from(t, seed=seed_for_expert(t.seed, fold), stage="expert")
@@ -222,7 +222,7 @@ class TestConfigDriftGuard:
             points = [(c.sampler.rho, c.frozen_layers) for _, _, configs in tasks for c in configs]
             assert len(set(points)) == len(cfg.expert.rho_grid) * len(cfg.expert.frozen_grid)
             # every frozen value leaves the expert's head trainable
-            assert all(frozen < baseline.params.layer_count for _, frozen in points)
+            assert all(frozen < baseline.layer_count for _, frozen in points)
             assert all(math.isfinite(rho) for rho, _ in points)
         FoldAssignment.from_frequencies([1, 50, 500], (d.many_min, d.few_max))
         if d.source == "generate":
