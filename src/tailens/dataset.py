@@ -190,7 +190,7 @@ class DatasetBundle:
                 warnings.warn(
                     f"{name} split is not class-balanced; "
                     f"per-class counts: {counts.tolist()}",
-                    stacklevel=2,
+                    stacklevel=3,  # past the generated __init__, to the bundle's maker
                 )
 
     @property

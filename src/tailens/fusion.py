@@ -22,7 +22,9 @@ all C classes. Five fusion strategies are built on top of it:
 
 Full-width posteriors (no reject entry) participate everywhere by passing
 ``None`` in place of a subset, which makes diverse ensembles of external
-models possible.
+models possible. A subset expert leaves at least one class out or puts no
+mass on its reject output; every entry point raises the same ValueError
+otherwise, and the same one for experts that disagree on the sample count.
 
 The solver that the selector, stacker and calibration fits share is in
 :mod:`tailens._newton`, and the posterior-dump formats in :mod:`tailens._dumps`.
@@ -30,7 +32,6 @@ The solver that the selector, stacker and calibration fits share is in
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,10 +43,6 @@ from ._newton import _damped_newton, _newton_step, _PenalizedSoftmax, _RidgeNewt
 from .dataset import SubsetSpec
 from .experts import PartialPosterior
 from .network import DivergenceError, NetworkParams, forward_logits, softmax
-
-REJECT_DROP_WARNING = (
-    "expert covers every class; reject mass was dropped and the row renormalized"
-)
 
 # KL fusion stops a row once its Frank-Wolfe gap, an upper bound on how far
 # the row's objective is above its minimum, is at most KL_GAP nats: far below
@@ -95,43 +92,45 @@ def expand_partial(partial, subset: SubsetSpec | None, class_count: int) -> np.n
 
     In-subset probabilities keep their global positions; the reject entry is
     split evenly over the out-of-subset classes. A ``None`` subset means the
-    input is already full-width and is returned as-is (validated). The
-    degenerate case of a subset covering every class drops the reject mass,
-    renormalizes, and warns.
+    input is already full-width and is returned as-is (validated). A subset
+    covering every class has nowhere to put reject mass, so its reject
+    entries must be zero.
     """
     rows, single = _rows(_as_array(partial))
-    drops = _check_expansion(rows, subset, class_count, stacklevel=2)
-    full = _expansion(rows, subset, class_count, drops)
+    _check_expansion(rows, subset, class_count)
+    full = _expansion(rows, subset, class_count)
     return full[0] if single else full
 
 
-def _check_expansion(
-    rows, subset: SubsetSpec | None, class_count: int, stacklevel: int
-) -> bool:
-    """Raise where ``rows`` cannot be expanded, and warn where the expansion
-    drops reject mass (the subset covers every class and some row has
-    reject mass); returns whether it does. The warning names the line that
-    ``warnings.warn(..., stacklevel=stacklevel)`` would name if the caller
-    warned itself."""
+def _check_expansion(rows, subset: SubsetSpec | None, class_count: int) -> None:
+    """Raise where ``rows`` cannot be expanded: a width other than the
+    subset's plus its reject output (``class_count`` for a full-width
+    member), or reject mass on a subset that covers every class."""
     if subset is None:
         if rows.shape[1] != class_count:
             raise ValueError(
                 f"full-width posterior has {rows.shape[1]} entries, expected {class_count}"
             )
-        return False
+        return
     if rows.shape[1] != subset.size + 1:
         raise ValueError(
             f"partial posterior has {rows.shape[1]} entries, expected {subset.size + 1}"
         )
-    drops = len(subset.out_classes(class_count)) == 0 and bool(np.any(rows[:, -1] > 0))
-    if drops:
-        warnings.warn(REJECT_DROP_WARNING, stacklevel=stacklevel + 1)
-    return drops
+    if len(subset.out_classes(class_count)) == 0 and np.any(rows[:, -1] > 0):
+        raise ValueError(
+            f"the full-coverage subset expert {subset.expert_id.name.lower()} puts mass "
+            "on its reject output; pass subset=None for full-width members"
+        )
 
 
-def _expansion(rows, subset: SubsetSpec | None, class_count: int, drops: bool) -> np.ndarray:
-    """The expansion of checked ``rows`` in a table of its own; ``drops``
-    renormalizes the rows of a full-coverage subset."""
+def _check_sample_count(row_blocks) -> None:
+    sizes = {len(rows) for rows in row_blocks}
+    if len(sizes) > 1:
+        raise ValueError(f"partial posteriors disagree on sample count: {sorted(sizes)}")
+
+
+def _expansion(rows, subset: SubsetSpec | None, class_count: int) -> np.ndarray:
+    """The expansion of checked ``rows`` in a table of its own."""
     if subset is None:
         return rows.copy()
     k = subset.size
@@ -140,59 +139,49 @@ def _expansion(rows, subset: SubsetSpec | None, class_count: int, drops: bool) -
     full[:, subset.classes] = rows[:, :k]
     if len(out_classes):
         full[:, out_classes] += rows[:, k : k + 1] / len(out_classes)
-    elif drops:
-        full /= full.sum(axis=1, keepdims=True)
     return full
 
 
-def _expansion_inputs(partials, subsets, class_count: int, stacklevel: int):
+def _expansion_inputs(partials, subsets, class_count: int):
     """Each partial posterior as rows, checked in expert order as
-    :func:`expand_partial` checks it (warning where it warns, at the
-    caller's ``stacklevel``), then checked for one sample count. Returns the
-    rows, whether each expert's expansion drops reject mass, and whether
-    every input was 1d."""
+    :func:`expand_partial` checks it, then checked for one sample count.
+    Returns the rows and whether every input was 1d."""
     if len(partials) != len(subsets):
         raise ValueError("need one subset (or None) per partial posterior")
     if len(partials) == 0:
         raise ValueError("need at least one partial posterior")
-    prob_rows, drops = [], []
+    prob_rows = []
     single = True
     for partial, subset in zip(partials, subsets):
         rows, was_1d = _rows(_as_array(partial))
         single = single and was_1d
-        drops.append(_check_expansion(rows, subset, class_count, stacklevel + 1))
+        _check_expansion(rows, subset, class_count)
         prob_rows.append(rows)
-    sizes = {len(rows) for rows in prob_rows}
-    if len(sizes) != 1:
-        raise ValueError(f"partial posteriors disagree on sample count: {sorted(sizes)}")
-    return prob_rows, drops, single
+    _check_sample_count(prob_rows)
+    return prob_rows, single
 
 
-def _mean_expansion(prob_rows, subsets, drops, class_count: int) -> np.ndarray:
+def _mean_expansion(prob_rows, subsets, class_count: int) -> np.ndarray:
     """The mean of the checked rows' expansions, built in one (n, C) table:
     each expert's expansion is added into it in expert order, so the result
     is bitwise ``np.stack(expansions).mean(axis=0)`` without the stack."""
-    total = _expansion(prob_rows[0], subsets[0], class_count, drops[0])
-    for rows, subset, drop in zip(prob_rows[1:], subsets[1:], drops[1:]):
+    total = _expansion(prob_rows[0], subsets[0], class_count)
+    for rows, subset in zip(prob_rows[1:], subsets[1:]):
         if subset is None:
             total += rows
             continue
         k, out_classes = subset.size, subset.out_classes(class_count)
+        total[:, subset.classes] += rows[:, :k]
         if len(out_classes):
-            total[:, subset.classes] += rows[:, :k]
             total[:, out_classes] += rows[:, k : k + 1] / len(out_classes)
-        else:
-            # a full-coverage expansion may be renormalized, so it is built
-            # in a table of its own
-            total += _expansion(rows, subset, class_count, drop)
     total /= len(prob_rows)
     return total
 
 
 def fuse_soft_vote(partials, subsets, class_count: int) -> np.ndarray:
     """Average the expanded partial posteriors and renormalize."""
-    prob_rows, drops, single = _expansion_inputs(partials, subsets, class_count, stacklevel=2)
-    q = _mean_expansion(prob_rows, subsets, drops, class_count)
+    prob_rows, single = _expansion_inputs(partials, subsets, class_count)
+    q = _mean_expansion(prob_rows, subsets, class_count)
     q /= q.sum(axis=1, keepdims=True)
     return q[0] if single else q
 
@@ -209,8 +198,9 @@ def _class_atoms(subsets, class_count: int) -> tuple[np.ndarray, np.ndarray]:
 
     Returns the atom index of every class, shape (C,), and the boolean
     out-of-subset membership of every atom per expert, shape (E, m). A
-    full-width (``None``) member and a full-coverage subset count every
-    class as in, so they have no out-of-subset atoms.
+    full-width (``None``) member and a full-coverage subset, whose reject
+    output is empty, count every class as in, so they have no out-of-subset
+    atoms.
     """
     inside = np.ones((len(subsets), class_count), dtype=bool)
     for e, subset in enumerate(subsets):
@@ -281,13 +271,13 @@ def fuse_kl_min(partials, subsets, class_count: int) -> KLFusionResult:
       (-dF/dQ_A), which bounds F(q) - F(q*), is at most ``KL_GAP``, or when
       backtracking finds no decrease that float64 can represent.
 
-    The inputs are checked, and warned about, as :func:`fuse_soft_vote`
-    checks them. ``steps_taken`` is the Newton iteration count of the
-    slowest row (at most ``KL_STEPS``), and the reported objective is the
-    per-row sum over experts.
+    The inputs are checked as :func:`fuse_soft_vote` checks them.
+    ``steps_taken`` is the Newton iteration count of the slowest row (at
+    most ``KL_STEPS``), and the reported objective is the per-row sum over
+    experts.
     """
-    prob_rows, drops, single = _expansion_inputs(partials, subsets, class_count, stacklevel=2)
-    q_soft = _mean_expansion(prob_rows, subsets, drops, class_count)
+    prob_rows, single = _expansion_inputs(partials, subsets, class_count)
+    q_soft = _mean_expansion(prob_rows, subsets, class_count)
     q_soft /= q_soft.sum(axis=1, keepdims=True)
     if not np.all(np.isfinite(_kl_objective(q_soft, prob_rows, subsets))):
         raise DivergenceError("KL fusion objective is non-finite at initialization")
@@ -483,8 +473,10 @@ def _class_posterior(Q, W, w, atom_of, out) -> np.ndarray:
 
 
 def concat_partials(partials) -> np.ndarray:
-    """Concatenate partial posterior probabilities into one feature matrix."""
+    """Concatenate partial posterior probabilities, checked for one sample
+    count, into one feature matrix."""
     rows = [_rows(_as_array(p))[0] for p in partials]
+    _check_sample_count(rows)
     return np.concatenate(rows, axis=1)
 
 
@@ -541,16 +533,16 @@ def fuse_by_selection(
     Ties go to the earliest expert in the list order, i.e. manyshot before
     mediumshot before fewshot.
     """
-    prob_rows, drops, single = _expansion_inputs(partials, subsets, class_count, stacklevel=2)
+    prob_rows, single = _expansion_inputs(partials, subsets, class_count)
     scores = np.atleast_2d(selector.scores(partials))
     winner = np.argmax(scores, axis=1)
     if np.any(winner >= len(prob_rows)):
         raise IndexError(f"the selector picks expert {winner.max()} of {len(prob_rows)}")
     # only the rows an expert wins are expanded, straight into the answer
     q = np.empty((len(winner), class_count))
-    for e, (rows, subset, drop) in enumerate(zip(prob_rows, subsets, drops)):
+    for e, (rows, subset) in enumerate(zip(prob_rows, subsets)):
         won = winner == e
-        q[won] = _expansion(rows[won], subset, class_count, drop)
+        q[won] = _expansion(rows[won], subset, class_count)
     return q[0] if single else q
 
 
@@ -628,40 +620,30 @@ def fuse_calibrated(
                 f"logit width {rows.shape[1]} does not match calibration width {len(w)}"
             )
         logit_rows.append(rows)
-    q = _calibration_forward(
-        logit_rows, subsets, class_count, calib.scales, calib.shifts, stacklevel=2
-    )
+    q = _calibration_forward(logit_rows, subsets, class_count, calib.scales, calib.shifts)
     q /= q.sum(axis=1, keepdims=True)
     return q[0] if single else q
 
 
-def _calibration_forward(logit_rows, subsets, class_count, scales, shifts, stacklevel=2):
+def _calibration_forward(logit_rows, subsets, class_count, scales, shifts):
     """The mean of the expansions of the per-expert softmax(w * z + b),
-    warning as :func:`_expansion_inputs` warns."""
+    checked as :func:`_expansion_inputs` checks them."""
     probs = [softmax(z * w + b) for z, w, b in zip(logit_rows, scales, shifts)]
-    prob_rows, drops, _ = _expansion_inputs(probs, subsets, class_count, stacklevel + 1)
-    return _mean_expansion(prob_rows, subsets, drops, class_count)
+    prob_rows, _ = _expansion_inputs(probs, subsets, class_count)
+    return _mean_expansion(prob_rows, subsets, class_count)
 
 
-def _label_columns(logit_rows, subsets, class_count: int, labels):
+def _label_columns(subsets, class_count: int, labels):
     """Per expert, where each row's label sits in its calibrated softmax:
     the column, and the divisor the expansion applies to it (1 for a subset
     class or a full-width member, out_count for the reject output). The
     calibration loss and gradient read no other entry."""
     columns = []
-    for z, subset in zip(logit_rows, subsets):
-        width = class_count if subset is None else subset.size + 1
-        if z.shape[1] != width:
-            raise ValueError(f"logit width {z.shape[1]} does not match expected width {width}")
+    for subset in subsets:
         if subset is None:
             columns.append((labels, np.ones(len(labels))))
             continue
         out_count = class_count - subset.size
-        if out_count == 0:
-            raise ValueError(
-                "calibration cannot handle a full-coverage subset expert; "
-                "pass subset=None for full-width members"
-            )
         local = subset.local_map(class_count)[labels]
         inside = local >= 0
         columns.append((np.where(inside, local, subset.size), np.where(inside, 1.0, out_count)))
@@ -718,10 +700,10 @@ class _PenalizedCalibration(_RidgeNewtonProblem):
 
     def __init__(self, val_logits, subsets, val_class_labels, class_count):
         self.logit_rows = [_rows(_as_array(z, "logits"))[0] for z in val_logits]
-        if len(self.logit_rows) != len(subsets):
-            raise ValueError("need one subset (or None) per expert logit matrix")
+        # the uncalibrated posteriors meet the input rule of every fusion
+        _expansion_inputs([softmax(z) for z in self.logit_rows], subsets, class_count)
         labels = np.asarray(val_class_labels, dtype=np.int64)
-        self.columns = _label_columns(self.logit_rows, subsets, class_count, labels)
+        self.columns = _label_columns(subsets, class_count, labels)
         self.widths = [z.shape[1] for z in self.logit_rows]
         self.starts = np.cumsum([0] + [2 * m for m in self.widths])
         self.anchor = self.flatten(CalibrationParams.identity(self.widths))

@@ -1,6 +1,7 @@
 import json
 import re
 import shutil
+import warnings
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -359,6 +360,18 @@ def cli_and_library_runs(tmp_path_factory):
     cfg = tiny_run_config(str(tmp / "out"))
     run_pipeline(write_config_file(tmp, cfg))
     return cfg, tmp / "out", train_all(prepare_bundle(cfg), cfg)
+
+
+def test_train_all_and_every_fusion_run_without_a_warning(tmp_path):
+    # every warning is an error here, so a path that warns and carries on in
+    # training or in any fusion's fit or apply fails this test
+    cfg = tiny_run_config(str(tmp_path / "out"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ens = train_all(prepare_bundle(cfg), cfg)
+        for strategy in FUSION_STRATEGIES:
+            fused = fused_posteriors(ens, train_fusion(ens, cfg, strategy), cfg)
+            assert fused.shape == (len(ens.bundle.test.labels), ens.bundle.class_count)
 
 
 class TestCliMatchesPipeline:

@@ -411,7 +411,12 @@ class TestCsvRoundTrip:
             "train": "train.csv", "val": "val.csv", "test": "test.csv",
         }))
         with pytest.warns(UserWarning, match=r"val split is not class-balanced"):
-            load_bundle(manifest)
+            bundle = load_bundle(manifest)
+        # the warning names the line that builds the bundle, not the
+        # dataclass's generated __init__
+        with pytest.warns(UserWarning, match=r"per-class counts: \[2, 1\]") as record:
+            DatasetBundle(train=bundle.train, val=bundle.val, test=bundle.test)
+        assert [w.filename for w in record] == [__file__]
 
     def test_imagenet_lt_shaped_load(self, tmp_path):
         # one feature per sample keeps the 115,846-row file small

@@ -17,6 +17,7 @@ from tailens.fusion import (
     SELECTOR_RIDGE,
     STACKER_RIDGE,
     CalibrationParams,
+    LinearSoftmaxModel,
     _PenalizedCalibration,
     concat_partials,
     expand_partial,
@@ -30,7 +31,7 @@ from tailens.fusion import (
     train_stacker,
 )
 from tailens.experts import PartialPosterior
-from tailens.network import init_network, softmax
+from tailens.network import NetworkParams, init_network, softmax
 
 from conftest import read_partial_dump
 from gradient_checks import (
@@ -63,15 +64,61 @@ class TestExpandPartial:
         full = expand_partial(probs, S01, 4)
         assert np.max(np.abs(full.sum(axis=1) - 1.0)) < 1e-12
 
-    def test_full_coverage_drops_reject_with_warning(self):
+    def test_full_coverage_needs_an_empty_reject_output(self):
         subset = SubsetSpec(Fold.MANYSHOT, np.array([0, 1, 2]))
-        with pytest.warns(UserWarning, match="reject mass"):
-            full = expand_partial(np.array([0.5, 0.3, 0.1, 0.1]), subset, 3)
-        assert np.allclose(full, np.array([0.5, 0.3, 0.1]) / 0.9)
+        with pytest.raises(ValueError, match="full-coverage subset expert manyshot"):
+            expand_partial(np.array([0.5, 0.3, 0.1, 0.1]), subset, 3)
+        full = expand_partial(np.array([0.5, 0.3, 0.2, 0.0]), subset, 3)
+        assert full.tolist() == [0.5, 0.3, 0.2]
 
     def test_none_subset_is_identity(self):
         rows = np.array([[0.25, 0.25, 0.5]])
         assert np.array_equal(expand_partial(rows, None, 3), rows)
+
+
+def _ten_and_nine_rows(entry):
+    """Call ``entry`` on two experts' inputs of 10 and 9 rows, all else
+    well-formed."""
+    rng = np.random.default_rng(0)
+    partials = [softmax(rng.normal(size=(10, 3))), softmax(rng.normal(size=(9, 3)))]
+    logits = [rng.normal(size=(10, 3)), rng.normal(size=(9, 3))]
+    subsets = [S01, S23]
+    folds = np.arange(10) % 2
+    classes = np.arange(10) % 4
+    meta = LinearSoftmaxModel(NetworkParams([(np.zeros((6, 4)), np.zeros(4))]))
+    calls = {
+        "fuse_soft_vote": lambda: fuse_soft_vote(partials, subsets, 4),
+        "fuse_kl_min": lambda: fuse_kl_min(partials, subsets, 4),
+        "fuse_by_selection": lambda: fuse_by_selection(partials, meta, subsets, 4),
+        "fuse_by_stacking": lambda: fuse_by_stacking(partials, meta),
+        "fuse_calibrated": lambda: fuse_calibrated(
+            logits, CalibrationParams.identity([3, 3]), subsets, 4
+        ),
+        "train_expert_selector": lambda: train_expert_selector(partials, folds),
+        "train_stacker": lambda: train_stacker(partials, classes, 4),
+        "train_joint_calibration": lambda: train_joint_calibration(
+            logits, subsets, classes, 4
+        ),
+    }
+    return calls[entry]()
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        "fuse_soft_vote",
+        "fuse_kl_min",
+        "fuse_by_selection",
+        "fuse_by_stacking",
+        "fuse_calibrated",
+        "train_expert_selector",
+        "train_stacker",
+        "train_joint_calibration",
+    ],
+)
+def test_a_sample_count_mismatch_is_one_error(entry):
+    with pytest.raises(ValueError, match=r"disagree on sample count: \[9, 10\]"):
+        _ten_and_nine_rows(entry)
 
 
 class TestSoftVote:
@@ -676,7 +723,7 @@ class TestCalibrationReadsTheLabelColumn:
 
     def test_width_mismatch_is_rejected(self):
         z = [np.zeros((3, 4)), np.zeros((3, 3))]
-        with pytest.raises(ValueError, match="logit width"):
+        with pytest.raises(ValueError, match="partial posterior has 4 entries, expected 3"):
             train_joint_calibration(z, [S01, S23], np.array([0, 1, 2]), 4)
 
 

@@ -7,8 +7,6 @@ bound what each fusion holds at once, traced by tracemalloc, by a small
 multiple of its (n, C) output table.
 """
 
-import warnings
-
 import numpy as np
 import pytest
 
@@ -16,7 +14,6 @@ from conftest import traced_peak
 from tailens.dataset import Fold, FoldAssignment, SubsetSpec
 from tailens.evaluation import fourfold_accuracy, take_one_out_ablation
 from tailens.fusion import (
-    REJECT_DROP_WARNING,
     CalibrationParams,
     LinearSoftmaxModel,
     _class_atoms,
@@ -27,12 +24,16 @@ from tailens.fusion import (
     fuse_calibrated,
     fuse_kl_min,
     fuse_soft_vote,
+    train_joint_calibration,
 )
 from tailens.network import NetworkParams, forward_logits, init_network, softmax
 
+# a warning from any fusion here fails its test
+pytestmark = pytest.mark.filterwarnings("error")
+
 CLASSES = 7
-# overlapping subsets, a full-width member and a full-coverage subset whose
-# reject mass is dropped with a warning
+# overlapping subsets, a full-width member and a full-coverage subset, whose
+# reject output is empty
 MIXED_SUBSETS = [
     SubsetSpec(Fold.MANYSHOT, np.array([0, 1, 2])),
     None,
@@ -45,18 +46,32 @@ def _width(subset):
     return CLASSES if subset is None else subset.size + 1
 
 
-def _mixed_logits(n=40, seed=5):
+def _covers_every_class(subset):
+    return subset is not None and subset.size == CLASSES
+
+
+def _mixed_logits(n=40, seed=5, full_coverage_reject=False):
+    """Logits whose full-coverage reject output underflows to zero mass
+    under any scale above 0.1, unless ``full_coverage_reject``."""
     rng = np.random.default_rng(seed)
-    return [rng.normal(0.0, 2.0, size=(n, _width(s))) for s in MIXED_SUBSETS]
+    logits = [rng.normal(0.0, 2.0, size=(n, _width(s))) for s in MIXED_SUBSETS]
+    for z, s in zip(logits, MIXED_SUBSETS):
+        if _covers_every_class(s) and not full_coverage_reject:
+            z[:, -1] = -1e4
+    return logits
 
 
-def _mixed_partials(n=40, seed=5):
-    """Row-stochastic partials with some exact zeros, the reject entry too."""
+def _mixed_partials(n=40, seed=5, full_coverage_reject=False):
+    """Row-stochastic partials with some exact zeros, the reject entry too;
+    the full-coverage expert's reject entries are all zero unless
+    ``full_coverage_reject``."""
     rng = np.random.default_rng(seed)
     partials = []
     for s in MIXED_SUBSETS:
         p = rng.dirichlet(np.ones(_width(s)), size=n)
         p[rng.random(p.shape) < 0.15] = 0.0
+        if _covers_every_class(s) and not full_coverage_reject:
+            p[:, -1] = 0.0
         p[:, 0] += 1e-3  # no row loses all its mass
         partials.append(p / p.sum(axis=1, keepdims=True))
     return partials
@@ -79,9 +94,6 @@ def reference_expand(partial, subset, class_count):
     full[:, subset.classes] = rows[:, :k]
     if len(out_classes):
         full[:, out_classes] += rows[:, k : k + 1] / len(out_classes)
-    elif np.any(rows[:, k] > 0):
-        warnings.warn(REJECT_DROP_WARNING)
-        full /= full.sum(axis=1, keepdims=True)
     return full
 
 
@@ -137,30 +149,19 @@ def _same_bits(a, b) -> bool:
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
-def _messages(fn, *args):
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        result = fn(*args)
-    return result, [str(w.message) for w in caught]
-
-
 class TestBitwiseAgainstTheStack:
     def test_expand_partial(self):
         for p, s in zip(_mixed_partials(), MIXED_SUBSETS):
-            got, got_warned = _messages(expand_partial, p, s, CLASSES)
-            want, want_warned = _messages(reference_expand, p, s, CLASSES)
-            assert _same_bits(got, want)
-            assert got_warned == want_warned
+            assert _same_bits(expand_partial(p, s, CLASSES), reference_expand(p, s, CLASSES))
 
     @pytest.mark.parametrize("rows", [40, 1], ids=["batch", "single"])
     def test_soft_vote_on_a_mixed_world(self, rows):
         partials = _mixed_partials(n=rows)
         if rows == 1:
             partials = [p[0] for p in partials]
-        got, got_warned = _messages(fuse_soft_vote, partials, MIXED_SUBSETS, CLASSES)
-        want, want_warned = _messages(reference_soft_vote, partials, MIXED_SUBSETS, CLASSES)
+        got = fuse_soft_vote(partials, MIXED_SUBSETS, CLASSES)
+        want = reference_soft_vote(partials, MIXED_SUBSETS, CLASSES)
         assert _same_bits(got, want[0] if rows == 1 else want)
-        assert got_warned == want_warned == [REJECT_DROP_WARNING]
 
     def test_calibrated_fusion_on_a_mixed_world(self):
         rng = np.random.default_rng(8)
@@ -169,12 +170,9 @@ class TestBitwiseAgainstTheStack:
             scales=tuple(rng.uniform(0.5, 2.0, size=_width(s)) for s in MIXED_SUBSETS),
             shifts=tuple(rng.normal(0.0, 0.5, size=_width(s)) for s in MIXED_SUBSETS),
         )
-        got, got_warned = _messages(fuse_calibrated, logits, calib, MIXED_SUBSETS, CLASSES)
-        want, want_warned = _messages(
-            reference_calibrated, logits, calib, MIXED_SUBSETS, CLASSES
-        )
+        got = fuse_calibrated(logits, calib, MIXED_SUBSETS, CLASSES)
+        want = reference_calibrated(logits, calib, MIXED_SUBSETS, CLASSES)
         assert _same_bits(got, want)
-        assert got_warned == want_warned == [REJECT_DROP_WARNING]
 
     @pytest.mark.parametrize("loser", [3, 1], ids=["full-coverage", "full-width"])
     def test_selection_picks_rows_of_the_full_expansions(self, loser):
@@ -189,11 +187,7 @@ class TestBitwiseAgainstTheStack:
         winner = np.argmax(selector.scores(partials), axis=1)
         assert set(winner.tolist()) == set(range(len(bias))) - {loser}
         args = (partials, selector, MIXED_SUBSETS, CLASSES)
-        got, got_warned = _messages(fuse_by_selection, *args)
-        want, want_warned = _messages(reference_selection, *args)
-        assert _same_bits(got, want)
-        # the full-coverage expert warns whether or not it wins a row
-        assert got_warned == want_warned == [REJECT_DROP_WARNING]
+        assert _same_bits(fuse_by_selection(*args), reference_selection(*args))
 
     def test_selection_of_a_missing_expert_is_an_error(self):
         partials = _mixed_partials(n=5)
@@ -201,10 +195,8 @@ class TestBitwiseAgainstTheStack:
         # a fifth output for four experts, and it wins every row
         bias = np.array([0.0, 0.0, 0.0, 0.0, 1.0])
         selector = LinearSoftmaxModel(NetworkParams([(np.zeros((width, 5)), bias)]))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            with pytest.raises(IndexError, match="picks expert 4 of 4"):
-                fuse_by_selection(partials, selector, MIXED_SUBSETS, CLASSES)
+        with pytest.raises(IndexError, match="picks expert 4 of 4"):
+            fuse_by_selection(partials, selector, MIXED_SUBSETS, CLASSES)
 
     def test_ablation_mean(self):
         rng = np.random.default_rng(4)
@@ -265,17 +257,13 @@ class TestBitwiseAgainstTheStack:
 
     def test_kl_objective(self):
         partials = _mixed_partials()
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            q = fuse_soft_vote(partials, MIXED_SUBSETS, CLASSES)
+        q = fuse_soft_vote(partials, MIXED_SUBSETS, CLASSES)
         got = _kl_objective(q, partials, MIXED_SUBSETS)
         assert _same_bits(got, reference_kl_objective(q, partials, MIXED_SUBSETS))
 
     def test_kl_result_reports_the_objective_of_its_posterior(self):
         partials = _mixed_partials()
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            result = fuse_kl_min(partials, MIXED_SUBSETS, CLASSES)
+        result = fuse_kl_min(partials, MIXED_SUBSETS, CLASSES)
         assert _same_bits(
             result.objective,
             reference_kl_objective(result.probabilities, partials, MIXED_SUBSETS),
@@ -300,12 +288,19 @@ def _mixed_selector(partials):
     return LinearSoftmaxModel(NetworkParams([(weights, np.zeros(len(partials)))]))
 
 
-@pytest.mark.parametrize(
-    "entry",
-    ["expand_partial", "fuse_soft_vote", "fuse_kl_min", "fuse_by_selection", "fuse_calibrated"],
-)
-def test_the_reject_drop_warning_names_the_callers_line(entry):
-    partials = _mixed_partials(n=12)
+FULL_COVERAGE_ENTRIES = [
+    "expand_partial",
+    "fuse_soft_vote",
+    "fuse_kl_min",
+    "fuse_by_selection",
+    "fuse_calibrated",
+    "train_joint_calibration",
+]
+
+
+def _call_on_the_mixed_world(entry, full_coverage_reject):
+    partials = _mixed_partials(n=12, full_coverage_reject=full_coverage_reject)
+    logits = _mixed_logits(n=12, full_coverage_reject=full_coverage_reject)
     calls = {
         "expand_partial": lambda: expand_partial(partials[3], MIXED_SUBSETS[3], CLASSES),
         "fuse_soft_vote": lambda: fuse_soft_vote(partials, MIXED_SUBSETS, CLASSES),
@@ -314,15 +309,27 @@ def test_the_reject_drop_warning_names_the_callers_line(entry):
             partials, _mixed_selector(partials), MIXED_SUBSETS, CLASSES
         ),
         "fuse_calibrated": lambda: fuse_calibrated(
-            _mixed_logits(n=12),
+            logits,
             CalibrationParams.identity([_width(s) for s in MIXED_SUBSETS]),
             MIXED_SUBSETS,
             CLASSES,
         ),
+        "train_joint_calibration": lambda: train_joint_calibration(
+            logits, MIXED_SUBSETS, np.arange(12) % CLASSES, CLASSES
+        ),
     }
-    with pytest.warns(UserWarning, match="reject mass was dropped") as record:
-        calls[entry]()
-    assert [w.filename for w in record] == [__file__]
+    return calls[entry]()
+
+
+@pytest.mark.parametrize("entry", FULL_COVERAGE_ENTRIES)
+def test_full_coverage_reject_mass_is_an_error(entry):
+    with pytest.raises(ValueError, match="full-coverage subset expert fewshot puts mass"):
+        _call_on_the_mixed_world(entry, full_coverage_reject=True)
+
+
+@pytest.mark.parametrize("entry", FULL_COVERAGE_ENTRIES)
+def test_full_coverage_without_reject_mass_is_accepted(entry):
+    _call_on_the_mixed_world(entry, full_coverage_reject=False)
 
 
 def _wide_world(n=2000, class_count=60, seed=11):
