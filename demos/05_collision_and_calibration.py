@@ -53,9 +53,8 @@ show_matrix(
 # confidence structure: the manyshot expert on manyshot samples it gets
 # right, versus the fewshot expert on those same samples
 many_expert, few_expert = ensemble.experts[0], ensemble.experts[2]
-lookup = many_expert.subset.local_map(C)
-local = lookup[bundle.test.labels]
-mask = local >= 0
+local = many_expert.subset.columns(C)[bundle.test.labels]
+mask = local < many_expert.subset.size  # the rest read the reject output
 partial = t.expert_partial_posterior(many_expert, bundle.test.features[mask])
 correct = np.argmax(partial.probabilities, axis=1) == local[mask]
 population = bundle.test.features[mask][correct]

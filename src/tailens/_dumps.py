@@ -49,7 +49,7 @@ def _posterior_columns(class_count: int) -> list[str]:
 
 def write_posterior_csv(path, sample_ids, probabilities) -> None:
     """Full-width posterior dump: ``sample_id,p0,...,p{C-1}`` per row."""
-    probabilities = np.atleast_2d(np.asarray(probabilities, dtype=np.float64))
+    probabilities = np.asarray(probabilities, dtype=np.float64)
     header = ",".join(_posterior_columns(probabilities.shape[1]))
     atomic_write_float_csv(path, header, sample_ids, probabilities)
 
@@ -108,11 +108,10 @@ def write_partial_posterior_csv(
     path, sample_ids, partial: PartialPosterior, subset: SubsetSpec, *, rho: float | None = None
 ) -> None:
     """Partial posterior dump plus a JSON sidecar describing the subset."""
-    probs = np.atleast_2d(np.asarray(partial.probabilities, dtype=np.float64))
     header = "sample_id,expert_id," + ",".join(f"p{j}" for j in range(subset.size)) + ",preject"
     expert_id = int(subset.expert_id)
     path = Path(path)
-    atomic_write_float_csv(path, header, sample_ids, probs, tag=f",{expert_id}")
+    atomic_write_float_csv(path, header, sample_ids, partial.probabilities, tag=f",{expert_id}")
     sidecar = {
         "expert_id": expert_id,
         "expert": subset.expert_id.label,

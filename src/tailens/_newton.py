@@ -163,6 +163,14 @@ class _SoftmaxPoint:
     finite: bool
 
 
+def _checked_labels(labels, n: int, outputs: int) -> np.ndarray:
+    """``labels`` in int64: one in ``[0, outputs)`` per row, or a ValueError."""
+    labels = np.asarray(labels, dtype=np.int64)
+    if labels.shape != (n,) or not np.all((labels >= 0) & (labels < outputs)):
+        raise ValueError(f"need one label in [0, {outputs}) per row")
+    return labels
+
+
 class _PenalizedSoftmax(_RidgeNewtonProblem):
     """The mean cross-entropy of the linear softmax softmax(x W + b) plus
     the ridge ``ridge / 2 * |theta|^2``, over theta = the rows of [W; b] in
@@ -171,12 +179,10 @@ class _PenalizedSoftmax(_RidgeNewtonProblem):
 
     def __init__(self, name: str, features, labels, outputs: int, ridge: float):
         n, d = features.shape
-        if labels.shape != (n,) or not np.all((labels >= 0) & (labels < outputs)):
-            raise ValueError(f"need one label in [0, {outputs}) per row")
+        self.labels = _checked_labels(labels, n, outputs)
         self.name = name
         # a constant last input carries the bias, so x W + b = inputs @ [W; b]
         self.inputs = np.hstack([features, np.ones((n, 1))])
-        self.labels = labels
         self.outputs = outputs
         self.anchor = np.zeros((d + 1) * outputs)
         self.ridge = ridge

@@ -79,9 +79,18 @@ def _require_file(path: Path, hint: str) -> Path:
     return path
 
 
-def _load_baseline(cfg: RunConfig, name: str) -> NetworkParams:
-    """The ``baseline`` or ``uniform`` checkpoint of ``train-baseline``."""
-    return load_baseline_checkpoint(_require_file(_ckpt_path(cfg, name), "tailens train-baseline"))
+def _load_baseline(cfg: RunConfig, bundle, name: str) -> NetworkParams:
+    """The ``baseline`` or ``uniform`` checkpoint of ``train-baseline``,
+    checked to map the bundle's features to its classes."""
+    path = _require_file(_ckpt_path(cfg, name), "tailens train-baseline")
+    model = load_baseline_checkpoint(path)
+    dims = model.dims
+    if (dims[0], dims[-1]) != (bundle.feature_dim, bundle.class_count):
+        raise DataError(
+            f"{path}: {name} maps {dims[0]} features to {dims[-1]} classes, the bundle has "
+            f"{bundle.feature_dim} and {bundle.class_count}; re-run `tailens train-baseline`"
+        )
+    return model
 
 
 def _load_expert(cfg: RunConfig, bundle, subset: SubsetSpec) -> ExpertModel:
@@ -153,7 +162,7 @@ def cmd_train_baseline(cfg: RunConfig, args) -> None:
 
 def cmd_train_experts(cfg: RunConfig, args) -> None:
     bundle = prepare_bundle(cfg)
-    baseline = _load_baseline(cfg, "baseline")
+    baseline = _load_baseline(cfg, bundle, "baseline")
     tables = []
     for sel in select_experts(baseline, bundle, cfg, args.threads):
         expert = sel.expert
@@ -183,7 +192,7 @@ def cmd_dump_posteriors(cfg: RunConfig, args) -> None:
     )
 
     if args.model in ("baseline", "uniform"):
-        model = _load_baseline(cfg, args.model)
+        model = _load_baseline(cfg, bundle, args.model)
         write_posterior_csv(out, ids, full_posterior_table(model, split.features))
     elif args.model == "experts":
         ensemble = _load_ensemble(cfg, bundle)

@@ -159,6 +159,14 @@ class EmbeddingDataset:
         return order, self.n - int(np.count_nonzero(reject))
 
 
+def _balance_warning(name: str, split: EmbeddingDataset) -> str | None:
+    """The warning for a split that is not class-balanced, or None."""
+    counts = split.class_frequency
+    if counts.min() == counts.max():
+        return None
+    return f"{name} split is not class-balanced; per-class counts: {counts.tolist()}"
+
+
 @dataclass(frozen=True)
 class DatasetBundle:
     """Train/val/test triple sharing one class space and feature dimension.
@@ -185,13 +193,9 @@ class DatasetBundle:
                     f"{name} split has feature_dim {ds.feature_dim}, "
                     f"train has {self.train.feature_dim}"
                 )
-            counts = ds.class_frequency
-            if counts.min() != counts.max():
-                warnings.warn(
-                    f"{name} split is not class-balanced; "
-                    f"per-class counts: {counts.tolist()}",
-                    stacklevel=3,  # past the generated __init__, to the bundle's maker
-                )
+            if message := _balance_warning(name, ds):
+                # past the generated __init__, to the bundle's maker
+                warnings.warn(message, stacklevel=3)
 
     @property
     def class_count(self) -> int:
@@ -283,19 +287,14 @@ class SubsetSpec:
     def size(self) -> int:
         return len(self.classes)
 
-    def local_map(self, class_count: int) -> np.ndarray:
-        """Global->local index map of length ``class_count``; -1 outside."""
+    def columns(self, class_count: int) -> np.ndarray:
+        """The expert output each of the ``class_count`` classes reads: its
+        local index inside the subset, the reject output ``size`` outside."""
         if self.classes.max() >= class_count:
             raise ValueError("subset references a class beyond class_count")
-        lookup = np.full(class_count, -1, dtype=np.int64)
-        lookup[self.classes] = np.arange(self.size, dtype=np.int64)
-        return lookup
-
-    def out_classes(self, class_count: int) -> np.ndarray:
-        """Global indices not covered by this subset."""
-        mask = np.ones(class_count, dtype=bool)
-        mask[self.classes] = False
-        return np.nonzero(mask)[0]
+        columns = np.full(class_count, self.size, dtype=np.int64)
+        columns[self.classes] = np.arange(self.size, dtype=np.int64)
+        return columns
 
 
 def partition_subsets(
@@ -339,12 +338,9 @@ def relabel_for_expert(train: EmbeddingDataset, subset: SubsetSpec) -> Embedding
     with the reject index ``subset.size``. The output has ``subset.size + 1``
     classes even when nothing was rejected.
     """
-    lookup = subset.local_map(train.class_count)
-    local = lookup[train.labels]
-    local = np.where(local >= 0, local, subset.size)
     return EmbeddingDataset(
         features=train.features,
-        labels=local,
+        labels=subset.columns(train.class_count)[train.labels],
         class_count=subset.size + 1,
     )
 
@@ -726,11 +722,11 @@ def load_bundle(manifest_path, *, cache_dir=None) -> DatasetBundle:
     """Load a bundle via its manifest (paths resolved relative to it).
 
     The manifest states the class count; train frequencies are recomputed
-    from the train rows, and unbalanced val/test splits warn rather than
-    fail. With ``cache_dir`` each split CSV is parsed once and its arrays
-    are read back from the cache while its bytes are unchanged. A manifest
-    that is not JSON, has another format or lacks a key, or a malformed
-    split, raises :class:`DataError`.
+    from the train rows, and an unbalanced val or test split warns, naming
+    its file, rather than fails. With ``cache_dir`` each split CSV is parsed
+    once and its arrays are read back from the cache while its bytes are
+    unchanged. A manifest that is not JSON, has another format or lacks a
+    key, or a malformed split, raises :class:`DataError`.
     """
     splits, class_count = _read_manifest(Path(manifest_path))
 
@@ -739,18 +735,22 @@ def load_bundle(manifest_path, *, cache_dir=None) -> DatasetBundle:
             return _parse_embeddings(path, class_count)[:2]
         return _read_embeddings_cached(path, class_count, Path(cache_dir))
 
-    (train_f, train_l), (val_f, val_l), (test_f, test_l) = (read(p) for p in splits)
-    for path, feats in ((splits[1], val_f), (splits[2], test_f)):
-        if feats.shape[1] != train_f.shape[1]:
+    train, val, test = (EmbeddingDataset(*read(p), class_count) for p in splits)
+    for path, ds in ((splits[1], val), (splits[2], test)):
+        if ds.feature_dim != train.feature_dim:
             raise DataError(
-                f"{path.name}: {feats.shape[1]} features, "
-                f"{splits[0].name} has {train_f.shape[1]}"
+                f"{path.name}: {ds.feature_dim} features, "
+                f"{splits[0].name} has {train.feature_dim}"
             )
-    return DatasetBundle(
-        train=EmbeddingDataset(train_f, train_l, class_count),
-        val=EmbeddingDataset(val_f, val_l, class_count),
-        test=EmbeddingDataset(test_f, test_l, class_count),
-    )
+    # the bundle's warning names the split; it is issued here instead, naming
+    # the file, at load_bundle's caller
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        bundle = DatasetBundle(train, val, test)
+    for path, name, split in ((splits[1], "val", val), (splits[2], "test", test)):
+        if message := _balance_warning(name, split):
+            warnings.warn(f"{path.name}: {message}", stacklevel=2)
+    return bundle
 
 
 def copy_bundle(manifest_path, bundle: DatasetBundle, directory) -> Path:

@@ -161,7 +161,6 @@ def expert_confusion_matrix(
     class_count = len(folds.fold_of_class)
     if fused_probabilities is None:
         fused_probabilities = fuse_soft_vote(partials, subsets, class_count)
-    fused = np.atleast_2d(fused_probabilities)
     labels = np.asarray(labels, dtype=np.int64)
 
     owner = np.full(class_count, -1, dtype=np.int64)
@@ -170,7 +169,7 @@ def expert_confusion_matrix(
     if np.any(owner < 0):
         raise ValueError("subsets do not cover every class")
 
-    winner = owner[np.argmax(fused, axis=1)]
+    winner = owner[np.argmax(fused_probabilities, axis=1)]
     sample_fold = folds.fold_of_samples(labels)
     counts = np.zeros((3, 3), dtype=np.int64)
     for f in range(3):
@@ -210,9 +209,9 @@ class ConfidenceHistogram:
 
 
 def confidence_histogram(probabilities, *, population: str = "") -> ConfidenceHistogram:
-    """Histogram the per-row maximum probability over [0, 1] in
-    ``HISTOGRAM_BINS`` equal bins."""
-    probs = np.atleast_2d(_as_array(probabilities))
+    """Histogram the per-row maximum probability of an (n, C) table over
+    [0, 1] in ``HISTOGRAM_BINS`` equal bins."""
+    probs = _as_array(probabilities)
     confidence = probs.max(axis=1)
     counts, edges = np.histogram(confidence, bins=HISTOGRAM_BINS, range=(0.0, 1.0))
     return ConfidenceHistogram(bin_edges=edges, counts=counts, population=population)
@@ -224,7 +223,7 @@ def msp_histogram(
     """Confidence histogram of an expert on a sample population, taken from
     the full-width expansion of its partial posterior over ``class_count``
     classes."""
-    partial = expert_partial_posterior(expert, np.atleast_2d(features))
+    partial = expert_partial_posterior(expert, features)
     probs = expand_partial(partial.probabilities, expert.subset, class_count)
     return confidence_histogram(probs, population=population)
 
@@ -248,9 +247,9 @@ def take_one_out_ablation(
 
     def evaluate(members: list[str]) -> EvalReport:
         # the members' mean, summed into one table in member order
-        total = np.array(np.atleast_2d(tables[members[0]]), dtype=np.float64)
+        total = np.array(tables[members[0]], dtype=np.float64)
         for m in members[1:]:
-            table = np.atleast_2d(tables[m])
+            table = np.asarray(tables[m])
             if table.shape != total.shape:
                 raise ValueError(
                     f"table {m!r} has shape {table.shape}, expected {total.shape}"

@@ -173,9 +173,9 @@ def train_expert(
 
 
 def expert_partial_posterior(expert: ExpertModel, features) -> PartialPosterior:
-    """Bias-corrected logits and probabilities for one or many samples."""
+    """Bias-corrected logits and probabilities of an (n, d) feature table."""
     z = forward_logits(expert.params, features)
-    z[..., expert.reject_index] += math.log(expert.rho)
+    z[:, expert.reject_index] += math.log(expert.rho)
     return PartialPosterior(logits=z, probabilities=softmax(z))
 
 
@@ -183,8 +183,8 @@ def _in_subset_predictions(expert: ExpertModel, dataset: EmbeddingDataset):
     """The rows of ``dataset`` whose class lies in the expert's subset (a
     mask), their local labels, and the argmax over the subset's outputs
     only, the reject output left out."""
-    local = expert.subset.local_map(dataset.class_count)[dataset.labels]
-    mask = local >= 0
+    local = expert.subset.columns(dataset.class_count)[dataset.labels]
+    mask = local < expert.subset.size
     partial = expert_partial_posterior(expert, dataset.features[mask])
     return mask, local[mask], np.argmax(partial.probabilities[:, : expert.subset.size], axis=1)
 

@@ -39,7 +39,9 @@ import numpy as np
 # perfbench/tracing.py spans these two dump functions as fusion.<name>, found
 # by getattr(fusion, name), so fusion keeps binding them
 from ._dumps import ingest_external_posteriors, write_posterior_csv  # noqa: F401
-from ._newton import _damped_newton, _newton_step, _PenalizedSoftmax, _RidgeNewtonProblem
+from ._newton import (
+    _checked_labels, _damped_newton, _newton_step, _PenalizedSoftmax, _RidgeNewtonProblem
+)
 from .dataset import SubsetSpec
 from .experts import PartialPosterior
 from .network import DivergenceError, NetworkParams, forward_logits, softmax
@@ -78,45 +80,46 @@ def _as_array(partial, field: str = "probabilities") -> np.ndarray:
     return np.asarray(partial, dtype=np.float64)
 
 
-def _rows(arr: np.ndarray) -> tuple[np.ndarray, bool]:
-    """Promote a vector to a one-row matrix; report whether it was 1d."""
-    if arr.ndim == 1:
-        return arr[None, :], True
-    if arr.ndim == 2:
-        return arr, False
-    raise ValueError(f"expected 1d or 2d array, got ndim={arr.ndim}")
+def _member_columns(subset: SubsetSpec | None, class_count: int):
+    """A member's column map: per class, the column of the member's table
+    that the class reads (:meth:`SubsetSpec.columns`), and how many classes
+    read that column. A full-width (``None``) member is the identity, each
+    column read by its own class."""
+    if subset is None:
+        return np.arange(class_count), np.ones(class_count, dtype=np.int64)
+    columns = subset.columns(class_count)
+    return columns, np.bincount(columns, minlength=subset.size + 1)[columns]
 
 
 def expand_partial(partial, subset: SubsetSpec | None, class_count: int) -> np.ndarray:
-    """Expand a partial posterior to all ``class_count`` classes.
+    """Expand an (n, width) partial posterior table to all ``class_count``
+    classes.
 
     In-subset probabilities keep their global positions; the reject entry is
     split evenly over the out-of-subset classes. A ``None`` subset means the
-    input is already full-width and is returned as-is (validated). A subset
-    covering every class has nowhere to put reject mass, so its reject
-    entries must be zero.
+    input is already full-width and is returned as a copy (validated). A
+    subset covering every class has nowhere to put reject mass, so its
+    reject entries must be zero.
     """
-    rows, single = _rows(_as_array(partial))
+    rows = _as_array(partial)
     _check_expansion(rows, subset, class_count)
-    full = _expansion(rows, subset, class_count)
-    return full[0] if single else full
+    return _expansion(rows, subset, class_count)
 
 
 def _check_expansion(rows, subset: SubsetSpec | None, class_count: int) -> None:
-    """Raise where ``rows`` cannot be expanded: a width other than the
-    subset's plus its reject output (``class_count`` for a full-width
-    member), or reject mass on a subset that covers every class."""
+    """Raise where ``rows`` cannot be expanded: not an (n, width) table, a
+    width other than the subset's plus its reject output (``class_count``
+    for a full-width member), or reject mass on a subset that covers every
+    class."""
+    if rows.ndim != 2:
+        raise ValueError(f"expected an (n, width) table, got ndim={rows.ndim}")
+    width = class_count if subset is None else subset.size + 1
+    if rows.shape[1] != width:
+        kind = "full-width" if subset is None else "partial"
+        raise ValueError(f"{kind} posterior has {rows.shape[1]} entries, expected {width}")
     if subset is None:
-        if rows.shape[1] != class_count:
-            raise ValueError(
-                f"full-width posterior has {rows.shape[1]} entries, expected {class_count}"
-            )
         return
-    if rows.shape[1] != subset.size + 1:
-        raise ValueError(
-            f"partial posterior has {rows.shape[1]} entries, expected {subset.size + 1}"
-        )
-    if len(subset.out_classes(class_count)) == 0 and np.any(rows[:, -1] > 0):
+    if np.all(subset.columns(class_count) < subset.size) and np.any(rows[:, -1] > 0):
         raise ValueError(
             f"the full-coverage subset expert {subset.expert_id.name.lower()} puts mass "
             "on its reject output; pass subset=None for full-width members"
@@ -130,66 +133,52 @@ def _check_sample_count(row_blocks) -> None:
 
 
 def _expansion(rows, subset: SubsetSpec | None, class_count: int) -> np.ndarray:
-    """The expansion of checked ``rows`` in a table of its own."""
-    if subset is None:
-        return rows.copy()
-    k = subset.size
-    out_classes = subset.out_classes(class_count)
-    full = np.zeros((rows.shape[0], class_count))
-    full[:, subset.classes] = rows[:, :k]
-    if len(out_classes):
-        full[:, out_classes] += rows[:, k : k + 1] / len(out_classes)
+    """The expansion of checked ``rows`` in a table of its own: each class
+    reads its column, over the number of classes that read it. ``np.take``
+    returns the table C-ordered, as the sums over its rows need it."""
+    columns, shares = _member_columns(subset, class_count)
+    full = np.take(rows, columns, axis=1)
+    full /= shares
     return full
 
 
 def _expansion_inputs(partials, subsets, class_count: int):
-    """Each partial posterior as rows, checked in expert order as
-    :func:`expand_partial` checks it, then checked for one sample count.
-    Returns the rows and whether every input was 1d."""
+    """Each partial posterior table, checked in expert order as
+    :func:`expand_partial` checks it, then checked for one sample count."""
     if len(partials) != len(subsets):
         raise ValueError("need one subset (or None) per partial posterior")
     if len(partials) == 0:
         raise ValueError("need at least one partial posterior")
-    prob_rows = []
-    single = True
-    for partial, subset in zip(partials, subsets):
-        rows, was_1d = _rows(_as_array(partial))
-        single = single and was_1d
+    prob_rows = [_as_array(partial) for partial in partials]
+    for rows, subset in zip(prob_rows, subsets):
         _check_expansion(rows, subset, class_count)
-        prob_rows.append(rows)
     _check_sample_count(prob_rows)
-    return prob_rows, single
+    return prob_rows
 
 
 def _mean_expansion(prob_rows, subsets, class_count: int) -> np.ndarray:
-    """The mean of the checked rows' expansions, built in one (n, C) table:
-    each expert's expansion is added into it in expert order, so the result
-    is bitwise ``np.stack(expansions).mean(axis=0)`` without the stack."""
+    """The mean of the checked rows' expansions: each expert's expansion is
+    added into the first in expert order, so the result is bitwise
+    ``np.stack(expansions).mean(axis=0)`` without the stack."""
     total = _expansion(prob_rows[0], subsets[0], class_count)
     for rows, subset in zip(prob_rows[1:], subsets[1:]):
-        if subset is None:
-            total += rows
-            continue
-        k, out_classes = subset.size, subset.out_classes(class_count)
-        total[:, subset.classes] += rows[:, :k]
-        if len(out_classes):
-            total[:, out_classes] += rows[:, k : k + 1] / len(out_classes)
+        total += _expansion(rows, subset, class_count)
     total /= len(prob_rows)
     return total
 
 
 def fuse_soft_vote(partials, subsets, class_count: int) -> np.ndarray:
     """Average the expanded partial posteriors and renormalize."""
-    prob_rows, single = _expansion_inputs(partials, subsets, class_count)
+    prob_rows = _expansion_inputs(partials, subsets, class_count)
     q = _mean_expansion(prob_rows, subsets, class_count)
     q /= q.sum(axis=1, keepdims=True)
-    return q[0] if single else q
+    return q
 
 
 @dataclass(frozen=True)
 class KLFusionResult:
     probabilities: np.ndarray
-    objective: np.ndarray | float
+    objective: np.ndarray
     steps_taken: int
 
 
@@ -205,8 +194,7 @@ def _class_atoms(subsets, class_count: int) -> tuple[np.ndarray, np.ndarray]:
     inside = np.ones((len(subsets), class_count), dtype=bool)
     for e, subset in enumerate(subsets):
         if subset is not None:
-            inside[e] = False
-            inside[e, subset.classes] = True
+            inside[e] = subset.columns(class_count) < subset.size
     patterns, atom_of = np.unique(inside.T, axis=0, return_inverse=True)
     return atom_of.reshape(-1), ~patterns.T
 
@@ -241,11 +229,9 @@ def _kl_objective(q, prob_rows, subsets) -> np.ndarray:
             continue
         k = subset.size
         total += _plogp_sum(p_rows[:, :k], np.take(q, subset.classes, axis=1))
-        out_classes = subset.out_classes(q.shape[1])
-        if len(out_classes):
-            total += _plogp_sum(
-                p_rows[:, k:], q[:, out_classes].sum(axis=1, keepdims=True)
-            )
+        out = subset.columns(q.shape[1]) == k
+        if out.any():
+            total += _plogp_sum(p_rows[:, k:], q[:, out].sum(axis=1, keepdims=True))
     return total
 
 
@@ -276,16 +262,13 @@ def fuse_kl_min(partials, subsets, class_count: int) -> KLFusionResult:
     most ``KL_STEPS``), and the reported objective is the per-row sum over
     experts.
     """
-    prob_rows, single = _expansion_inputs(partials, subsets, class_count)
+    prob_rows = _expansion_inputs(partials, subsets, class_count)
     q_soft = _mean_expansion(prob_rows, subsets, class_count)
     q_soft /= q_soft.sum(axis=1, keepdims=True)
     if not np.all(np.isfinite(_kl_objective(q_soft, prob_rows, subsets))):
         raise DivergenceError("KL fusion objective is non-finite at initialization")
     q, steps_taken = _solve_kl_atoms(q_soft, prob_rows, subsets)
-    objective = _kl_objective(q, prob_rows, subsets)
-    if single:
-        return KLFusionResult(q[0], float(objective[0]), steps_taken)
-    return KLFusionResult(q, objective, steps_taken)
+    return KLFusionResult(q, _kl_objective(q, prob_rows, subsets), steps_taken)
 
 
 def _pinned_newton_step(hess, pull, pinned_step, free, pinned):
@@ -475,7 +458,7 @@ def _class_posterior(Q, W, w, atom_of, out) -> np.ndarray:
 def concat_partials(partials) -> np.ndarray:
     """Concatenate partial posterior probabilities, checked for one sample
     count, into one feature matrix."""
-    rows = [_rows(_as_array(p))[0] for p in partials]
+    rows = [_as_array(p) for p in partials]
     _check_sample_count(rows)
     return np.concatenate(rows, axis=1)
 
@@ -533,9 +516,8 @@ def fuse_by_selection(
     Ties go to the earliest expert in the list order, i.e. manyshot before
     mediumshot before fewshot.
     """
-    prob_rows, single = _expansion_inputs(partials, subsets, class_count)
-    scores = np.atleast_2d(selector.scores(partials))
-    winner = np.argmax(scores, axis=1)
+    prob_rows = _expansion_inputs(partials, subsets, class_count)
+    winner = np.argmax(selector.scores(partials), axis=1)
     if np.any(winner >= len(prob_rows)):
         raise IndexError(f"the selector picks expert {winner.max()} of {len(prob_rows)}")
     # only the rows an expert wins are expanded, straight into the answer
@@ -543,7 +525,7 @@ def fuse_by_selection(
     for e, (rows, subset) in enumerate(zip(prob_rows, subsets)):
         won = winner == e
         q[won] = _expansion(rows[won], subset, class_count)
-    return q[0] if single else q
+    return q
 
 
 def train_stacker(val_partials, val_class_labels, class_count: int) -> LinearSoftmaxModel:
@@ -555,16 +537,13 @@ def train_stacker(val_partials, val_class_labels, class_count: int) -> LinearSof
     to the certificate ``_newton.CERTIFICATE_TOL``, as the selector's does. A label
     outside ``[0, class_count)`` raises a ValueError.
     """
-    labels = np.asarray(val_class_labels, dtype=np.int64)
     return LinearSoftmaxModel(
-        *_fit_softmax("stacker", val_partials, labels, class_count, STACKER_RIDGE)
+        *_fit_softmax("stacker", val_partials, val_class_labels, class_count, STACKER_RIDGE)
     )
 
 
 def fuse_by_stacking(partials, stacker: LinearSoftmaxModel) -> np.ndarray:
-    q = stacker.scores(partials)
-    single = all(_as_array(p).ndim == 1 for p in partials)
-    return q[0] if single else q
+    return stacker.scores(partials)
 
 
 @dataclass(frozen=True)
@@ -608,46 +587,32 @@ def fuse_calibrated(
     """Soft-vote of the expansions of softmax(w * z + b) per expert."""
     if len(partial_logits) != len(calib.scales):
         raise ValueError("calibration parameters do not match the expert count")
-    if len(subsets) != len(partial_logits):
-        raise ValueError("need one subset (or None) per partial posterior")
-    logit_rows = []
-    single = True
-    for logits, w in zip(partial_logits, calib.scales):
-        rows, was_1d = _rows(_as_array(logits, "logits"))
-        single = single and was_1d
-        if rows.shape[1] != len(w):
+    logit_rows = [_as_array(logits, "logits") for logits in partial_logits]
+    for rows, w in zip(logit_rows, calib.scales):
+        if rows.shape[-1] != len(w):
             raise ValueError(
-                f"logit width {rows.shape[1]} does not match calibration width {len(w)}"
+                f"logit width {rows.shape[-1]} does not match calibration width {len(w)}"
             )
-        logit_rows.append(rows)
     q = _calibration_forward(logit_rows, subsets, class_count, calib.scales, calib.shifts)
     q /= q.sum(axis=1, keepdims=True)
-    return q[0] if single else q
+    return q
 
 
 def _calibration_forward(logit_rows, subsets, class_count, scales, shifts):
     """The mean of the expansions of the per-expert softmax(w * z + b),
     checked as :func:`_expansion_inputs` checks them."""
     probs = [softmax(z * w + b) for z, w, b in zip(logit_rows, scales, shifts)]
-    prob_rows, _ = _expansion_inputs(probs, subsets, class_count)
+    prob_rows = _expansion_inputs(probs, subsets, class_count)
     return _mean_expansion(prob_rows, subsets, class_count)
 
 
 def _label_columns(subsets, class_count: int, labels):
-    """Per expert, where each row's label sits in its calibrated softmax:
-    the column, and the divisor the expansion applies to it (1 for a subset
-    class or a full-width member, out_count for the reject output). The
-    calibration loss and gradient read no other entry."""
-    columns = []
-    for subset in subsets:
-        if subset is None:
-            columns.append((labels, np.ones(len(labels))))
-            continue
-        out_count = class_count - subset.size
-        local = subset.local_map(class_count)[labels]
-        inside = local >= 0
-        columns.append((np.where(inside, local, subset.size), np.where(inside, 1.0, out_count)))
-    return columns
+    """Per expert, the column map read at each row's label: the column of
+    the calibrated softmax the label reads, and the divisor the expansion
+    applies to it. The calibration loss and gradient read no other entry."""
+    return [
+        tuple(m[labels] for m in _member_columns(subset, class_count)) for subset in subsets
+    ]
 
 
 def _calibration_rows(logit_rows, columns, scales, shifts):
@@ -699,10 +664,10 @@ class _PenalizedCalibration(_RidgeNewtonProblem):
     name = "calibration"
 
     def __init__(self, val_logits, subsets, val_class_labels, class_count):
-        self.logit_rows = [_rows(_as_array(z, "logits"))[0] for z in val_logits]
+        self.logit_rows = [_as_array(z, "logits") for z in val_logits]
         # the uncalibrated posteriors meet the input rule of every fusion
         _expansion_inputs([softmax(z) for z in self.logit_rows], subsets, class_count)
-        labels = np.asarray(val_class_labels, dtype=np.int64)
+        labels = _checked_labels(val_class_labels, len(self.logit_rows[0]), class_count)
         self.columns = _label_columns(subsets, class_count, labels)
         self.widths = [z.shape[1] for z in self.logit_rows]
         self.starts = np.cumsum([0] + [2 * m for m in self.widths])

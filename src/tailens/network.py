@@ -95,10 +95,10 @@ def init_network(dims, seed: int) -> NetworkParams:
 
 
 def forward_logits(params: NetworkParams, x) -> np.ndarray:
-    """Logits for a single feature vector or a (n, d) batch."""
-    x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    a = x[None, :] if single else x
+    """Logits for an (n, d) batch."""
+    a = np.asarray(x, dtype=np.float64)
+    if a.ndim != 2:
+        raise ValueError(f"expected an (n, d) feature table, got ndim={a.ndim}")
     if a.shape[1] != params.dims[0]:
         raise ValueError(
             f"input has dimension {a.shape[1]}, network expects {params.dims[0]}"
@@ -110,7 +110,7 @@ def forward_logits(params: NetworkParams, x) -> np.ndarray:
     w, b = params.layers[-1]
     z = a @ w
     z += b
-    return z[0] if single else z
+    return z
 
 
 def softmax(z) -> np.ndarray:
@@ -131,9 +131,8 @@ def log_softmax(z) -> np.ndarray:
 
 def batch_loss(params: NetworkParams, features, labels) -> float:
     """Mean cross-entropy of the batch, via log-softmax (smooth, unclamped)."""
-    features = np.atleast_2d(np.asarray(features, dtype=np.float64))
-    labels = np.atleast_1d(np.asarray(labels, dtype=np.int64))
     logp = log_softmax(forward_logits(params, features))
+    labels = np.asarray(labels, dtype=np.int64)
     return float(-logp[np.arange(len(labels)), labels].mean())
 
 
@@ -250,8 +249,10 @@ def backward_gradients(
     (log-sum-exp minus the label logit) from the same forward pass. This is
     the arithmetic of every SGD step in :func:`fit_networks`.
     """
-    features = np.atleast_2d(np.asarray(features, dtype=np.float64))
-    labels = np.atleast_1d(np.asarray(labels, dtype=np.int64))
+    features = np.asarray(features, dtype=np.float64)
+    labels = np.asarray(labels, dtype=np.int64)
+    if features.ndim != 2:
+        raise ValueError(f"expected an (n, d) feature table, got ndim={features.ndim}")
     if len(features) == 0:
         raise ValueError("batch must be nonempty")
     n_layers = params.layer_count

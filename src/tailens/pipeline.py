@@ -210,7 +210,7 @@ def train_all(bundle: DatasetBundle, cfg: RunConfig, threads: int = 1) -> Traine
 
 
 def full_posterior_table(model: NetworkParams, features) -> np.ndarray:
-    return softmax(forward_logits(model, np.atleast_2d(features)))
+    return softmax(forward_logits(model, features))
 
 
 def model_posterior_tables(ensemble: TrainedEnsemble, split: str) -> dict[str, np.ndarray]:

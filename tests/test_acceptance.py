@@ -117,7 +117,7 @@ def test_criterion_2_fusion_identities():
     kl_gap = 0.0
     for _ in range(20):
         p = np.append(rng.dirichlet(np.ones(6)), 0.0)
-        result = fuse_kl_min([p], [full], 6)
+        result = fuse_kl_min([p[None]], [full], 6)
         kl_gap = max(kl_gap, float(np.max(np.abs(result.probabilities - p[:6]))))
 
     # (c) the reject correction multiplies reject odds by exactly rho
@@ -219,7 +219,7 @@ def test_criterion_3_kl_matches_grid_search():
         sb = SubsetSpec(Fold.FEWSHOT, np.arange(split, 3))
         pa = rng.dirichlet(np.ones(split + 1))
         pb = rng.dirichlet(np.ones(3 - split + 1))
-        fused = fuse_kl_min([pa, pb], [sa, sb], 3)
+        fused = fuse_kl_min([pa[None], pb[None]], [sa, sb], 3)
         oracle = grid_search([pa, pb], [sa, sb])
         worst = max(worst, float(np.max(np.abs(fused.probabilities - oracle))))
     elapsed = time.perf_counter() - start

@@ -148,9 +148,8 @@ class TestConfidenceStructure:
             test = r.bundle.test
             many_expert = r.ensemble.experts[0]
             few_expert = r.ensemble.experts[2]
-            lookup = many_expert.subset.local_map(test.class_count)
-            local = lookup[test.labels]
-            mask = local >= 0
+            local = many_expert.subset.columns(test.class_count)[test.labels]
+            mask = local < many_expert.subset.size
             partial = t.expert_partial_posterior(many_expert, test.features[mask])
             correct = np.argmax(partial.probabilities, axis=1) == local[mask]
             population = test.features[mask][correct]

@@ -637,7 +637,7 @@ class TestCliErrors:
         )
         assert not (out / "fusion" / "select.params").exists()
 
-    @pytest.mark.filterwarnings("ignore:val split is not class-balanced")
+    @pytest.mark.filterwarnings("ignore:val.csv. val split is not class-balanced")
     @pytest.mark.parametrize(
         "command", [("train-experts",), ("train-fusion", "--strategy", "select")]
     )
@@ -875,6 +875,20 @@ def _written(name, text, *argv):
     return prepare
 
 
+def _baseline_of(name, dims, *argv):
+    """``argv`` run after the ``name`` checkpoint of ``train-baseline`` is
+    replaced by a network of ``dims``, trained for another bundle."""
+
+    def prepare(out):
+        network.save_checkpoint(
+            out / "checkpoints" / f"{name}.ckpt", network.init_network(dims, seed=0),
+            {"kind": "baseline"},
+        )
+        return list(argv)
+
+    return prepare
+
+
 def _checkpoint_format(strategy, kind):
     """``evaluate`` of a select or stack fit in the network-checkpoint
     format that ``train-fusion`` wrote before its one JSON record."""
@@ -914,10 +928,21 @@ def _checkpoint_format(strategy, kind):
         (_checkpoint_format("stack", "stacker"),
          3, "error: data: .*stack.params: not a stack parameter file; "
             "re-run `tailens train-fusion --strategy stack`"),
+        (_baseline_of("baseline", [8, 6], "dump-posteriors", "--model", "baseline"),
+         3, "error: data: .*baseline.ckpt: baseline maps 8 features to 6 classes, the bundle "
+            "has 4 and 6; re-run `tailens train-baseline`"),
+        (_baseline_of("uniform", [8, 5, 6], "dump-posteriors", "--model", "uniform"),
+         3, "error: data: .*uniform.ckpt: uniform maps 8 features to 6 classes"),
+        (_baseline_of("baseline", [8, 5, 6], "train-experts"),
+         3, "error: data: .*baseline.ckpt: baseline maps 8 features to 6 classes"),
+        (_baseline_of("baseline", [4, 5, 4], "dump-posteriors", "--model", "baseline"),
+         3, "error: data: .*baseline.ckpt: baseline maps 4 features to 4 classes, the bundle "
+            "has 4 and 6; re-run `tailens train-baseline`"),
     ],
     ids=["ablate-repeated-stem", "ablate-one-dump", "ablate-two-dumps-one-stem",
          "missing-checkpoint", "corrupt-calibrate-params", "checkpoint-format-select",
-         "checkpoint-format-stack"],
+         "checkpoint-format-stack", "baseline-feature-width", "uniform-feature-width",
+         "train-experts-baseline-feature-width", "baseline-class-count"],
 )
 def test_cli_misuse_exit_code(cli_and_library_runs, tmp_path, capsys, prepare, code, message):
     # main returns the code and prints one error line; any exception that

@@ -190,9 +190,9 @@ class TestPartitionSubsets:
     def test_local_index_follows_sorted_order(self):
         train = _dataset_from_frequencies([150, 100, 60, 20, 19, 5])
         subsets = partition_subsets(assign_folds(train), train)
-        lookup = subsets[0].local_map(6)
-        assert lookup[0] == 0 and lookup[1] == 1
-        assert lookup[2] == -1
+        columns = subsets[0].columns(6)
+        assert columns[0] == 0 and columns[1] == 1
+        assert columns[2] == subsets[0].size  # the reject output
 
 
 class TestRelabelForExpert:
@@ -410,8 +410,14 @@ class TestCsvRoundTrip:
             "format": MANIFEST_FORMAT, "class_count": 2,
             "train": "train.csv", "val": "val.csv", "test": "test.csv",
         }))
-        with pytest.warns(UserWarning, match=r"val split is not class-balanced"):
+        # one warning, naming the split's file, at the line that called
+        # load_bundle
+        with pytest.warns(UserWarning) as record:
             bundle = load_bundle(manifest)
+        assert [str(w.message) for w in record] == [
+            "val.csv: val split is not class-balanced; per-class counts: [2, 1]"
+        ]
+        assert [w.filename for w in record] == [__file__]
         # the warning names the line that builds the bundle, not the
         # dataclass's generated __init__
         with pytest.warns(UserWarning, match=r"per-class counts: \[2, 1\]") as record:

@@ -111,8 +111,8 @@ class TestOracle:
         # every prediction lands inside the owning expert's subset
         preds = np.full(bundle.test.n, -1)
         for expert in experts:
-            lookup = expert.subset.local_map(bundle.class_count)
-            mask = lookup[bundle.test.labels] >= 0
+            columns = expert.subset.columns(bundle.class_count)
+            mask = columns[bundle.test.labels] < expert.subset.size
             partial = t.expert_partial_posterior(expert, bundle.test.features[mask])
             local = np.argmax(partial.probabilities[:, : expert.subset.size], axis=1)
             preds[mask] = expert.subset.classes[local]
@@ -123,7 +123,8 @@ class TestOracle:
         # drop the manyshot classes' test rows: the manyshot expert then
         # owns none of them, and routing it nothing leaves the report as is
         bundle, folds, _, experts = trained_world
-        keep = experts[0].subset.local_map(bundle.class_count)[bundle.test.labels] < 0
+        many = experts[0].subset
+        keep = many.columns(bundle.class_count)[bundle.test.labels] == many.size
         test = t.EmbeddingDataset(
             bundle.test.features[keep], bundle.test.labels[keep], bundle.class_count
         )

@@ -157,8 +157,8 @@ class TestPartialPosterior:
             rho=10.0,
             frozen_layers=0,
         )
-        partial = expert_partial_posterior(expert, np.zeros(2))
-        assert partial.logits[-1] == pytest.approx(2.302585092994046, abs=1e-12)
+        partial = expert_partial_posterior(expert, np.zeros((1, 2)))
+        assert partial.logits[0, -1] == pytest.approx(2.302585092994046, abs=1e-12)
 
     def test_correction_multiplies_reject_odds_by_rho(self, tiny_world):
         bundle, _, subsets, baseline, config = tiny_world

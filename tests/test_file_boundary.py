@@ -115,7 +115,7 @@ class TestWritersMatchTheWholeFileFormulas:
         assert (tmp_path / "p.csv").read_bytes() == reference_csv(header, ids, probs)
 
     def test_one_row_posterior_dump(self, tmp_path):
-        probs = np.array([0.25, 0.75])
+        probs = np.array([[0.25, 0.75]])
         write_posterior_csv(tmp_path / "p.csv", [5], probs)
         assert (tmp_path / "p.csv").read_bytes() == b"sample_id,p0,p1\n5,0.25,0.75\n"
 

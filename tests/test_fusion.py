@@ -46,16 +46,16 @@ S23 = SubsetSpec(Fold.FEWSHOT, np.array([2, 3]))
 
 class TestExpandPartial:
     def test_reject_mass_spreads_evenly(self):
-        full = expand_partial(np.array([0.6, 0.3, 0.1]), S01, 4)
+        full = expand_partial(np.array([[0.6, 0.3, 0.1]]), S01, 4)
         assert np.allclose(full, [0.6, 0.3, 0.05, 0.05])
 
     def test_zero_reject_leaves_outside_zero(self):
-        full = expand_partial(np.array([0.7, 0.3, 0.0]), S01, 4)
+        full = expand_partial(np.array([[0.7, 0.3, 0.0]]), S01, 4)
         assert np.allclose(full, [0.7, 0.3, 0.0, 0.0])
 
     def test_singleton_subset(self):
         subset = SubsetSpec(Fold.MEDIUMSHOT, np.array([2]))
-        full = expand_partial(np.array([0.4, 0.6]), subset, 3)
+        full = expand_partial(np.array([[0.4, 0.6]]), subset, 3)
         assert np.allclose(full, [0.3, 0.3, 0.4])
 
     def test_mass_preserved(self):
@@ -67,9 +67,9 @@ class TestExpandPartial:
     def test_full_coverage_needs_an_empty_reject_output(self):
         subset = SubsetSpec(Fold.MANYSHOT, np.array([0, 1, 2]))
         with pytest.raises(ValueError, match="full-coverage subset expert manyshot"):
-            expand_partial(np.array([0.5, 0.3, 0.1, 0.1]), subset, 3)
-        full = expand_partial(np.array([0.5, 0.3, 0.2, 0.0]), subset, 3)
-        assert full.tolist() == [0.5, 0.3, 0.2]
+            expand_partial(np.array([[0.5, 0.3, 0.1, 0.1]]), subset, 3)
+        full = expand_partial(np.array([[0.5, 0.3, 0.2, 0.0]]), subset, 3)
+        assert full.tolist() == [[0.5, 0.3, 0.2]]
 
     def test_none_subset_is_identity(self):
         rows = np.array([[0.25, 0.25, 0.5]])
@@ -123,17 +123,17 @@ def test_a_sample_count_mismatch_is_one_error(entry):
 
 class TestSoftVote:
     def test_single_expert_equals_expansion(self):
-        p = np.array([0.6, 0.3, 0.1])
+        p = np.array([[0.6, 0.3, 0.1]])
         assert np.allclose(fuse_soft_vote([p], [S01], 4), expand_partial(p, S01, 4))
 
     def test_two_expert_arithmetic(self):
         q = fuse_soft_vote(
-            [np.array([0.8, 0.1, 0.1]), np.array([0.3, 0.2, 0.5])], [S01, S23], 4
+            [np.array([[0.8, 0.1, 0.1]]), np.array([[0.3, 0.2, 0.5]])], [S01, S23], 4
         )
         assert np.allclose(q, [0.525, 0.175, 0.175, 0.125])
 
     def test_order_invariance(self):
-        pa, pb = np.array([0.8, 0.1, 0.1]), np.array([0.3, 0.2, 0.5])
+        pa, pb = np.array([[0.8, 0.1, 0.1]]), np.array([[0.3, 0.2, 0.5]])
         q1 = fuse_soft_vote([pa, pb], [S01, S23], 4)
         q2 = fuse_soft_vote([pb, pa], [S23, S01], 4)
         assert np.allclose(q1, q2, atol=1e-15)
@@ -219,12 +219,12 @@ def test_certified_solves_take_no_solver_knobs(solve):
 class TestKLFusion:
     def test_full_coverage_expert_recovers_its_posterior(self):
         subset = SubsetSpec(Fold.MANYSHOT, np.array([0, 1, 2]))
-        p = np.array([0.5, 0.3, 0.2, 0.0])
+        p = np.array([[0.5, 0.3, 0.2, 0.0]])
         result = fuse_kl_min([p], [subset], 3)
         assert np.max(np.abs(result.probabilities - [0.5, 0.3, 0.2])) < 1e-6
 
     def test_duplicated_expert_changes_nothing(self):
-        pa = np.array([0.7, 0.2, 0.1])
+        pa = np.array([[0.7, 0.2, 0.1]])
         once = fuse_kl_min([pa], [S01], 4)
         twice = fuse_kl_min([pa, pa], [S01, S01], 4)
         assert np.max(np.abs(once.probabilities - twice.probabilities)) < 1e-12
@@ -233,13 +233,11 @@ class TestKLFusion:
     def test_objective_not_above_soft_vote_start(self):
         rng = np.random.default_rng(3)
         for _ in range(10):
-            pa = rng.dirichlet(np.ones(3))
-            pb = rng.dirichlet(np.ones(3))
+            pa = rng.dirichlet(np.ones(3))[None]
+            pb = rng.dirichlet(np.ones(3))[None]
             result = fuse_kl_min([pa, pb], [S01, S23], 4)
             start = fuse_soft_vote([pa, pb], [S01, S23], 4)
-            (start_objective,) = _kl_reference_objective(
-                start[None], [pa[None], pb[None]], [S01, S23]
-            )
+            (start_objective,) = _kl_reference_objective(start, [pa, pb], [S01, S23])
             assert result.objective <= start_objective + 1e-12
 
     def test_overlapping_subsets_with_full_width_member_match_long_em(self):
@@ -369,7 +367,7 @@ class TestKLFusion:
             return total
 
         best = grid[np.argmin(objective(grid))]
-        result = fuse_kl_min([pa, pb], [sa, sb], 3)
+        result = fuse_kl_min([pa[None], pb[None]], [sa, sb], 3)
         assert np.max(np.abs(result.probabilities - best)) < 2 * (1.0 / res)
 
 
@@ -576,7 +574,7 @@ class TestSelector:
         pc = np.array([[0.3, 0.3, 0.4]])
         subsets = [S01, S23, SubsetSpec(Fold.MEDIUMSHOT, np.array([0, 1]))]
         q = fuse_by_selection([pa, pb, pc], selector, subsets, 4)
-        assert np.allclose(q[0], expand_partial(pa[0], S01, 4))
+        assert np.allclose(q[0], expand_partial(pa, S01, 4)[0])
 
     def test_selection_expands_argmax_expert(self):
         pa = np.array([[0.9, 0.05, 0.05]])
@@ -588,7 +586,7 @@ class TestSelector:
         winner = int(np.argmax(scores))
         subsets = [S01, S23, SubsetSpec(Fold.MEDIUMSHOT, np.array([0, 1]))]
         q = fuse_by_selection([pa, pb, pa], selector, subsets, 4)
-        expected = expand_partial([pa, pb, pa][winner][0], subsets[winner], 4)
+        expected = expand_partial([pa, pb, pa][winner], subsets[winner], 4)[0]
         assert np.allclose(q[0], expected)
         assert abs(q[0].sum() - 1.0) < 1e-9
 
@@ -650,7 +648,9 @@ def reference_calibration_grad(logit_rows, subsets, class_count, labels, scales,
         if subset is None:
             dp[np.arange(n), labels] = coef
         else:
-            local = subset.local_map(class_count)[labels]
+            local = np.full(class_count, -1)
+            local[subset.classes] = np.arange(subset.size)
+            local = local[labels]
             rows_in = np.nonzero(local >= 0)[0]
             dp[rows_in, local[rows_in]] = coef[rows_in]
             rows_out = np.nonzero(local < 0)[0]
@@ -725,6 +725,19 @@ class TestCalibrationReadsTheLabelColumn:
         z = [np.zeros((3, 4)), np.zeros((3, 3))]
         with pytest.raises(ValueError, match="partial posterior has 4 entries, expected 3"):
             train_joint_calibration(z, [S01, S23], np.array([0, 1, 2]), 4)
+
+
+@pytest.mark.parametrize(
+    "labels",
+    [np.arange(9) % 4, np.array([0, 1, 2, 3, 0, 1, 2, 3, 0, 4]), np.arange(10) % 4 - 1],
+    ids=["nine-labels", "label-of-class-count", "negative-label"],
+)
+def test_calibration_labels_are_checked(labels):
+    # as the stacker's: one label in [0, C) per row of the 10-row logits
+    rng = np.random.default_rng(0)
+    logits = [rng.normal(size=(10, 3)), rng.normal(size=(10, 3))]
+    with pytest.raises(ValueError, match=r"need one label in \[0, 4\) per row"):
+        train_joint_calibration(logits, [S01, S23], labels, 4)
 
 
 class TestRidgeNewtonCalibration:

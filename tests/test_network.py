@@ -41,11 +41,11 @@ def two_blob_dataset(n_per_class=40, separation=6.0, seed=0):
 class TestForward:
     def test_identity_layer(self):
         params = NetworkParams([(np.eye(2), np.zeros(2))])
-        assert np.allclose(forward_logits(params, [1.0, 2.0]), [1.0, 2.0])
+        assert np.allclose(forward_logits(params, [[1.0, 2.0]]), [1.0, 2.0])
 
     def test_zero_weights_give_bias(self):
         params = NetworkParams([(np.zeros((3, 2)), np.array([0.5, -1.0]))])
-        for x in ([0.0, 0.0, 0.0], [3.0, -2.0, 1.0]):
+        for x in ([[0.0, 0.0, 0.0]], [[3.0, -2.0, 1.0]]):
             assert np.allclose(forward_logits(params, x), [0.5, -1.0])
 
     def test_two_layer_hand_computed(self):
@@ -57,13 +57,13 @@ class TestForward:
                 (np.array([[1.0, -1.0], [2.0, 0.0]]), np.array([0.0, 0.25])),
             ]
         )
-        z = forward_logits(params, [1.0, 0.0])
+        z = forward_logits(params, [[1.0, 0.0]])
         assert np.max(np.abs(z - np.array([3.5, -1.25]))) < 1e-12
 
     def test_dimension_mismatch(self):
         params = NetworkParams([(np.eye(2), np.zeros(2))])
         with pytest.raises(ValueError, match="dimension"):
-            forward_logits(params, [1.0, 2.0, 3.0])
+            forward_logits(params, [[1.0, 2.0, 3.0]])
 
 
 class TestSoftmax:

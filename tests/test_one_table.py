@@ -83,13 +83,18 @@ def plain_softmax(z):
     return e / e.sum(axis=-1, keepdims=True)
 
 
+def _out_classes(subset, class_count):
+    """The classes outside ``subset``, found apart from the program's map."""
+    return np.setdiff1d(np.arange(class_count), subset.classes)
+
+
 def reference_expand(partial, subset, class_count):
     """The expansion as one full-width table per expert."""
-    rows = np.atleast_2d(np.asarray(partial, dtype=np.float64))
+    rows = np.asarray(partial, dtype=np.float64)
     if subset is None:
         return rows.copy()
     k = subset.size
-    out_classes = subset.out_classes(class_count)
+    out_classes = _out_classes(subset, class_count)
     full = np.zeros((rows.shape[0], class_count))
     full[:, subset.classes] = rows[:, :k]
     if len(out_classes):
@@ -129,7 +134,7 @@ def reference_kl_objective(q, prob_rows, subsets):
             continue
         k = subset.size
         total += plogp_over(p_rows[:, :k], q[:, subset.classes])
-        out_classes = subset.out_classes(q.shape[1])
+        out_classes = _out_classes(subset, q.shape[1])
         if len(out_classes):
             total += plogp_over(p_rows[:, k:], q[:, out_classes].sum(axis=1, keepdims=True))
     return total
@@ -157,11 +162,9 @@ class TestBitwiseAgainstTheStack:
     @pytest.mark.parametrize("rows", [40, 1], ids=["batch", "single"])
     def test_soft_vote_on_a_mixed_world(self, rows):
         partials = _mixed_partials(n=rows)
-        if rows == 1:
-            partials = [p[0] for p in partials]
         got = fuse_soft_vote(partials, MIXED_SUBSETS, CLASSES)
         want = reference_soft_vote(partials, MIXED_SUBSETS, CLASSES)
-        assert _same_bits(got, want[0] if rows == 1 else want)
+        assert _same_bits(got, want)
 
     def test_calibrated_fusion_on_a_mixed_world(self):
         rng = np.random.default_rng(8)
@@ -253,7 +256,7 @@ class TestBitwiseAgainstTheStack:
             return a @ w + b
 
         assert _same_bits(forward_logits(params, x), plain(x))
-        assert _same_bits(forward_logits(params, x[3]), plain(x[3:4])[0])
+        assert _same_bits(forward_logits(params, x[3:4]), plain(x[3:4]))
 
     def test_kl_objective(self):
         partials = _mixed_partials()
@@ -268,6 +271,40 @@ class TestBitwiseAgainstTheStack:
             result.objective,
             reference_kl_objective(result.probabilities, partials, MIXED_SUBSETS),
         )
+
+    @pytest.mark.parametrize("fusion", ["softvote", "calibrate", "select", "kl"])
+    def test_wide_world(self, fusion):
+        # seven classes are too few for the order of a row sum to show in
+        # its last bits; sixty are enough
+        subsets, logits, partials = _wide_world()
+        rng = np.random.default_rng(8)
+        calib = CalibrationParams(
+            scales=tuple(rng.uniform(0.5, 2.0, size=z.shape[1]) for z in logits),
+            shifts=tuple(rng.normal(0.0, 0.5, size=z.shape[1]) for z in logits),
+        )
+        selector = LinearSoftmaxModel(
+            NetworkParams([(rng.normal(0.0, 3.0, size=(63, 3)), np.zeros(3))])
+        )
+        if fusion == "kl":
+            result = fuse_kl_min(partials, subsets, 60)
+            got = result.objective
+            want = reference_kl_objective(result.probabilities, partials, subsets)
+        else:
+            got, want = {
+                "softvote": lambda: (
+                    fuse_soft_vote(partials, subsets, 60),
+                    reference_soft_vote(partials, subsets, 60),
+                ),
+                "calibrate": lambda: (
+                    fuse_calibrated(logits, calib, subsets, 60),
+                    reference_calibrated(logits, calib, subsets, 60),
+                ),
+                "select": lambda: (
+                    fuse_by_selection(partials, selector, subsets, 60),
+                    reference_selection(partials, selector, subsets, 60),
+                ),
+            }[fusion]()
+        assert _same_bits(got, want)
 
     def test_class_posterior_is_the_old_epilogue(self):
         rng = np.random.default_rng(9)
