@@ -1,11 +1,11 @@
 """Small file helpers shared across modules: atomic writes, the float CSV
 table format that the embedding CSVs and posterior dumps share (its writer
-and its reader), row-block streaming and the error type of the file
-boundary.
+and its reader), the size-checked binary array reads, row-block streaming
+and the error type of the file boundary.
 
-Bulk tables cross the file boundary in blocks of about ``ROW_BLOCK_VALUES``
+Text tables cross the file boundary in blocks of about ``ROW_BLOCK_VALUES``
 values, so that what a read or write holds besides its arrays stays bounded
-whatever the table's size.
+whatever the table's size; binary arrays are read in place.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from __future__ import annotations
 import contextlib
 import errno
 import json
+import math
 import os
 from pathlib import Path
 
@@ -20,7 +21,7 @@ import numpy as np
 
 # Values per row block. A block of float text takes about 55 bytes per value
 # as Python floats, strings and bytes, so a writer holds about 0.2 MB
-# besides its arrays; a binary block is 32 KiB.
+# besides its arrays.
 ROW_BLOCK_VALUES = 1 << 12
 
 
@@ -93,16 +94,37 @@ def _fsync_directory(directory: Path) -> None:
         os.close(fd)
 
 
-def block_rows(width: int) -> int:
-    """Rows per block of a table ``width`` values wide; at least one."""
-    return max(1, ROW_BLOCK_VALUES // max(1, width))
-
-
 def row_blocks(rows: int, width: int):
-    """(start, stop) of each block of a ``rows`` x ``width`` table, in order."""
-    step = block_rows(width)
+    """(start, stop) of each block of a ``rows`` x ``width`` table, in order;
+    a block holds at least one row."""
+    step = max(1, ROW_BLOCK_VALUES // max(1, width))
     for start in range(0, rows, step):
         yield start, min(start + step, rows)
+
+
+def read_exact(fh, dtype, count: int) -> np.ndarray:
+    """The next ``count`` values of ``dtype`` in the binary file ``fh``, read
+    in place into a new 1-d array, or ``EOFError`` if the file holds fewer.
+    The count is sized against the file first, so a huge one asks for no
+    memory."""
+    nbytes = count * np.dtype(dtype).itemsize
+    fits = 0 <= nbytes <= os.fstat(fh.fileno()).st_size - fh.tell()
+    values = np.fromfile(fh, dtype, count) if fits else np.empty(0, dtype)
+    if len(values) != count:  # sized too large, or the file shrank since
+        raise EOFError(f"{count} values of {np.dtype(dtype)} run past the end of the file")
+    return values
+
+
+def read_npy(fh, dtype, ndim: int) -> np.ndarray:
+    """The next array in the binary file ``fh`` as ``np.save`` writes it,
+    read by :func:`read_exact`; a header other than format 1.0, exactly
+    ``dtype``, C order and ``ndim`` axes raises ``ValueError``."""
+    if np.lib.format.read_magic(fh) != (1, 0):
+        raise ValueError("not a format 1.0 npy array")
+    shape, fortran_order, found = np.lib.format.read_array_header_1_0(fh)
+    if found != np.dtype(dtype) or fortran_order or len(shape) != ndim:
+        raise ValueError(f"not a C-ordered {ndim}-d {np.dtype(dtype)} array")
+    return read_exact(fh, dtype, math.prod(shape)).reshape(shape)
 
 
 def atomic_write_float_csv(path, header: str, keys, table, tag: str = "") -> None:

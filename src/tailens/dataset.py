@@ -17,7 +17,6 @@ import hashlib
 import io
 import json
 import math
-import os
 import shutil
 import warnings
 from dataclasses import dataclass, field
@@ -32,10 +31,9 @@ from ._io import (
     atomic_write_float_csv,
     atomic_write_text,
     atomic_writer,
-    block_rows,
     first_row_where,
     read_float_csv,
-    row_blocks,
+    read_npy,
 )
 
 DEFAULT_MANY_MIN = 100
@@ -219,9 +217,12 @@ class FoldAssignment:
     fold_of_class: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "fold_of_class", _frozen_array(self.fold_of_class, np.int64)
-        )
+        fold = _frozen_array(self.fold_of_class, np.int64)
+        if fold.ndim != 1:
+            raise ValueError("fold_of_class must be 1-d, one fold per class")
+        if ((fold < 0) | (fold >= len(Fold))).any():
+            raise ValueError(f"fold ids must lie in {{0, 1, 2}}, found {np.unique(fold).tolist()}")
+        object.__setattr__(self, "fold_of_class", fold)
 
     @classmethod
     def from_frequencies(
@@ -314,19 +315,16 @@ def partition_subsets(
     order = np.lexsort((np.arange(class_count), -freq))
     fold_sorted = assignment.fold_of_class[order]
     # Fold is a function of frequency alone, so the descending-frequency order
-    # must group the folds contiguously.
+    # must be monotone in fold; with every id in Fold, each fold is then one
+    # contiguous range of that order.
     if np.any(np.diff(fold_sorted) < 0):
         raise RuntimeError("fold assignment is not monotone in frequency")
     subsets = []
-    start = 0
     for fold in Fold:
         members = order[fold_sorted == int(fold)]
         if len(members) == 0:
             raise EmptyFoldError(fold)
-        if not np.array_equal(members, order[start : start + len(members)]):
-            raise RuntimeError("fold ranges are not contiguous")
         subsets.append(SubsetSpec(expert_id=fold, classes=members))
-        start += len(members)
     return tuple(subsets)
 
 
@@ -588,42 +586,22 @@ def _sha256_file(path: Path) -> str:
 
 
 def _load_cache_entry(entry: Path, class_count: int):
-    """Read-only (features, labels) from a cache entry, read block by block,
-    or None when the entry is missing, cannot be read, is not the table
+    """Read-only (features, labels) from a cache entry, or None when the
+    entry is missing, cannot be read, is not the two arrays
     :func:`_write_cache_entry` writes, or fails a check the CSV parser
     makes."""
     try:
         with open(entry, "rb") as fh:
-            if np.lib.format.read_magic(fh) != (1, 0):
-                return None
-            shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(fh)
-            if not (
-                dtype == np.float64
-                and not fortran_order
-                and len(shape) == 2
-                and shape[0] >= 1
-                and shape[1] >= 2
-            ):
-                return None
-            n, width = shape
-            if os.fstat(fh.fileno()).st_size - fh.tell() < n * width * 8:
-                return None  # truncated
-            features = np.empty((n, width - 1))
-            labels = np.empty(n, dtype=np.int64)
-            block = np.empty((min(n, block_rows(width)), width))
-            for start, stop in row_blocks(n, width):
-                rows = block[: stop - start]
-                if fh.readinto(rows.data) != rows.nbytes:
-                    return None
-                label, feats = rows[:, 0], rows[:, 1:]
-                if not (
-                    np.all((label >= 0) & (label < class_count) & (label == np.floor(label)))
-                    and np.isfinite(feats).all()
-                ):
-                    return None
-                labels[start:stop] = label
-                features[start:stop] = feats
+            features = read_npy(fh, np.float64, 2)
+            labels = read_npy(fh, np.int64, 1)
     except Exception:  # a cache entry that cannot be read for any reason is a miss
+        return None
+    n, width = features.shape
+    if not (
+        labels.shape == (n,) and min(n, width) >= 1
+        and labels.min() >= 0 and labels.max() < class_count
+        and first_row_where(_nonfinite_rows, features) is None
+    ):
         return None
     features.setflags(write=False)
     labels.setflags(write=False)
@@ -631,34 +609,22 @@ def _load_cache_entry(entry: Path, class_count: int):
 
 
 def _write_cache_entry(entry: Path, features: np.ndarray, labels: np.ndarray) -> None:
-    """Write the bytes ``np.save`` writes for the float64 table of the
-    labels then the features, ``np.column_stack((labels, features))``:
-    the header, then the table block by block."""
-    n, width = len(labels), features.shape[1] + 1
+    """Write the bytes ``np.save`` writes for the float64 features, then
+    those it writes for the int64 labels."""
     with atomic_writer(entry) as fh:
-        np.lib.format.write_array_header_1_0(fh, {
-            "descr": np.lib.format.dtype_to_descr(np.dtype(np.float64)),
-            "fortran_order": False,
-            "shape": (n, width),
-        })
-        block = np.empty((min(n, block_rows(width)), width))
-        for start, stop in row_blocks(n, width):
-            rows = block[: stop - start]
-            rows[:, 0] = labels[start:stop]
-            rows[:, 1:] = features[start:stop]
-            fh.write(rows.data)
+        np.lib.format.write_array(fh, features, allow_pickle=False)
+        np.lib.format.write_array(fh, labels, allow_pickle=False)
 
 
 def _read_embeddings_cached(path, class_count: int, cache_dir: Path):
     """:func:`_parse_embeddings`' arrays through a content-addressed cache.
 
-    An entry is ``<sha256 of the CSV bytes>.npy`` in ``cache_dir``: one
-    float64 table with the labels in column 0 and the features after them,
-    byte for byte what ``np.save`` writes for it (``np.save`` is
-    deterministic; ``savez`` would stamp times). A hit is checked again as
-    the parser checks a file; an entry that fails or cannot be read is a
-    miss, so the CSV is parsed (raising its usual error) and the entry is
-    rewritten.
+    An entry is ``<sha256 of the CSV bytes>.npy`` in ``cache_dir``: the
+    features, then the labels, each byte for byte what ``np.save`` writes
+    for it (``np.save`` is deterministic; ``savez`` would stamp times). A
+    hit reads each array in place and checks it again as the parser checks
+    a file; an entry that fails or cannot be read is a miss, so the CSV is
+    parsed (raising its usual error) and the entry is rewritten.
     """
     path = Path(path)
     hit = _load_cache_entry(cache_dir / f"{_sha256_file(path)}.npy", class_count)
@@ -696,10 +662,11 @@ def save_bundle(bundle: DatasetBundle, directory) -> Path:
     return _write_manifest(directory, bundle)
 
 
-def _read_manifest(manifest_path: Path) -> tuple[list[Path], int]:
-    """The train, val and test paths a manifest names (relative to it) and
-    its class count; a manifest that is not JSON, has another format or
-    lacks a key raises :class:`DataError`."""
+def _read_manifest(manifest_path: Path) -> tuple[list[Path], int, int | None]:
+    """The train, val and test paths a manifest names (relative to it), its
+    class count and its feature dimension (None where it states none); a
+    manifest that is not JSON, has another format or lacks a key raises
+    :class:`DataError`."""
     with open(manifest_path, "r", encoding="utf-8") as fh:
         try:
             manifest = json.load(fh)
@@ -711,24 +678,29 @@ def _read_manifest(manifest_path: Path) -> tuple[list[Path], int]:
     try:
         splits = [manifest_path.parent / manifest[s] for s in ("train", "val", "test")]
         class_count = int(manifest["class_count"])
+        feature_dim = int(manifest["feature_dim"]) if "feature_dim" in manifest else None
     except KeyError as exc:
         raise DataError(f"{manifest_path.name}: missing key {exc.args[0]!r}") from None
     except (TypeError, ValueError):
-        raise DataError(f"{manifest_path.name}: malformed split or class_count entry") from None
-    return splits, class_count
+        raise DataError(
+            f"{manifest_path.name}: malformed split, class_count or feature_dim entry"
+        ) from None
+    return splits, class_count, feature_dim
 
 
 def load_bundle(manifest_path, *, cache_dir=None) -> DatasetBundle:
     """Load a bundle via its manifest (paths resolved relative to it).
 
-    The manifest states the class count; train frequencies are recomputed
-    from the train rows, and an unbalanced val or test split warns, naming
-    its file, rather than fails. With ``cache_dir`` each split CSV is parsed
-    once and its arrays are read back from the cache while its bytes are
-    unchanged. A manifest that is not JSON, has another format or lacks a
-    key, or a malformed split, raises :class:`DataError`.
+    The manifest states the class count, and may state the feature
+    dimension, which the train split must then have; train frequencies are
+    recomputed from the train rows, and an unbalanced val or test split
+    warns, naming its file, rather than fails. With ``cache_dir`` each split
+    CSV is parsed once and its arrays are read back from the cache while its
+    bytes are unchanged. A manifest that is not JSON, has another format or
+    lacks a key, or a malformed split, raises :class:`DataError`.
     """
-    splits, class_count = _read_manifest(Path(manifest_path))
+    manifest_path = Path(manifest_path)
+    splits, class_count, feature_dim = _read_manifest(manifest_path)
 
     def read(path):
         if cache_dir is None:
@@ -736,6 +708,11 @@ def load_bundle(manifest_path, *, cache_dir=None) -> DatasetBundle:
         return _read_embeddings_cached(path, class_count, Path(cache_dir))
 
     train, val, test = (EmbeddingDataset(*read(p), class_count) for p in splits)
+    if feature_dim is not None and feature_dim != train.feature_dim:
+        raise DataError(
+            f"{manifest_path.name}: feature_dim {feature_dim}, "
+            f"{splits[0].name} has {train.feature_dim} features"
+        )
     for path, ds in ((splits[1], val), (splits[2], test)):
         if ds.feature_dim != train.feature_dim:
             raise DataError(
@@ -759,7 +736,7 @@ def copy_bundle(manifest_path, bundle: DatasetBundle, directory) -> Path:
     path. ``bundle`` is the one :func:`load_bundle` read from the manifest,
     so the files were checked on the way in and are not parsed again."""
     directory = Path(directory)
-    splits, _ = _read_manifest(Path(manifest_path))
+    splits = _read_manifest(Path(manifest_path))[0]
     for name, path in zip(("train", "val", "test"), splits):
         with open(path, "rb") as src, atomic_writer(directory / f"{name}.csv") as dst:
             shutil.copyfileobj(src, dst)

@@ -29,13 +29,12 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
-from ._io import DataError, atomic_write_bytes
+from ._io import DataError, atomic_write_bytes, read_exact
 from .dataset import EmbeddingDataset, SamplerMode, draw_batch
 
 CHECKPOINT_MAGIC = b"tailens-ckpt-v1\n"
@@ -493,14 +492,11 @@ def load_checkpoint(path) -> tuple[NetworkParams, dict]:
         if any(n < 0 for _, shape in entries for n in shape):
             raise DataError(f"{path.name}: malformed checkpoint header")
         arrays = {}
-        size = os.fstat(fh.fileno()).st_size
         for name, shape in entries:
-            count = math.prod(shape)
-            # sized against the file first, so a huge declared shape asks for no memory
-            buf = fh.read(count * 8) if size - fh.tell() >= count * 8 else b""
-            if len(buf) != count * 8:
-                raise DataError(f"{path.name}: truncated array {name}")
-            arrays[name] = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
+            try:
+                arrays[name] = read_exact(fh, "<f8", math.prod(shape)).reshape(shape)
+            except EOFError:
+                raise DataError(f"{path.name}: truncated array {name}") from None
     try:
         layers = [
             (arrays[f"layers.{i}.weight"], arrays[f"layers.{i}.bias"])

@@ -63,9 +63,19 @@ def test_hit_returns_the_parsed_arrays_bitwise(bundle_dir):
     hit = load_bundle(manifest, cache_dir=cache)
     assert_splits_equal(hit, manifest.parent, SMALL_CFG.class_count)
     assert {split: p.stat().st_mtime_ns for split, p in entries.items()} == stamps
-    table = np.load(entries["train"], allow_pickle=False)
-    assert table[:, 0].tolist() == hit.train.labels.tolist()
-    assert table[:, 1:].tobytes() == hit.train.features.tobytes()
+    features, labels = read_entry(entries["train"])
+    assert features.dtype == np.float64 and labels.dtype == np.int64
+    assert features.tobytes() == hit.train.features.tobytes()
+    assert labels.tobytes() == hit.train.labels.tobytes()
+
+
+def read_entry(entry):
+    """The features and the labels a cache entry holds, as writable arrays."""
+    with open(entry, "rb") as fh:
+        features = np.load(fh, allow_pickle=False)
+        labels = np.load(fh, allow_pickle=False)
+        assert fh.read() == b""
+    return features, labels
 
 
 def load_config_for(tmp_path, manifest, out):
@@ -110,33 +120,52 @@ def npy_bytes(table) -> bytes:
 @pytest.mark.parametrize(
     "damage",
     ["truncated", "garbage", "empty", "one_dimensional", "nan_feature",
-     "fractional_label", "negative_label", "label_too_large", "integer_dtype"],
+     "float_labels", "negative_label", "label_too_large", "integer_features",
+     "one_label_short", "no_features", "no_rows", "oversized", "single_table"],
 )
 def test_bad_entry_is_a_miss_and_is_rewritten(bundle_dir, damage):
     manifest, cache = bundle_dir
     load_bundle(manifest, cache_dir=cache)
     entry = entry_of(manifest.parent / "train.csv", cache)
     good = entry.read_bytes()
-    table = np.load(entry, allow_pickle=False)
+    features, labels = read_entry(entry)
+    assert npy_bytes(features) + npy_bytes(labels) == good
     if damage == "truncated":
         bad = good[: len(good) // 2]
     elif damage == "garbage":
         bad = b"not an array at all\n" * 10
     elif damage == "empty":
         bad = b""
-    elif damage == "one_dimensional":
-        bad = npy_bytes(table.ravel())
-    elif damage == "integer_dtype":
-        bad = npy_bytes(table.astype(np.int64))
+    elif damage == "oversized":
+        # a header that declares terabytes of features over the entry's bytes,
+        # sized against the file before anything is allocated
+        header = io.BytesIO()
+        np.lib.format.write_array_header_1_0(header, {
+            "descr": "<f8", "fortran_order": False, "shape": (1 << 40, features.shape[1]),
+        })
+        bad = header.getvalue() + good
+    elif damage == "single_table":
+        # the layout entries had before: the labels as column 0 of one table
+        bad = npy_bytes(np.column_stack((labels.astype(np.float64), features)))
     else:
-        row, col, value = {
-            "nan_feature": (1, 2, np.nan),
-            "fractional_label": (1, 0, 0.5),
-            "negative_label": (1, 0, -1.0),
-            "label_too_large": (1, 0, float(SMALL_CFG.class_count)),
-        }[damage]
-        table[row, col] = value
-        bad = npy_bytes(table)
+        if damage == "one_dimensional":
+            features = features.ravel()
+        # the same bytes under another dtype: only the dtype check tells
+        elif damage == "float_labels":
+            labels = labels.view(np.float64)
+        elif damage == "integer_features":
+            features = features.view(np.int64)
+        elif damage == "one_label_short":
+            labels = labels[:-1]
+        elif damage == "no_features":
+            features = features[:, :0]
+        elif damage == "no_rows":
+            features, labels = features[:0], labels[:0]
+        elif damage == "nan_feature":
+            features[1, 1] = np.nan
+        else:
+            labels[1] = {"negative_label": -1, "label_too_large": SMALL_CFG.class_count}[damage]
+        bad = npy_bytes(features) + npy_bytes(labels)
     entry.write_bytes(bad)
 
     bundle = load_bundle(manifest, cache_dir=cache)

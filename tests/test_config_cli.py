@@ -581,7 +581,13 @@ class TestCliErrors:
         bad.write_text("sample_id,p0,p1,p2,p3,p4,p5\n0,1.0,0,0,0,0,0\n")
         assert run_cli("ablate", config, "--models", bad, bad) == 3
 
-    def test_manifest_without_a_split_is_data_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "edit, message",
+        [({"test": None}, "manifest.json: missing key 'test'"),
+         ({"feature_dim": 256}, "manifest.json: feature_dim 256, train.csv has 4 features")],
+        ids=["without-a-split", "feature-dim-of-other-csvs"],
+    )
+    def test_bad_manifest_is_data_error(self, tmp_path, capsys, edit, message):
         from dataclasses import replace
 
         out = tmp_path / "out"
@@ -589,12 +595,12 @@ class TestCliErrors:
         assert run_cli("gen-data", write_config_file(tmp_path, cfg)) == 0
         manifest = out / "data" / "manifest.json"
         payload = json.loads(manifest.read_text())
-        del payload["test"]
-        manifest.write_text(json.dumps(payload))
+        payload.update(edit)
+        manifest.write_text(json.dumps({k: v for k, v in payload.items() if v is not None}))
         cfg = replace(cfg, dataset=replace(cfg.dataset, source="load", manifest=str(manifest)))
         capsys.readouterr()
         assert run_cli("train-baseline", write_config_file(tmp_path / "load", cfg)) == 3
-        assert "manifest.json: missing key 'test'" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
 
     def test_non_numeric_posterior_entry_is_data_error(self, tmp_path, capsys):
         config = write_config(tmp_path, str(tmp_path / "out"))

@@ -126,6 +126,17 @@ class TestFoldAssignment:
         with pytest.raises(ValueError):
             FoldAssignment.from_frequencies([10, 5], thresholds=(20, 20))
 
+    @pytest.mark.parametrize("folds", [[0, 1, 2, 3], [-1, 0, 1, 2]], ids=["above", "below"])
+    def test_fold_ids_outside_fold_are_rejected(self, folds):
+        # before, the first left class 3 out of every subset and the second
+        # ended in an internal contiguity error
+        with pytest.raises(ValueError, match=r"fold ids must lie in \{0, 1, 2\}"):
+            FoldAssignment(np.array(folds))
+
+    def test_a_table_that_is_not_1d_is_rejected(self):
+        with pytest.raises(ValueError, match="must be 1-d"):
+            FoldAssignment(np.array([[0, 1], [1, 2]]))
+
 
 def _dataset_from_frequencies(freq, dim=2, seed=0):
     rng = np.random.default_rng(seed)
@@ -359,6 +370,20 @@ class TestCsvRoundTrip:
         assert np.array_equal(loaded.train.features, bundle.train.features)
         assert np.array_equal(loaded.train.labels, bundle.train.labels)
         assert loaded.class_count == bundle.class_count
+
+    def test_manifest_feature_dim_must_match_the_train_split(self, tmp_path):
+        manifest = save_bundle(generate_longtailed(small_config(), seed=9), tmp_path)
+        payload = json.loads(manifest.read_text())
+        dim = payload["feature_dim"]
+        payload["feature_dim"] = 256
+        manifest.write_text(json.dumps(payload))
+        with pytest.raises(
+            DataError, match=f"manifest.json: feature_dim 256, train.csv has {dim} features"
+        ):
+            load_bundle(manifest)
+        del payload["feature_dim"]  # a manifest may leave the key out
+        manifest.write_text(json.dumps(payload))
+        assert load_bundle(manifest).feature_dim == dim
 
     def test_frequencies_recomputed_from_rows(self, tmp_path):
         path = tmp_path / "train.csv"

@@ -1,12 +1,13 @@
-"""The file boundary streams its tables in row blocks.
+"""The file boundary streams its text tables in row blocks and reads its
+binary arrays in place.
 
-Every writer is checked byte for byte against the formula it replaced,
-which held the whole file in memory: one ``format_float`` join per row for
-the CSVs and ``np.save(np.column_stack(...))`` for a cache entry; those
-formulas are kept here as the references. The readers are checked against
-the arrays and the errors of the files they read, and every bulk read and
-write is bounded, traced by tracemalloc, by a multiple of the arrays it
-makes or reads.
+Every writer is checked byte for byte against a whole-file formula: one
+``format_float`` join per row for the CSVs, which the block writers
+replaced, and ``np.save`` of the features then of the labels for a cache
+entry; those formulas are kept here as the references. The readers are
+checked against the arrays and the errors of the files they read, and every
+bulk read and write is bounded, traced by tracemalloc, by a multiple of the
+arrays it makes or reads.
 """
 
 import io
@@ -59,9 +60,10 @@ def reference_csv(header, keys, table, tag="") -> bytes:
 
 
 def reference_entry(features, labels) -> bytes:
-    """A cache entry as it was written before: one np.save of one table."""
+    """A cache entry: one np.save of the features, then one of the labels."""
     buf = io.BytesIO()
-    np.save(buf, np.column_stack((labels.astype(np.float64), features)))
+    np.save(buf, features)
+    np.save(buf, labels)
     return buf.getvalue()
 
 
@@ -296,17 +298,37 @@ def test_a_failed_block_leaves_the_old_file_and_no_temp_file(tmp_path, monkeypat
     assert os.listdir(tmp_path) == ["train.csv"]
 
 
-def _entry_with(table, *, fortran=False, version=(1, 0)) -> bytes:
+def npy_bytes(array, *, fortran_order=False, version=(1, 0)) -> bytes:
+    """``array`` in the npy format: a header of format ``version`` that
+    declares ``fortran_order``, then the values in that order; in format 1.0
+    and C order, the bytes ``np.save`` writes."""
+    write_header = {
+        (1, 0): np.lib.format.write_array_header_1_0,
+        (2, 0): np.lib.format.write_array_header_2_0,
+    }[version]
     buf = io.BytesIO()
-    np.lib.format.write_array(buf, np.asfortranarray(table) if fortran else table, version)
+    write_header(buf, {
+        "descr": np.lib.format.dtype_to_descr(array.dtype),
+        "fortran_order": fortran_order,
+        "shape": array.shape,
+    })
+    buf.write(array.tobytes(order="F" if fortran_order else "C"))
     return buf.getvalue()
 
 
-@pytest.mark.parametrize(
-    "damage",
-    ["header_only", "one_row_short", "one_byte_short", "float32", "big_endian",
-     "fortran_order", "format_2_0"],
-)
+ENTRY_DAMAGES = {
+    "header_only": lambda a: npy_bytes(a)[: len(npy_bytes(a)) - a.nbytes],
+    "one_row_short": lambda a: npy_bytes(a)[: len(npy_bytes(a)) - a.nbytes // len(a)],
+    "one_byte_short": lambda a: npy_bytes(a)[:-1],
+    "float32": lambda a: npy_bytes(a.astype(np.float32)),
+    # the same bytes, declared big-endian: only the dtype check tells
+    "big_endian": lambda a: npy_bytes(a.view(a.dtype.newbyteorder(">"))),
+    "fortran_order": lambda a: npy_bytes(a, fortran_order=True),
+    "format_2_0": lambda a: npy_bytes(a, version=(2, 0)),
+}
+
+
+@pytest.mark.parametrize("damage", list(ENTRY_DAMAGES))
 def test_damaged_entries_are_misses_that_parse_the_csv_again(
     tmp_path, monkeypatch, block_values, damage
 ):
@@ -317,29 +339,24 @@ def test_damaged_entries_are_misses_that_parse_the_csv_again(
     load_bundle(manifest, cache_dir=cache)
     train = parse_embeddings(manifest.parent / "train.csv", small.class_count)
     good = reference_entry(*train)
+    assert npy_bytes(train[0]) + npy_bytes(train[1]) == good
     entry = next(p for p in cache.iterdir() if p.read_bytes() == good)
-    table = np.load(entry)
-    header_len = len(good) - table.nbytes
-    entry.write_bytes({
-        "header_only": lambda: good[:header_len],
-        "one_row_short": lambda: good[: len(good) - table.shape[1] * 8],
-        "one_byte_short": lambda: good[:-1],
-        "float32": lambda: _entry_with(table.astype(np.float32)),
-        "big_endian": lambda: _entry_with(table.astype(">f8")),
-        "fortran_order": lambda: _entry_with(table, fortran=True),
-        "format_2_0": lambda: _entry_with(table, version=(2, 0)),
-    }[damage]())
-
-    parsed = []
     parse = dataset._parse_embeddings
-    monkeypatch.setattr(
-        dataset, "_parse_embeddings", lambda *a: parsed.append(a[0].name) or parse(*a)
-    )
-    bundle = load_bundle(manifest, cache_dir=cache)
-    assert parsed == ["train.csv"]
-    assert bundle.train.features.tobytes() == train[0].tobytes()
-    assert bundle.train.labels.tobytes() == train[1].tobytes()
-    assert entry.read_bytes() == good
+    # the damage goes to each array in turn, the other one written intact
+    for damaged in range(2):
+        entry.write_bytes(b"".join(
+            ENTRY_DAMAGES[damage](array) if i == damaged else npy_bytes(array)
+            for i, array in enumerate(train)
+        ))
+        parsed = []
+        monkeypatch.setattr(
+            dataset, "_parse_embeddings", lambda *a: parsed.append(a[0].name) or parse(*a)
+        )
+        bundle = load_bundle(manifest, cache_dir=cache)
+        assert parsed == ["train.csv"], ("features", "labels")[damaged]
+        assert bundle.train.features.tobytes() == train[0].tobytes()
+        assert bundle.train.labels.tobytes() == train[1].tobytes()
+        assert entry.read_bytes() == good
 
 
 class TestTracedPeaks:

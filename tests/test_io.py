@@ -1,7 +1,9 @@
 import os
 import stat
 import threading
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from tailens import _io
@@ -126,3 +128,32 @@ def test_directory_fsync_is_skipped_where_unsupported(tmp_path, monkeypatch, fai
     atomic_write_bytes(target, b"data")
     assert target.read_bytes() == b"data"
     assert os.listdir(tmp_path) == ["file.bin"]
+
+
+def test_read_npy_reads_what_np_save_wrote_in_order(tmp_path):
+    features, labels = np.arange(12.0).reshape(4, 3) / 7, np.arange(4) % 3
+    with open(tmp_path / "entry.npy", "wb") as fh:
+        fh.write(b"a line before the arrays\n")
+        np.save(fh, features)
+        np.save(fh, labels)
+    with open(tmp_path / "entry.npy", "rb") as fh:
+        fh.readline()  # read ahead by the buffer; the arrays start after it
+        got_f = _io.read_npy(fh, np.float64, 2)
+        got_l = _io.read_npy(fh, np.int64, 1)
+        assert fh.read() == b""
+    assert got_f.tobytes() == features.tobytes() and got_f.shape == (4, 3)
+    assert got_l.tobytes() == labels.tobytes() and got_l.dtype == np.int64
+
+
+@pytest.mark.parametrize("reported", [0, 1 << 20], ids=["short", "shrank"])
+def test_read_exact_past_the_end_is_eof(tmp_path, monkeypatch, reported):
+    (tmp_path / "x.bin").write_bytes(bytes(16))
+    if reported:  # sized as larger than it is, as a file that shrank after fstat
+        monkeypatch.setattr(_io, "os", SimpleNamespace(
+            fstat=lambda fd: SimpleNamespace(st_size=reported)
+        ))
+    with open(tmp_path / "x.bin", "rb") as fh:
+        assert _io.read_exact(fh, "<f8", 2).tolist() == [0.0, 0.0]
+        fh.seek(0)
+        with pytest.raises(EOFError, match="run past the end of the file"):
+            _io.read_exact(fh, "<f8", 3)

@@ -19,6 +19,7 @@ from tailens.fusion import (
     _class_atoms,
     _class_posterior,
     _kl_objective,
+    _solve_kl_atoms,
     expand_partial,
     fuse_by_selection,
     fuse_calibrated,
@@ -287,6 +288,13 @@ class TestBitwiseAgainstTheStack:
         )
         if fusion == "kl":
             result = fuse_kl_min(partials, subsets, 60)
+            # the solve starts from the reference soft vote, so a change to
+            # the start shows in the posterior
+            prob_rows = [np.asarray(p, dtype=np.float64) for p in partials]
+            start = reference_soft_vote(partials, subsets, 60)
+            assert _same_bits(
+                result.probabilities, _solve_kl_atoms(start, prob_rows, subsets)[0]
+            )
             got = result.objective
             want = reference_kl_objective(result.probabilities, partials, subsets)
         else:
