@@ -155,10 +155,9 @@ def count_rows(path) -> int:
         return sum(1 for line in fh if line.strip())
 
 
-def read_float_csv(path: Path, width_of, values: tuple[str, str], open_text=None):
+def read_float_csv(path: Path, width_of, values: tuple[str, str]):
     """Inverse of :func:`atomic_write_float_csv`: ``(keys, table, line_nos)``
-    from the CSV file at ``path``, read as UTF-8 text from
-    ``open_text(path)`` (default: ``open``).
+    from the CSV file at ``path``, read as UTF-8 text.
 
     ``width_of(header)`` checks the first line, without its newline, raising
     a :class:`DataError` if it is not the expected header, and returns the
@@ -173,7 +172,7 @@ def read_float_csv(path: Path, width_of, values: tuple[str, str], open_text=None
     and the line where there is one."""
     n = count_rows(path)
     try:
-        with open(path, "r", encoding="utf-8") if open_text is None else open_text(path) as fh:
+        with open(path, "r", encoding="utf-8") as fh:
             header = fh.readline().rstrip("\n")
             width, key = width_of(header), header.split(",")[0]
             keys = np.empty(n, dtype=np.int64)

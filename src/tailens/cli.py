@@ -3,8 +3,11 @@
 Training and strategy dispatch live in :mod:`tailens.pipeline`; this module
 parses arguments, maps artifacts to paths and errors to exit codes. One INI
 config drives every subcommand; artifacts live under the config's
-``paths.out_dir``. Outputs are written atomically (temp name, then rename)
-and are byte-identical across reruns with the same config and inputs.
+``paths.out_dir``. ``gen-data`` alone reads the ``[dataset]`` source; it
+writes a snapshot of the checked arrays that every later command reads.
+Outputs are written atomically (temp name, then rename) and are
+byte-identical across reruns with the same config, inputs and BLAS thread
+count.
 Exit codes: 0 success, 2 config or usage error, 3 data error, 4 numeric
 divergence.
 """
@@ -21,7 +24,18 @@ import numpy as np
 from ._dumps import ingest_external_posteriors, write_partial_posterior_csv, write_posterior_csv
 from ._io import DataError, atomic_write_json, atomic_write_text
 from .config import ConfigError, FUSION_STRATEGIES, RunConfig, load_config
-from .dataset import EmptyFoldError, Fold, SubsetSpec, copy_bundle, partition_subsets, save_bundle
+from .dataset import (
+    SNAPSHOT,
+    DatasetBundle,
+    EmptyFoldError,
+    Fold,
+    SubsetSpec,
+    copy_bundle,
+    partition_subsets,
+    read_snapshot,
+    save_bundle,
+    write_snapshot,
+)
 from .evaluation import (
     expert_confusion_matrix,
     fourfold_accuracy,
@@ -59,6 +73,11 @@ MODEL_NAMES = ("baseline", "uniform", "experts") + EXPERT_NAMES
 
 def _out_dir(cfg: RunConfig) -> Path:
     return Path(cfg.paths.out_dir)
+
+
+def _bundle(cfg: RunConfig) -> DatasetBundle:
+    """The bundle ``gen-data`` wrote, as every later command reads it."""
+    return read_snapshot(_out_dir(cfg) / "data")
 
 
 def _ckpt_path(cfg: RunConfig, name: str) -> Path:
@@ -124,7 +143,7 @@ def _load_expert(cfg: RunConfig, bundle, subset: SubsetSpec) -> ExpertModel:
 def _load_ensemble(cfg: RunConfig, bundle=None) -> ExpertEnsemble:
     """The three expert checkpoints over ``bundle`` (by default the
     config's), each checked by :func:`_load_expert`."""
-    bundle = prepare_bundle(cfg) if bundle is None else bundle
+    bundle = _bundle(cfg) if bundle is None else bundle
     folds = frequency_folds(bundle, cfg)
     subsets = partition_subsets(folds, bundle.train)
     return ExpertEnsemble(bundle, folds, tuple(_load_expert(cfg, bundle, s) for s in subsets))
@@ -139,18 +158,22 @@ def _load_fusion(cfg: RunConfig, strategy: str, ensemble: ExpertEnsemble) -> Fit
 
 
 def cmd_gen_data(cfg: RunConfig, args) -> None:
-    bundle = prepare_bundle(cfg)
     data = _out_dir(cfg) / "data"
+    # the snapshot goes first and comes back last, so a run that fails on
+    # the way leaves none rather than a stale one
+    (data / SNAPSHOT).unlink(missing_ok=True)
+    bundle = prepare_bundle(cfg)
     if cfg.dataset.source == "load":
         # the input files were checked by loading them; copy their bytes
         manifest = copy_bundle(cfg.dataset.manifest, bundle, data)
     else:
         manifest = save_bundle(bundle, data)
+    write_snapshot(bundle, data)
     print(f"wrote bundle to {manifest.parent}")
 
 
 def cmd_train_baseline(cfg: RunConfig, args) -> None:
-    (baseline, trace), (uniform, uniform_trace) = train_baselines(prepare_bundle(cfg), cfg)
+    (baseline, trace), (uniform, uniform_trace) = train_baselines(_bundle(cfg), cfg)
     save_baseline_checkpoint(_ckpt_path(cfg, "baseline"), baseline)
     save_baseline_checkpoint(_ckpt_path(cfg, "uniform"), uniform)
     atomic_write_json(
@@ -161,7 +184,7 @@ def cmd_train_baseline(cfg: RunConfig, args) -> None:
 
 
 def cmd_train_experts(cfg: RunConfig, args) -> None:
-    bundle = prepare_bundle(cfg)
+    bundle = _bundle(cfg)
     baseline = _load_baseline(cfg, bundle, "baseline")
     tables = []
     for sel in select_experts(baseline, bundle, cfg, args.threads):
@@ -182,7 +205,7 @@ def cmd_train_experts(cfg: RunConfig, args) -> None:
 
 
 def cmd_dump_posteriors(cfg: RunConfig, args) -> None:
-    bundle = prepare_bundle(cfg)
+    bundle = _bundle(cfg)
     split = getattr(bundle, args.split)
     ids = np.arange(split.n)
     out = (
@@ -240,7 +263,7 @@ def cmd_oracle(cfg: RunConfig, args) -> None:
 
 
 def cmd_ablate(cfg: RunConfig, args) -> None:
-    bundle = prepare_bundle(cfg)
+    bundle = _bundle(cfg)
     folds = frequency_folds(bundle, cfg)
     n = bundle.test.n
     tables, paths = {}, {}

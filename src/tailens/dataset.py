@@ -13,8 +13,6 @@ so reproducibility is always in the caller's hands.
 from __future__ import annotations
 
 import copy
-import hashlib
-import io
 import json
 import math
 import shutil
@@ -40,7 +38,7 @@ DEFAULT_MANY_MIN = 100
 DEFAULT_FEW_MAX = 20
 
 MANIFEST_FORMAT = "tailens-bundle-v1"
-_HASH_CHUNK = 1 << 16  # bytes per read while hashing an input file
+SNAPSHOT = "bundle.npy"  # the arrays gen-data writes beside its manifest
 
 
 class Fold(IntEnum):
@@ -245,9 +243,6 @@ class FoldAssignment:
 
     def classes_in(self, fold: Fold) -> np.ndarray:
         return np.nonzero(self.fold_of_class == int(fold))[0]
-
-    def class_counts(self) -> dict[Fold, int]:
-        return {f: int(np.sum(self.fold_of_class == int(f))) for f in Fold}
 
     def fold_of_samples(self, labels) -> np.ndarray:
         return self.fold_of_class[np.asarray(labels, dtype=np.int64)]
@@ -524,26 +519,11 @@ def write_embeddings_csv(path, dataset: EmbeddingDataset) -> None:
     atomic_write_float_csv(path, header, dataset.labels, dataset.features)
 
 
-class _HashingReader(io.FileIO):
-    """A raw binary reader of ``path`` that feeds every byte it reads to
-    ``digest``."""
-
-    def __init__(self, path, digest):
-        super().__init__(path, "rb")
-        self._digest = digest
-
-    def readinto(self, buffer) -> int:
-        n = super().readinto(buffer)
-        self._digest.update(memoryview(buffer)[:n])
-        return n
-
-
 def _parse_embeddings(path: Path, class_count: int):
-    """(features, labels, SHA-256 hex digest of the bytes parsed): the rows
-    of one ``label,f0,...,f{d-1}`` CSV as read-only arrays. A malformed file,
-    or a label outside ``[0, class_count)``, raises a :class:`DataError`
-    naming the file and line."""
-    digest = hashlib.sha256()
+    """(features, labels): the rows of one ``label,f0,...,f{d-1}`` CSV as
+    read-only arrays. A malformed file, or a label outside
+    ``[0, class_count)``, raises a :class:`DataError` naming the file and
+    line."""
 
     def width_of(header):
         fields = header.split(",")
@@ -551,11 +531,7 @@ def _parse_embeddings(path: Path, class_count: int):
             raise DataError(f"{path.name}: malformed header {header!r}")
         return len(fields) - 1
 
-    labels, features, line_nos = read_float_csv(
-        path, width_of, ("feature", "features"), lambda p: io.TextIOWrapper(
-            io.BufferedReader(_HashingReader(p, digest), _HASH_CHUNK), encoding="utf-8"
-        ),
-    )
+    labels, features, line_nos = read_float_csv(path, width_of, ("feature", "features"))
     if not len(labels):
         raise DataError(f"{path.name}: no samples")
     outside = (labels < 0) | (labels >= class_count)
@@ -572,68 +548,6 @@ def _parse_embeddings(path: Path, class_count: int):
         raise DataError(f"{path.name} line {line_nos[bad]}: non-finite feature")
     features.setflags(write=False)
     labels.setflags(write=False)
-    return features, labels, digest.hexdigest()
-
-
-def _sha256_file(path: Path) -> str:
-    digest = hashlib.sha256()
-    chunk = bytearray(_HASH_CHUNK)  # one buffer, read into again and again
-    view = memoryview(chunk)
-    with open(path, "rb", buffering=0) as fh:
-        while n := fh.readinto(chunk):
-            digest.update(view[:n])
-    return digest.hexdigest()
-
-
-def _load_cache_entry(entry: Path, class_count: int):
-    """Read-only (features, labels) from a cache entry, or None when the
-    entry is missing, cannot be read, is not the two arrays
-    :func:`_write_cache_entry` writes, or fails a check the CSV parser
-    makes."""
-    try:
-        with open(entry, "rb") as fh:
-            features = read_npy(fh, np.float64, 2)
-            labels = read_npy(fh, np.int64, 1)
-    except Exception:  # a cache entry that cannot be read for any reason is a miss
-        return None
-    n, width = features.shape
-    if not (
-        labels.shape == (n,) and min(n, width) >= 1
-        and labels.min() >= 0 and labels.max() < class_count
-        and first_row_where(_nonfinite_rows, features) is None
-    ):
-        return None
-    features.setflags(write=False)
-    labels.setflags(write=False)
-    return features, labels
-
-
-def _write_cache_entry(entry: Path, features: np.ndarray, labels: np.ndarray) -> None:
-    """Write the bytes ``np.save`` writes for the float64 features, then
-    those it writes for the int64 labels."""
-    with atomic_writer(entry) as fh:
-        np.lib.format.write_array(fh, features, allow_pickle=False)
-        np.lib.format.write_array(fh, labels, allow_pickle=False)
-
-
-def _read_embeddings_cached(path, class_count: int, cache_dir: Path):
-    """:func:`_parse_embeddings`' arrays through a content-addressed cache.
-
-    An entry is ``<sha256 of the CSV bytes>.npy`` in ``cache_dir``: the
-    features, then the labels, each byte for byte what ``np.save`` writes
-    for it (``np.save`` is deterministic; ``savez`` would stamp times). A
-    hit reads each array in place and checks it again as the parser checks
-    a file; an entry that fails or cannot be read is a miss, so the CSV is
-    parsed (raising its usual error) and the entry is rewritten.
-    """
-    path = Path(path)
-    hit = _load_cache_entry(cache_dir / f"{_sha256_file(path)}.npy", class_count)
-    if hit is not None:
-        return hit
-    # keyed by the bytes the parser read, which differ from the probed ones
-    # only if the file changed in between
-    features, labels, digest = _parse_embeddings(path, class_count)
-    _write_cache_entry(cache_dir / f"{digest}.npy", features, labels)
     return features, labels
 
 
@@ -665,8 +579,8 @@ def save_bundle(bundle: DatasetBundle, directory) -> Path:
 def _read_manifest(manifest_path: Path) -> tuple[list[Path], int, int | None]:
     """The train, val and test paths a manifest names (relative to it), its
     class count and its feature dimension (None where it states none); a
-    manifest that is not JSON, has another format or lacks a key raises
-    :class:`DataError`."""
+    manifest that is not JSON, has another format, lacks a key or states a
+    count that is not a JSON integer raises :class:`DataError`."""
     with open(manifest_path, "r", encoding="utf-8") as fh:
         try:
             manifest = json.load(fh)
@@ -675,39 +589,39 @@ def _read_manifest(manifest_path: Path) -> tuple[list[Path], int, int | None]:
     found = manifest.get("format") if isinstance(manifest, dict) else None
     if found != MANIFEST_FORMAT:
         raise DataError(f"{manifest_path.name}: unsupported manifest format {found!r}")
+
+    def count(key):
+        value = manifest[key]
+        if type(value) is not int:  # 8.9, "8" and true are not counts
+            raise DataError(f"{manifest_path.name}: {key} {value!r} is not an integer")
+        return value
+
     try:
         splits = [manifest_path.parent / manifest[s] for s in ("train", "val", "test")]
-        class_count = int(manifest["class_count"])
-        feature_dim = int(manifest["feature_dim"]) if "feature_dim" in manifest else None
+        class_count = count("class_count")
+        feature_dim = count("feature_dim") if "feature_dim" in manifest else None
     except KeyError as exc:
         raise DataError(f"{manifest_path.name}: missing key {exc.args[0]!r}") from None
-    except (TypeError, ValueError):
-        raise DataError(
-            f"{manifest_path.name}: malformed split, class_count or feature_dim entry"
-        ) from None
+    except TypeError:
+        raise DataError(f"{manifest_path.name}: malformed split entry") from None
     return splits, class_count, feature_dim
 
 
-def load_bundle(manifest_path, *, cache_dir=None) -> DatasetBundle:
+def load_bundle(manifest_path) -> DatasetBundle:
     """Load a bundle via its manifest (paths resolved relative to it).
 
     The manifest states the class count, and may state the feature
     dimension, which the train split must then have; train frequencies are
     recomputed from the train rows, and an unbalanced val or test split
-    warns, naming its file, rather than fails. With ``cache_dir`` each split
-    CSV is parsed once and its arrays are read back from the cache while its
-    bytes are unchanged. A manifest that is not JSON, has another format or
-    lacks a key, or a malformed split, raises :class:`DataError`.
+    warns, naming its file, rather than fails. A manifest that is not JSON,
+    has another format, lacks a key or states a count that is not an
+    integer, or a malformed split, raises :class:`DataError`.
     """
     manifest_path = Path(manifest_path)
     splits, class_count, feature_dim = _read_manifest(manifest_path)
-
-    def read(path):
-        if cache_dir is None:
-            return _parse_embeddings(path, class_count)[:2]
-        return _read_embeddings_cached(path, class_count, Path(cache_dir))
-
-    train, val, test = (EmbeddingDataset(*read(p), class_count) for p in splits)
+    train, val, test = (
+        EmbeddingDataset(*_parse_embeddings(p, class_count), class_count) for p in splits
+    )
     if feature_dim is not None and feature_dim != train.feature_dim:
         raise DataError(
             f"{manifest_path.name}: feature_dim {feature_dim}, "
@@ -741,3 +655,57 @@ def copy_bundle(manifest_path, bundle: DatasetBundle, directory) -> Path:
         with open(path, "rb") as src, atomic_writer(directory / f"{name}.csv") as dst:
             shutil.copyfileobj(src, dst)
     return _write_manifest(directory, bundle)
+
+
+def write_snapshot(bundle: DatasetBundle, directory) -> Path:
+    """Write the bundle's arrays to :data:`SNAPSHOT` in ``directory``: for
+    train, val and test in turn, the bytes ``np.save`` writes for the
+    float64 features and then for the int64 labels. Returns its path."""
+    path = Path(directory) / SNAPSHOT
+    with atomic_writer(path) as fh:
+        for split in (bundle.train, bundle.val, bundle.test):
+            np.lib.format.write_array(fh, split.features, allow_pickle=False)
+            np.lib.format.write_array(fh, split.labels, allow_pickle=False)
+    return path
+
+
+def read_snapshot(directory) -> DatasetBundle:
+    """The bundle :func:`write_snapshot` wrote to ``directory``, under the
+    class count and feature dimension of the manifest beside it.
+
+    Each array is read in place by :func:`read_npy` and checked as a loaded
+    split is: one label per row, at least one row and one feature, labels in
+    ``[0, class_count)``, finite features and the manifest's feature
+    dimension in every split. A missing, damaged or inconsistent snapshot
+    or manifest raises a :class:`DataError` that names the file and
+    ``tailens gen-data``.
+    """
+    directory = Path(directory)
+    manifest, path = directory / "manifest.json", directory / SNAPSHOT
+    for required in (manifest, path):
+        if not required.is_file():
+            raise DataError(f"{required} is missing; run `tailens gen-data` first")
+    try:
+        _, class_count, feature_dim = _read_manifest(manifest)
+    except DataError as exc:
+        raise DataError(f"{exc}; re-run `tailens gen-data`") from None
+    try:
+        with open(path, "rb") as fh:
+            # each split's features, then its labels
+            arrays = [(read_npy(fh, np.float64, 2), read_npy(fh, np.int64, 1)) for _ in range(3)]
+            if fh.read(1):
+                raise ValueError("bytes follow the test labels")
+        splits = []
+        for features, labels in arrays:
+            if features.size == 0:
+                raise ValueError(f"a split of shape {features.shape} holds no values")
+            if features.shape[1] != feature_dim:
+                raise ValueError(
+                    f"{features.shape[1]} features, {manifest.name} states {feature_dim}"
+                )
+            features.setflags(write=False)
+            labels.setflags(write=False)
+            splits.append(EmbeddingDataset(features, labels, class_count))
+        return DatasetBundle(*splits)
+    except (ValueError, EOFError) as exc:
+        raise DataError(f"{path}: {exc}; re-run `tailens gen-data`") from None

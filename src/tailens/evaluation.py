@@ -236,27 +236,20 @@ def take_one_out_ablation(
     """Evaluate the soft-voted full ensemble and every leave-one-out
     sub-ensemble.
 
-    ``tables`` maps model names to aligned full-width posterior matrices.
-    Soft-voting needs no learned parameters. The result has one entry for
-    the full ensemble plus one per removed model.
+    ``tables`` maps model names to aligned full-width posterior matrices,
+    each a ``None`` member of :func:`fuse_soft_vote`. Soft-voting needs no
+    learned parameters. The result has one entry for the full ensemble plus
+    one per removed model.
     """
     names = list(tables)
     if len(names) < 2:
         raise ValueError("take-one-out needs at least two models")
     labels = np.asarray(labels, dtype=np.int64)
+    class_count = len(folds.fold_of_class)
 
     def evaluate(members: list[str]) -> EvalReport:
-        # the members' mean, summed into one table in member order
-        total = np.array(tables[members[0]], dtype=np.float64)
-        for m in members[1:]:
-            table = np.asarray(tables[m])
-            if table.shape != total.shape:
-                raise ValueError(
-                    f"table {m!r} has shape {table.shape}, expected {total.shape}"
-                )
-            total += table
-        total /= len(members)
-        return fourfold_accuracy(np.argmax(total, axis=1), labels, folds)
+        fused = fuse_soft_vote([tables[m] for m in members], [None] * len(members), class_count)
+        return fourfold_accuracy(np.argmax(fused, axis=1), labels, folds)
 
     out: dict[str, EvalReport] = {"ensemble": evaluate(names)}
     for name in names:

@@ -159,10 +159,11 @@ def _expansion_inputs(partials, subsets, class_count: int):
 def _mean_expansion(prob_rows, subsets, class_count: int) -> np.ndarray:
     """The mean of the checked rows' expansions: each expert's expansion is
     added into the first in expert order, so the result is bitwise
-    ``np.stack(expansions).mean(axis=0)`` without the stack."""
+    ``np.stack(expansions).mean(axis=0)`` without the stack. A full-width
+    member's rows are their own expansion and are added without a copy."""
     total = _expansion(prob_rows[0], subsets[0], class_count)
     for rows, subset in zip(prob_rows[1:], subsets[1:]):
-        total += _expansion(rows, subset, class_count)
+        total += rows if subset is None else _expansion(rows, subset, class_count)
     total /= len(prob_rows)
     return total
 

@@ -75,10 +75,11 @@ def seed_for_expert(root_seed: int, expert: Fold) -> int:
 
 
 def prepare_bundle(cfg: RunConfig) -> DatasetBundle:
+    """The bundle that ``[dataset]`` describes: generated from the seed, or
+    loaded from the manifest's CSVs."""
     d = cfg.dataset
     if d.source == "load":
-        # each split CSV is parsed once per out_dir; see dataset.load_bundle
-        return load_bundle(d.manifest, cache_dir=Path(cfg.paths.out_dir) / "cache")
+        return load_bundle(d.manifest)
     return generate_longtailed(d.synthetic(), cfg.training.seed, (d.many_min, d.few_max))
 
 

@@ -229,6 +229,16 @@ def write_config_file(directory, cfg: t.RunConfig):
     return path
 
 
+def write_load_config(directory, manifest, out_dir):
+    """:func:`tiny_run_config` loading the bundle of ``manifest`` into
+    ``out_dir``, written under ``directory``; returns its path."""
+    from dataclasses import replace
+
+    cfg = tiny_run_config(str(out_dir))
+    cfg = replace(cfg, dataset=replace(cfg.dataset, source="load", manifest=str(manifest)))
+    return write_config_file(directory, cfg)
+
+
 def run_cli_pipeline(config_path, threads: int = 1) -> None:
     """Drive every subcommand of the pipeline; assert all exit zero."""
     from tailens.cli import main
@@ -293,8 +303,12 @@ def parse_embeddings(path, class_count: int):
     ``load_bundle`` parses each split."""
     from pathlib import Path
 
-    features, labels, _ = t.dataset._parse_embeddings(Path(path), class_count)
-    return features, labels
+    return t.dataset._parse_embeddings(Path(path), class_count)
+
+
+def fold_class_counts(assignment: t.FoldAssignment) -> dict[t.Fold, int]:
+    """The number of classes in each fold of ``assignment``."""
+    return {f: int(np.sum(assignment.fold_of_class == int(f))) for f in t.Fold}
 
 
 def one_file_manifest(csv_path, class_count: int):

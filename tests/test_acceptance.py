@@ -36,6 +36,7 @@ from tailens.fusion import (
 from tailens.network import init_network, softmax
 
 from conftest import (
+    fold_class_counts,
     imagenet_lt_like_frequencies,
     majority,
     places_lt_like_frequencies,
@@ -361,7 +362,7 @@ def test_criterion_9_dataset_shape_fidelity(tmp_path):
         )
         manifest = save_bundle(DatasetBundle(train, balanced, balanced), tmp_path / name)
         bundle = load_bundle(manifest)
-        counts = assign_folds(bundle.train).class_counts()
+        counts = fold_class_counts(assign_folds(bundle.train))
         results[name] = (
             counts[Fold.MANYSHOT],
             counts[Fold.MEDIUMSHOT],

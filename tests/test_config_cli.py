@@ -528,7 +528,7 @@ class TestCliErrors:
         assert f"argument --threads: must be >= 1, got {threads}" in capsys.readouterr().err
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_divergence_exit_code(self, tmp_path):
+    def test_divergence_exit_code(self, tmp_path, capsys):
         out = tmp_path / "out"
         cfg = tiny_run_config(str(out))
         from dataclasses import replace
@@ -536,7 +536,10 @@ class TestCliErrors:
         cfg = replace(cfg, training=replace(cfg.training, lr0=1e12, weight_decay=0.0))
         path = tmp_path / "explode.ini"
         path.write_text(serialize_config(cfg))
+        assert run_cli("gen-data", path) == 0
+        capsys.readouterr()
         assert run_cli("train-baseline", path) == 4
+        assert capsys.readouterr().err.startswith("error: divergence: ")
 
     def test_ablate_with_non_finite_model_is_data_error(self, tmp_path, capsys):
         from tailens._dumps import write_posterior_csv
@@ -570,22 +573,32 @@ class TestCliErrors:
             ),
         )
         capsys.readouterr()
-        assert run_cli("train-baseline", write_config_file(tmp_path / "load", cfg)) == 3
+        assert run_cli("gen-data", write_config_file(tmp_path / "load", cfg)) == 3
         assert "train.csv line 3: non-finite feature" in capsys.readouterr().err
 
-    def test_ablate_with_wrong_ids_is_data_error(self, tmp_path):
+    def test_ablate_with_wrong_ids_is_data_error(self, tmp_path, capsys):
         out = tmp_path / "out"
         config = write_config(tmp_path, str(out))
         assert run_cli("gen-data", config) == 0
         bad = tmp_path / "bad_model.csv"
         bad.write_text("sample_id,p0,p1,p2,p3,p4,p5\n0,1.0,0,0,0,0,0\n")
+        capsys.readouterr()
         assert run_cli("ablate", config, "--models", bad, bad) == 3
+        assert "bad_model.csv: sample ids do not cover the test split" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "edit, message",
         [({"test": None}, "manifest.json: missing key 'test'"),
-         ({"feature_dim": 256}, "manifest.json: feature_dim 256, train.csv has 4 features")],
-        ids=["without-a-split", "feature-dim-of-other-csvs"],
+         ({"feature_dim": 256}, "manifest.json: feature_dim 256, train.csv has 4 features"),
+         ({"class_count": 6.9}, "manifest.json: class_count 6.9 is not an integer"),
+         ({"class_count": "6"}, "manifest.json: class_count '6' is not an integer"),
+         ({"class_count": True}, "manifest.json: class_count True is not an integer"),
+         ({"feature_dim": 4.0}, "manifest.json: feature_dim 4.0 is not an integer"),
+         ({"feature_dim": "4"}, "manifest.json: feature_dim '4' is not an integer"),
+         ({"feature_dim": True}, "manifest.json: feature_dim True is not an integer")],
+        ids=["without-a-split", "feature-dim-of-other-csvs", "fractional-class-count",
+             "text-class-count", "boolean-class-count", "float-feature-dim",
+             "text-feature-dim", "boolean-feature-dim"],
     )
     def test_bad_manifest_is_data_error(self, tmp_path, capsys, edit, message):
         from dataclasses import replace
@@ -599,16 +612,19 @@ class TestCliErrors:
         manifest.write_text(json.dumps({k: v for k, v in payload.items() if v is not None}))
         cfg = replace(cfg, dataset=replace(cfg.dataset, source="load", manifest=str(manifest)))
         capsys.readouterr()
-        assert run_cli("train-baseline", write_config_file(tmp_path / "load", cfg)) == 3
-        assert message in capsys.readouterr().err
+        assert run_cli("gen-data", write_config_file(tmp_path / "load", cfg)) == 3
+        assert capsys.readouterr().err == f"error: data: {message}\n"
 
     def test_non_numeric_posterior_entry_is_data_error(self, tmp_path, capsys):
         config = write_config(tmp_path, str(tmp_path / "out"))
+        assert run_cli("gen-data", config) == 0
         bad = tmp_path / "text_model.csv"
         bad.write_text("sample_id,p0,p1,p2,p3,p4,p5\n0,1.0,0,0,0,0,0\n1,one,0,0,0,0,0\n")
         capsys.readouterr()
         assert run_cli("ablate", config, "--models", bad, bad) == 3
-        assert "text_model.csv line 3: probability is not a number" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "error: data: text_model.csv line 3: probability is not a number\n"
+        )
 
     @pytest.mark.parametrize("bug", [ValueError, KeyError])
     def test_internal_error_is_not_reported_as_data_error(self, tmp_path, monkeypatch, bug):
@@ -643,7 +659,7 @@ class TestCliErrors:
         )
         assert not (out / "fusion" / "select.params").exists()
 
-    @pytest.mark.filterwarnings("ignore:val.csv. val split is not class-balanced")
+    @pytest.mark.filterwarnings("ignore:.*val split is not class-balanced")
     @pytest.mark.parametrize(
         "command", [("train-experts",), ("train-fusion", "--strategy", "select")]
     )
@@ -654,13 +670,17 @@ class TestCliErrors:
         cfg, trained_out, _ = cli_and_library_runs
         out = tmp_path / "out"
         shutil.copytree(trained_out, out)
-        val = out / "data" / "val.csv"
+        inputs = shutil.copytree(out / "data", tmp_path / "inputs")
+        val = inputs / "val.csv"
         lines = val.read_text().splitlines()
         val.write_text("\n".join(l for l in lines if l.split(",")[0] not in ("3", "4", "5")) + "\n")
-        dataset = replace(cfg.dataset, source="load", manifest=str(out / "data" / "manifest.json"))
-        loaded = replace(cfg, dataset=dataset, paths=replace(cfg.paths, out_dir=str(out)))
+        dataset = replace(cfg.dataset, source="load", manifest=str(inputs / "manifest.json"))
+        loaded = write_config_file(
+            tmp_path, replace(cfg, dataset=dataset, paths=replace(cfg.paths, out_dir=str(out)))
+        )
+        assert run_cli("gen-data", loaded) == 0
         capsys.readouterr()
-        assert run_cli(command[0], write_config_file(tmp_path, loaded), *command[1:]) == 3
+        assert run_cli(command[0], loaded, *command[1:]) == 3
         err = capsys.readouterr().err
         assert err == "error: data: the val split holds no fewshot sample; every fold needs one\n"
 

@@ -24,7 +24,12 @@ from tailens.dataset import (
     load_bundle,
 )
 
-from conftest import imagenet_lt_like_frequencies, parse_embeddings, places_lt_like_frequencies
+from conftest import (
+    fold_class_counts,
+    imagenet_lt_like_frequencies,
+    parse_embeddings,
+    places_lt_like_frequencies,
+)
 
 
 def small_config(**overrides) -> SyntheticConfig:
@@ -58,7 +63,7 @@ class TestGenerateLongtailed:
         # thresholds (100, 20)
         bundle = generate_longtailed(small_config(), seed=0)
         assert bundle.train.class_frequency.tolist() == [100, 31, 15]
-        counts = assign_folds(bundle.train).class_counts()
+        counts = fold_class_counts(assign_folds(bundle.train))
         assert counts[Fold.MANYSHOT] >= 1
         assert counts[Fold.MEDIUMSHOT] >= 1
 
@@ -107,17 +112,13 @@ class TestFoldAssignment:
         assert all(f == int(Fold.MANYSHOT) for f in folds.fold_of_class)
 
     def test_imagenet_lt_shaped_counts(self):
-        counts = FoldAssignment.from_frequencies(
-            imagenet_lt_like_frequencies()
-        ).class_counts()
+        counts = fold_class_counts(FoldAssignment.from_frequencies(imagenet_lt_like_frequencies()))
         assert counts[Fold.MANYSHOT] == 391
         assert counts[Fold.MEDIUMSHOT] == 473
         assert counts[Fold.FEWSHOT] == 136
 
     def test_places_lt_shaped_counts(self):
-        counts = FoldAssignment.from_frequencies(
-            places_lt_like_frequencies()
-        ).class_counts()
+        counts = fold_class_counts(FoldAssignment.from_frequencies(places_lt_like_frequencies()))
         assert counts[Fold.MANYSHOT] == 132
         assert counts[Fold.MEDIUMSHOT] == 162
         assert counts[Fold.FEWSHOT] == 71
@@ -462,7 +463,7 @@ class TestCsvRoundTrip:
         )
         manifest = save_bundle(DatasetBundle(train, balanced, balanced), tmp_path)
         bundle = load_bundle(manifest)
-        counts = assign_folds(bundle.train).class_counts()
+        counts = fold_class_counts(assign_folds(bundle.train))
         assert counts[Fold.MANYSHOT] == 391
         assert counts[Fold.MEDIUMSHOT] == 473
         assert counts[Fold.FEWSHOT] == 136

@@ -3,23 +3,33 @@ binary arrays in place.
 
 Every writer is checked byte for byte against a whole-file formula: one
 ``format_float`` join per row for the CSVs, which the block writers
-replaced, and ``np.save`` of the features then of the labels for a cache
-entry; those formulas are kept here as the references. The readers are
-checked against the arrays and the errors of the files they read, and every
-bulk read and write is bounded, traced by tracemalloc, by a multiple of the
-arrays it makes or reads.
+replaced, and ``np.save`` of the features then of the labels for each split
+of a data snapshot; those formulas are kept here as the references. The
+readers are checked against the arrays and the errors of the files they
+read, and every bulk read and write is bounded, traced by tracemalloc, by a
+multiple of the arrays it makes or reads.
 """
 
 import io
 import json
 import os
+import re
+import shutil
 from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from conftest import one_file_manifest, parse_embeddings, read_partial_dump, traced_peak
+from conftest import (
+    one_file_manifest,
+    parse_embeddings,
+    read_partial_dump,
+    tiny_run_config,
+    traced_peak,
+    write_config_file,
+    write_load_config,
+)
 from tailens import DataError, _io, cli, dataset
 from tailens._dumps import (
     ingest_external_posteriors,
@@ -27,12 +37,15 @@ from tailens._dumps import (
     write_posterior_csv,
 )
 from tailens.dataset import (
+    SNAPSHOT,
     EmbeddingDataset,
     SyntheticConfig,
     generate_longtailed,
     load_bundle,
+    read_snapshot,
     save_bundle,
     write_embeddings_csv,
+    write_snapshot,
 )
 from tailens.experts import PartialPosterior
 
@@ -60,7 +73,8 @@ def reference_csv(header, keys, table, tag="") -> bytes:
 
 
 def reference_entry(features, labels) -> bytes:
-    """A cache entry: one np.save of the features, then one of the labels."""
+    """One split of a snapshot: one np.save of the features, then one of
+    the labels."""
     buf = io.BytesIO()
     np.save(buf, features)
     np.save(buf, labels)
@@ -139,16 +153,14 @@ class TestWritersMatchTheWholeFileFormulas:
             write_posterior_csv(tmp_path / "p.csv", np.arange(3), np.ones((4, 2)) / 2)
         assert not (tmp_path / "p.csv").exists()
 
-    def test_cache_entry(self, tmp_path, block_values):
+    def test_snapshot(self, tmp_path, block_values):
         bundle = generate_longtailed(CLI_CFG, seed=4)
-        manifest = save_bundle(bundle, tmp_path / "data")
-        load_bundle(manifest, cache_dir=tmp_path / "cache")
-        entries = sorted(p.read_bytes() for p in (tmp_path / "cache").iterdir())
-        want = sorted(
+        path = write_snapshot(bundle, tmp_path)
+        assert path == tmp_path / SNAPSHOT
+        assert path.read_bytes() == b"".join(
             reference_entry(getattr(bundle, s).features, getattr(bundle, s).labels)
             for s in SPLITS
         )
-        assert entries == want
 
 
 class TestReaders:
@@ -171,7 +183,7 @@ class TestReaders:
         got_f, got_l = parse_embeddings(tmp_path / "spaced.csv", 3)
         assert got_f.tobytes() == features.tobytes() and got_l.tobytes() == labels.tobytes()
 
-    @pytest.mark.parametrize("cache", [False, True], ids=["no-cache", "cache"])
+    @pytest.mark.parametrize("via", ["load_bundle", "gen-data"])
     @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
     @pytest.mark.parametrize(
         "bad, problem",
@@ -183,15 +195,20 @@ class TestReaders:
              "beyond-int64-label"],
     )
     def test_errors_name_the_same_line(
-        self, tmp_path, block_values, newline, cache, bad, problem
+        self, tmp_path, capsys, block_values, newline, via, bad, problem
     ):
         # lines: 1 header, 2 blank, 3-5 rows, 6 blank, 7 whitespace, 8 bad, 9 row
         lines = ["label,f0,f1", "", "0,1.0,2.0", "1,1.5,2.5", "2,3.0,0.0", "", " \t",
                  bad, "1,0.0,0.0"]
         (tmp_path / "bad.csv").write_bytes((newline.join(lines) + newline).encode())
         manifest = one_file_manifest(tmp_path / "bad.csv", 8)
-        with pytest.raises(DataError, match=f"bad.csv line 8: {problem}"):
-            load_bundle(manifest, cache_dir=tmp_path / "cache" if cache else None)
+        if via == "load_bundle":
+            with pytest.raises(DataError, match=f"bad.csv line 8: {problem}"):
+                load_bundle(manifest)
+        else:
+            config = write_load_config(tmp_path, manifest, tmp_path / "out")
+            assert cli.main(["gen-data", str(config)]) == 3
+            assert re.match(f"error: data: bad.csv line 8: {problem}\n", capsys.readouterr().err)
 
     def test_a_row_that_does_not_parse_comes_before_an_earlier_label_out_of_range(
         self, tmp_path
@@ -328,41 +345,35 @@ ENTRY_DAMAGES = {
 }
 
 
+@pytest.mark.parametrize("which", ["features", "labels"])
 @pytest.mark.parametrize("damage", list(ENTRY_DAMAGES))
-def test_damaged_entries_are_misses_that_parse_the_csv_again(
-    tmp_path, monkeypatch, block_values, damage
-):
-    small = SyntheticConfig(class_count=8, feature_dim=3, n_max=120, alpha=1.5,
-                            n_val_per_class=3, n_test_per_class=3, noise_scale=0.5)
-    manifest = save_bundle(generate_longtailed(small, seed=3), tmp_path / "data")
-    cache = tmp_path / "cache"
-    load_bundle(manifest, cache_dir=cache)
-    train = parse_embeddings(manifest.parent / "train.csv", small.class_count)
-    good = reference_entry(*train)
-    assert npy_bytes(train[0]) + npy_bytes(train[1]) == good
-    entry = next(p for p in cache.iterdir() if p.read_bytes() == good)
-    parse = dataset._parse_embeddings
-    # the damage goes to each array in turn, the other one written intact
-    for damaged in range(2):
-        entry.write_bytes(b"".join(
-            ENTRY_DAMAGES[damage](array) if i == damaged else npy_bytes(array)
-            for i, array in enumerate(train)
-        ))
-        parsed = []
-        monkeypatch.setattr(
-            dataset, "_parse_embeddings", lambda *a: parsed.append(a[0].name) or parse(*a)
-        )
-        bundle = load_bundle(manifest, cache_dir=cache)
-        assert parsed == ["train.csv"], ("features", "labels")[damaged]
-        assert bundle.train.features.tobytes() == train[0].tobytes()
-        assert bundle.train.labels.tobytes() == train[1].tobytes()
-        assert entry.read_bytes() == good
+def test_damaged_snapshot_arrays_are_data_errors(tmp_path, capsys, damage, which):
+    out = tmp_path / "out"
+    config = write_config_file(tmp_path, tiny_run_config(str(out)))
+    assert cli.main(["gen-data", str(config)]) == 0
+    path = out / "data" / SNAPSHOT
+    with open(path, "rb") as fh:
+        arrays = [np.load(fh, allow_pickle=False) for _ in range(6)]
+    assert b"".join(map(npy_bytes, arrays)) == path.read_bytes()
+    # the damage goes to the train features or labels, the rest written intact
+    damaged = ("features", "labels").index(which)
+    path.write_bytes(b"".join(
+        ENTRY_DAMAGES[damage](array) if i == damaged else npy_bytes(array)
+        for i, array in enumerate(arrays)
+    ))
+    capsys.readouterr()
+    assert cli.main(["train-baseline", str(config)]) == 3
+    assert re.fullmatch(
+        f"error: data: {re.escape(str(path))}: .*; re-run `tailens gen-data`\n",
+        capsys.readouterr().err,
+    )
 
 
 class TestTracedPeaks:
     """What each bulk read or write holds at once, as a multiple of the
     arrays it makes or reads; the whole-file versions these replace held
-    2.0x (a cache hit) to 8x (a posterior dump) on the same inputs."""
+    2.0x (a cached bundle read) to 8x (a posterior dump) on the same
+    inputs."""
 
     @pytest.fixture(scope="class")
     def saved(self, tmp_path_factory):
@@ -375,21 +386,22 @@ class TestTracedPeaks:
         _, peak = traced_peak(save_bundle, bundle, tmp_path)
         assert peak < 0.5 * bundle_arrays_nbytes(bundle)
 
-    def test_uncached_load_bundle(self, saved):
+    def test_load_bundle(self, saved):
         _, manifest = saved
         loaded, peak = traced_peak(load_bundle, manifest)
         assert peak < 1.5 * bundle_arrays_nbytes(loaded)
 
-    def test_cache_miss(self, saved, tmp_path):
-        _, manifest = saved
-        missed, peak = traced_peak(load_bundle, manifest, cache_dir=tmp_path)
-        assert peak < 1.5 * bundle_arrays_nbytes(missed)
+    def test_write_snapshot(self, saved, tmp_path):
+        bundle, _ = saved
+        _, peak = traced_peak(write_snapshot, bundle, tmp_path)
+        assert peak < 0.5 * bundle_arrays_nbytes(bundle)
 
-    def test_cache_hit(self, saved, tmp_path):
-        _, manifest = saved
-        load_bundle(manifest, cache_dir=tmp_path)
-        hit, peak = traced_peak(load_bundle, manifest, cache_dir=tmp_path)
-        assert peak < 1.25 * bundle_arrays_nbytes(hit)
+    def test_read_snapshot(self, saved, tmp_path):
+        bundle, manifest = saved
+        shutil.copy(manifest, tmp_path)
+        write_snapshot(bundle, tmp_path)
+        read, peak = traced_peak(read_snapshot, tmp_path)
+        assert peak < 1.25 * bundle_arrays_nbytes(read)
 
     @pytest.fixture(scope="class")
     def posteriors(self):
@@ -418,7 +430,7 @@ class TestTracedPeaks:
         ingest_external_posteriors(tmp_path / "model.csv", 60)
         bundle = SimpleNamespace(class_count=60, test=SimpleNamespace(n=len(ids), labels=None))
         tables = {}
-        monkeypatch.setattr(cli, "prepare_bundle", lambda cfg: bundle)
+        monkeypatch.setattr(cli, "_bundle", lambda cfg: bundle)
         monkeypatch.setattr(cli, "frequency_folds", lambda bundle, cfg: None)
         monkeypatch.setattr(cli, "take_one_out_ablation", lambda t, *rest: tables.update(t) or {})
         cfg = SimpleNamespace(paths=SimpleNamespace(out_dir=tmp_path / "out"))

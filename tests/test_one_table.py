@@ -230,7 +230,11 @@ class TestBitwiseAgainstTheStack:
     def test_ablation_rejects_a_misaligned_table(self):
         folds = FoldAssignment(np.array([0, 1, 2]))
         tables = {"a": np.full((4, 3), 1 / 3), "b": np.full((1, 3), 1 / 3)}
-        with pytest.raises(ValueError, match="'b' has shape"):
+        # the soft vote's own check of the member tables
+        with pytest.raises(ValueError, match=r"disagree on sample count: \[1, 4\]"):
+            take_one_out_ablation(tables, np.zeros(4, dtype=np.int64), folds)
+        tables["b"] = np.full((4, 2), 1 / 2)
+        with pytest.raises(ValueError, match="full-width posterior has 2 entries, expected 3"):
             take_one_out_ablation(tables, np.zeros(4, dtype=np.int64), folds)
 
     def test_softmax_is_the_plain_expression(self):
@@ -421,3 +425,12 @@ class TestOneOutputTable:
         subsets, _, partials = _wide_world()
         _, peak = traced_peak(fuse_kl_min, partials, subsets, 60)
         assert peak <= 4 * TABLE_BYTES
+
+    def test_take_one_out(self):
+        # full-width members are added as they are: one table for the sum
+        rng = np.random.default_rng(2)
+        tables = {name: rng.dirichlet(np.ones(60), size=2000) for name in "abc"}
+        folds = FoldAssignment(np.repeat([0, 1, 2], 20))
+        labels = rng.integers(0, 60, size=2000)
+        _, peak = traced_peak(take_one_out_ablation, tables, labels, folds)
+        assert peak <= 1.5 * TABLE_BYTES
